@@ -52,18 +52,14 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
     c = spec.X.T @ spec.y
     yy = float(spec.y @ spec.y)
     ridge = n * lam * np.eye(k)
-    best_val = math.inf
-    best_support: tuple[int, ...] | None = None
-    for S in itertools.combinations(range(p), k):
+
+    def value(S: tuple[int, ...]) -> float:
         ix = np.asarray(S)
-        K = G[np.ix_(ix, ix)] + ridge
-        b = cho_solve(cho_factor(K), c[ix])
-        val = (yy - float(c[ix] @ b)) / n
-        if val < best_val:
-            best_val = val
-            best_support = S
-    assert best_support is not None
-    return restricted_estimator(spec, best_support)
+        b = cho_solve(cho_factor(G[np.ix_(ix, ix)] + ridge), c[ix])
+        return (yy - float(c[ix] @ b)) / n
+
+    # min keeps the first minimizer, which is the lexicographically smallest
+    return restricted_estimator(spec, min(itertools.combinations(range(p), k), key=value))
 
 
 @dataclass(frozen=True)

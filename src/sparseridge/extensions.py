@@ -113,26 +113,25 @@ def gcv_select(
     if not grid or any(g <= 0 for g in grid):
         raise InvalidArgumentError("grid must be a non-empty list of positive lam")
     scores: list[float] = []
-    fits: list[SparseEstimator | None] = []
+    valid: list[tuple[float, float, SparseEstimator]] = []  # (score, lam, fit)
     for lam in grid:
         try:
             spec = ProblemSpec(data=data, lam=lam, k=k)
             est = fit(spec, method, **method_options)
-            scores.append(gcv_score(spec, est.support, lam))
-            fits.append(est)
+            score = gcv_score(spec, est.support, lam)
         except SparseRidgeError as exc:
             warnings.warn(
                 f"solver failed at lam={lam:g} ({exc}); grid point excluded",
                 stacklevel=2,
             )
-            scores.append(math.nan)
-            fits.append(None)
-    valid = [(s, g, i) for i, (s, g) in enumerate(zip(scores, grid)) if math.isfinite(s)]
+            score = math.nan
+        else:
+            if math.isfinite(score):
+                valid.append((score, lam, est))
+        scores.append(score)
     if not valid:
         raise SparseRidgeError("every grid point failed")
-    _, best_lam, best_i = min(valid, key=lambda v: (v[0], v[1]))
-    best = fits[best_i]
-    assert best is not None
+    _, best_lam, best = min(valid, key=lambda v: (v[0], v[1]))
     return GcvReport(
         grid=grid,
         scores=tuple(scores),

@@ -21,7 +21,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemSpec, SparseEstimator, restricted_estimator, ridge_objective
+from .core import (
+    ProblemSpec,
+    SparseEstimator,
+    mic_value,
+    restricted_estimator,
+    ridge_objective,
+)
 from .errors import InfeasibleLevelError, InvalidArgumentError
 
 ZERO_REL_TOL = 1e-8
@@ -150,11 +156,10 @@ def heuristic_bisection(
     """
     if delta_hat <= 0:
         raise InvalidArgumentError(f"delta_hat must be positive, got {delta_hat}")
-    p, k, n = spec.p, spec.k, spec.n
-    X, y = spec.X, spec.y
+    p, k, n, y = spec.p, spec.k, spec.n, spec.y
     # Unconstrained ridge minimum: levels below it are unattainable outright.
-    beta_full = np.linalg.solve(X.T @ X + n * spec.lam * np.eye(p), X.T @ y)
-    ridge_min = ridge_objective(spec, beta_full)
+    # mic_value solves it through the smaller of the p x p and n x n systems.
+    ridge_min = mic_value(spec, np.ones(p))
     lower = 0.0
     upper = float(y @ y) / n
     incumbent_support: tuple[int, ...] = ()

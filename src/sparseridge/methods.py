@@ -15,7 +15,7 @@ Every method maps a :class:`~sparseridge.core.ProblemSpec` to a feasible
 from __future__ import annotations
 
 from .core import ProblemSpec, SparseEstimator
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, SparseRidgeError
 from .exact import branch_and_bound, brute_force
 from .greedy import greedy_select, restricted_greedy
 from .heuristic import heuristic_bisection
@@ -51,7 +51,8 @@ def _fit_randomized(
     result = randomized_solve(
         spec, _relax_z(spec, relax), trials=trials, seed=seed, repair=True
     )
-    assert result.best_repaired is not None
+    if result.best_repaired is None:
+        raise SparseRidgeError("randomized rounding returned no repaired estimator")
     return result.best_repaired
 
 

@@ -8,13 +8,13 @@ over-budget draws by refitting on the drawn support and dropping the
 smallest-magnitude coefficients.
 
 Randomness comes from the counter-based Philox generator with one stream
-per trial, keyed as ``seed XOR trial_index``, so any single trial can be
-reproduced in isolation on any platform.
+per trial, keyed by ``SeedSequence([seed, trial_index])``, so distinct seeds
+draw distinct streams and any single trial can be reproduced in isolation,
+on any platform, from the key stored on its outcome.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -32,7 +32,8 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class RoundingOutcome:
-    """One rounding draw: support, indicator vector, its value and seed."""
+    """One rounding draw: support, indicator vector, its value and the
+    Philox key that replays it through :func:`randomized_round`."""
 
     support: tuple[int, ...]
     z_tilde: np.ndarray
@@ -82,20 +83,27 @@ def _check_zhat(zhat: np.ndarray, p: int | None = None) -> np.ndarray:
     return np.clip(zhat, 0.0, 1.0)
 
 
-def _trial_stream(seed: int, trial: int) -> np.random.Generator:
+def _check_seed(seed) -> int:
+    seed = int(seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
-    return np.random.Generator(np.random.Philox(key=seed ^ trial))
+    return seed
+
+
+def _trial_key(seed: int, trial: int) -> int:
+    """Philox key of one trial of a multi-trial run."""
+    return int(np.random.SeedSequence([seed, trial]).generate_state(1, np.uint64)[0])
 
 
 def randomized_round(zhat: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One independent-rounding draw; returns (support, z_tilde).
 
-    Feature i is included iff a uniform draw U_i satisfies U_i <= zhat_i.
+    Feature i is included iff a uniform draw U_i satisfies U_i <= zhat_i,
+    with the U_i drawn from the Philox stream keyed by ``seed``.
     Deterministic given the seed.
     """
     zhat = _check_zhat(zhat)
-    u = _trial_stream(int(seed), 0).random(zhat.shape[0])
+    u = np.random.Generator(np.random.Philox(key=_check_seed(seed))).random(zhat.shape[0])
     z_tilde = (u <= zhat).astype(float)
     return np.flatnonzero(z_tilde), z_tilde
 
@@ -139,45 +147,35 @@ def randomized_solve(
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     zhat = _check_zhat(zhat, spec.p)
-    seed = int(seed)
+    seed = _check_seed(seed)
     bound = cardinality_bound(spec.k, alpha)
 
-    best: RoundingOutcome | None = None
-    best_rep: SparseEstimator | None = None
-    best_rep_raw: float | None = None
-    cards = np.empty(trials)
-    exceed = 0
+    draws: list[RoundingOutcome] = []
+    repaired: list[tuple[SparseEstimator, float]] = []
     for t in range(trials):
-        u = _trial_stream(seed, t).random(spec.p)
-        z_tilde = (u <= zhat).astype(float)
-        support = np.flatnonzero(z_tilde)
+        key = _trial_key(seed, t)
+        support, z_tilde = randomized_round(zhat, key)
         value = mic_value(spec, z_tilde) if support.size else float(spec.y @ spec.y) / spec.n
-        cards[t] = support.size
-        if support.size > bound:
-            exceed += 1
-        if best is None or value < best.value:
-            best = RoundingOutcome(
-                support=tuple(support.tolist()),
-                z_tilde=z_tilde,
-                cardinality=int(support.size),
-                value=value,
-                seed=seed ^ t,
-            )
+        draws.append(RoundingOutcome(
+            support=tuple(support.tolist()),
+            z_tilde=z_tilde,
+            cardinality=int(support.size),
+            value=value,
+            seed=key,
+        ))
         if repair:
-            est = _repair(spec, support)
-            if best_rep is None or est.objective < best_rep.objective:
-                best_rep, best_rep_raw = est, value
-    assert best is not None
+            repaired.append((_repair(spec, support), value))
+    # min keeps the first of equal values: ties go to the lowest trial index
+    best_rep, best_rep_raw = (
+        min(repaired, key=lambda r: r[0].objective) if repair else (None, None)
+    )
+    cards = np.array([d.cardinality for d in draws])
     return RandomizedResult(
-        best=best,
+        best=min(draws, key=lambda d: d.value),
         best_repaired=best_rep,
         best_repaired_raw_value=best_rep_raw,
         trials=trials,
         mean_cardinality=float(cards.mean()),
-        p_exceed_bound=exceed / trials,
+        p_exceed_bound=float(np.count_nonzero(cards > bound)) / trials,
         alpha=alpha,
     )
-
-
-def trial_statistics_json(result: RandomizedResult) -> str:
-    return json.dumps(result.to_json_dict())

@@ -17,10 +17,17 @@ which the test suite exploits as a cross-solver check.  The perspective
 constraint set is the convex hull of its mixed-binary counterpart, so v2
 cannot be improved by adding valid inequalities in the same variables;
 tightening requires outside information such as the big-M bounds (v3).
-All solvers are first order: projected gradient with Armijo backtracking
-(constant 1e-4, step halving) for ``v1``/``v4``, exact alternating
-minimization for ``v2``/``v3`` whose z-subproblem is the water-filling
-allocation below.
+All solvers are first order and share two loops: projected gradient with
+Armijo backtracking (constant 1e-4, step halving) for ``v1``/``v4``, and
+exact alternating minimization for ``v2``/``v3`` whose z-subproblem is the
+water-filling allocation below.
+
+The capped-simplex projection, water-filling and v1's weighted-L1-box
+projection each need the threshold t at which the budget
+sum(clip(a + s*t, lo, hi)) reaches k.  That sum is piecewise linear and
+nondecreasing in t, so one exact search serves all three: sort the 2p
+breakpoints, accumulate the budget across them and interpolate the crossing
+on its linear piece (O(p log p)).
 
 A conditional-value-at-risk style convex surrogate of the cardinality
 constraint is deliberately not offered: for this constraint it admits only
@@ -85,40 +92,49 @@ class BigMVector:
         object.__setattr__(self, "M", M)
 
 
+def _fill_budget(a: np.ndarray, s: np.ndarray, lo, hi, k: float) -> np.ndarray:
+    """z = clip(a + s*t, lo, hi) at the threshold t where sum(z) == k.
+
+    Slopes must be nonnegative; coordinates with s_i == 0 stay at
+    clip(a_i, lo_i, hi_i).  The budget sum is piecewise linear in t with
+    breakpoints (lo_i - a_i)/s_i, where coordinate i starts to move, and
+    (hi_i - a_i)/s_i, where it stops.  Sorting them and accumulating the
+    slope changes gives the budget at every breakpoint; t is interpolated on
+    the piece that crosses k.  The caller guarantees that the budget passes
+    k strictly between its limits sum(lo) and sum(hi) over the moving
+    coordinates.
+    """
+    lo = np.broadcast_to(lo, a.shape)
+    hi = np.broadcast_to(hi, a.shape)
+    moving = s > 0.0
+    am, sm = a[moving], s[moving]
+    bps = np.concatenate([(lo[moving] - am) / sm, (hi[moving] - am) / sm])
+    order = np.argsort(bps, kind="stable")
+    bps = bps[order]
+    slope = np.cumsum(np.concatenate([sm, -sm])[order])  # on [bps[j], bps[j+1]]
+    start = lo[moving].sum() + np.clip(a[~moving], lo[~moving], hi[~moving]).sum()
+    budget = start + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(bps))])
+    # budget[j] < k <= budget[j+1]; the clamps keep rounding in the sums from
+    # leaving the crossing piece.
+    j = min(max(int(np.searchsorted(budget, k)) - 1, 0), bps.size - 2)
+    t = bps[j] + (k - budget[j]) / slope[j] if slope[j] > 0.0 else bps[j]
+    return np.clip(a + s * min(max(t, bps[j]), bps[j + 1]), lo, hi)
+
+
 def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
     """Euclidean projection onto {z in [0,1]^p : sum(z) <= k}.
 
     If the clipped point already fits the budget it is returned unchanged;
-    otherwise the unique shift tau > 0 with sum(clip(v - tau, 0, 1)) == k
-    is located exactly on the piecewise-linear breakpoint grid.
+    otherwise z = clip(v - tau, 0, 1) with the unique shift tau > 0 that
+    makes sum(z) == k, found exactly on the sorted breakpoints v_i, v_i - 1.
     """
     if k <= 0:
         raise InvalidArgumentError(f"budget k must be positive, got {k}")
     v = np.asarray(v, dtype=float)
     clipped = np.clip(v, 0.0, 1.0)
-    total = clipped.sum()
-    if total <= k:
+    if clipped.sum() <= k:
         return clipped
-
-    def budget_at(tau: float) -> float:
-        return float(np.clip(v - tau, 0.0, 1.0).sum())
-
-    # sum(clip(v - tau, 0, 1)) is piecewise linear in tau with breakpoints
-    # at v_i and v_i - 1; bracket the crossing, then solve the linear piece.
-    bps = np.unique(np.concatenate([v, v - 1.0]))
-    bps = bps[bps > 0.0]
-    lo, hi = 0.0, float(bps[-1])
-    h_lo = total
-    for b in bps:
-        h_b = budget_at(b)
-        if h_b <= k:
-            hi = float(b)
-            break
-        lo, h_lo = float(b), h_b
-    mid = 0.5 * (lo + hi)
-    active = int(np.count_nonzero((v - mid > 0.0) & (v - mid < 1.0)))
-    tau = lo if active == 0 else lo + (h_lo - k) / active
-    return np.clip(v - tau, 0.0, 1.0)
+    return _fill_budget(v, np.ones_like(v), 0.0, 1.0, k)
 
 
 def waterfill_z(
@@ -128,8 +144,8 @@ def waterfill_z(
 
     Coordinates with beta_i == 0 contribute nothing (0/0 := 0) and stay at
     their lower bound.  When the budget binds, z_i = clamp(|beta_i|/nu,
-    lower_i, 1) with the level nu found by bisection to 1e-12 on the budget
-    residual.
+    lower_i, 1) with the level nu that spends the budget exactly, found on
+    the sorted breakpoints lower_i/|beta_i| and 1/|beta_i| of 1/nu.
     """
     beta = np.asarray(beta, dtype=float)
     p = beta.shape[0]
@@ -147,36 +163,10 @@ def waterfill_z(
     if lower.sum() >= k - 1e-12:
         return lower.copy()  # bounds alone exhaust the budget
     absb = np.abs(beta)
-    nz = absb > 0.0
-    if not nz.any():
-        return lower.copy()
-    capped = np.where(nz, 1.0, lower)
+    capped = np.where(absb > 0.0, 1.0, lower)
     if capped.sum() <= k:
         return capped
-
-    def z_at(nu: float) -> np.ndarray:
-        return np.where(nz, np.clip(absb / nu, lower, 1.0), lower)
-
-    lo = float(absb[nz].min())  # all nonzero coords at 1: sum > k
-    hi = float(absb.max())
-    for _ in range(200):
-        if z_at(hi).sum() <= k:
-            break
-        hi *= 2.0
-    else:
-        return lower.copy()  # infimum sum(z) is sum(lower) ~ k
-    for _ in range(200):
-        nu = 0.5 * (lo + hi)
-        resid = z_at(nu).sum() - k
-        if abs(resid) <= 1e-12:
-            break
-        if resid > 0.0:
-            lo = nu
-        else:
-            hi = nu
-    else:
-        nu = hi  # feasible side
-    return z_at(nu)
+    return _fill_budget(np.zeros(p), absb, lower, 1.0, k)
 
 
 def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
@@ -187,10 +177,12 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     a_i = x_i^T y / (n rho) and D = ||X^T y||^2/(n^2 rho^2) + v_upper/rho
     - ||y||^2/(n rho), hence |beta_i| <= |a_i| + sqrt(D).  Defaults to the
     always-valid level v_upper = ||y||^2 / n (attained by beta = 0).
+    When p > n, X^T X is singular and sigma_min = 0 without forming it.
     """
     X, y, n = spec.X, spec.y, spec.n
-    G = X.T @ X
-    sig_min = max(0.0, float(eigvalsh(G, subset_by_index=[0, 0])[0]))
+    sig_min = 0.0
+    if spec.p <= n:
+        sig_min = max(0.0, float(eigvalsh(X.T @ X, subset_by_index=[0, 0])[0]))
     rho = sig_min / n + spec.lam
     yy = float(y @ y)
     v_up = yy / n if v_upper is None else float(v_upper)
@@ -206,6 +198,13 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     return BigMVector(M=np.abs(a) + s, v_upper=v_up, rho=rho)
 
 
+def _dual_solve(spec: ProblemSpec, Xw: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """u = (n*lam*I + Xw diag(w) Xw^T)^{-1} y, the n x n system behind f(z),
+    its gradient and the wide weighted-ridge solve."""
+    A = spec.n * spec.lam * np.eye(spec.n) + (Xw * w) @ Xw.T
+    return cho_solve(cho_factor(A), spec.y)
+
+
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
     """f(z) = lam*y^T A(z)^{-1} y and its gradient -lam*(x_i^T A(z)^{-1} y)^2."""
     z = np.asarray(z, dtype=float)
@@ -213,12 +212,42 @@ def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndar
         raise InvalidArgumentError(f"z has shape {z.shape}, expected ({spec.p},)")
     if np.any(z < -1e-12) or not np.isfinite(z).all():
         raise InvalidArgumentError("z must be finite and nonnegative")
-    z = np.maximum(z, 0.0)
-    X, y, n, lam = spec.X, spec.y, spec.n, spec.lam
-    A = n * lam * np.eye(n) + (X * z) @ X.T
-    u = cho_solve(cho_factor(A), y)
-    g = X.T @ u
-    return float(lam * (y @ u)), -lam * g**2
+    u = _dual_solve(spec, spec.X, np.maximum(z, 0.0))
+    return float(spec.lam * (spec.y @ u)), -spec.lam * (spec.X.T @ u) ** 2
+
+
+def _projected_gradient(fval_grad, project, x, tol, max_iter):
+    """Monotone projected gradient with Armijo backtracking from ``x``.
+
+    The step doubles before each line search and halves until the Armijo
+    test passes.  Stops when the KKT residual ||x - project(x - grad)|| is
+    at most ``tol``, or when no step makes progress.  Returns (x, value,
+    iterations, residual, converged).
+    """
+    val, grad = fval_grad(x)
+    step = 1.0
+    resid = np.inf
+    iters = 0
+    converged = False
+    for iters in range(1, max_iter + 1):
+        resid = float(np.linalg.norm(x - project(x - grad)))
+        if resid <= tol:
+            converged = True
+            break
+        step = min(step * 2.0, 1e12)
+        while True:
+            x_new = project(x - step * grad)
+            val_new, grad_new = fval_grad(x_new)
+            if val_new <= val + ARMIJO_C * float(grad @ (x_new - x)):
+                break
+            step *= 0.5
+            if step < 1e-18:
+                x_new = x
+                break
+        if np.array_equal(x_new, x):
+            break  # no descent step: stationary to rounding, residual above tol
+        x, val, grad = x_new, val_new, grad_new
+    return x, val, iters, resid, converged
 
 
 def _masked_sets(spec, fixed_one, fixed_zero):
@@ -232,7 +261,7 @@ def _masked_sets(spec, fixed_one, fixed_zero):
     if len(one) > spec.k:
         raise InvalidArgumentError("more fixed-one indices than the budget k")
     free = [i for i in range(spec.p) if i not in set(one) | set(zero)]
-    return np.asarray(one, dtype=int), np.asarray(zero, dtype=int), np.asarray(free, dtype=int)
+    return np.asarray(one, dtype=int), np.asarray(free, dtype=int)
 
 
 def solve_v4(
@@ -252,75 +281,37 @@ def solve_v4(
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
-    one, zero, free = _masked_sets(spec, fixed_one, fixed_zero)
-    X, y, n, lam = spec.X, spec.y, spec.n, spec.lam
+    one, free = _masked_sets(spec, fixed_one, fixed_zero)
     budget = spec.k - one.size
-
-    z_full = np.zeros(spec.p)
-    z_full[one] = 1.0
-
-    def finish(z_free, value, iters, resid, converged):
-        z_out = z_full.copy()
-        z_out[free] = z_free
+    z = np.zeros(spec.p)
+    z[one] = 1.0
+    if free.size == 0 or budget <= 0 or budget >= free.size:
+        if budget > 0:
+            z[free] = 1.0  # f decreases in every coordinate: saturate the box
+        val, _ = value_and_gradient(spec, z)
         return RelaxationSolution(
-            z=z_out, value=value, iterations=iters,
-            kkt_residual=resid, converged=converged,
+            z=z, value=val, iterations=0, kkt_residual=0.0, converged=True
         )
 
-    if free.size == 0 or budget <= 0:
-        val, _ = value_and_gradient(spec, z_full)
-        return finish(np.zeros(free.size), val, 0, 0.0, True)
-    if budget >= free.size:
-        # f decreases in every coordinate, so the saturated box is optimal.
-        z_full[free] = 1.0
-        val, _ = value_and_gradient(spec, z_full)
-        return finish(np.ones(free.size), val, 0, 0.0, True)
-
-    Xf = X[:, free]
-    base = n * lam * np.eye(n)
-    if one.size:
-        Xo = X[:, one]
-        base = base + Xo @ Xo.T
+    Xv = spec.X[:, np.concatenate([one, free])]
+    Xf = Xv[:, one.size:]
+    ones = np.ones(one.size)
 
     def fval_grad(zf):
-        A = base + (Xf * zf) @ Xf.T
-        u = cho_solve(cho_factor(A), y)
-        return float(lam * (y @ u)), -lam * (Xf.T @ u) ** 2
+        u = _dual_solve(spec, Xv, np.concatenate([ones, zf]))
+        return float(spec.lam * (spec.y @ u)), -spec.lam * (Xf.T @ u) ** 2
 
     if z0 is not None:
         zf = project_capped_simplex(np.asarray(z0, dtype=float)[free], budget)
     else:
         zf = np.full(free.size, budget / free.size)
-    val, grad = fval_grad(zf)
-    step = 1.0
-    resid = np.inf
-    iters = 0
-    converged = False
-    for iters in range(1, max_iter + 1):
-        resid = float(np.linalg.norm(zf - project_capped_simplex(zf - grad, budget)))
-        if resid <= tol:
-            converged = True
-            break
-        step = min(step * 2.0, 1e12)
-        while True:
-            z_new = project_capped_simplex(zf - step * grad, budget)
-            dz = z_new - zf
-            val_new, grad_new = fval_grad(z_new)
-            if val_new <= val + ARMIJO_C * float(grad @ dz):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                z_new, val_new, grad_new = zf, val, grad
-                break
-        if np.array_equal(z_new, zf):
-            # No descent step available: the projected point is stationary.
-            resid = float(
-                np.linalg.norm(zf - project_capped_simplex(zf - grad, budget))
-            )
-            converged = resid <= tol
-            break
-        zf, val, grad = z_new, val_new, grad_new
-    return finish(zf, val, iters, resid, converged)
+    zf, val, iters, resid, converged = _projected_gradient(
+        fval_grad, lambda v: project_capped_simplex(v, budget), zf, tol, max_iter
+    )
+    z[free] = zf
+    return RelaxationSolution(
+        z=z, value=val, iterations=iters, kkt_residual=resid, converged=converged
+    )
 
 
 def _weighted_ridge(spec: ProblemSpec, z: np.ndarray) -> np.ndarray:
@@ -337,9 +328,7 @@ def _weighted_ridge(spec: ProblemSpec, z: np.ndarray) -> np.ndarray:
     Xa = spec.X[:, active]
     za = z[active]
     if active.size > spec.n:
-        A = spec.n * spec.lam * np.eye(spec.n) + (Xa * za) @ Xa.T
-        u = cho_solve(cho_factor(A), spec.y)
-        beta[active] = za * (Xa.T @ u)
+        beta[active] = za * (Xa.T @ _dual_solve(spec, Xa, za))
     else:
         K = Xa.T @ Xa + spec.n * spec.lam * np.diag(1.0 / za)
         beta[active] = cho_solve(cho_factor(K), Xa.T @ spec.y)
@@ -354,29 +343,24 @@ def _perspective_value(spec: ProblemSpec, beta: np.ndarray, z: np.ndarray) -> fl
     return float(r @ r / spec.n + spec.lam * pen.sum())
 
 
-def solve_v2_perspective(
-    spec: ProblemSpec, tol: float = 1e-9, max_iter: int = 50000
-) -> RelaxationSolution:
-    """Perspective relaxation value by exact alternating minimization.
+def _alternate(spec, beta_step, lower_of, tol, max_iter) -> RelaxationSolution:
+    """Exact alternating minimization of the perspective objective.
 
-    With the auxiliary bound mu_i eliminated (mu_i = beta_i^2 / z_i at any
-    optimum), the beta-step is a weighted ridge solve and the z-step is
-    water-filling.  Stops when a full cycle decreases the value by at most
-    ``tol``; the initial z is interior so no coordinate is pinned to the
-    0/0 face by accident.
+    Each cycle takes ``beta = beta_step(z, beta)`` and then water-fills z
+    above ``lower_of(beta)``; it stops when a cycle decreases the value by
+    at most ``tol``.  The initial z is interior so no coordinate is pinned
+    to the 0/0 face by accident.
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
     z = np.full(spec.p, min(1.0, spec.k / spec.p))
     beta = np.zeros(spec.p)
-    prev = np.inf
-    val = np.inf
+    prev = val = decrease = np.inf
     converged = False
     iters = 0
-    decrease = np.inf
     for iters in range(1, max_iter + 1):
-        beta = _weighted_ridge(spec, z)
-        z = waterfill_z(beta, spec.k, lower=None)
+        beta = beta_step(z, beta)
+        z = waterfill_z(beta, spec.k, lower=lower_of(beta))
         val = _perspective_value(spec, beta, z)
         decrease = prev - val
         if decrease <= tol:
@@ -390,23 +374,39 @@ def solve_v2_perspective(
     )
 
 
+def solve_v2_perspective(
+    spec: ProblemSpec, tol: float = 1e-9, max_iter: int = 50000
+) -> RelaxationSolution:
+    """Perspective relaxation value by exact alternating minimization.
+
+    With the auxiliary bound mu_i eliminated (mu_i = beta_i^2 / z_i at any
+    optimum), the beta-step is a weighted ridge solve and the z-step is
+    water-filling.  Stops when a full cycle decreases the value by at most
+    ``tol``.
+    """
+    return _alternate(
+        spec, lambda z, _: _weighted_ridge(spec, z), lambda _: None, tol, max_iter
+    )
+
+
+def _positive_bounds(M: BigMVector, tol: float) -> np.ndarray:
+    if np.any(M.M <= 0):
+        raise InvalidArgumentError("all big-M entries must be positive")
+    if tol <= 0:
+        raise InvalidArgumentError("tol must be positive")
+    return M.M
+
+
 def _project_weighted_l1_box(v: np.ndarray, M: np.ndarray, k: float) -> np.ndarray:
-    """Projection onto {b : sum(|b_i|/M_i) <= k, |b_i| <= M_i}."""
+    """Projection onto {b : sum(|b_i|/M_i) <= k, |b_i| <= M_i}.
+
+    When the budget binds, b_i = sign(v_i) * M_i * clip(|v_i|/M_i - tau/M_i^2,
+    0, 1) with the shift tau > 0 that spends it exactly.
+    """
     b = np.clip(v, -M, M)
     if float(np.sum(np.abs(b) / M)) <= k + 1e-15:
         return b
-
-    def shrink(tau: float) -> np.ndarray:
-        return np.sign(v) * np.minimum(M, np.maximum(0.0, np.abs(v) - tau / M))
-
-    lo, hi = 0.0, float(np.max(np.abs(v) * M))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(np.abs(shrink(mid)) / M)) > k:
-            lo = mid
-        else:
-            hi = mid
-    return shrink(hi)
+    return np.sign(v) * M * _fill_budget(np.abs(v) / M, 1.0 / M**2, 0.0, 1.0, k)
 
 
 def solve_v1(
@@ -419,58 +419,21 @@ def solve_v1(
 
     Feasibility in (beta, z) reduces to sum(|beta_i|/M_i) <= k and
     |beta_i| <= M_i, so the ridge objective is minimized over a weighted-L1
-    ball intersected with a box.
+    ball intersected with a box, starting from the projected ridge fit.
     """
-    Mv = M.M
-    if np.any(Mv <= 0):
-        raise InvalidArgumentError("all big-M entries must be positive")
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
+    Mv = _positive_bounds(M, tol)
     X, y, n, lam, k = spec.X, spec.y, spec.n, spec.lam, spec.k
-    G2 = 2.0 * (X.T @ X) / n
-    c2 = 2.0 * (X.T @ y) / n
 
-    def obj(b):
+    def fval_grad(b):
         r = y - X @ b
-        return float(r @ r / n + lam * (b @ b))
+        return float(r @ r / n + lam * (b @ b)), 2.0 * (lam * b - X.T @ r / n)
 
-    def grad(b):
-        return G2 @ b - c2 + 2.0 * lam * b
-
-    beta = _project_weighted_l1_box(np.linalg.solve(X.T @ X / n + lam * np.eye(spec.p), X.T @ y / n), Mv, k)
-    val = obj(beta)
-    g = grad(beta)
-    step = 1.0
-    resid = np.inf
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        resid = float(np.linalg.norm(beta - _project_weighted_l1_box(beta - g, Mv, k)))
-        if resid <= tol:
-            converged = True
-            break
-        step = min(step * 2.0, 1e12)
-        while True:
-            b_new = _project_weighted_l1_box(beta - step * g, Mv, k)
-            db = b_new - beta
-            val_new = obj(b_new)
-            if val_new <= val + ARMIJO_C * float(g @ db):
-                break
-            step *= 0.5
-            if step < 1e-18:
-                b_new, val_new = beta, val
-                break
-        if np.array_equal(b_new, beta):
-            resid = float(
-                np.linalg.norm(beta - _project_weighted_l1_box(beta - g, Mv, k))
-            )
-            converged = resid <= tol
-            break
-        beta, val = b_new, val_new
-        g = grad(beta)
-    z = np.abs(beta) / Mv
+    beta0 = _project_weighted_l1_box(_weighted_ridge(spec, np.ones(spec.p)), Mv, k)
+    beta, val, iters, resid, converged = _projected_gradient(
+        fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), beta0, tol, max_iter
+    )
     return RelaxationSolution(
-        z=z, value=val, iterations=iters, kkt_residual=resid,
+        z=np.abs(beta) / Mv, value=val, iterations=iters, kkt_residual=resid,
         converged=converged, beta=beta,
     )
 
@@ -526,29 +489,11 @@ def solve_v3(
     coordinate descent; the z-step is water-filling with per-coordinate
     lower bounds |beta_i| / M_i keeping the linking constraints feasible.
     """
-    Mv = M.M
-    if np.any(Mv <= 0):
-        raise InvalidArgumentError("all big-M entries must be positive")
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
-    z = np.full(spec.p, min(1.0, spec.k / spec.p))
-    beta = np.zeros(spec.p)
-    prev = np.inf
-    val = np.inf
-    converged = False
-    iters = 0
-    decrease = np.inf
-    for iters in range(1, max_iter + 1):
-        beta = _box_weighted_ridge_cd(spec, z, Mv, beta)
-        z = waterfill_z(beta, spec.k, lower=np.abs(beta) / Mv)
-        val = _perspective_value(spec, beta, z)
-        decrease = prev - val
-        if decrease <= tol:
-            converged = True
-            break
-        prev = val
-    return RelaxationSolution(
-        z=z, value=val, iterations=iters,
-        kkt_residual=float(abs(decrease)) if np.isfinite(decrease) else np.inf,
-        converged=converged, beta=beta,
+    Mv = _positive_bounds(M, tol)
+    return _alternate(
+        spec,
+        lambda z, beta: _box_weighted_ridge_cd(spec, z, Mv, beta),
+        lambda beta: np.abs(beta) / Mv,
+        tol,
+        max_iter,
     )

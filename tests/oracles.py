@@ -87,6 +87,27 @@ def projection_tau_bisection(v, k, iters=200):
     return np.clip(v - hi, 0.0, 1.0)
 
 
+def weighted_l1_box_projection_bisection(v, M, k, iters=200):
+    """Projection onto {b : sum(|b_i|/M_i) <= k, |b_i| <= M_i} by plain
+    bisection on the soft-threshold shift tau."""
+    v = np.asarray(v, dtype=float)
+    M = np.asarray(M, dtype=float)
+
+    def shrink(tau):
+        return np.sign(v) * np.minimum(M, np.maximum(0.0, np.abs(v) - tau / M))
+
+    if np.sum(np.abs(shrink(0.0)) / M) <= k:
+        return shrink(0.0)
+    lo, hi = 0.0, float(np.max(np.abs(v) * M))
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if np.sum(np.abs(shrink(mid)) / M) > k:
+            lo = mid
+        else:
+            hi = mid
+    return shrink(hi)
+
+
 def waterfill_objective_grid(beta, k, lower=None, levels=200001):
     """Best sum(beta_i^2/z_i) over a fine grid of water levels nu."""
     beta = np.asarray(beta, dtype=float)

@@ -102,6 +102,17 @@ class TestRandomizedSolve:
         support, _ = randomized_round(zhat, res.best.seed)
         assert tuple(support.tolist()) == res.best.support
 
+    def test_distinct_seeds_draw_distinct_streams(self, rng):
+        spec = random_spec(rng, 10, 30, 3, 0.2)
+        zhat = np.full(30, 0.5)
+        runs = [randomized_solve(spec, zhat, trials=4, seed=s, repair=False)
+                for s in range(4)]
+        assert len({r.best.seed for r in runs}) == 4
+        assert len({r.best.support for r in runs}) == 4
+        for r in runs:
+            support, _ = randomized_round(zhat, r.best.seed)
+            assert tuple(support.tolist()) == r.best.support
+
     def test_superset_of_optimum_dominates(self, rng):
         spec = random_spec(rng, 15, 7, 2, 0.2)
         star = brute_force(spec)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import identity_pair_spec, random_spec
 from oracles import (
     finite_difference_gradient,
     projection_tau_bisection,
     waterfill_objective_grid,
+    weighted_l1_box_projection_bisection,
 )
 from sparseridge import (
     BigMVector,
@@ -24,6 +28,12 @@ from sparseridge import (
     value_and_gradient,
     waterfill_z,
 )
+from sparseridge import relaxation
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+# Nonzero entries stay away from underflow so every breakpoint is finite.
+SIGNED = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
 
 
 class TestCappedSimplexProjection:
@@ -110,6 +120,18 @@ class TestBigM:
             M = big_m(spec)
             star = brute_force(spec)
             assert np.all(np.abs(star.beta) <= M.M + 1e-12)
+
+    def test_wide_design_has_zero_curvature(self, rng, monkeypatch):
+        # p > n: X^T X is singular, so rho is lam itself, with no p x p
+        # eigenvalue solve
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigvalsh called at p > n")
+
+        monkeypatch.setattr(relaxation, "eigvalsh", no_eigensolve)
+        spec = random_spec(rng, 8, 20, 2, 0.3)
+        res = big_m(spec)
+        assert res.rho == spec.lam
+        assert np.all(np.abs(brute_force(spec).beta) <= res.M + 1e-12)
 
     def test_level_below_minimum_rejected(self):
         # response orthogonal to the design: no beta can push the
@@ -274,3 +296,47 @@ class TestCombinedSolver:
             assert v1.value <= v3.value + 1e-6
             assert v2.value <= v3.value + 1e-6
             assert max(v1.value, v2.value, v3.value, v4.value) <= star.objective + 1e-6
+
+
+class TestBudgetSearchProperties:
+    """The three callers of the shared exact threshold search."""
+
+    @PROPERTY
+    @given(v=arrays(float, st.integers(1, 25), elements=st.floats(-3.0, 3.0)),
+           k=st.floats(0.05, 12.0))
+    def test_projection_matches_bisection(self, v, k):
+        z = project_capped_simplex(v, k)
+        assert z == pytest.approx(projection_tau_bisection(v, k), abs=1e-10)
+        assert z.sum() <= k + 1e-9
+        assert np.all(z >= 0.0) and np.all(z <= 1.0)
+
+    @settings(PROPERTY, max_examples=25)
+    @given(data=st.data())
+    def test_waterfill_no_worse_than_grid(self, data):
+        p = data.draw(st.integers(1, 10))
+        beta = data.draw(arrays(float, p, elements=SIGNED))
+        k = data.draw(st.floats(0.1, float(p)))
+        raw = data.draw(arrays(float, p, elements=st.floats(0.0, 1.0)))
+        share = data.draw(st.floats(0.0, 0.95))
+        lower = raw * min(1.0, share * k / raw.sum()) if raw.sum() > 0 else raw
+        z = waterfill_z(beta, k, lower=lower)
+        assert np.all(z >= lower) and np.all(z <= 1.0)
+        assert z.sum() <= k + 1e-9
+        nz = beta != 0.0
+        if not nz.any():
+            return
+        achieved = float(np.sum(beta[nz] ** 2 / z[nz]))
+        best = waterfill_objective_grid(beta, k, lower=lower, levels=20001)
+        assert achieved <= best + 1e-9 * (1.0 + best)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_weighted_l1_box_matches_bisection(self, data):
+        p = data.draw(st.integers(1, 20))
+        v = data.draw(arrays(float, p, elements=st.floats(-5.0, 5.0)))
+        M = data.draw(arrays(float, p, elements=st.floats(0.1, 5.0)))
+        k = data.draw(st.floats(0.1, float(p)))
+        b = relaxation._project_weighted_l1_box(v, M, k)
+        assert np.sum(np.abs(b) / M) <= k + 1e-9
+        assert np.all(np.abs(b) <= M)
+        assert b == pytest.approx(weighted_l1_box_projection_bisection(v, M, k), abs=1e-10)
