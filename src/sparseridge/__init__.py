@@ -18,6 +18,7 @@ from .core import (
 )
 from .errors import (
     BudgetExceededError,
+    ConvergenceError,
     DegenerateHatError,
     EnumerationCapError,
     InfeasibleLevelError,
@@ -78,9 +79,9 @@ __all__ = [
     "Dataset", "ProblemSpec", "SparseEstimator", "SpectralStats",
     "mic_value", "normalize_columns", "restricted_estimator",
     "ridge_objective", "spectral_stats", "theta", "underline_theta",
-    "BudgetExceededError", "DegenerateHatError", "EnumerationCapError",
-    "InfeasibleLevelError", "InvalidArgumentError", "NumericalDomainError",
-    "NumericalError", "SparseRidgeError",
+    "BudgetExceededError", "ConvergenceError", "DegenerateHatError",
+    "EnumerationCapError", "InfeasibleLevelError", "InvalidArgumentError",
+    "NumericalDomainError", "NumericalError", "SparseRidgeError",
     "BnBResult", "branch_and_bound", "brute_force",
     "GcvReport", "PrecisionMapping", "decode_omega", "encode_omega",
     "gcv_score", "gcv_select", "precision_to_regression",

@@ -21,6 +21,10 @@ class NumericalError(SparseRidgeError):
     """A numerical guard tripped (ill-conditioning, domain violation)."""
 
 
+class ConvergenceError(NumericalError):
+    """An iterative solver stopped before meeting its stopping rule."""
+
+
 class NumericalDomainError(NumericalError):
     """A closed-form expression left its valid domain (e.g. negative
     discriminant under a square root); usually means an input bound was

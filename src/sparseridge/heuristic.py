@@ -1,4 +1,4 @@
-"""Objective-level bisection heuristic with an L1 inner engine.
+"""Objective-level bisection heuristic with an exact elastic-net path engine.
 
 The driver brackets the optimal value between L (unreachable) and U (the
 value of a known feasible estimator, starting from beta = 0) and halves the
@@ -6,11 +6,17 @@ bracket: at the midpoint q it asks for the minimum-L1-norm coefficient
 vector whose ridge objective is at most q.  If that vector is k-sparse the
 level is attainable (U <- q, keep the witness), otherwise not (L <- q).
 
-The inner minimum-L1 problem is solved through its penalized form: the
-elastic-net objective (1/n)||y - X b||^2 + lam*||b||^2 + gamma*||b||_1 is
-minimized by cyclic coordinate descent with soft-thresholding, and gamma is
-bisected to the largest value whose solution still meets the level -- that
-point has the smallest L1 norm on the path.
+The minimum-L1 point at level q lies on the path of minimizers of the
+elastic-net objective (1/n)||y - X b||^2 + lam*||b||^2 + gamma*||b||_1: it is
+the path point with the largest gamma whose ridge objective R is still at
+most q.  That path does not depend on q and is piecewise linear in gamma,
+so one homotopy walk from gamma_max = (2/n)||X^T y||_inf down to 0 serves
+every level of a bisection.  Each segment keeps a fixed active set and
+sign pattern; it ends where a feature enters, an active coefficient hits
+zero, or gamma reaches 0.  On a segment b(gamma) = u - gamma*w, where u is
+the ridge fit on the active set, so R(gamma) = R(u) + c*gamma^2 and a level
+is met in closed form by interpolating gamma^2 between the segment's ends.
+The walk is lazy: it stops as soon as R falls to the lowest level asked.
 """
 
 from __future__ import annotations
@@ -20,18 +26,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     ProblemSpec,
     SparseEstimator,
     mic_value,
     restricted_estimator,
-    ridge_objective,
 )
-from .errors import InfeasibleLevelError, InvalidArgumentError
+from .errors import InfeasibleLevelError, InvalidArgumentError, NumericalError
 
 ZERO_REL_TOL = 1e-8
-GAMMA_BISECTION_WIDTH = 1e-10
+# Correlations within this fraction of gamma_max of the boundary count as
+# tied, so features that reach it together enter together.
+TIE_REL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -100,42 +108,132 @@ def elastic_net_cd(
     return beta
 
 
-def min_l1_given_level(
-    spec: ProblemSpec,
-    v_upper: float,
-    tol: float = 1e-8,
-    beta0: np.ndarray | None = None,
-) -> np.ndarray:
+class _ElasticNetPath:
+    """Breakpoints (gamma_j, beta_j, R_j) of the elastic-net path, gamma
+    decreasing from gamma_max, grown one segment at a time on demand.
+
+    KKT on the path: with c = (2/n) X^T (y - X b) - 2*lam*b, every active
+    feature has c_i = gamma * sign(b_i) and every inactive one |c_j| <= gamma.
+    Each beta_j is stored on its support only.
+    """
+
+    def __init__(self, spec: ProblemSpec):
+        self.spec = spec
+        y, n = spec.y, spec.n
+        self._xty = spec.X.T @ y / n
+        gamma_max = 2.0 * float(np.abs(self._xty).max())
+        self._tie = TIE_REL_TOL * gamma_max
+        self.gammas = [gamma_max]
+        self.supports = [np.empty(0, dtype=int)]
+        self.values = [np.empty(0)]
+        self.levels = [float(y @ y) / n]
+        self._signs = np.empty(0)
+        self.done = gamma_max == 0.0
+        # Every segment ends at an event or at gamma = 0, and a feature can
+        # only re-enter after gamma has moved on; this cap only guards
+        # against a numerical cycle.
+        self._max_segments = 20 * (spec.p + spec.n) + 100
+
+    def beta(self, j: int) -> np.ndarray:
+        b = np.zeros(self.spec.p)
+        b[self.supports[j]] = self.values[j]
+        return b
+
+    def _solve(self, active: np.ndarray, signs: np.ndarray):
+        """u and w with (X_A^T X_A / n + lam I) [u, w] = [X_A^T y / n, s / 2],
+        through the n x n system when |A| > n."""
+        X, n, lam = self.spec.X, self.spec.n, self.spec.lam
+        XA = X[:, active]
+        rhs = np.column_stack([self._xty[active], signs / 2.0])
+        if active.size == 0:
+            return rhs[:, 0], rhs[:, 1]
+        if active.size <= n:
+            G = XA.T @ XA / n + lam * np.eye(active.size)
+            sol = cho_solve(cho_factor(G), rhs)
+        else:
+            K = n * lam * np.eye(n) + XA @ XA.T
+            sol = (rhs - XA.T @ cho_solve(cho_factor(K), XA @ rhs)) / lam
+        return sol[:, 0], sol[:, 1]
+
+    def _extend(self) -> None:
+        """Append the breakpoint that ends the segment below the last one."""
+        if len(self.gammas) > self._max_segments:
+            raise NumericalError(
+                f"elastic-net path did not reach gamma = 0 in {self._max_segments} segments"
+            )
+        X, y, n, lam = self.spec.X, self.spec.y, self.spec.n, self.spec.lam
+        gamma, active = self.gammas[-1], self.supports[-1]
+        b = self.values[-1]
+        c = 2.0 * (X.T @ (y - X[:, active] @ b)) / n
+        c[active] -= 2.0 * lam * b
+        # Features on the boundary join with the sign of their correlation,
+        # all at once; one whose coefficient would move against that sign
+        # stays out (the worst first, then re-solve).
+        at_bound = np.abs(c) >= gamma - self._tie
+        at_bound[active] = False
+        new = np.flatnonzero(at_bound)
+        while True:
+            cand = np.concatenate([active, new])
+            signs = np.concatenate([self._signs, np.sign(c[new])])
+            u, w = self._solve(cand, signs)
+            grow = (signs * w)[active.size:]
+            if new.size == 0 or grow.min() > 0.0:
+                break
+            new = np.delete(new, int(np.argmin(grow)))
+        # On the segment b_A(g) = u - g*w and, off A, c(g) = e + g*f.
+        XA = X[:, cand]
+        e, f = (2.0 / n) * (X.T @ np.column_stack([y - XA @ u, XA @ w])).T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exits = np.where(signs * w < 0.0, np.minimum(u / w, gamma), -np.inf)
+            enter_up = np.where(1.0 - f > 0.0, e / (1.0 - f), -np.inf)
+            enter_dn = np.where(1.0 + f > 0.0, -e / (1.0 + f), -np.inf)
+        enters = np.maximum(enter_up, enter_dn)
+        enters[cand] = -np.inf
+        enters[enters >= gamma - self._tie] = -np.inf  # already on the boundary
+        g1 = max(0.0, float(exits.max(initial=-np.inf)), float(enters.max()))
+        b1 = u - g1 * w
+        keep = exits < g1 - self._tie
+        cand, signs, b1 = cand[keep], signs[keep], b1[keep]
+        r = y - X[:, cand] @ b1
+        self.gammas.append(g1)
+        self.supports.append(cand)
+        self.values.append(b1)
+        self.levels.append(float(r @ r / n + lam * (b1 @ b1)))
+        self._signs = signs
+        self.done = g1 == 0.0
+
+    def at_level(self, q: float) -> np.ndarray:
+        """The path point with the largest gamma whose ridge objective is at
+        most ``q``; the gamma = 0 end when no path point reaches ``q``."""
+        while self.levels[-1] > q and not self.done:
+            self._extend()
+        j = next((i for i, r in enumerate(self.levels) if r <= q), None)
+        if j is None:
+            return self.beta(len(self.levels) - 1)
+        if j == 0:
+            return self.beta(0)
+        g0, g1 = self.gammas[j - 1], self.gammas[j]
+        r0, r1 = self.levels[j - 1], self.levels[j]
+        # R = R(u) + const * gamma^2 on the segment, so gamma^2 is linear in R.
+        g = math.sqrt(g1 * g1 + (q - r1) / (r0 - r1) * (g0 * g0 - g1 * g1))
+        t = (g - g1) / (g0 - g1) if g0 > g1 else 0.0
+        return (1.0 - t) * self.beta(j) + t * self.beta(j - 1)
+
+
+def min_l1_given_level(spec: ProblemSpec, v_upper: float) -> np.ndarray:
     """Minimum-L1-norm coefficients with ridge objective at most ``v_upper``.
 
-    Bisects the L1 weight gamma on [0, (2/n)*||X^T y||_inf] to width 1e-10,
-    keeping the largest gamma whose penalized solution still satisfies the
-    level; that solution has the minimal L1 norm among level-feasible
-    points.  Raises :class:`InfeasibleLevelError` when ``v_upper`` is below
-    the unconstrained ridge minimum.
+    Walks the exact elastic-net path down to the first point that meets the
+    level; that point has the minimal L1 norm among level-feasible points.
+    Raises :class:`InfeasibleLevelError` when ``v_upper`` is below the
+    unconstrained ridge minimum.
     """
-    X, y, n = spec.X, spec.y, spec.n
-    gamma_max = 2.0 * float(np.abs(X.T @ y).max()) / n
-    if ridge_objective(spec, np.zeros(spec.p)) <= v_upper:
-        return np.zeros(spec.p)  # beta = 0 is feasible and has L1 norm 0
-    ridge_beta = elastic_net_cd(spec, 0.0, tol=tol, beta0=beta0)
-    ridge_min = ridge_objective(spec, ridge_beta)
+    ridge_min = mic_value(spec, np.ones(spec.p))
     if v_upper < ridge_min - 1e-10 * (1.0 + abs(ridge_min)):
         raise InfeasibleLevelError(
             f"level {v_upper:.6g} is below the ridge minimum {ridge_min:.6g}"
         )
-    lo, hi = 0.0, gamma_max
-    best = ridge_beta
-    warm = ridge_beta
-    while hi - lo > GAMMA_BISECTION_WIDTH:
-        mid = 0.5 * (lo + hi)
-        beta_mid = elastic_net_cd(spec, mid, tol=tol, beta0=warm)
-        warm = beta_mid
-        if ridge_objective(spec, beta_mid) <= v_upper:
-            lo, best = mid, beta_mid
-        else:
-            hi = mid
-    return best
+    return _ElasticNetPath(spec).at_level(v_upper)
 
 
 def _count_zeros(beta: np.ndarray) -> int:
@@ -144,7 +242,7 @@ def _count_zeros(beta: np.ndarray) -> int:
 
 
 def heuristic_bisection(
-    spec: ProblemSpec, delta_hat: float, inner_tol: float = 1e-8
+    spec: ProblemSpec, delta_hat: float
 ) -> tuple[SparseEstimator, BisectionTrace]:
     """Bisection on the objective level down to bracket width ``delta_hat``.
 
@@ -152,7 +250,7 @@ def heuristic_bisection(
     the output refits the final witness support exactly, so the reported
     value is min(U, refit objective) and the estimator is always feasible.
     Terminates in at most floor(log2(||y||^2 / (n*delta_hat))) + 1
-    iterations.
+    iterations.  All levels are read off one elastic-net path.
     """
     if delta_hat <= 0:
         raise InvalidArgumentError(f"delta_hat must be positive, got {delta_hat}")
@@ -160,11 +258,11 @@ def heuristic_bisection(
     # Unconstrained ridge minimum: levels below it are unattainable outright.
     # mic_value solves it through the smaller of the p x p and n x n systems.
     ridge_min = mic_value(spec, np.ones(p))
+    path = _ElasticNetPath(spec)
     lower = 0.0
     upper = float(y @ y) / n
     incumbent_support: tuple[int, ...] = ()
     trace = BisectionTrace()
-    warm: np.ndarray | None = None
     it = 0
     while upper - lower > delta_hat:
         it += 1
@@ -178,8 +276,7 @@ def heuristic_bisection(
                 )
             )
             continue
-        beta_hat = min_l1_given_level(spec, q, tol=inner_tol, beta0=warm)
-        warm = beta_hat
+        beta_hat = path.at_level(q)
         zeros = _count_zeros(beta_hat)
         if zeros >= p - k:
             upper = q

@@ -7,7 +7,7 @@ Every method maps a :class:`~sparseridge.core.ProblemSpec` to a feasible
 * ``restricted``  -- perspective relaxation, then greedy inside its support;
 * ``randomized``  -- perspective relaxation, independent rounding with
   repair, best of ``trials`` draws;
-* ``heuristic``   -- objective-level bisection with the L1 inner engine;
+* ``heuristic``   -- objective-level bisection over the elastic-net path;
 * ``brute``       -- exhaustive enumeration;
 * ``bnb``         -- branch and bound to a proven gap.
 """
@@ -15,7 +15,7 @@ Every method maps a :class:`~sparseridge.core.ProblemSpec` to a feasible
 from __future__ import annotations
 
 from .core import ProblemSpec, SparseEstimator
-from .errors import InvalidArgumentError, SparseRidgeError
+from .errors import ConvergenceError, InvalidArgumentError, SparseRidgeError
 from .exact import branch_and_bound, brute_force
 from .greedy import greedy_select, restricted_greedy
 from .heuristic import heuristic_bisection
@@ -30,11 +30,18 @@ def _fit_greedy(spec: ProblemSpec, **_) -> SparseEstimator:
 
 
 def _relax_z(spec: ProblemSpec, which: str):
+    """The relaxation's z; raises ConvergenceError if its solve did not converge."""
     try:
         solver = RELAXATIONS[which]
     except KeyError:
         raise InvalidArgumentError(f"unknown relaxation {which!r}") from None
-    return solver(spec).z
+    sol = solver(spec)
+    if not sol.converged:
+        raise ConvergenceError(
+            f"relaxation {which} did not converge in {sol.iterations} iterations "
+            f"(residual {sol.kkt_residual:.3g})"
+        )
+    return sol.z
 
 
 def _fit_restricted(spec: ProblemSpec, delta: float = 0.01, relax: str = "v2", **_):

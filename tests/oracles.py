@@ -215,3 +215,58 @@ def min_large_subset_eig_oracle(X, k):
             G = X[:, T] @ X[:, T].T
             best = min(best, max(0.0, float(np.linalg.eigvalsh(G)[0])))
     return best
+
+
+def min_l1_gamma_bisection(spec, level, beta0=None, tol=1e-8, width=1e-10):
+    """Minimum-L1 point at ``level`` by bisecting the L1 weight gamma.
+
+    The bisection heuristic's former inner engine: every step is a
+    coordinate-descent solve of the penalized problem, warm-started from the
+    previous one, and the largest gamma whose solution meets the level wins.
+    """
+    from sparseridge import elastic_net_cd, ridge_objective
+
+    if ridge_objective(spec, np.zeros(spec.p)) <= level:
+        return np.zeros(spec.p)
+    best = warm = elastic_net_cd(spec, 0.0, tol=tol, beta0=beta0)
+    lo, hi = 0.0, 2.0 * float(np.abs(spec.X.T @ spec.y).max()) / spec.n
+    while hi - lo > width:
+        mid = 0.5 * (lo + hi)
+        warm = elastic_net_cd(spec, mid, tol=tol, beta0=warm)
+        if ridge_objective(spec, warm) <= level:
+            lo, best = mid, warm
+        else:
+            hi = mid
+    return best
+
+
+def heuristic_gamma_bisection(spec, delta_hat, zero_tol=1e-8):
+    """The objective-level bisection heuristic over ``min_l1_gamma_bisection``.
+
+    Returns the final witness support, the branch of every level and the
+    zero count of every level (0 for levels below the ridge minimum).
+    """
+    X, y, n, p, k, lam = spec.X, spec.y, spec.n, spec.p, spec.k, spec.lam
+    ridge_min = lam * float(y @ np.linalg.solve(n * lam * np.eye(n) + X @ X.T, y))
+    lower, upper = 0.0, float(y @ y) / n
+    support, branches, zero_counts = (), [], []
+    warm = None
+    while upper - lower > delta_hat:
+        q = 0.5 * (lower + upper)
+        if q < ridge_min:
+            lower = q
+            branches.append("up")
+            zero_counts.append(0)
+            continue
+        beta = warm = min_l1_gamma_bisection(spec, q, beta0=warm)
+        nonzero = np.abs(beta) > zero_tol * max(1.0, float(np.abs(beta).max()))
+        zeros = p - int(np.count_nonzero(nonzero))
+        if zeros >= p - k:
+            upper = q
+            support = tuple(np.flatnonzero(nonzero).tolist())
+            branches.append("down")
+        else:
+            lower = q
+            branches.append("up")
+        zero_counts.append(zeros)
+    return support, branches, zero_counts

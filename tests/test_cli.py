@@ -3,6 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import sparseridge.methods as methods
+from helpers import random_spec
+from sparseridge import ConvergenceError, RelaxationSolution, fit
 from sparseridge.cli import main
 
 
@@ -50,6 +53,22 @@ def test_fit_methods(tmp_path, data_csv, method):
     assert len(payload["support"]) <= 3
     assert payload["objective"] > 0
     assert len(payload["beta"]) == 8
+
+
+@pytest.mark.parametrize("method", ["restricted", "randomized"])
+def test_unconverged_relaxation_fails_fit(tmp_path, data_csv, monkeypatch, method):
+    def stalled(spec):
+        return RelaxationSolution(z=np.full(spec.p, spec.k / spec.p), value=0.0,
+                                  iterations=7, kkt_residual=0.25, converged=False)
+
+    monkeypatch.setitem(methods.RELAXATIONS, "v2", stalled)
+    spec = random_spec(np.random.default_rng(0), 20, 6, 2, 0.1)
+    with pytest.raises(ConvergenceError, match=r"v2 .* 7 iterations .*0\.25"):
+        fit(spec, method)
+    assert main([
+        "fit", "--input", str(data_csv), "--lambda", "0.1", "--k", "3",
+        "--method", method, "--out", str(tmp_path / "fit.json"),
+    ]) == 3
 
 
 def test_fit_normalize_flag(tmp_path, data_csv):

@@ -2,16 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import identity_pair_spec, random_spec
 from oracles import (
     elastic_net_objective,
+    heuristic_gamma_bisection,
     min_l1_path_scan,
     proximal_gradient_elastic_net,
 )
 from sparseridge import (
+    Dataset,
     InfeasibleLevelError,
     InvalidArgumentError,
+    ProblemSpec,
     brute_force,
     elastic_net_cd,
     heuristic_bisection,
@@ -19,6 +24,9 @@ from sparseridge import (
     restricted_estimator,
     ridge_objective,
 )
+from sparseridge.heuristic import _ElasticNetPath
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 class TestElasticNetCd:
@@ -160,3 +168,112 @@ class TestBisection:
         spec = random_spec(rng, 8, 3, 1, 0.1)
         with pytest.raises(InvalidArgumentError):
             heuristic_bisection(spec, delta_hat=0.0)
+
+
+@st.composite
+def path_specs(draw):
+    """Random specs with p < n, with p > n, or with a duplicated column."""
+    shape = draw(st.sampled_from(["tall", "wide", "tied"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = draw(st.sampled_from([0.02, 0.1, 0.5]))
+    if shape == "wide":
+        n = draw(st.integers(3, 10))
+        p = draw(st.integers(n + 1, 2 * n + 4))
+    else:
+        p = draw(st.integers(2, 8))
+        n = draw(st.integers(p + 2, 3 * p + 4))
+    spec = random_spec(rng, n, p, 1, lam)
+    if shape == "tied":
+        X = spec.X.copy()
+        X[:, 1] = X[:, 0]
+        spec = ProblemSpec(data=Dataset(X=X, y=spec.y), lam=lam, k=1)
+    return spec
+
+
+def _full_path(spec):
+    path = _ElasticNetPath(spec)
+    while not path.done:
+        path._extend()
+    return path
+
+
+def _correlations(spec, beta):
+    return 2.0 * spec.X.T @ (spec.y - spec.X @ beta) / spec.n - 2.0 * spec.lam * beta
+
+
+def _kkt_violation(spec, beta, gamma):
+    c = _correlations(spec, beta)
+    on = beta != 0.0
+    return max(np.abs(c[on] - gamma * np.sign(beta[on])).max(initial=0.0),
+               (np.abs(c[~on]) - gamma).max(initial=0.0))
+
+
+def _level_between_ends(path, frac):
+    return path.levels[-1] + frac * (path.levels[0] - path.levels[-1])
+
+
+class TestElasticNetPathProperties:
+    @PROPERTY
+    @given(spec=path_specs(), frac=st.floats(0.0, 1.0))
+    def test_breakpoints_and_level_points_meet_kkt(self, spec, frac):
+        path = _full_path(spec)
+        for j, gamma in enumerate(path.gammas):
+            assert _kkt_violation(spec, path.beta(j), gamma) <= 1e-9
+        q = _level_between_ends(path, frac)
+        beta = path.at_level(q)
+        # off zero, every correlation on the support sits at |c| = gamma
+        gamma = float(np.abs(_correlations(spec, beta)).max())
+        assert _kkt_violation(spec, beta, gamma) <= 1e-9
+        assert ridge_objective(spec, beta) <= q + 1e-12 * (1.0 + q)
+
+    @PROPERTY
+    @given(spec=path_specs())
+    def test_objective_nonincreasing(self, spec):
+        levels = np.array(_full_path(spec).levels)
+        assert np.all(np.diff(levels) <= 1e-12 * levels[0])
+
+    @PROPERTY
+    @given(spec=path_specs(), frac=st.floats(0.0, 1.0))
+    def test_matches_coordinate_descent(self, spec, frac):
+        path = _full_path(spec)
+        gamma = frac * path.gammas[0]
+        j = next(i for i, g in enumerate(path.gammas) if g <= gamma)
+        if j == 0:
+            beta = path.beta(0)
+        else:
+            g0, g1 = path.gammas[j - 1], path.gammas[j]
+            t = (gamma - g1) / (g0 - g1)
+            beta = (1.0 - t) * path.beta(j) + t * path.beta(j - 1)
+        cd = elastic_net_cd(spec, gamma, tol=1e-12)
+        assert beta == pytest.approx(cd, abs=1e-7)
+
+    @settings(PROPERTY, max_examples=10)
+    @given(spec=path_specs(), frac=st.floats(0.0, 1.0))
+    def test_min_l1_given_level_is_minimal(self, spec, frac):
+        q = _level_between_ends(_full_path(spec), frac)
+        beta = min_l1_given_level(spec, q)
+        assert ridge_objective(spec, beta) <= q + 1e-12 * (1.0 + q)
+        oracle_l1 = min_l1_path_scan(spec.X, spec.y, spec.lam, q, points=400)
+        assert float(np.abs(beta).sum()) <= oracle_l1 + 1e-6
+
+    def test_tied_features_enter_together(self):
+        spec = identity_pair_spec(lam=0.1, k=1)
+        path = _full_path(spec)
+        assert path.gammas == [1.0, 0.0]
+        assert sorted(path.supports[1].tolist()) == [0, 1]
+        assert path.beta(1) == pytest.approx([0.5 / 0.6, 0.5 / 0.6], rel=1e-12)
+
+
+class TestMatchesGammaBisection:
+    """The path engine against the former gamma bisection over coordinate descent."""
+
+    def test_same_branches_zeros_and_support(self, rng):
+        specs = [identity_pair_spec(lam=0.1, k=1)]
+        for n, p in [(20, 8), (25, 10), (30, 6), (15, 12), (8, 12), (10, 16)]:
+            specs.append(random_spec(rng, n, p, 3, float(rng.choice([0.05, 0.2]))))
+        for spec in specs:
+            est, trace = heuristic_bisection(spec, delta_hat=1e-4)
+            support, branches, zero_counts = heuristic_gamma_bisection(spec, 1e-4)
+            assert [s.branch for s in trace.steps] == branches
+            assert [s.zeros for s in trace.steps] == zero_counts
+            assert est.support == support
