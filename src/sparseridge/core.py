@@ -9,10 +9,10 @@ with design matrix ``X`` (n observations, p features), response ``y``,
 ridge weight ``lam > 0`` and sparsity budget ``k``.  This module owns the
 immutable containers (:class:`Dataset`, :class:`ProblemSpec`,
 :class:`SparseEstimator`, :class:`SpectralStats`) plus the closed-form
-pieces every solver builds on: the ridge objective, the exact estimator
-restricted to a support set, the projected objective over binary feature
-selections, and the extremal subset singular values used by the a-priori
-quality bounds.
+pieces every solver builds on: the ridge objective, the one
+support-restricted ridge solve (:class:`RidgeSystem`), the exact estimator
+on a support set, the projected objective over binary selections, and the
+extremal subset singular values used by the a-priori quality bounds.
 """
 
 from __future__ import annotations
@@ -189,22 +189,56 @@ def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
     return idx
 
 
+class RidgeSystem:
+    """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r, factored once.
+
+    ``X_S`` is n x m and the weights ``w`` are positive.  The m x m matrix is
+    factored when m <= n; otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is,
+    and solves go through it.  m = 0 is allowed (the 0 x 0 side).
+    """
+
+    def __init__(self, Xs: np.ndarray, w: np.ndarray, nlam: float):
+        self.Xs, self.w, self.nlam = Xs, w, nlam
+        n, m = Xs.shape
+        self.wide = m > n
+        # K is a fresh contiguous product: ravel() is a view, [::size + 1] its diagonal.
+        if self.wide:
+            K = (Xs * w) @ Xs.T
+            K.ravel()[:: n + 1] += nlam
+        else:
+            K = Xs.T @ Xs
+            K.ravel()[:: m + 1] += nlam * (1.0 / w)
+        self._chol = cho_factor(K)
+
+    def fit(self, y: np.ndarray) -> np.ndarray:
+        """b for the right side X_S^T y.  On the n x n side b = W X_S^T A^-1 y
+        directly, which avoids Woodbury's cancellation when nlam is small."""
+        if self.wide:
+            return self.w * (self.Xs.T @ cho_solve(self._chol, y))
+        return cho_solve(self._chol, self.Xs.T @ y)
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        """b for any right side r (m or m x c); Woodbury on the n x n side."""
+        if not self.wide:
+            return cho_solve(self._chol, r)
+        w = self.w if r.ndim == 1 else self.w[:, None]
+        wr = w * r
+        return (wr - w * (self.Xs.T @ cho_solve(self._chol, self.Xs @ wr))) / self.nlam
+
+
 def _subset_coefficients(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     """Length-p ridge solution restricted to ``idx`` (no budget check)."""
     beta = np.zeros(spec.p)
-    if idx.size == 0:
-        return beta
-    Xs = spec.X[:, idx]
-    K = Xs.T @ Xs + spec.n * spec.lam * np.eye(idx.size)
-    beta[idx] = cho_solve(cho_factor(K), Xs.T @ spec.y)
+    system = RidgeSystem(spec.X[:, idx], np.ones(idx.size), spec.n * spec.lam)
+    beta[idx] = system.fit(spec.y)
     return beta
 
 
 def restricted_estimator(spec: ProblemSpec, S) -> SparseEstimator:
     """Exact ridge fit on the support ``S`` (all other coefficients zero).
 
-    Solves (X_S^T X_S + n*lam*I) beta_S = X_S^T y by Cholesky; lam > 0
-    guarantees positive definiteness.  Raises
+    Solves (X_S^T X_S + n*lam*I) beta_S = X_S^T y by Cholesky on the |S|
+    side of :class:`RidgeSystem` (|S| <= k <= n; lam > 0 makes it definite).  Raises
     :class:`~sparseridge.errors.BudgetExceededError` when ``|S| > k``.
     """
     idx = _clean_support(spec, S)
@@ -246,21 +280,15 @@ def mic_value(spec: ProblemSpec, z) -> float:
     """Projected objective f(z) = lam * y^T [n*lam*I + sum z_i x_i x_i^T]^-1 y.
 
     ``z`` is a binary indicator vector or an index set.  For a support S
-    this equals the ridge objective of the exact fit on S.  Computed
-    through the restricted p-side system when ``|S| <= n`` and through the
-    n x n system otherwise (both routes agree; tested).
+    this equals the ridge objective of the exact fit on S, which is how it
+    is computed on both sides of :class:`RidgeSystem` (the |S| x |S| system
+    when |S| <= n, the n x n one otherwise).
     """
     idx = _support_from_z(spec, z)
-    y = spec.y
-    n, lam = spec.n, spec.lam
-    if idx.size <= n:
-        beta = _subset_coefficients(spec, idx)
-        c = spec.X[:, idx].T @ y
-        return float((y @ y - c @ beta[idx]) / n)
     Xs = spec.X[:, idx]
-    A = n * lam * np.eye(n) + Xs @ Xs.T
-    u = cho_solve(cho_factor(A), y)
-    return float(lam * (y @ u))
+    b = RidgeSystem(Xs, np.ones(idx.size), spec.n * spec.lam).fit(spec.y)
+    r = spec.y - Xs @ b
+    return float(r @ r / spec.n + spec.lam * (b @ b))
 
 
 def _max_eig_gram(G: np.ndarray) -> float:

@@ -53,6 +53,7 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
     yy = float(spec.y @ spec.y)
     ridge = n * lam * np.eye(k)
 
+    # Not RidgeSystem: one Gram serves every subset, where mic_value re-forms X_S^T X_S.
     def value(S: tuple[int, ...]) -> float:
         ix = np.asarray(S)
         b = cho_solve(cho_factor(G[np.ix_(ix, ix)] + ridge), c[ix])

@@ -24,9 +24,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .core import Dataset, ProblemSpec, SparseEstimator, _clean_support
+from .core import Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _clean_support
 from .errors import DegenerateHatError, InvalidArgumentError, SparseRidgeError
 from .methods import fit
 
@@ -80,21 +79,17 @@ def gcv_score(spec: ProblemSpec, S, lam: float) -> float:
     if lam <= 0:
         raise InvalidArgumentError(f"lam must be positive, got {lam}")
     idx = _clean_support(spec, S)
-    y, n = spec.y, spec.n
-    if idx.size == 0:
-        return float(y @ y) / n
     Xs = spec.X[:, idx]
-    K = Xs.T @ Xs + n * lam * np.eye(idx.size)
-    chol = cho_factor(K)
-    yhat = Xs @ cho_solve(chol, Xs.T @ y)
+    system = RidgeSystem(Xs, np.ones(idx.size), spec.n * lam)
+    yhat = Xs @ system.fit(spec.y)
     # diag(H) via H_ii = row_i K^{-1} row_i^T
-    hdiag = np.sum(Xs * cho_solve(chol, Xs.T).T, axis=1)
+    hdiag = np.sum(Xs * system.solve(Xs.T).T, axis=1)
     denom = 1.0 - hdiag
     if np.any(denom <= 1e-12):
         raise DegenerateHatError(
             "a hat-matrix diagonal entry is within 1e-12 of 1"
         )
-    return float(np.mean(((y - yhat) / denom) ** 2))
+    return float(np.mean(((spec.y - yhat) / denom) ** 2))
 
 
 def gcv_select(

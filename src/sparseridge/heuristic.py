@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (
     ProblemSpec,
+    RidgeSystem,
     SparseEstimator,
     mic_value,
     restricted_estimator,
@@ -120,8 +120,8 @@ class _ElasticNetPath:
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         y, n = spec.y, spec.n
-        self._xty = spec.X.T @ y / n
-        gamma_max = 2.0 * float(np.abs(self._xty).max())
+        self._xty = spec.X.T @ y
+        gamma_max = 2.0 * float(np.abs(self._xty).max()) / n
         self._tie = TIE_REL_TOL * gamma_max
         self.gammas = [gamma_max]
         self.supports = [np.empty(0, dtype=int)]
@@ -138,22 +138,6 @@ class _ElasticNetPath:
         b = np.zeros(self.spec.p)
         b[self.supports[j]] = self.values[j]
         return b
-
-    def _solve(self, active: np.ndarray, signs: np.ndarray):
-        """u and w with (X_A^T X_A / n + lam I) [u, w] = [X_A^T y / n, s / 2],
-        through the n x n system when |A| > n."""
-        X, n, lam = self.spec.X, self.spec.n, self.spec.lam
-        XA = X[:, active]
-        rhs = np.column_stack([self._xty[active], signs / 2.0])
-        if active.size == 0:
-            return rhs[:, 0], rhs[:, 1]
-        if active.size <= n:
-            G = XA.T @ XA / n + lam * np.eye(active.size)
-            sol = cho_solve(cho_factor(G), rhs)
-        else:
-            K = n * lam * np.eye(n) + XA @ XA.T
-            sol = (rhs - XA.T @ cho_solve(cho_factor(K), XA @ rhs)) / lam
-        return sol[:, 0], sol[:, 1]
 
     def _extend(self) -> None:
         """Append the breakpoint that ends the segment below the last one."""
@@ -175,13 +159,16 @@ class _ElasticNetPath:
         while True:
             cand = np.concatenate([active, new])
             signs = np.concatenate([self._signs, np.sign(c[new])])
-            u, w = self._solve(cand, signs)
+            # (X_A^T X_A + n*lam*I) [u, w] = [X_A^T y, n*s/2]
+            system = RidgeSystem(X[:, cand], np.ones(cand.size), n * lam)
+            rhs = np.column_stack([self._xty[cand], 0.5 * n * signs])
+            u, w = system.solve(rhs).T
             grow = (signs * w)[active.size:]
             if new.size == 0 or grow.min() > 0.0:
                 break
             new = np.delete(new, int(np.argmin(grow)))
         # On the segment b_A(g) = u - g*w and, off A, c(g) = e + g*f.
-        XA = X[:, cand]
+        XA = system.Xs
         e, f = (2.0 / n) * (X.T @ np.column_stack([y - XA @ u, XA @ w])).T
         with np.errstate(divide="ignore", invalid="ignore"):
             exits = np.where(signs * w < 0.0, np.minimum(u / w, gamma), -np.inf)
@@ -256,7 +243,6 @@ def heuristic_bisection(
         raise InvalidArgumentError(f"delta_hat must be positive, got {delta_hat}")
     p, k, n, y = spec.p, spec.k, spec.n, spec.y
     # Unconstrained ridge minimum: levels below it are unattainable outright.
-    # mic_value solves it through the smaller of the p x p and n x n systems.
     ridge_min = mic_value(spec, np.ones(p))
     path = _ElasticNetPath(spec)
     lower = 0.0

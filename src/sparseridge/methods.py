@@ -20,43 +20,36 @@ from .exact import branch_and_bound, brute_force
 from .greedy import greedy_select, restricted_greedy
 from .heuristic import heuristic_bisection
 from .randomized import randomized_solve
-from .relaxation import solve_v2_perspective, solve_v4
-
-RELAXATIONS = {"v2": solve_v2_perspective, "v4": solve_v4}
+from .relaxation import solve_v2_perspective
 
 
 def _fit_greedy(spec: ProblemSpec, **_) -> SparseEstimator:
     return greedy_select(spec)[0]
 
 
-def _relax_z(spec: ProblemSpec, which: str):
-    """The relaxation's z; raises ConvergenceError if its solve did not converge."""
-    try:
-        solver = RELAXATIONS[which]
-    except KeyError:
-        raise InvalidArgumentError(f"unknown relaxation {which!r}") from None
-    sol = solver(spec)
+def _relax_z(spec: ProblemSpec):
+    """The v2 relaxation's z; raises ConvergenceError if its solve did not converge."""
+    sol = solve_v2_perspective(spec)
     if not sol.converged:
         raise ConvergenceError(
-            f"relaxation {which} did not converge in {sol.iterations} iterations "
+            f"relaxation v2 did not converge in {sol.iterations} iterations "
             f"(residual {sol.kkt_residual:.3g})"
         )
     return sol.z
 
 
-def _fit_restricted(spec: ProblemSpec, delta: float = 0.01, relax: str = "v2", **_):
-    return restricted_greedy(spec, _relax_z(spec, relax), delta=delta)[0]
+def _fit_restricted(spec: ProblemSpec, delta: float = 0.01, **_):
+    return restricted_greedy(spec, _relax_z(spec), delta=delta)[0]
 
 
 def _fit_randomized(
     spec: ProblemSpec,
     trials: int = 100,
     seed: int = 0,
-    relax: str = "v2",
     **_,
 ) -> SparseEstimator:
     result = randomized_solve(
-        spec, _relax_z(spec, relax), trials=trials, seed=seed, repair=True
+        spec, _relax_z(spec), trials=trials, seed=seed, repair=True
     )
     if result.best_repaired is None:
         raise SparseRidgeError("randomized rounding returned no repaired estimator")

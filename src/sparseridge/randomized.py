@@ -155,7 +155,7 @@ def randomized_solve(
     for t in range(trials):
         key = _trial_key(seed, t)
         support, z_tilde = randomized_round(zhat, key)
-        value = mic_value(spec, z_tilde) if support.size else float(spec.y @ spec.y) / spec.n
+        value = mic_value(spec, z_tilde)
         draws.append(RoundingOutcome(
             support=tuple(support.tolist()),
             z_tilde=z_tilde,

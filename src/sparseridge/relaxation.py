@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh
 
-from .core import ProblemSpec
+from .core import ProblemSpec, RidgeSystem
 from .errors import InvalidArgumentError, NumericalDomainError
 
 ARMIJO_C = 1e-4
@@ -199,8 +199,9 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
 
 
 def _dual_solve(spec: ProblemSpec, Xw: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u = (n*lam*I + Xw diag(w) Xw^T)^{-1} y, the n x n system behind f(z),
-    its gradient and the wide weighted-ridge solve."""
+    """u = (n*lam*I + Xw diag(w) Xw^T)^{-1} y, the n x n system behind f(z)
+    and its gradient, always solved on the n x n side."""
+    # Not RidgeSystem: w may hold exact zeros, and perfbench counts these factorizations.
     A = spec.n * spec.lam * np.eye(spec.n) + (Xw * w) @ Xw.T
     return cho_solve(cho_factor(A), spec.y)
 
@@ -317,21 +318,14 @@ def solve_v4(
 def _weighted_ridge(spec: ProblemSpec, z: np.ndarray) -> np.ndarray:
     """argmin (1/n)||y - X b||^2 + lam*sum(b_i^2 / z_i); b_i = 0 where z_i ~ 0.
 
-    Solved through the |active| x |active| normal equations, or through the
-    equivalent n x n system beta_i = z_i * x_i^T (n*lam*I + X diag(z) X^T)^-1 y
-    when the active set is wider than n.
+    One :class:`~sparseridge.core.RidgeSystem` on the active set, weights z:
+    the |active| x |active| normal equations, or the n x n system
+    beta_i = z_i * x_i^T (n*lam*I + X diag(z) X^T)^-1 y when it is wider than n.
     """
     beta = np.zeros(spec.p)
     active = np.flatnonzero(z > _Z_FLOOR)
-    if active.size == 0:
-        return beta
-    Xa = spec.X[:, active]
-    za = z[active]
-    if active.size > spec.n:
-        beta[active] = za * (Xa.T @ _dual_solve(spec, Xa, za))
-    else:
-        K = Xa.T @ Xa + spec.n * spec.lam * np.diag(1.0 / za)
-        beta[active] = cho_solve(cho_factor(K), Xa.T @ spec.y)
+    system = RidgeSystem(spec.X[:, active], z[active], spec.n * spec.lam)
+    beta[active] = system.fit(spec.y)
     return beta
 
 

@@ -171,7 +171,9 @@ def min_l1_path_scan(X, y, lam, level, points=4000):
     """Smallest ||b||_1 along the penalty path with objective <= level.
 
     Scans gamma from (2/n)||X^T y||_inf down to 0 on a dense grid, using a
-    long proximal-gradient solve at each point.
+    long proximal-gradient solve at each point.  The level test allows
+    1e-12 * (1 + level) of rounding, so a level at the ridge minimum is met
+    at gamma = 0.
     """
     n = X.shape[0]
     gamma_max = 2.0 * float(np.abs(X.T @ y).max()) / n
@@ -179,7 +181,7 @@ def min_l1_path_scan(X, y, lam, level, points=4000):
     for gamma in np.linspace(gamma_max, 0.0, points):
         beta = proximal_gradient_elastic_net(X, y, lam, gamma, iters=20000, tol=1e-12)
         r = y - X @ beta
-        if float(r @ r / n + lam * (beta @ beta)) <= level:
+        if float(r @ r / n + lam * (beta @ beta)) <= level + 1e-12 * (1.0 + level):
             best_l1 = float(np.abs(beta).sum())
             break
     return best_l1

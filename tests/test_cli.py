@@ -61,7 +61,7 @@ def test_unconverged_relaxation_fails_fit(tmp_path, data_csv, monkeypatch, metho
         return RelaxationSolution(z=np.full(spec.p, spec.k / spec.p), value=0.0,
                                   iterations=7, kkt_residual=0.25, converged=False)
 
-    monkeypatch.setitem(methods.RELAXATIONS, "v2", stalled)
+    monkeypatch.setattr(methods, "solve_v2_perspective", stalled)
     spec = random_spec(np.random.default_rng(0), 20, 6, 2, 0.1)
     with pytest.raises(ConvergenceError, match=r"v2 .* 7 iterations .*0\.25"):
         fit(spec, method)

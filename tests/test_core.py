@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import identity_pair_spec, random_spec
 from oracles import (
@@ -23,6 +25,10 @@ from sparseridge import (
     theta,
     underline_theta,
 )
+from sparseridge.core import RidgeSystem
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 
 
 class TestDatasetValidation:
@@ -177,6 +183,60 @@ class TestMicValue:
                 f = mic_value(spec, set(S))
                 obj = restricted_estimator(spec, S).objective
                 assert abs(f - obj) <= 1e-8 * (1.0 + abs(f))
+
+    def test_wide_support_at_tiny_lam(self):
+        # (y^T y - c^T b)/n with a Woodbury b is off by ~4e-3 relative here
+        rng = np.random.default_rng(7)
+        spec = random_spec(rng, 30, 300, 3, 1e-6)
+        S = sorted(rng.choice(300, size=200, replace=False).tolist())
+        expected = selection_value_oracle(spec.X, spec.y, spec.lam, S)
+        assert mic_value(spec, set(S)) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def ridge_systems(draw):
+    """(X_S, w, nlam) with m = 0, m < n, m = n or m > n columns."""
+    n = draw(st.integers(2, 6))
+    m = draw(st.sampled_from([0, 1, n - 1, n, n + 1, 2 * n + 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = np.array(draw(st.lists(st.floats(1e-8, 1.0), min_size=m, max_size=m)))
+    nlam = n * draw(st.floats(0.05, 1.0))
+    return rng.standard_normal((n, m)), w, nlam, rng
+
+
+class TestRidgeSystem:
+    @staticmethod
+    def dense(Xs, w, nlam):
+        return Xs.T @ Xs + nlam * np.diag(1.0 / w)
+
+    @PROPERTY
+    @given(case=ridge_systems())
+    def test_fit_matches_gaussian_elimination(self, case):
+        Xs, w, nlam, rng = case
+        y = rng.standard_normal(Xs.shape[0])
+        expected = gauss_solve(self.dense(Xs, w, nlam), Xs.T @ y)
+        got = RidgeSystem(Xs, w, nlam).fit(y)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * (
+            1.0 + np.abs(expected).max(initial=0.0)
+        )
+
+    @PROPERTY
+    @given(case=ridge_systems())
+    def test_solve_matches_gaussian_elimination(self, case):
+        Xs, w, nlam, rng = case
+        m = Xs.shape[1]
+        system = RidgeSystem(Xs, w, nlam)
+        K = self.dense(Xs, w, nlam)
+        r = rng.standard_normal(m)
+        R = rng.standard_normal((m, 2))
+        expected = gauss_solve(K, r)
+        expected2 = np.column_stack([gauss_solve(K, R[:, j]) for j in range(2)])
+        for got, want in [(system.solve(r), expected), (system.solve(R), expected2)]:
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= 1e-12 * (
+                1.0 + np.abs(want).max(initial=0.0)
+            )
 
 
 class TestSpectral:
