@@ -1,13 +1,16 @@
 """CSV ingestion and output helpers.
 
 Dataset files hold plain decimal numbers, one observation per row, with a
-single designated response column (default: the last).  A header row is
-opt-in; with a header, the response column may also be named.
+single designated response column (default: the last); ``np.loadtxt``
+parses them, skipping blank lines and accepting quoted or space-padded
+fields.  A header row is opt-in; with a header, the response column may
+also be named.  Malformed input raises InvalidArgumentError naming the file.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 
 import numpy as np
 
@@ -16,28 +19,24 @@ from .errors import InvalidArgumentError
 
 
 def _parse_rows(path: str, header: bool):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise InvalidArgumentError(f"{path}: empty file")
-    names = None
-    if header:
-        names = [c.strip() for c in rows[0]]
-        rows = rows[1:]
-        if not rows:
-            raise InvalidArgumentError(f"{path}: header but no data rows")
-    width = len(rows[0])
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise InvalidArgumentError(
-                f"{path}: row {i + 1} has {len(row)} fields, expected {width}"
-            )
+    with open(path) as fh:
+        names = None
+        if header:
+            names = next((row for row in csv.reader(fh) if row), None)
+            if names is None:
+                raise InvalidArgumentError(f"{path}: empty file")
+            names = [c.strip() for c in names]
         try:
-            data[i] = [float(c) for c in row]
+            with warnings.catch_warnings():
+                # an empty input is reported below, with the path
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None,
+                                  quotechar='"')
         except ValueError as exc:
-            raise InvalidArgumentError(f"{path}: row {i + 1}: {exc}") from None
+            raise InvalidArgumentError(f"{path}: {exc}") from None
+    if data.shape[0] == 0:
+        what = "header but no data rows" if header else "empty file"
+        raise InvalidArgumentError(f"{path}: {what}")
     return data, names
 
 

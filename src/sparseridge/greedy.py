@@ -1,14 +1,16 @@
-"""Greedy forward selection with incremental rank-one inverse updates.
+"""Greedy forward selection with a factored, incrementally updated inverse.
 
 Selecting feature j changes the projected objective
 f(S) = lam * y^T A_S^{-1} y, A_S = n*lam*I + sum_{i in S} x_i x_i^T, by
 
-    delta_j = -lam * (y^T A_S^{-1} x_j)^2 / (1 + x_j^T A_S^{-1} x_j),
+    delta_j = -lam * (y^T A_S^{-1} x_j)^2 / (1 + x_j^T A_S^{-1} x_j).
 
-and A_{S+j}^{-1} follows from A_S^{-1} by the Sherman-Morrison rank-one
-update.  Tracking A_S^{-1} x_j for every j (an n x p block) plus the two
-inner-product vectors keeps each iteration at O(np) time and the whole run
-at O(npk), which is what makes the method usable at large p.
+By the Sherman-Morrison rank-one update, A_S^{-1} = I/(n*lam) - U U^T with
+U of size n x |S| holding one column w/sqrt(1 + x_j^T w), w = A^{-1} x_j,
+per selected feature.  Only U and three vectors (x_i^T A^{-1} x_i,
+y^T A^{-1} x_i and A^{-1} y) are tracked, so a step costs one product
+X^T w plus O(np + n|S|) work and the run needs O(nk) memory beyond X:
+O(npk) time in all, which is what makes the method usable at large p.
 
 The restricted variant first filters candidates through a fractional
 relaxation solution (keep i with zhat_i >= delta) and runs the same
@@ -41,14 +43,16 @@ DENOMINATOR_GUARD = 0.5
 class GreedyState:
     """Incrementally maintained products of A_S^{-1} with the data.
 
-    ``inv_products[:, j]`` is A_S^{-1} x_j, ``quad_terms[j]`` is
-    x_j^T A_S^{-1} x_j, ``cross_terms[j]`` is y^T A_S^{-1} x_j and
-    ``inv_y`` is A_S^{-1} y.  ``current_value`` is f(S).  Confined to one
-    selection run; do not share across threads.
+    A_S^{-1} is kept factored as I/(n*lam) - ``factor`` ``factor``^T, where
+    ``factor`` is n x |S| with one column per selected feature.
+    ``quad_terms[j]`` is x_j^T A_S^{-1} x_j, ``cross_terms[j]`` is
+    y^T A_S^{-1} x_j and ``inv_y`` is A_S^{-1} y; ``inv_products`` forms
+    the n x p block A_S^{-1} X on request only.  ``current_value`` is
+    f(S).  Confined to one selection run; do not share across threads.
     """
 
     spec: ProblemSpec
-    inv_products: np.ndarray
+    factor: np.ndarray
     quad_terms: np.ndarray
     cross_terms: np.ndarray
     inv_y: np.ndarray
@@ -60,20 +64,27 @@ class GreedyState:
         nl = spec.n * spec.lam
         return cls(
             spec=spec,
-            inv_products=spec.X / nl,
-            quad_terms=np.sum(spec.X**2, axis=0) / nl,
+            factor=np.empty((spec.n, 0)),
+            quad_terms=np.einsum("ij,ij->j", spec.X, spec.X) / nl,
             cross_terms=(spec.X.T @ spec.y) / nl,
             inv_y=spec.y / nl,
             selected=[],
             current_value=float(spec.y @ spec.y) / spec.n,
         )
 
+    @property
+    def inv_products(self) -> np.ndarray:
+        """A_S^{-1} X (n x p), formed from the factor on each access."""
+        X, U = self.spec.X, self.factor
+        return X / (self.spec.n * self.spec.lam) - U @ (U.T @ X)
+
     def gains(self) -> np.ndarray:
         """delta_j for every feature (selected entries are meaningless)."""
         return -self.spec.lam * self.cross_terms**2 / (1.0 + self.quad_terms)
 
     def select(self, j: int) -> None:
-        """Add feature j and refresh all tracked products in O(np)."""
+        """Add feature j: one product X^T w plus O(p + n|S|) updates."""
+        j = _check_candidate(self, j)
         denom = 1.0 + self.quad_terms[j]
         if denom < DENOMINATOR_GUARD:
             raise NumericalError(
@@ -81,23 +92,30 @@ class GreedyState:
                 "the tracked inverse has lost positive definiteness"
             )
         gain = -self.spec.lam * self.cross_terms[j] ** 2 / denom
-        w = self.inv_products[:, j].copy()
+        x = self.spec.X[:, j]
+        U = self.factor
+        w = x / (self.spec.n * self.spec.lam) - U @ (U.T @ x)  # A^{-1} x_j
         c = self.spec.X.T @ w  # x_i^T A^{-1} x_j for all i
         self.inv_y = self.inv_y - w * (self.cross_terms[j] / denom)
-        self.inv_products = self.inv_products - np.outer(w, c) / denom
+        self.factor = np.column_stack([U, w / math.sqrt(denom)])
         self.quad_terms = self.quad_terms - c**2 / denom
         self.cross_terms = self.cross_terms - self.cross_terms[j] * c / denom
         self.current_value += gain
-        self.selected.append(int(j))
+        self.selected.append(j)
 
 
-def marginal_gain(state: GreedyState, j: int) -> float:
-    """Objective change from adding feature j to the current selection."""
+def _check_candidate(state: GreedyState, j: int) -> int:
     j = int(j)
     if j in state.selected:
         raise InvalidArgumentError(f"feature {j} is already selected")
     if not 0 <= j < state.spec.p:
         raise InvalidArgumentError(f"feature index {j} out of range")
+    return j
+
+
+def marginal_gain(state: GreedyState, j: int) -> float:
+    """Objective change from adding feature j to the current selection."""
+    j = _check_candidate(state, j)
     return float(
         -state.spec.lam * state.cross_terms[j] ** 2 / (1.0 + state.quad_terms[j])
     )

@@ -272,3 +272,38 @@ def heuristic_gamma_bisection(spec, delta_hat, zero_tol=1e-8):
             branches.append("up")
         zero_counts.append(zeros)
     return support, branches, zero_counts
+
+
+def greedy_dense_steps(X, y, lam, steps, candidates=None, tie_tol=1e-12):
+    """Greedy forward selection over the dense n x p block A_S^{-1} X.
+
+    The package's former update: every step rewrites the whole block with a
+    rank-one outer product.  Returns (chosen, gain, value) per step, with
+    ties in the argmin going to the lowest index within ``tie_tol``.
+    """
+    n, p = X.shape
+    nl = n * lam
+    inv_products = X / nl
+    quad = np.sum(X**2, axis=0) / nl
+    cross = (X.T @ y) / nl
+    value = float(y @ y) / n
+    allowed = np.zeros(p, dtype=bool)
+    allowed[np.arange(p) if candidates is None else candidates] = True
+    out = []
+    for _ in range(steps):
+        gains = -lam * cross**2 / (1.0 + quad)
+        gains[~allowed] = np.inf
+        best = float(gains.min())
+        if not np.isfinite(best):
+            break
+        j = int(np.flatnonzero(gains <= best + tie_tol)[0])
+        denom = 1.0 + quad[j]
+        w = inv_products[:, j].copy()
+        c = X.T @ w
+        inv_products = inv_products - np.outer(w, c) / denom
+        quad = quad - c**2 / denom
+        cross = cross - cross[j] * c / denom
+        value += best
+        allowed[j] = False
+        out.append((j, best, value))
+    return out

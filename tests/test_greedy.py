@@ -1,10 +1,15 @@
 import json
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import identity_pair_spec, random_spec
+from oracles import greedy_dense_steps
 from sparseridge import (
     Dataset,
     InvalidArgumentError,
@@ -21,6 +26,9 @@ from sparseridge import (
     spectral_stats,
 )
 from sparseridge.greedy import GreedyState
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
 
 class TestMarginalGain:
@@ -132,12 +140,92 @@ class TestIncrementalState:
                 )
                 assert state.inv_y == pytest.approx(Ainv @ spec.y, abs=1e-8)
 
+    def test_select_rejects_repeated_and_out_of_range_index(self, rng):
+        spec = random_spec(rng, 8, 4, 2, 0.1)
+        state = GreedyState.initial(spec)
+        state.select(3)
+        inv_before = state.inv_products
+        for j in (3, 4, -1):
+            with pytest.raises(InvalidArgumentError):
+                state.select(j)
+        assert state.selected == [3]
+        assert np.array_equal(state.inv_products, inv_before)
+
     def test_current_value_is_positive_and_decreasing(self, rng):
         spec = random_spec(rng, 15, 10, 5, 0.1)
         _, trace = greedy_select(spec)
         values = [float(spec.y @ spec.y) / spec.n] + [s.value for s in trace.steps]
         assert all(v > 0 for v in values)
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+
+
+@st.composite
+def greedy_specs(draw):
+    """Random specs with p < n or p > n, lam in [1e-4, 1], some with
+    duplicated columns (exact ties in the argmin)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 12))
+        p = draw(st.integers(n + 1, 4 * n))
+    else:
+        p = draw(st.integers(2, 12))
+        n = draw(st.integers(p + 1, 3 * p + 4))
+    lam = 10.0 ** draw(st.floats(-4.0, 0.0))
+    spec = random_spec(rng, n, p, draw(st.integers(1, min(n, p))), lam)
+    if draw(st.booleans()):
+        X = spec.X.copy()
+        copies = rng.integers(0, p, size=(2, max(1, p // 3)))
+        X[:, copies[1]] = X[:, copies[0]]
+        spec = ProblemSpec(data=Dataset(X=X, y=spec.y), lam=lam, k=spec.k)
+    return spec
+
+
+class TestMatchesDenseUpdate:
+    """The factored inverse picks what the former dense n x p update picked."""
+
+    @staticmethod
+    def _assert_matches(spec, est, trace, candidates=None):
+        dense = greedy_dense_steps(spec.X, spec.y, spec.lam, len(trace.steps),
+                                   candidates)
+        assert [s.chosen for s in trace.steps] == [j for j, _, _ in dense]
+        assert est.support == tuple(sorted(j for j, _, _ in dense))
+        scale = 1e-12 * float(spec.y @ spec.y) / spec.n
+        for step, (_, gain, value) in zip(trace.steps, dense):
+            assert step.gain == pytest.approx(gain, rel=1e-12, abs=scale)
+            assert step.value == pytest.approx(value, rel=1e-12, abs=scale)
+
+    @PROPERTY
+    @given(spec=greedy_specs())
+    def test_greedy_select(self, spec):
+        est, trace = greedy_select(spec)
+        assert len(trace.steps) == spec.k
+        self._assert_matches(spec, est, trace)
+
+    @PROPERTY
+    @given(spec=greedy_specs(), data=st.data())
+    def test_restricted_greedy(self, spec, data):
+        keep = data.draw(st.lists(st.integers(0, spec.p - 1), min_size=1,
+                                  unique=True))
+        zhat = np.zeros(spec.p)
+        zhat[keep] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer than k kept
+            est, trace = restricted_greedy(spec, zhat)
+        assert len(trace.steps) == min(spec.k, len(keep))
+        self._assert_matches(spec, est, trace, np.array(keep))
+
+
+def test_greedy_keeps_no_dense_block_at_large_p():
+    # the tracked state is O(nk + p); an n x p block would be 6.4 MB here
+    n, p = 40, 20000
+    spec = random_spec(np.random.default_rng(3), n, p, 5, 0.1)
+    tracemalloc.start()
+    try:
+        greedy_select(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * p * 8 / 2
 
 
 class TestRestrictedGreedy:
