@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+from scipy.linalg import eigvalsh
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import BudgetExceededError, EnumerationCapError, InvalidArgumentError
 
@@ -189,6 +190,37 @@ def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
     return idx
 
 
+def cholesky(K: np.ndarray) -> np.ndarray:
+    """Upper Cholesky factor of the symmetric matrix K, read from its upper triangle.
+
+    LAPACK ``potrf`` called directly, with the checks of scipy's
+    ``cho_factor``: a non-finite K raises ``ValueError`` and one that is not
+    positive definite raises ``np.linalg.LinAlgError``.  The strict lower
+    triangle of the result is left as scratch (0 x 0 is allowed).
+    """
+    if not np.isfinite(K).all():
+        raise ValueError("matrix to factor must be finite")
+    c, info = dpotrf(K, lower=0, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the matrix is not positive definite"
+        )
+    return c
+
+
+def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with (c^T c) x = b for a factor from :func:`cholesky` (LAPACK ``potrs``).
+
+    ``b`` is a vector or a matrix of right sides; a non-finite b raises
+    ``ValueError``.
+    """
+    if not np.isfinite(b).all():
+        raise ValueError("right side must be finite")
+    if b.size == 0:
+        return np.empty(b.shape)  # potrs rejects an empty right side
+    return dpotrs(c, b, lower=0)[0]
+
+
 class RidgeSystem:
     """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r, factored once.
 
@@ -208,22 +240,35 @@ class RidgeSystem:
         else:
             K = Xs.T @ Xs
             K.ravel()[:: m + 1] += nlam * (1.0 / w)
-        self._chol = cho_factor(K)
+        self._chol = cholesky(K)
 
     def fit(self, y: np.ndarray) -> np.ndarray:
         """b for the right side X_S^T y.  On the n x n side b = W X_S^T A^-1 y
         directly, which avoids Woodbury's cancellation when nlam is small."""
         if self.wide:
-            return self.w * (self.Xs.T @ cho_solve(self._chol, y))
-        return cho_solve(self._chol, self.Xs.T @ y)
+            return self.w * (self.Xs.T @ cholesky_solve(self._chol, y))
+        return cholesky_solve(self._chol, self.Xs.T @ y)
+
+    def fit_dual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``fit(y)`` together with u = A^-1 y, A = nlam*I + X_S diag(w) X_S^T.
+
+        On the m x m side u = (y - X_S b) / nlam; on the n x n side u comes
+        from the factor, because that residual cancels when nlam is small.
+        """
+        if self.wide:
+            u = cholesky_solve(self._chol, y)
+            return self.w * (self.Xs.T @ u), u
+        b = cholesky_solve(self._chol, self.Xs.T @ y)
+        return b, (y - self.Xs @ b) / self.nlam
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """b for any right side r (m or m x c); Woodbury on the n x n side."""
         if not self.wide:
-            return cho_solve(self._chol, r)
+            return cholesky_solve(self._chol, r)
         w = self.w if r.ndim == 1 else self.w[:, None]
         wr = w * r
-        return (wr - w * (self.Xs.T @ cho_solve(self._chol, self.Xs @ wr))) / self.nlam
+        v = cholesky_solve(self._chol, self.Xs @ wr)
+        return (wr - w * (self.Xs.T @ v)) / self.nlam
 
 
 def _subset_coefficients(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:

@@ -67,7 +67,8 @@ def load_dataset_csv(
     if data.shape[1] < 2:
         raise InvalidArgumentError(f"{path}: need at least one feature column")
     y = data[:, col]
-    X = np.delete(data, col, axis=1)
+    # Dataset copies X, so the usual last-column response needs only a view.
+    X = data[:, :col] if col == data.shape[1] - 1 else np.delete(data, col, axis=1)
     feature_names = None
     if names is not None:
         feature_names = tuple(nm for i, nm in enumerate(names) if i != col)
@@ -75,18 +76,19 @@ def load_dataset_csv(
 
 
 def save_dataset_csv(data: Dataset, path: str, header: bool = False) -> None:
-    """Write features then the response as the last column."""
+    """Write features then the response as the last column.
+
+    Each cell is ``repr`` of its float, the shortest text that reads back to
+    the same double; rows end in CRLF, as ``csv.writer`` writes them.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if header:
             names = data.feature_names or tuple(
                 f"x{i}" for i in range(data.p)
             )
-            writer.writerow(list(names) + ["y"])
-        for i in range(data.n):
-            writer.writerow(
-                [repr(float(v)) for v in data.X[i]] + [repr(float(data.y[i]))]
-            )
+            csv.writer(fh).writerow(list(names) + ["y"])
+        for row in np.column_stack([data.X, data.y]):
+            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def load_matrix_csv(path: str) -> np.ndarray:

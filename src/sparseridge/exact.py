@@ -24,9 +24,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .core import ProblemSpec, SparseEstimator, mic_value, restricted_estimator
+from .core import (
+    ProblemSpec,
+    SparseEstimator,
+    cholesky,
+    cholesky_solve,
+    mic_value,
+    restricted_estimator,
+)
 from .errors import EnumerationCapError
 from .greedy import greedy_select
 from .relaxation import solve_v4, value_and_gradient
@@ -56,7 +62,7 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
     # Not RidgeSystem: one Gram serves every subset, where mic_value re-forms X_S^T X_S.
     def value(S: tuple[int, ...]) -> float:
         ix = np.asarray(S)
-        b = cho_solve(cho_factor(G[np.ix_(ix, ix)] + ridge), c[ix])
+        b = cholesky_solve(cholesky(G[np.ix_(ix, ix)] + ridge), c[ix])
         return (yy - float(c[ix] @ b)) / n
 
     # min keeps the first minimizer, which is the lexicographically smallest

@@ -24,7 +24,7 @@ water-filling allocation below.
 
 The capped-simplex projection, water-filling and v1's weighted-L1-box
 projection each need the threshold t at which the budget
-sum(clip(a + s*t, lo, hi)) reaches k.  That sum is piecewise linear and
+sum(clip(a + s*t, lo, 1)) reaches k.  That sum is piecewise linear and
 nondecreasing in t, so one exact search serves all three: sort the 2p
 breakpoints, accumulate the budget across them and interpolate the crossing
 on its linear piece (O(p log p)).
@@ -39,7 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh
+# cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4).
+from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import ProblemSpec, RidgeSystem
 from .errors import InvalidArgumentError, NumericalDomainError
@@ -92,33 +93,26 @@ class BigMVector:
         object.__setattr__(self, "M", M)
 
 
-def _fill_budget(a: np.ndarray, s: np.ndarray, lo, hi, k: float) -> np.ndarray:
-    """z = clip(a + s*t, lo, hi) at the threshold t where sum(z) == k.
+def _fill_budget(a: np.ndarray, s: np.ndarray, lo: np.ndarray, k: float) -> np.ndarray:
+    """z = clip(a + s*t, lo, 1) at the threshold t where sum(z) == k; slopes s >= 0.
 
-    Slopes must be nonnegative; coordinates with s_i == 0 stay at
-    clip(a_i, lo_i, hi_i).  The budget sum is piecewise linear in t with
-    breakpoints (lo_i - a_i)/s_i, where coordinate i starts to move, and
-    (hi_i - a_i)/s_i, where it stops.  Sorting them and accumulating the
-    slope changes gives the budget at every breakpoint; t is interpolated on
-    the piece that crosses k.  The caller guarantees that the budget passes
-    k strictly between its limits sum(lo) and sum(hi) over the moving
-    coordinates.
+    Coordinate i moves between the breakpoints (lo_i - a_i)/s_i and
+    (1 - a_i)/s_i (never if s_i == 0).  The caller guarantees that k lies
+    strictly between sum(lo) and sum(1) over the moving coordinates.
     """
-    lo = np.broadcast_to(lo, a.shape)
-    hi = np.broadcast_to(hi, a.shape)
     moving = s > 0.0
-    am, sm = a[moving], s[moving]
-    bps = np.concatenate([(lo[moving] - am) / sm, (hi[moving] - am) / sm])
-    order = np.argsort(bps, kind="stable")
+    am, sm, lo_m = a[moving], s[moving], lo[moving]
+    bps = np.concatenate([(lo_m - am) / sm, (1.0 - am) / sm])
+    order = bps.argsort(kind="stable")
     bps = bps[order]
-    slope = np.cumsum(np.concatenate([sm, -sm])[order])  # on [bps[j], bps[j+1]]
-    start = lo[moving].sum() + np.clip(a[~moving], lo[~moving], hi[~moving]).sum()
-    budget = start + np.concatenate([[0.0], np.cumsum(slope[:-1] * np.diff(bps))])
+    slope = np.concatenate([sm, -sm])[order].cumsum()  # on [bps[j], bps[j+1]]
+    budget = np.concatenate([[0.0], (slope[:-1] * (bps[1:] - bps[:-1])).cumsum()])
+    budget += lo_m.sum() + a[~moving].clip(lo[~moving], 1.0).sum()
     # budget[j] < k <= budget[j+1]; the clamps keep rounding in the sums from
     # leaving the crossing piece.
-    j = min(max(int(np.searchsorted(budget, k)) - 1, 0), bps.size - 2)
+    j = min(max(int(budget.searchsorted(k)) - 1, 0), bps.size - 2)
     t = bps[j] + (k - budget[j]) / slope[j] if slope[j] > 0.0 else bps[j]
-    return np.clip(a + s * min(max(t, bps[j]), bps[j + 1]), lo, hi)
+    return (a + s * min(max(t, bps[j]), bps[j + 1])).clip(lo, 1.0)
 
 
 def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
@@ -134,7 +128,7 @@ def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
     clipped = np.clip(v, 0.0, 1.0)
     if clipped.sum() <= k:
         return clipped
-    return _fill_budget(v, np.ones_like(v), 0.0, 1.0, k)
+    return _fill_budget(v, np.ones(v.shape), np.zeros(v.shape), k)
 
 
 def waterfill_z(
@@ -166,7 +160,7 @@ def waterfill_z(
     capped = np.where(absb > 0.0, 1.0, lower)
     if capped.sum() <= k:
         return capped
-    return _fill_budget(np.zeros(p), absb, lower, 1.0, k)
+    return _fill_budget(np.zeros(p), absb, lower, k)
 
 
 def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
@@ -198,12 +192,17 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     return BigMVector(M=np.abs(a) + s, v_upper=v_up, rho=rho)
 
 
-def _dual_solve(spec: ProblemSpec, Xw: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """u = (n*lam*I + Xw diag(w) Xw^T)^{-1} y, the n x n system behind f(z)
-    and its gradient, always solved on the n x n side."""
-    # Not RidgeSystem: w may hold exact zeros, and perfbench counts these factorizations.
-    A = spec.n * spec.lam * np.eye(spec.n) + (Xw * w) @ Xw.T
-    return cho_solve(cho_factor(A), spec.y)
+def _value_grad(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(w) and its gradient from one RidgeSystem on the support S of w.
+
+    f is the perspective objective at the fit b on S, which is stationary in b
+    and so rounds at machine level; the gradient is -lam*(x_i^T A(w)^-1 y)^2.
+    """
+    # Exact zeros drop out, and so do weights too small for n*lam/w_i to be finite.
+    S = np.flatnonzero(w > spec.n * spec.lam / np.finfo(float).max)
+    beta = np.zeros(spec.p)
+    beta[S], u = RidgeSystem(spec.X[:, S], w[S], spec.n * spec.lam).fit_dual(spec.y)
+    return _perspective_value(spec, beta, w), -spec.lam * (spec.X.T @ u) ** 2
 
 
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -213,8 +212,7 @@ def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndar
         raise InvalidArgumentError(f"z has shape {z.shape}, expected ({spec.p},)")
     if np.any(z < -1e-12) or not np.isfinite(z).all():
         raise InvalidArgumentError("z must be finite and nonnegative")
-    u = _dual_solve(spec, spec.X, np.maximum(z, 0.0))
-    return float(spec.lam * (spec.y @ u)), -spec.lam * (spec.X.T @ u) ** 2
+    return _value_grad(spec, np.maximum(z, 0.0))
 
 
 def _projected_gradient(fval_grad, project, x, tol, max_iter):
@@ -222,10 +220,12 @@ def _projected_gradient(fval_grad, project, x, tol, max_iter):
 
     The step doubles before each line search and halves until the Armijo
     test passes.  Stops when the KKT residual ||x - project(x - grad)|| is
-    at most ``tol``, or when no step makes progress.  Returns (x, value,
-    iterations, residual, converged).
+    at most ``tol``, when no step makes progress, or when the state (x, step)
+    repeats (zero-decrease steps can cycle at the rounding floor).  Returns
+    (x, value, iterations, residual, converged).
     """
     val, grad = fval_grad(x)
+    seen = set()  # hashed (x, step) states after each move
     step = 1.0
     resid = np.inf
     iters = 0
@@ -245,8 +245,10 @@ def _projected_gradient(fval_grad, project, x, tol, max_iter):
             if step < 1e-18:
                 x_new = x
                 break
-        if np.array_equal(x_new, x):
-            break  # no descent step: stationary to rounding, residual above tol
+        state = (hash(x_new.tobytes()), step)
+        if np.array_equal(x_new, x) or state in seen:
+            break  # no descent step or a cycle: stationary to rounding, resid > tol
+        seen.add(state)
         x, val, grad = x_new, val_new, grad_new
     return x, val, iters, resid, converged
 
@@ -294,13 +296,10 @@ def solve_v4(
             z=z, value=val, iterations=0, kkt_residual=0.0, converged=True
         )
 
-    Xv = spec.X[:, np.concatenate([one, free])]
-    Xf = Xv[:, one.size:]
-    ones = np.ones(one.size)
-
     def fval_grad(zf):
-        u = _dual_solve(spec, Xv, np.concatenate([ones, zf]))
-        return float(spec.lam * (spec.y @ u)), -spec.lam * (Xf.T @ u) ** 2
+        z[free] = zf
+        val, grad = _value_grad(spec, z)
+        return val, grad[free]
 
     if z0 is not None:
         zf = project_capped_simplex(np.asarray(z0, dtype=float)[free], budget)
@@ -318,9 +317,8 @@ def solve_v4(
 def _weighted_ridge(spec: ProblemSpec, z: np.ndarray) -> np.ndarray:
     """argmin (1/n)||y - X b||^2 + lam*sum(b_i^2 / z_i); b_i = 0 where z_i ~ 0.
 
-    One :class:`~sparseridge.core.RidgeSystem` on the active set, weights z:
-    the |active| x |active| normal equations, or the n x n system
-    beta_i = z_i * x_i^T (n*lam*I + X diag(z) X^T)^-1 y when it is wider than n.
+    One :class:`~sparseridge.core.RidgeSystem` on the active set, weights z;
+    the system picks the |active| x |active| or the n x n side.
     """
     beta = np.zeros(spec.p)
     active = np.flatnonzero(z > _Z_FLOOR)
@@ -400,7 +398,7 @@ def _project_weighted_l1_box(v: np.ndarray, M: np.ndarray, k: float) -> np.ndarr
     b = np.clip(v, -M, M)
     if float(np.sum(np.abs(b) / M)) <= k + 1e-15:
         return b
-    return np.sign(v) * M * _fill_budget(np.abs(v) / M, 1.0 / M**2, 0.0, 1.0, k)
+    return np.sign(v) * M * _fill_budget(np.abs(v) / M, 1.0 / M**2, np.zeros_like(M), k)
 
 
 def solve_v1(

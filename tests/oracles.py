@@ -5,6 +5,7 @@ plain loops, explicit Gaussian elimination, grid searches, bisection and
 finite differences.  Slow is fine; these run on small instances only.
 """
 
+import decimal
 import itertools
 import math
 
@@ -142,6 +143,43 @@ def finite_difference_gradient(fun, z, h=1e-5):
         zm[i] -= h
         g[i] = (fun(zp) - fun(zm)) / (2 * h)
     return g
+
+
+def projected_objective_exact(X, y, lam, z):
+    """f(z) = lam*y^T A(z)^-1 y and its gradient -lam*(x_i^T u)^2, u = A(z)^-1 y.
+
+    A(z) = n*lam*I + X diag(z) X^T is formed on the n x n side and solved by
+    Gaussian elimination (A is positive definite, so no pivoting) in 60-digit
+    decimal arithmetic, then rounded once to floats.
+    """
+    n, p = X.shape
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        Xd = [[D(v) for v in row] for row in np.asarray(X).tolist()]
+        zd = [D(v) for v in np.asarray(z).tolist()]
+        yd = [D(v) for v in np.asarray(y).tolist()]
+        lamd = D(lam)
+        cols = [i for i in range(p) if zd[i]]
+        A = [[sum((zd[i] * Xd[r][i] * Xd[c][i] for i in cols), D(0))
+              for c in range(n)] for r in range(n)]
+        for r in range(n):
+            A[r][r] += n * lamd
+        b = list(yd)
+        for col in range(n):
+            for row in range(col + 1, n):
+                f = A[row][col] / A[col][col]
+                for c in range(col, n):
+                    A[row][c] -= f * A[col][c]
+                b[row] -= f * b[col]
+        u = [D(0)] * n
+        for row in range(n - 1, -1, -1):
+            acc = b[row] - sum((A[row][c] * u[c] for c in range(row + 1, n)), D(0))
+            u[row] = acc / A[row][row]
+        value = lamd * sum((yi * ui for yi, ui in zip(yd, u)), D(0))
+        grad = [-lamd * sum((Xd[r][i] * u[r] for r in range(n)), D(0)) ** 2
+                for i in range(p)]
+        return float(value), np.array([float(g) for g in grad])
 
 
 def proximal_gradient_elastic_net(X, y, lam, gamma, iters=200000, tol=1e-14):

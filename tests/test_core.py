@@ -239,6 +239,28 @@ class TestRidgeSystem:
             )
 
 
+    @pytest.mark.parametrize("m", [2, 7])
+    def test_nonfinite_system_or_right_side_raises_value_error(self, m):
+        Xs = np.random.default_rng(0).standard_normal((4, m))
+        system = RidgeSystem(Xs, np.ones(m), 1.0)
+        with pytest.raises(ValueError):
+            system.solve(np.full(m, np.nan))
+        Xs[1, 1] = np.nan
+        with pytest.raises(ValueError):
+            RidgeSystem(Xs, np.ones(m), 1.0)
+
+    def test_indefinite_system_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            RidgeSystem(np.eye(3)[:, :2], np.array([1.0, -1.0]), 2.0)
+
+    def test_empty_support(self):
+        y = np.array([1.0, -2.0, 3.0])
+        system = RidgeSystem(np.zeros((3, 0)), np.zeros(0), 2.0)
+        assert system.fit(y).shape == (0,)
+        b, u = system.fit_dual(y)
+        assert b.shape == (0,) and np.array_equal(u, y / 2.0)
+
+
 class TestSpectral:
     def test_identity_design(self):
         spec = identity_pair_spec(lam=0.1, k=1)

@@ -1,4 +1,6 @@
+import csv
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,39 @@ class TestAccepted:
         assert back.X.tobytes() == data.X.tobytes()
         assert back.y.tobytes() == data.y.tobytes()
         assert back.feature_names == (data.feature_names if header else None)
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_writer_bytes_match_csv_writer(tmp_path, header):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((6, 3)) * 10.0 ** rng.uniform(-300, 300, size=(6, 3))
+    X[0] = [-0.0, 5e-324, 3.0]
+    data = Dataset(X=X, y=rng.standard_normal(6), feature_names=("a", 'b,"c"', "d"))
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:  # the csv.writer/repr writer it replaced
+        writer = csv.writer(fh)
+        if header:
+            writer.writerow(list(data.feature_names) + ["y"])
+        for i in range(data.n):
+            row = [repr(float(v)) for v in data.X[i]] + [repr(float(data.y[i]))]
+            writer.writerow(row)
+    out = tmp_path / "out.csv"
+    save_dataset_csv(data, str(out), header=header)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_load_holds_at_most_two_copies_of_x(tmp_path):
+    rng = np.random.default_rng(2)
+    data = Dataset(X=rng.standard_normal((60, 200)), y=rng.standard_normal(60))
+    path = str(tmp_path / "m.csv")
+    save_dataset_csv(data, path)
+    tracemalloc.start()
+    try:
+        back = load_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * back.X.nbytes
 
 
 REJECTED = {

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import identity_pair_spec, random_spec
 from oracles import (
     finite_difference_gradient,
+    projected_objective_exact,
     projection_tau_bisection,
     waterfill_objective_grid,
     weighted_l1_box_projection_bisection,
@@ -169,6 +170,51 @@ class TestGradient:
             assert f((z1 + z2) / 2) <= (f(z1) + f(z2)) / 2 + 1e-9
 
 
+def _wide_tiny_lam_case():
+    """n = 30, |S| = 200, lam = 1e-6: recovering u from the residual
+    y - X_S b loses ~1.7e-9 of the gradient here."""
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((30, 200)), rng.standard_normal(30)
+    return X, y, 1e-6, rng.uniform(0.05, 1.0, 200)
+
+
+def _subnormal_weight_case():
+    """n*lam/z_1 overflows; such a weight adds nothing A(z) can hold."""
+    z = np.array([0.5, 1e-310, 0.0, 1.0])
+    return np.eye(3)[:, [0, 1, 2, 0]], np.ones(3), 0.1, z
+
+
+@st.composite
+def projected_objective_cases(draw):
+    """(X, y, lam, z) with |supp z| < n or > n, some z_i exactly 0, lam in [1e-6, 1]."""
+    n = draw(st.integers(2, 8))
+    m = draw(st.one_of(st.integers(0, n - 1), st.integers(n + 1, 3 * n)))
+    zeros = draw(st.integers(0 if m else 1, 4))
+    lam = 10.0 ** draw(st.floats(-6.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = np.zeros(m + zeros)
+    z[rng.permutation(m + zeros)[:m]] = draw(
+        st.lists(st.floats(0.05, 1.0), min_size=m, max_size=m)
+    )
+    return rng.standard_normal((n, m + zeros)), rng.standard_normal(n), lam, z
+
+
+class TestProjectedObjectiveKernel:
+    """value_and_gradient's support-sized solve against a dense n x n reference."""
+
+    @PROPERTY
+    @given(case=projected_objective_cases())
+    @example(case=_wide_tiny_lam_case())
+    @example(case=_subnormal_weight_case())
+    def test_matches_dense_reference(self, case):
+        X, y, lam, z = case
+        spec = ProblemSpec(data=Dataset(X=X, y=y), lam=lam, k=1)
+        value, grad = value_and_gradient(spec, z)
+        ref_value, ref_grad = projected_objective_exact(X, y, lam, z)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.abs(grad - ref_grad).max() <= 1e-9 * np.abs(ref_grad).max()
+
+
 class TestProjectedValueSolver:
     def test_identity_pair_value_and_point(self):
         spec = identity_pair_spec(lam=0.1, k=1)
@@ -197,6 +243,21 @@ class TestProjectedValueSolver:
         spec = random_spec(rng, 12, 8, 3, 0.05)
         sol = solve_v4(spec, tol=1e-14, max_iter=2)
         assert not sol.converged
+
+    def test_repeated_loop_state_stops_the_solver(self):
+        # Two points of equal value orthogonal to the gradient: every step is
+        # accepted with zero decrease, so once the step saturates the loop
+        # state (x, step) repeats and would cycle until max_iter.
+        def fval_grad(x):
+            return 0.0, np.array([1.0, 0.0])
+
+        def swap(v):
+            return np.array([0.0, 1.0 - v[1]])
+
+        x, val, iters, resid, converged = relaxation._projected_gradient(
+            fval_grad, swap, np.zeros(2), 1e-9, 10000
+        )
+        assert not converged and resid == 1.0 and iters < 100
 
     def test_masked_solve_respects_fixing(self, rng):
         spec = random_spec(rng, 10, 6, 3, 0.2)
