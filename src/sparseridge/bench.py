@@ -5,18 +5,15 @@ rep) is derived as ``SeedSequence([seed, cell_index, rep])`` and stored on
 the record.  All methods within one (cell, rep) consume the identical
 dataset.  Wall clock is measured around the solver call only, with a
 monotonic clock; a record whose time exceeds the (soft) per-cell budget is
-marked timed out, never crashed.  Cells run in a thread pool sized by the
-``workers`` argument or the SPARSERIDGE_WORKERS environment variable
-(default 1, i.e. serial, which is also the right setting for clean
-timings).
+marked timed out, never crashed.  Cells and repetitions run one after
+another, so no two solver calls share the machine's time.
 """
 
 from __future__ import annotations
 
 import csv
-import os
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,11 +23,9 @@ from .errors import SparseRidgeError
 from .methods import fit
 from .synthetic import SyntheticConfig, false_alarm_rate, generate_synthetic
 
-WORKERS_ENV = "SPARSERIDGE_WORKERS"
-
 _CSV_FIELDS = [
     "method", "n", "p", "k", "rep", "seed",
-    "objective", "seconds", "false_alarm", "timed_out", "workers", "error",
+    "objective", "seconds", "false_alarm", "timed_out", "error",
 ]
 
 
@@ -46,7 +41,6 @@ class BenchRecord:
     seconds: float
     false_alarm: float
     timed_out: bool
-    workers: int = 1  # co-running cells can inflate wall clock
     error: str | None = None
 
 
@@ -93,7 +87,6 @@ def run_benchmark(
     snr: float = 9.0,
     lam: float = 0.08,
     time_budget: float | None = None,
-    workers: int | None = None,
     method_options: dict | None = None,
 ) -> BenchReport:
     """Run every method on ``reps`` fresh datasets per (n, p, k) cell.
@@ -104,11 +97,8 @@ def run_benchmark(
     cells = [dict(c) for c in cells]
     methods = list(methods)
     options = method_options or {}
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    workers = max(1, int(workers))
-
-    def run_unit(cell_index: int, rep: int) -> list[BenchRecord]:
+    report = BenchReport()
+    for cell_index, rep in itertools.product(range(len(cells)), range(reps)):
         cell = cells[cell_index]
         n, p, k = int(cell["n"]), int(cell["p"]), int(cell["k"])
         ds_seed = dataset_seed(seed, cell_index, rep)
@@ -117,36 +107,22 @@ def run_benchmark(
         )
         data, _, truth, _ = generate_synthetic(config)
         spec = ProblemSpec(data=data, lam=lam, k=k)
-        recs = []
         for method in methods:
             t0 = time.perf_counter()
             try:
                 est = fit(spec, method, **options.get(method, {}))
                 seconds = time.perf_counter() - t0
-                recs.append(BenchRecord(
+                report.records.append(BenchRecord(
                     method=method, n=n, p=p, k=k, rep=rep, seed=ds_seed,
                     objective=est.objective, seconds=seconds,
                     false_alarm=false_alarm_rate(est.support, truth, k),
                     timed_out=time_budget is not None and seconds > time_budget,
-                    workers=workers,
                 ))
             except SparseRidgeError as exc:
                 seconds = time.perf_counter() - t0
-                recs.append(BenchRecord(
+                report.records.append(BenchRecord(
                     method=method, n=n, p=p, k=k, rep=rep, seed=ds_seed,
                     objective=float("nan"), seconds=seconds,
-                    false_alarm=float("nan"), timed_out=False,
-                    workers=workers, error=str(exc),
+                    false_alarm=float("nan"), timed_out=False, error=str(exc),
                 ))
-        return recs
-
-    units = [(ci, rep) for ci in range(len(cells)) for rep in range(reps)]
-    report = BenchReport()
-    if workers <= 1:
-        results = [run_unit(ci, rep) for ci, rep in units]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda u: run_unit(*u), units))
-    for recs in results:  # deterministic (cell, rep) order regardless of pool
-        report.records.extend(recs)
     return report

@@ -142,7 +142,6 @@ def cmd_bench(args) -> int:
         snr=float(config.get("snr", 9.0)),
         lam=float(config.get("lambda", 0.08)),
         time_budget=config.get("time_budget"),
-        workers=config.get("workers"),
         method_options=config.get("method_options"),
     )
     report.to_csv(args.out)

@@ -35,7 +35,7 @@ from .core import (
 )
 from .errors import EnumerationCapError
 from .greedy import greedy_select
-from .relaxation import solve_v4, value_and_gradient
+from .relaxation import solve_v4
 
 BRUTE_FORCE_CAP = 2 * 10**6
 PRUNE_REL_TOL = 1e-12
@@ -98,11 +98,11 @@ class BnBResult:
 
 
 def _node_relaxation(spec, node, z_warm, tol, max_iter):
-    """Solve the node relaxation and certify a lower bound for the node.
+    """Solve the node relaxation; its ``lower_bound`` certifies the node.
 
-    Returns (solution, free indices, remaining budget, certified bound,
-    exact flag); ``exact`` marks the closed-form cases where the achieved
-    value already equals the node optimum.
+    Returns (solution, free indices, exact flag); ``exact`` marks the
+    closed-form cases where the achieved value already equals the node
+    optimum.
     """
     sol = solve_v4(
         spec,
@@ -115,14 +115,7 @@ def _node_relaxation(spec, node, z_warm, tol, max_iter):
     fixed = set(node.fixed_one) | set(node.fixed_zero)
     free = np.asarray([i for i in range(spec.p) if i not in fixed], dtype=int)
     budget = spec.k - len(node.fixed_one)
-    exact = free.size == 0 or budget <= 0 or budget >= free.size
-    if exact:
-        return sol, free, budget, sol.value, True
-    _, grad = value_and_gradient(spec, sol.z)
-    g = grad[free]
-    linear_min = float(np.sort(g)[:budget].sum())
-    bound = sol.value + linear_min - float(g @ sol.z[free])
-    return sol, free, budget, bound, False
+    return sol, free, free.size == 0 or budget <= 0 or budget >= free.size
 
 
 def branch_and_bound(
@@ -176,9 +169,8 @@ def branch_and_bound(
             return result(rel_gap(lb), False)
         nodes += 1
 
-        sol, free, budget, bound, exact = _node_relaxation(
-            spec, node, z_warm, relax_tol, relax_max_iter
-        )
+        sol, free, exact = _node_relaxation(spec, node, z_warm, relax_tol, relax_max_iter)
+        bound = sol.lower_bound
         if node.depth == 0:
             root_value = sol.value
 

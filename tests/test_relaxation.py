@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import identity_pair_spec, random_spec
 from oracles import (
+    box_weighted_ridge_cd,
     finite_difference_gradient,
     projected_objective_exact,
     projection_tau_bisection,
@@ -17,9 +18,11 @@ from sparseridge import (
     Dataset,
     InvalidArgumentError,
     NumericalDomainError,
+    NumericalError,
     ProblemSpec,
     big_m,
     brute_force,
+    greedy_select,
     project_capped_simplex,
     restricted_estimator,
     solve_v1,
@@ -254,7 +257,7 @@ class TestProjectedValueSolver:
         def swap(v):
             return np.array([0.0, 1.0 - v[1]])
 
-        x, val, iters, resid, converged = relaxation._projected_gradient(
+        x, val, grad, iters, resid, converged = relaxation._projected_gradient(
             fval_grad, swap, np.zeros(2), 1e-9, 10000
         )
         assert not converged and resid == 1.0 and iters < 100
@@ -357,6 +360,92 @@ class TestCombinedSolver:
             assert v1.value <= v3.value + 1e-6
             assert v2.value <= v3.value + 1e-6
             assert max(v1.value, v2.value, v3.value, v4.value) <= star.objective + 1e-6
+
+
+@st.composite
+def box_step_cases(draw):
+    """(spec, z, M, beta0) with p < n or p > n, some z_i exactly 0 and the
+    big-M bounds scaled by 0.05-1 so that the box |b_i| <= M_i z_i binds."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.one_of(st.integers(1, n - 1), st.integers(n + 1, 3 * n)))
+    zeros = draw(st.integers(0, p // 2))
+    lam = 10.0 ** draw(st.floats(-3.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = ProblemSpec(
+        data=Dataset(X=rng.standard_normal((n, p)), y=rng.standard_normal(n)),
+        lam=lam, k=1,
+    )
+    z = rng.uniform(0.05, 1.0, p)
+    z[rng.permutation(p)[:zeros]] = 0.0
+    M = big_m(spec).M * draw(st.floats(0.05, 1.0))
+    beta0 = draw(st.sampled_from([0.0, 1.0, 10.0])) * rng.standard_normal(p)
+    return spec, z, M, beta0
+
+
+class TestBoxConstrainedStep:
+    """v3's active-set beta-step against the coordinate-descent reference."""
+
+    @PROPERTY
+    @given(case=box_step_cases())
+    def test_matches_reference_and_kkt(self, case):
+        spec, z, M, beta0 = case
+        b = relaxation._box_weighted_ridge(spec, z, M, beta0)
+        # The sweep budget is raised: at lam ~ 1e-3 with p > n the reference
+        # needs far more than its default 2000 sweeps to reach tol.
+        ref = box_weighted_ridge_cd(spec, z, M, beta0, sweeps=10**6, tol=1e-15)
+        bound = M * z
+        assert np.all(np.abs(b) <= bound) and np.all(b[z == 0.0] == 0.0)
+        value = relaxation._perspective_value(spec, b, z)
+        assert abs(value - relaxation._perspective_value(spec, ref, z)) <= 1e-12 * value
+        assert np.abs(b - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        # KKT: g = X^T (X b - y) + n*lam*b/z vanishes on the free coordinates
+        # and points outward (or vanishes) on the clamped ones.
+        on = z > 0.0
+        r = spec.X @ b - spec.y
+        g = spec.X[:, on].T @ r + spec.n * spec.lam * b[on] / z[on]
+        scale = np.abs(spec.X[:, on]).T @ np.abs(r) + spec.n * spec.lam * M[on]
+        at_bound = np.abs(b[on]) >= bound[on]
+        slack = np.where(at_bound, np.maximum(np.sign(b[on]) * g, 0.0), np.abs(g))
+        assert np.all(slack <= 1e-9 * scale)
+
+    def test_pass_cap_raises(self, monkeypatch):
+        # A solve that always overshoots the box: the coordinate released after
+        # each feasible pass is clamped again at once, so the loop never ends.
+        class Overshoot:
+            def __init__(self, Xs, w, nlam):
+                self.m = Xs.shape[1]
+
+            def fit(self, r):
+                return np.full(self.m, 1e3)
+
+        monkeypatch.setattr(relaxation, "RidgeSystem", Overshoot)
+        spec = identity_pair_spec(lam=0.1, k=1)
+        with pytest.raises(NumericalError):
+            relaxation._box_weighted_ridge(spec, np.ones(2), np.full(2, 10.0), np.zeros(2))
+
+
+@st.composite
+def small_specs(draw):
+    n = draw(st.integers(6, 16))
+    p = draw(st.integers(3, 9))
+    k = draw(st.integers(1, 3))
+    lam = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_spec(rng, n, p, k, lam, signal=draw(st.booleans()))
+
+
+class TestRelaxationSandwich:
+    @settings(PROPERTY, max_examples=30)
+    @given(spec=small_specs())
+    def test_v1_v2_below_v3_below_optimum(self, spec):
+        """v1 <= v3 and v2 <= v3 <= brute force, with big-M bounds valid at the
+        greedy objective (which the optimum cannot exceed)."""
+        M = big_m(spec, v_upper=greedy_select(spec)[0].objective)
+        v3 = solve_v3(spec, M).value
+        tol = 1e-6 * (1.0 + v3)
+        assert solve_v1(spec, M).value <= v3 + tol
+        assert solve_v2_perspective(spec).value <= v3 + tol
+        assert v3 <= brute_force(spec).objective + tol
 
 
 class TestBudgetSearchProperties:

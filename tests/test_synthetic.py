@@ -152,20 +152,6 @@ class TestBenchmark:
         assert lines[0].startswith("method,")
         assert len(lines) == 3
 
-    def test_parallel_matches_serial(self):
-        cells = [{"n": 20, "p": 6, "k": 2}, {"n": 25, "p": 7, "k": 2}]
-        serial = run_benchmark(cells, ["greedy"], reps=2, seed=8, workers=1)
-        parallel = run_benchmark(cells, ["greedy"], reps=2, seed=8, workers=4)
-        assert [r.objective for r in serial.records] == [
-            r.objective for r in parallel.records
-        ]
-
-    def test_worker_count_from_environment(self, monkeypatch):
-        monkeypatch.setenv("SPARSERIDGE_WORKERS", "2")
-        cells = [{"n": 15, "p": 5, "k": 2}]
-        report = run_benchmark(cells, ["greedy"], reps=2, seed=4)
-        assert len(report.records) == 2
-
     def test_false_alarm_improves_with_sample_size(self):
         cells = [{"n": n, "p": 200, "k": 10} for n in (100, 500, 1000)]
         report = run_benchmark(cells, ["greedy"], reps=10, seed=2026, lam=0.08)
