@@ -271,12 +271,15 @@ class RidgeSystem:
         return (wr - w * (self.Xs.T @ v)) / self.nlam
 
 
-def _subset_coefficients(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
-    """Length-p ridge solution restricted to ``idx`` (no budget check)."""
+def _support_fit(spec: ProblemSpec, idx: np.ndarray) -> tuple[np.ndarray, float]:
+    """Length-p ridge solution restricted to ``idx`` (no budget check) and its
+    ridge objective, from the residual on the support only."""
+    Xs = spec.X[:, idx]
+    b = RidgeSystem(Xs, np.ones(idx.size), spec.n * spec.lam).fit(spec.y)
+    r = spec.y - Xs @ b
     beta = np.zeros(spec.p)
-    system = RidgeSystem(spec.X[:, idx], np.ones(idx.size), spec.n * spec.lam)
-    beta[idx] = system.fit(spec.y)
-    return beta
+    beta[idx] = b
+    return beta, float(r @ r / spec.n + spec.lam * (b @ b))
 
 
 def restricted_estimator(spec: ProblemSpec, S) -> SparseEstimator:
@@ -291,7 +294,7 @@ def restricted_estimator(spec: ProblemSpec, S) -> SparseEstimator:
         raise BudgetExceededError(
             f"support of size {idx.size} exceeds the budget k={spec.k}"
         )
-    beta = _subset_coefficients(spec, idx)
+    beta, _ = _support_fit(spec, idx)
     return SparseEstimator(
         support=tuple(idx.tolist()),
         beta=beta,
@@ -329,11 +332,7 @@ def mic_value(spec: ProblemSpec, z) -> float:
     is computed on both sides of :class:`RidgeSystem` (the |S| x |S| system
     when |S| <= n, the n x n one otherwise).
     """
-    idx = _support_from_z(spec, z)
-    Xs = spec.X[:, idx]
-    b = RidgeSystem(Xs, np.ones(idx.size), spec.n * spec.lam).fit(spec.y)
-    r = spec.y - Xs @ b
-    return float(r @ r / spec.n + spec.lam * (b @ b))
+    return _support_fit(spec, _support_from_z(spec, z))[1]
 
 
 def _max_eig_gram(G: np.ndarray) -> float:

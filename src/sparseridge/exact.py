@@ -3,12 +3,12 @@
 Enumeration is sound because the projected objective f(S) is non-increasing
 under support growth, so only supports of size exactly k need scoring.
 
-The branch-and-bound solver works on the binary selection vector z: each
-node fixes some coordinates at 1 or 0 and bounds the remainder through the
-continuous relaxation restricted to the free coordinates.  Because the
-relaxation is solved inexactly (first-order method), a node is never pruned
-on the solver's achieved value alone; a certified lower bound is taken from
-the supporting hyperplane at the returned point,
+The branch-and-bound solver is one best-first loop over nodes that fix
+coordinates of the binary selection vector z at 1 or 0; each node is bounded
+by one masked ``solve_v4`` on the free coordinates.  Because that relaxation
+is solved inexactly (first-order method), a node is never pruned on the
+achieved value alone but on the solve's certified ``lower_bound``, the
+supporting hyperplane at the returned point,
 
     min_w f(w) >= f(z) + grad f(z)^T (w* - z),
 
@@ -40,6 +40,9 @@ from .relaxation import solve_v4
 BRUTE_FORCE_CAP = 2 * 10**6
 PRUNE_REL_TOL = 1e-12
 INTEGRALITY_TOL = 1e-6
+# Node solves: tighter than solve_v4's defaults, because B&B prunes on their bounds.
+RELAX_TOL = 1e-8
+RELAX_MAX_ITER = 20000
 
 
 def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimator:
@@ -70,16 +73,6 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
 
 
 @dataclass(frozen=True)
-class BnBNode:
-    """A search node: coordinates pinned to one/zero plus its bound."""
-
-    fixed_one: tuple[int, ...]
-    fixed_zero: tuple[int, ...]
-    lower_bound: float
-    depth: int
-
-
-@dataclass(frozen=True)
 class BnBResult:
     estimator: SparseEstimator
     final_gap: float
@@ -97,61 +90,27 @@ class BnBResult:
         }
 
 
-def _node_relaxation(spec, node, z_warm, tol, max_iter):
-    """Solve the node relaxation; its ``lower_bound`` certifies the node.
-
-    Returns (solution, free indices, exact flag); ``exact`` marks the
-    closed-form cases where the achieved value already equals the node
-    optimum.
-    """
-    sol = solve_v4(
-        spec,
-        tol=tol,
-        max_iter=max_iter,
-        fixed_one=node.fixed_one,
-        fixed_zero=node.fixed_zero,
-        z0=z_warm,
-    )
-    fixed = set(node.fixed_one) | set(node.fixed_zero)
-    free = np.asarray([i for i in range(spec.p) if i not in fixed], dtype=int)
-    budget = spec.k - len(node.fixed_one)
-    return sol, free, free.size == 0 or budget <= 0 or budget >= free.size
-
-
 def branch_and_bound(
-    spec: ProblemSpec,
-    gap_tol: float = 1e-6,
-    node_cap: int = 10**5,
-    relax_tol: float = 1e-8,
-    relax_max_iter: int = 20000,
+    spec: ProblemSpec, gap_tol: float = 1e-6, node_cap: int = 10**5
 ) -> BnBResult:
     """Solve the selection problem to a proven relative gap.
 
-    Best-first search on certified node bounds; branching on the most
-    fractional coordinate (ties to the lowest index); incumbent seeded with
-    the greedy solution.  Hitting ``node_cap`` returns the incumbent with
-    the remaining gap flagged (``optimal=False``).
+    Best-first search.  Each node is bounded by one masked ``solve_v4``,
+    warm-started from its parent's z, and pruned once its certified
+    ``lower_bound`` reaches the incumbent, which greedy seeds and every
+    integral node is offered to (so closed-form nodes close this way).
+    Branching is on the most fractional free coordinate (ties to the lowest
+    index).  Hitting ``node_cap`` returns the incumbent with the remaining
+    gap flagged (``optimal=False``).
     """
     incumbent, _ = greedy_select(spec)
-    inc_val = incumbent.objective
-    inc_support = incumbent.support
+    inc_val, inc_support = incumbent.objective, incumbent.support
 
-    counter = itertools.count()
-    root = BnBNode((), (), -math.inf, 0)
-    heap: list[tuple[float, int, int, BnBNode, np.ndarray | None]] = [
-        (-math.inf, 0, next(counter), root, None)
-    ]
-    nodes = 0
-    root_value = math.nan
-
-    def result(gap: float, optimal: bool) -> BnBResult:
-        return BnBResult(
-            estimator=restricted_estimator(spec, inc_support),
-            final_gap=gap,
-            nodes_explored=nodes,
-            root_bound=root_value,
-            optimal=optimal,
-        )
+    def offer(support) -> None:
+        nonlocal inc_val, inc_support
+        val = mic_value(spec, set(support))
+        if val < inc_val:
+            inc_val, inc_support = val, tuple(support)
 
     def rel_gap(lb: float) -> float:
         if not math.isfinite(lb):
@@ -160,56 +119,43 @@ def branch_and_bound(
             return 0.0 if lb >= inc_val else math.inf
         return max(0.0, (inc_val - lb) / inc_val)
 
+    counter = itertools.count()
+    heap = [(-math.inf, 0, next(counter), (), (), None)]
+    nodes = 0
+    root_value = math.nan
+    gap, optimal = 0.0, True  # an exhausted heap proves the incumbent
     while heap:
-        lb, _, _, node, z_warm = heapq.heappop(heap)
+        lb, depth, _, ones, zeros, z_warm = heapq.heappop(heap)
         # best-first: the popped key is the current global lower bound
-        if rel_gap(lb) <= gap_tol:
-            return result(rel_gap(lb), True)
-        if nodes >= node_cap:
-            return result(rel_gap(lb), False)
+        if rel_gap(lb) <= gap_tol or nodes >= node_cap:
+            gap = rel_gap(lb)
+            optimal = gap <= gap_tol
+            break
         nodes += 1
-
-        sol, free, exact = _node_relaxation(spec, node, z_warm, relax_tol, relax_max_iter)
-        bound = sol.lower_bound
-        if node.depth == 0:
+        sol = solve_v4(spec, tol=RELAX_TOL, max_iter=RELAX_MAX_ITER,
+                       fixed_one=ones, fixed_zero=zeros, z0=z_warm)
+        if depth == 0:
             root_value = sol.value
-
-        zf = sol.z[free] if free.size else np.empty(0)
-        frac = np.minimum(zf, 1.0 - zf) if zf.size else np.empty(0)
-        integral = frac.size == 0 or float(frac.max()) <= INTEGRALITY_TOL
-        if integral:
-            support = sorted(
-                set(node.fixed_one) | {int(i) for i, v in zip(free, zf) if v >= 0.5}
-            )
-            val = mic_value(spec, set(support))
-            if val < inc_val:
-                inc_val, inc_support = val, tuple(support)
-        if exact or bound >= inc_val * (1.0 - PRUNE_REL_TOL):
+        # Fixed coordinates are exactly 0 or 1, so only free ones can be fractional.
+        if np.minimum(sol.z, 1.0 - sol.z).max() <= INTEGRALITY_TOL:
+            offer(np.flatnonzero(sol.z >= 0.5))
+        if sol.lower_bound >= inc_val * (1.0 - PRUNE_REL_TOL):
             continue
-        # Not provably closed (inexact inner solve): branch on the most
-        # fractional free coordinate, ties to the lowest index.
-        j = int(free[np.argmin(np.abs(zf - 0.5))])
-        child_key = max(bound, lb)  # keep popped keys monotone
-
-        child_zero = BnBNode(
-            node.fixed_one,
-            tuple(sorted(node.fixed_zero + (j,))),
-            child_key,
-            node.depth + 1,
-        )
-        heapq.heappush(
-            heap, (child_key, child_zero.depth, next(counter), child_zero, sol.z)
-        )
-
-        ones = tuple(sorted(node.fixed_one + (j,)))
-        if len(ones) == spec.k:
-            val = mic_value(spec, set(ones))
-            if val < inc_val:
-                inc_val, inc_support = val, ones
+        free = np.setdiff1d(np.arange(spec.p), ones + zeros)
+        j = int(free[np.argmin(np.abs(sol.z[free] - 0.5))])
+        key = max(sol.lower_bound, lb)  # keep popped keys monotone
+        heapq.heappush(heap, (key, depth + 1, next(counter), ones,
+                              tuple(sorted(zeros + (j,))), sol.z))
+        ones_j = tuple(sorted(ones + (j,)))
+        if len(ones_j) == spec.k:
+            offer(ones_j)
         else:
-            child_one = BnBNode(ones, node.fixed_zero, child_key, node.depth + 1)
-            heapq.heappush(
-                heap, (child_key, child_one.depth, next(counter), child_one, sol.z)
-            )
+            heapq.heappush(heap, (key, depth + 1, next(counter), ones_j, zeros, sol.z))
 
-    return result(0.0, True)
+    return BnBResult(
+        estimator=restricted_estimator(spec, inc_support),
+        final_gap=gap,
+        nodes_explored=nodes,
+        root_bound=root_value,
+        optimal=optimal,
+    )

@@ -23,9 +23,9 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
-    _subset_coefficients,
-    mic_value,
+    _support_fit,
     restricted_estimator,
+    ridge_objective,
 )
 from .errors import InvalidArgumentError
 
@@ -117,12 +117,11 @@ def cardinality_bound(k: int, alpha: float) -> float:
     return (1.0 + math.sqrt(3.0 * math.log(2.0 / alpha) / k)) * k
 
 
-def _repair(spec: ProblemSpec, support: np.ndarray) -> SparseEstimator:
-    """Trim an over-budget support to k by dropping smallest |beta| from the
-    refit on the full drawn support, then refit on the survivors."""
+def _repair(spec: ProblemSpec, support: np.ndarray, beta: np.ndarray) -> SparseEstimator:
+    """Estimator of a draw from ``beta``, its fit on the drawn support: that fit
+    within the budget; otherwise the k largest |beta_i| survive and are refit."""
     if support.size <= spec.k:
-        return restricted_estimator(spec, support)
-    beta = _subset_coefficients(spec, support)
+        return SparseEstimator(tuple(support.tolist()), beta, ridge_objective(spec, beta))
     order = np.argsort(np.abs(beta[support]), kind="stable")
     keep = np.sort(support[order[support.size - spec.k:]])
     return restricted_estimator(spec, keep)
@@ -155,7 +154,7 @@ def randomized_solve(
     for t in range(trials):
         key = _trial_key(seed, t)
         support, z_tilde = randomized_round(zhat, key)
-        value = mic_value(spec, z_tilde)
+        beta, value = _support_fit(spec, support)  # the draw's one fit
         draws.append(RoundingOutcome(
             support=tuple(support.tolist()),
             z_tilde=z_tilde,
@@ -164,7 +163,7 @@ def randomized_solve(
             seed=key,
         ))
         if repair:
-            repaired.append((_repair(spec, support), value))
+            repaired.append((_repair(spec, support, beta), value))
     # min keeps the first of equal values: ties go to the lowest trial index
     best_rep, best_rep_raw = (
         min(repaired, key=lambda r: r[0].objective) if repair else (None, None)

@@ -174,7 +174,8 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     rho * (beta_i - a_i)^2 <= D with rho = sigma_min(X^T X)/n + lam,
     a_i = x_i^T y / (n rho) and D = ||X^T y||^2/(n^2 rho^2) + v_upper/rho
     - ||y||^2/(n rho), hence |beta_i| <= |a_i| + sqrt(D).  Defaults to the
-    always-valid level v_upper = ||y||^2 / n (attained by beta = 0).
+    always-valid level v_upper = ||y||^2 / n (attained by beta = 0); a
+    non-finite level is rejected.
     When p > n, X^T X is singular and sigma_min = 0 without forming it.
     """
     X, y, n = spec.X, spec.y, spec.n
@@ -184,6 +185,8 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     rho = sig_min / n + spec.lam
     yy = float(y @ y)
     v_up = yy / n if v_upper is None else float(v_upper)
+    if not np.isfinite(v_up):
+        raise InvalidArgumentError(f"v_upper must be finite, got {v_up}")
     c = X.T @ y
     a = c / (n * rho)
     disc = float(c @ c) / (n * rho) ** 2 + v_up / rho - yy / (n * rho)
@@ -289,10 +292,15 @@ def solve_v4(
     norm of z - project(z - grad f(z)).  ``lower_bound`` is the supporting
     hyperplane's minimum over the capped box, f(z) + min_w grad f(z)^T (w - z)
     (weight 1 on the ``budget`` most negative gradient entries); it is the
-    value itself in the closed-form cases.
+    value itself in the closed-form cases.  A warm start ``z0`` must be a
+    finite length-p vector; its free entries are projected onto the box.
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
+    if z0 is not None:
+        z0 = np.asarray(z0, dtype=float)
+        if z0.shape != (spec.p,) or not np.isfinite(z0).all():
+            raise InvalidArgumentError(f"z0 must be a finite vector of shape ({spec.p},)")
     one, free = _masked_sets(spec, fixed_one, fixed_zero)
     budget = spec.k - one.size
     z = np.zeros(spec.p)
@@ -312,7 +320,7 @@ def solve_v4(
         return val, grad[free]
 
     if z0 is not None:
-        zf = project_capped_simplex(np.asarray(z0, dtype=float)[free], budget)
+        zf = project_capped_simplex(z0[free], budget)
     else:
         zf = np.full(free.size, budget / free.size)
     zf, val, g, iters, resid, converged = _projected_gradient(

@@ -207,6 +207,13 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.json"),
         ]) == 2
 
+    @pytest.mark.parametrize("level", ["nan", "inf"])
+    def test_non_finite_big_m_level(self, tmp_path, data_csv, level):
+        assert main([
+            "relax", "--input", str(data_csv), "--lambda", "0.1", "--k", "2",
+            "--which", "v3", "--vupper", level, "--out", str(tmp_path / "x.json"),
+        ]) == 2
+
     def test_nonconverged_relaxation(self, tmp_path, data_csv, monkeypatch):
         import sparseridge.cli as cli
         from sparseridge import RelaxationSolution

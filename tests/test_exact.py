@@ -1,6 +1,10 @@
+import itertools
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import identity_pair_spec, random_spec
 from oracles import subset_value_oracle
@@ -8,9 +12,13 @@ from sparseridge import (
     EnumerationCapError,
     branch_and_bound,
     brute_force,
+    mic_value,
     restricted_estimator,
     solve_v4,
 )
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
 
 
 class TestBruteForce:
@@ -113,3 +121,69 @@ class TestBranchAndBound:
             for extra in itertools.combinations(free, r)
         )
         assert sol.value <= best + 1e-9
+
+
+KINDS = ["open", "no_free", "all_ones", "saturated"]
+
+
+@st.composite
+def masked_nodes(draw, kind):
+    """A spec with p < n or p > n and a B&B node on it: disjoint fixed_one /
+    fixed_zero sets around ``n_free`` free coordinates.  ``kind`` is a node to
+    branch on or one of the closed forms: no free coordinate, all k ones
+    fixed, or a remaining budget that covers every free coordinate."""
+    if draw(st.booleans()):
+        p = draw(st.integers(3, 8))
+        n = draw(st.integers(p + 1, 14))
+    else:
+        n = draw(st.integers(3, 7))
+        p = draw(st.integers(n + 1, 10))
+    k = draw(st.integers(1, min(n, p - 1, 3)))
+    lam = draw(st.sampled_from([0.01, 0.1, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = random_spec(rng, n, p, k, lam, signal=draw(st.booleans()))
+    if kind == "all_ones":
+        n_one, n_free = k, draw(st.integers(0, p - k))
+    elif kind == "no_free":
+        n_one, n_free = draw(st.integers(0, k)), 0
+    else:
+        n_one = draw(st.integers(0, k - 1))
+        budget = k - n_one
+        n_free = draw(st.integers(1, budget) if kind == "saturated"
+                      else st.integers(budget + 1, p - n_one))
+    order = rng.permutation(p).tolist()
+    ones, free = order[:n_one], order[n_one:n_one + n_free]
+    return spec, ones, free, order[n_one + n_free:]
+
+
+class TestNodeCertificate:
+    """The masked v4 bound B&B prunes on, against enumeration of the node."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @PROPERTY
+    @given(data=st.data())
+    def test_lower_bound_below_every_completion(self, kind, data):
+        spec, ones, free, zeros = data.draw(masked_nodes(kind))
+        sol = solve_v4(spec, tol=1e-8, max_iter=20000, fixed_one=ones, fixed_zero=zeros)
+        budget = spec.k - len(ones)
+        best = min(
+            subset_value_oracle(spec.X, spec.y, spec.lam, ones + list(extra))
+            for r in range(min(budget, len(free)) + 1)
+            for extra in itertools.combinations(free, r)
+        )
+        assert sol.lower_bound <= best * (1.0 + 1e-10)
+        if kind != "open":
+            # closed form: the saturated support, value certified as is
+            saturated = set(ones) | (set(free) if budget > 0 else set())
+            assert np.array_equal(np.flatnonzero(sol.z), sorted(saturated))
+            assert sol.lower_bound == sol.value
+            assert sol.value == pytest.approx(mic_value(spec, saturated), rel=1e-12)
+
+    @settings(PROPERTY, max_examples=30)
+    @given(node=st.sampled_from(KINDS).flatmap(masked_nodes))
+    def test_branch_and_bound_matches_brute_force(self, node):
+        spec = node[0]
+        res = branch_and_bound(spec, gap_tol=1e-6)
+        star = brute_force(spec).objective
+        assert res.optimal and res.final_gap <= 1e-6
+        assert star * (1.0 - 1e-12) <= res.estimator.objective <= star / (1.0 - 1e-6)

@@ -146,6 +146,13 @@ class TestBigM:
         with pytest.raises(NumericalDomainError):
             big_m(spec, v_upper=0.05)
 
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, level):
+        # max(0, nan) would drop the square-root term and leave M = |a|,
+        # bounds too tight to be valid
+        with pytest.raises(InvalidArgumentError):
+            big_m(identity_pair_spec(lam=0.1, k=1), v_upper=level)
+
 
 class TestGradient:
     def test_matches_central_differences(self, rng):
@@ -268,6 +275,14 @@ class TestProjectedValueSolver:
         assert sol.z[1] == 1.0
         assert sol.z[4] == 0.0
         assert sol.z.sum() <= spec.k + 1e-9
+
+    @pytest.mark.parametrize("z0", [np.full(5, 0.5), np.full(7, 0.5),
+                                    np.array([0.5, np.nan, 0.5, 0.5, 0.5, 0.5])],
+                             ids=["too_short", "too_long", "nan"])
+    def test_rejects_bad_warm_start(self, rng, z0):
+        spec = random_spec(rng, 10, 6, 3, 0.2)
+        with pytest.raises(InvalidArgumentError):
+            solve_v4(spec, z0=z0)
 
     def test_json_round_trip(self, rng):
         import json
