@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import ProblemSpec
 from .errors import SparseRidgeError
-from .methods import fit
+from .methods import check_options, fit
 from .synthetic import SyntheticConfig, false_alarm_rate, generate_synthetic
 
 _CSV_FIELDS = [
@@ -92,11 +92,14 @@ def run_benchmark(
     """Run every method on ``reps`` fresh datasets per (n, p, k) cell.
 
     ``cells`` is an iterable of {"n": ..., "p": ..., "k": ...} mappings.
-    ``k`` doubles as the generator's true support size.
+    ``k`` doubles as the generator's true support size.  An unknown method
+    or ``method_options`` entry raises InvalidArgumentError before any fit.
     """
     cells = [dict(c) for c in cells]
     methods = list(methods)
     options = method_options or {}
+    for method in sorted(set(methods) | set(options)):
+        check_options(method, options.get(method, {}))
     report = BenchReport()
     for cell_index, rep in itertools.product(range(len(cells)), range(reps)):
         cell = cells[cell_index]

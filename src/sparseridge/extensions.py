@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _clean_support
 from .errors import DegenerateHatError, InvalidArgumentError, SparseRidgeError
-from .methods import fit
+from .methods import check_options, fit
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,13 @@ def gcv_select(
     """Fit once per grid weight, score each fitted support, keep the minimizer.
 
     Grid points where the solver fails are excluded with a warning; score
-    ties break toward the smallest weight.
+    ties break toward the smallest weight.  An unknown method or option
+    raises InvalidArgumentError before any fit.
     """
     grid = tuple(float(g) for g in grid)
     if not grid or any(g <= 0 for g in grid):
         raise InvalidArgumentError("grid must be a non-empty list of positive lam")
+    check_options(method, method_options)
     scores: list[float] = []
     valid: list[tuple[float, float, SparseEstimator]] = []  # (score, lam, fit)
     for lam in grid:

@@ -14,6 +14,9 @@ Every method maps a :class:`~sparseridge.core.ProblemSpec` to a feasible
 
 from __future__ import annotations
 
+import functools
+import inspect
+
 from .core import ProblemSpec, SparseEstimator
 from .errors import ConvergenceError, InvalidArgumentError, SparseRidgeError
 from .exact import branch_and_bound, brute_force
@@ -23,7 +26,7 @@ from .randomized import randomized_solve
 from .relaxation import solve_v2_perspective
 
 
-def _fit_greedy(spec: ProblemSpec, **_) -> SparseEstimator:
+def _fit_greedy(spec: ProblemSpec) -> SparseEstimator:
     return greedy_select(spec)[0]
 
 
@@ -33,12 +36,12 @@ def _relax_z(spec: ProblemSpec):
     if not sol.converged:
         raise ConvergenceError(
             f"relaxation v2 did not converge in {sol.iterations} iterations "
-            f"(residual {sol.kkt_residual:.3g})"
+            f"(gap {sol.kkt_residual:.3g})"
         )
     return sol.z
 
 
-def _fit_restricted(spec: ProblemSpec, delta: float = 0.01, **_):
+def _fit_restricted(spec: ProblemSpec, delta: float = 0.01):
     return restricted_greedy(spec, _relax_z(spec), delta=delta)[0]
 
 
@@ -46,7 +49,6 @@ def _fit_randomized(
     spec: ProblemSpec,
     trials: int = 100,
     seed: int = 0,
-    **_,
 ) -> SparseEstimator:
     result = randomized_solve(
         spec, _relax_z(spec), trials=trials, seed=seed, repair=True
@@ -56,15 +58,15 @@ def _fit_randomized(
     return result.best_repaired
 
 
-def _fit_heuristic(spec: ProblemSpec, delta: float = 1e-6, **_) -> SparseEstimator:
+def _fit_heuristic(spec: ProblemSpec, delta: float = 1e-6) -> SparseEstimator:
     return heuristic_bisection(spec, delta_hat=delta)[0]
 
 
-def _fit_brute(spec: ProblemSpec, **_) -> SparseEstimator:
+def _fit_brute(spec: ProblemSpec) -> SparseEstimator:
     return brute_force(spec)
 
 
-def _fit_bnb(spec: ProblemSpec, gap_tol: float = 1e-6, **_) -> SparseEstimator:
+def _fit_bnb(spec: ProblemSpec, gap_tol: float = 1e-6) -> SparseEstimator:
     return branch_and_bound(spec, gap_tol=gap_tol).estimator
 
 
@@ -78,12 +80,29 @@ METHODS = {
 }
 
 
-def fit(spec: ProblemSpec, method: str, **options) -> SparseEstimator:
-    """Fit with a named method; unknown names raise InvalidArgumentError."""
+@functools.cache
+def _option_names(runner) -> tuple[str, ...]:
+    """The keyword options a runner takes: its parameters after ``spec``."""
+    return tuple(inspect.signature(runner).parameters)[1:]
+
+
+def check_options(method: str, options) -> None:
+    """Raise InvalidArgumentError for an unknown method or an option it does not take."""
     try:
         runner = METHODS[method]
     except KeyError:
         raise InvalidArgumentError(
             f"unknown method {method!r}; choose from {sorted(METHODS)}"
         ) from None
-    return runner(spec, **options)
+    accepted = _option_names(runner)
+    unknown = [name for name in options if name not in accepted]
+    if unknown:
+        raise InvalidArgumentError(
+            f"method {method!r} has no option {unknown[0]!r}; it takes {list(accepted)}"
+        )
+
+
+def fit(spec: ProblemSpec, method: str, **options) -> SparseEstimator:
+    """Fit with a named method; an unknown name or option raises InvalidArgumentError."""
+    check_options(method, options)
+    return METHODS[method](spec, **options)

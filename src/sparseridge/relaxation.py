@@ -22,6 +22,14 @@ Armijo backtracking (constant 1e-4, step halving) for ``v1``/``v4``, and
 exact alternating minimization for ``v2``/``v3`` whose z-subproblem is the
 water-filling allocation below.
 
+v1, v2 and v4 carry one certificate.  Their objectives are convex (f(z) of
+v4 too, since v2 == v4), so at any feasible point x the supporting
+hyperplane gives value - gap <= the relaxation value, where the gap
+grad^T x - min over the feasible set of grad^T w is the Frank-Wolfe duality
+gap (Jaggi, ICML 2013).  ``lower_bound`` is value - gap and
+``kkt_residual`` is value - lower_bound; the projected-gradient loop stops
+once the gap is at most tol*(1 + |value|).
+
 The capped-simplex projection, water-filling and v1's weighted-L1-box
 projection each need the threshold t at which the budget
 sum(clip(a + s*t, lo, 1)) reaches k.  That sum is piecewise linear and
@@ -36,7 +44,7 @@ beta = 0 as a feasible point, so it can never return anything useful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 # cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4).
@@ -62,7 +70,7 @@ class RelaxationSolution:
     kkt_residual: float
     converged: bool
     beta: np.ndarray | None = None
-    lower_bound: float | None = None  # certified; set by solve_v4 only
+    lower_bound: float | None = None  # certified value - gap; None for v3
 
     def __post_init__(self) -> None:
         z = np.array(self.z, dtype=float)
@@ -80,6 +88,7 @@ class RelaxationSolution:
             "iterations": self.iterations,
             "kkt_residual": self.kkt_residual,
             "converged": self.converged,
+            "lower_bound": self.lower_bound,
         }
 
 
@@ -199,17 +208,23 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     return BigMVector(M=np.abs(a) + s, v_upper=v_up, rho=rho)
 
 
-def _value_grad(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(w) and its gradient from one RidgeSystem on the support S of w.
+def _value_dual(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(w) and u = A(w)^-1 y from one RidgeSystem on the support S of w.
 
     f is the perspective objective at the fit b on S, which is stationary in b
-    and so rounds at machine level; the gradient is -lam*(x_i^T A(w)^-1 y)^2.
+    and so rounds at machine level.
     """
     # Exact zeros drop out, and so do weights too small for n*lam/w_i to be finite.
     S = np.flatnonzero(w > spec.n * spec.lam / np.finfo(float).max)
     beta = np.zeros(spec.p)
     beta[S], u = RidgeSystem(spec.X[:, S], w[S], spec.n * spec.lam).fit_dual(spec.y)
-    return _perspective_value(spec, beta, w), -spec.lam * (spec.X.T @ u) ** 2
+    return _perspective_value(spec, beta, w), u
+
+
+def _value_grad(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
+    """f(w) and its gradient -lam*(x_i^T A(w)^-1 y)^2."""
+    val, u = _value_dual(spec, w)
+    return val, -spec.lam * (spec.X.T @ u) ** 2
 
 
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -222,27 +237,31 @@ def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndar
     return _value_grad(spec, np.maximum(z, 0.0))
 
 
-def _projected_gradient(fval_grad, project, x, tol, max_iter):
+def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
+    """g^T z - min of g^T w over {w in [0,1]^m : sum(w) <= budget}, for g <= 0
+    (the gradient of f): weight 1 on the ``budget`` smallest entries."""
+    if budget >= g.size:
+        return float(g @ z) - float(g.sum())
+    return float(g @ z) - float(np.partition(g, budget - 1)[:budget].sum())
+
+
+def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
     """Monotone projected gradient with Armijo backtracking from ``x``.
 
     The step doubles before each line search and halves until the Armijo
-    test passes.  Stops when the KKT residual ||x - project(x - grad)|| is
-    at most ``tol``, when no step makes progress, or when the state (x, step)
-    repeats (zero-decrease steps can cycle at the rounding floor).  Returns
-    (x, value, gradient, iterations, residual, converged), value and gradient
-    at the returned x.
+    test passes.  Stops when the certified gap ``gap(x, grad)`` is at most
+    tol*(1 + |value|); as fault guards, also when no step makes progress or
+    when the state (x, step) repeats (zero-decrease steps can cycle at the
+    rounding floor).  Returns (x, value, iterations, gap, converged), value
+    and gap at the returned x.
     """
     val, grad = fval_grad(x)
     seen = set()  # hashed (x, step) states after each move
     step = 1.0
-    resid = np.inf
-    iters = 0
-    converged = False
     for iters in range(1, max_iter + 1):
-        resid = float(np.linalg.norm(x - project(x - grad)))
-        if resid <= tol:
-            converged = True
-            break
+        g = gap(x, grad)
+        if g <= tol * (1.0 + abs(val)):
+            return x, val, iters, g, True
         step = min(step * 2.0, 1e12)
         while True:
             x_new = project(x - step * grad)
@@ -255,25 +274,28 @@ def _projected_gradient(fval_grad, project, x, tol, max_iter):
                 break
         state = (hash(x_new.tobytes()), step)
         if np.array_equal(x_new, x) or state in seen:
-            break  # no descent step or a cycle: stationary to rounding, resid > tol
+            return x, val, iters, g, False  # stationary to rounding, gap > tol
         seen.add(state)
         x, val, grad = x_new, val_new, grad_new
-    return x, val, grad, iters, resid, converged
+    return x, val, max_iter, gap(x, grad), False
 
 
 def _masked_sets(spec, fixed_one, fixed_zero):
-    one = sorted(set(int(i) for i in fixed_one))
-    zero = sorted(set(int(i) for i in fixed_zero))
-    if set(one) & set(zero):
+    """Sorted fixed-one indices and the free ones; the sets must be disjoint,
+    in range and hold at most k ones."""
+    one = np.unique(np.fromiter(fixed_one, dtype=np.intp))
+    zero = np.unique(np.fromiter(fixed_zero, dtype=np.intp))
+    if np.intersect1d(one, zero).size:
         raise InvalidArgumentError("fixed_one and fixed_zero must be disjoint")
-    for i in one + zero:
-        if not 0 <= i < spec.p:
-            raise InvalidArgumentError(f"fixed index {i} out of range")
-    if len(one) > spec.k:
+    fixed = np.concatenate([one, zero])
+    bad = fixed[(fixed < 0) | (fixed >= spec.p)]
+    if bad.size:
+        raise InvalidArgumentError(f"fixed index {bad[0]} out of range")
+    if one.size > spec.k:
         raise InvalidArgumentError("more fixed-one indices than the budget k")
-    fixed = set(one) | set(zero)
-    free = [i for i in range(spec.p) if i not in fixed]
-    return np.asarray(one, dtype=int), np.asarray(free, dtype=int)
+    free = np.ones(spec.p, dtype=bool)
+    free[fixed] = False
+    return one, np.flatnonzero(free)
 
 
 def solve_v4(
@@ -288,12 +310,12 @@ def solve_v4(
 
     ``fixed_one`` / ``fixed_zero`` pin coordinates of z at 1 / 0 (used by
     the exact solver's tree search); the remaining coordinates are
-    optimized over the budget k - |fixed_one|.  The KKT residual is the
-    norm of z - project(z - grad f(z)).  ``lower_bound`` is the supporting
-    hyperplane's minimum over the capped box, f(z) + min_w grad f(z)^T (w - z)
-    (weight 1 on the ``budget`` most negative gradient entries); it is the
-    value itself in the closed-form cases.  A warm start ``z0`` must be a
-    finite length-p vector; its free entries are projected onto the box.
+    optimized over the budget k - |fixed_one|.  ``lower_bound`` is the
+    supporting hyperplane's minimum over the capped box, f(z) + min_w
+    grad f(z)^T (w - z) (weight 1 on the ``budget`` most negative gradient
+    entries); it is the value itself in the closed-form cases.  A warm start
+    ``z0`` must be a finite length-p vector; its free entries are projected
+    onto the box.
     """
     if tol <= 0:
         raise InvalidArgumentError("tol must be positive")
@@ -308,7 +330,7 @@ def solve_v4(
     if free.size == 0 or budget <= 0 or budget >= free.size:
         if budget > 0:
             z[free] = 1.0  # f decreases in every coordinate: saturate the box
-        val, _ = value_and_gradient(spec, z)
+        val, _ = _value_dual(spec, z)
         return RelaxationSolution(
             z=z, value=val, iterations=0, kkt_residual=0.0, converged=True,
             lower_bound=val,
@@ -323,13 +345,15 @@ def solve_v4(
         zf = project_capped_simplex(z0[free], budget)
     else:
         zf = np.full(free.size, budget / free.size)
-    zf, val, g, iters, resid, converged = _projected_gradient(
-        fval_grad, lambda v: project_capped_simplex(v, budget), zf, tol, max_iter
+    zf, val, iters, gap, converged = _projected_gradient(
+        fval_grad, lambda v: project_capped_simplex(v, budget),
+        lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
     )
     z[free] = zf
+    lower_bound = val - gap
     return RelaxationSolution(
-        z=z, value=val, iterations=iters, kkt_residual=resid, converged=converged,
-        lower_bound=val + float(np.sort(g)[:budget].sum()) - float(g @ zf),
+        z=z, value=val, iterations=iters, kkt_residual=val - lower_bound,
+        converged=converged, lower_bound=lower_bound,
     )
 
 
@@ -393,11 +417,15 @@ def solve_v2_perspective(
     With the auxiliary bound mu_i eliminated (mu_i = beta_i^2 / z_i at any
     optimum), the beta-step is a weighted ridge solve and the z-step is
     water-filling.  Stops when a full cycle decreases the value by at most
-    ``tol``.
+    ``tol``.  ``lower_bound`` is v4's supporting hyperplane at the final z
+    (valid because v2 == v4), from one more f/gradient evaluation.
     """
-    return _alternate(
+    sol = _alternate(
         spec, lambda z, _: _weighted_ridge(spec, z), lambda _: None, tol, max_iter
     )
+    f, g = _value_grad(spec, sol.z)
+    lower_bound = f - _capped_box_gap(sol.z, g, spec.k)
+    return replace(sol, kkt_residual=sol.value - lower_bound, lower_bound=lower_bound)
 
 
 def _positive_bounds(M: BigMVector, tol: float) -> np.ndarray:
@@ -430,7 +458,9 @@ def solve_v1(
 
     Feasibility in (beta, z) reduces to sum(|beta_i|/M_i) <= k and
     |beta_i| <= M_i, so the ridge objective is minimized over a weighted-L1
-    ball intersected with a box, starting from the projected ridge fit.
+    ball intersected with a box, starting from the projected ridge fit.  The
+    gap's minimum of grad^T w over that set puts |w_i| = M_i against the sign
+    of grad_i on the k largest |grad_i|*M_i.
     """
     Mv = _positive_bounds(M, tol)
     X, y, n, lam, k = spec.X, spec.y, spec.n, spec.lam, spec.k
@@ -439,13 +469,18 @@ def solve_v1(
         r = y - X @ b
         return float(r @ r / n + lam * (b @ b)), 2.0 * (lam * b - X.T @ r / n)
 
+    def gap(b, g):
+        top = np.partition(np.abs(g) * Mv, spec.p - k)[spec.p - k:]
+        return float(g @ b) + float(top.sum())
+
     beta0 = _project_weighted_l1_box(_weighted_ridge(spec, np.ones(spec.p)), Mv, k)
-    beta, val, _, iters, resid, converged = _projected_gradient(
-        fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), beta0, tol, max_iter
+    beta, val, iters, gap_val, converged = _projected_gradient(
+        fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), gap, beta0, tol, max_iter
     )
+    lower_bound = val - gap_val
     return RelaxationSolution(
-        z=np.abs(beta) / Mv, value=val, iterations=iters, kkt_residual=resid,
-        converged=converged, beta=beta,
+        z=np.abs(beta) / Mv, value=val, iterations=iters, kkt_residual=val - lower_bound,
+        converged=converged, beta=beta, lower_bound=lower_bound,
     )
 
 

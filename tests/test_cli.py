@@ -5,7 +5,13 @@ import pytest
 
 import sparseridge.methods as methods
 from helpers import random_spec
-from sparseridge import ConvergenceError, RelaxationSolution, fit
+from sparseridge import (
+    ConvergenceError,
+    InvalidArgumentError,
+    RelaxationSolution,
+    fit,
+    gcv_select,
+)
 from sparseridge.cli import main
 
 
@@ -153,6 +159,23 @@ def test_bench(tmp_path):
     assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_unknown_method_option_rejected(tmp_path):
+    spec = random_spec(np.random.default_rng(0), 20, 6, 2, 0.1)
+    with pytest.raises(InvalidArgumentError, match="'trails'"):
+        fit(spec, "greedy", trails=5)
+    with pytest.raises(InvalidArgumentError, match="'trails'"):
+        gcv_select(spec.data, k=2, grid=[0.1], method="randomized", trails=5)
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({
+        "cells": [{"n": 20, "p": 6, "k": 2}],
+        "methods": ["greedy", "randomized"],
+        "reps": 1,
+        "method_options": {"randomized": {"trails": 5}},
+    }))
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_header_and_response_column(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_pair_spec, random_spec
+from helpers import KINDS, identity_pair_spec, masked_nodes, random_spec
 from oracles import subset_value_oracle
 from sparseridge import (
     EnumerationCapError,
@@ -121,39 +121,6 @@ class TestBranchAndBound:
             for extra in itertools.combinations(free, r)
         )
         assert sol.value <= best + 1e-9
-
-
-KINDS = ["open", "no_free", "all_ones", "saturated"]
-
-
-@st.composite
-def masked_nodes(draw, kind):
-    """A spec with p < n or p > n and a B&B node on it: disjoint fixed_one /
-    fixed_zero sets around ``n_free`` free coordinates.  ``kind`` is a node to
-    branch on or one of the closed forms: no free coordinate, all k ones
-    fixed, or a remaining budget that covers every free coordinate."""
-    if draw(st.booleans()):
-        p = draw(st.integers(3, 8))
-        n = draw(st.integers(p + 1, 14))
-    else:
-        n = draw(st.integers(3, 7))
-        p = draw(st.integers(n + 1, 10))
-    k = draw(st.integers(1, min(n, p - 1, 3)))
-    lam = draw(st.sampled_from([0.01, 0.1, 1.0]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    spec = random_spec(rng, n, p, k, lam, signal=draw(st.booleans()))
-    if kind == "all_ones":
-        n_one, n_free = k, draw(st.integers(0, p - k))
-    elif kind == "no_free":
-        n_one, n_free = draw(st.integers(0, k)), 0
-    else:
-        n_one = draw(st.integers(0, k - 1))
-        budget = k - n_one
-        n_free = draw(st.integers(1, budget) if kind == "saturated"
-                      else st.integers(budget + 1, p - n_one))
-    order = rng.permutation(p).tolist()
-    ones, free = order[:n_one], order[n_one:n_one + n_free]
-    return spec, ones, free, order[n_one + n_free:]
 
 
 class TestNodeCertificate:

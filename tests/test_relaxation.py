@@ -1,15 +1,19 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import identity_pair_spec, random_spec
+from helpers import identity_pair_spec, masked_nodes, random_spec
 from oracles import (
     box_weighted_ridge_cd,
     finite_difference_gradient,
     projected_objective_exact,
     projection_tau_bisection,
+    subset_value_oracle,
     waterfill_objective_grid,
     weighted_l1_box_projection_bisection,
 )
@@ -264,8 +268,11 @@ class TestProjectedValueSolver:
         def swap(v):
             return np.array([0.0, 1.0 - v[1]])
 
-        x, val, grad, iters, resid, converged = relaxation._projected_gradient(
-            fval_grad, swap, np.zeros(2), 1e-9, 10000
+        def gap(x, grad):
+            return 1.0  # never certified, so only the cycle stop can end the loop
+
+        x, val, iters, resid, converged = relaxation._projected_gradient(
+            fval_grad, swap, gap, np.zeros(2), 1e-9, 10000
         )
         assert not converged and resid == 1.0 and iters < 100
 
@@ -275,6 +282,29 @@ class TestProjectedValueSolver:
         assert sol.z[1] == 1.0
         assert sol.z[4] == 0.0
         assert sol.z.sum() <= spec.k + 1e-9
+
+    @pytest.mark.parametrize("fixed_one, fixed_zero, message", [
+        ((1, 2), (2, 4), "disjoint"),
+        ((6,), (), "out of range"),
+        ((), (0, -1), "out of range"),
+        ((0, 1, 2, 3), (), "budget k"),
+    ], ids=["overlap", "index_p", "negative_index", "more_ones_than_k"])
+    def test_rejects_bad_fixing(self, rng, fixed_one, fixed_zero, message):
+        spec = random_spec(rng, 10, 6, 3, 0.2)
+        with pytest.raises(InvalidArgumentError, match=message):
+            solve_v4(spec, fixed_one=fixed_one, fixed_zero=fixed_zero)
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_masked_sets_match_loop(self, data):
+        p = data.draw(st.integers(1, 12))
+        order = data.draw(st.permutations(range(p)))
+        n_one = data.draw(st.integers(0, min(p, 3)))
+        n_zero = data.draw(st.integers(0, p - n_one))
+        ones, zeros = order[:n_one] * 2, order[n_one:n_one + n_zero]  # repeats collapse
+        one, free = relaxation._masked_sets(SimpleNamespace(p=p, k=3), ones, zeros)
+        assert one.tolist() == sorted(set(ones))
+        assert free.tolist() == [i for i in range(p) if i not in set(ones) | set(zeros)]
 
     @pytest.mark.parametrize("z0", [np.full(5, 0.5), np.full(7, 0.5),
                                     np.array([0.5, np.nan, 0.5, 0.5, 0.5, 0.5])],
@@ -289,7 +319,8 @@ class TestProjectedValueSolver:
 
         spec = random_spec(rng, 8, 5, 2, 0.2)
         payload = json.loads(json.dumps(solve_v4(spec).to_json_dict()))
-        assert set(payload) == {"value", "z", "iterations", "kkt_residual", "converged"}
+        assert set(payload) == {"value", "z", "iterations", "kkt_residual", "converged",
+                                "lower_bound"}
 
 
 class TestPerspectiveSolver:
@@ -437,6 +468,39 @@ class TestBoxConstrainedStep:
         spec = identity_pair_spec(lam=0.1, k=1)
         with pytest.raises(NumericalError):
             relaxation._box_weighted_ridge(spec, np.ones(2), np.full(2, 10.0), np.zeros(2))
+
+
+class TestCertifiedGap:
+    """v1, v2 and v4 report value - lower_bound as kkt_residual, with
+    lower_bound certified against enumeration."""
+
+    @settings(PROPERTY, max_examples=100)
+    @given(node=st.sampled_from(["root", "open"]).flatmap(masked_nodes))
+    def test_lower_bound_below_optimum(self, node):
+        spec, ones, free, zeros = node
+        budget = spec.k - len(ones)
+        best = min(
+            subset_value_oracle(spec.X, spec.y, spec.lam, ones + list(extra))
+            for r in range(min(budget, len(free)) + 1)
+            for extra in itertools.combinations(free, r)
+        )
+        v4 = solve_v4(spec, tol=1e-7, fixed_one=ones, fixed_zero=zeros)
+        solves = [(v4, 1e-7)]
+        if not ones and not zeros:  # v1 and v2 solve the root only
+            v2 = solve_v2_perspective(spec)
+            # Bounds valid at the greedy level, tight enough that v1's budget can bind.
+            M = big_m(spec, v_upper=greedy_select(spec)[0].objective)
+            solves += [(solve_v1(spec, M, tol=1e-8), 1e-8), (v2, None)]
+            # v2 == v4, and each value is attained, so each bound lies below both.
+            top = min(v2.value, v4.value) * (1.0 + 1e-12)
+            assert v2.lower_bound <= top and v4.lower_bound <= top
+        for sol, tol in solves:
+            assert sol.lower_bound <= best * (1.0 + 1e-10)
+            assert sol.kkt_residual == sol.value - sol.lower_bound
+            # A gap at a feasible point is nonnegative, up to rounding.
+            assert sol.kkt_residual >= -1e-12 * (1.0 + abs(sol.value))
+            if tol is not None and sol.converged:  # v2 stops on its cycle decrease
+                assert sol.kkt_residual <= tol * (1.0 + abs(sol.value))
 
 
 @st.composite
