@@ -54,12 +54,10 @@ def _config_dict(args, skip=("func",)) -> dict:
 
 def cmd_fit(args) -> int:
     spec = _load(args)
-    options = {}
-    if args.method in ("heuristic", "restricted") and args.delta is not None:
-        options["delta"] = args.delta
-    if args.method == "randomized":
-        options["trials"] = args.trials
-        options["seed"] = args.seed
+    # Only the flags given are passed: the method supplies its own defaults
+    # and rejects an option it does not take (exit 2).
+    options = {name: getattr(args, name) for name in ("delta", "trials", "seed")
+               if getattr(args, name) is not None}
     est = fit(spec, args.method, **options)
     _write_json(args.out, {
         "config": _config_dict(args),
@@ -174,8 +172,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="bisection tolerance (heuristic, default 1e-6) or "
                         "candidate threshold (restricted, default 0.01)")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None,
+                   help="rounding draws (randomized, default 100)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="rounding seed (randomized, default 0)")
     p.add_argument("--normalize", action="store_true",
                    help="rescale columns to squared norm n before fitting")
     p.add_argument("--out", required=True)

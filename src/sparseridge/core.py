@@ -180,14 +180,39 @@ def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
     return float(r @ r / spec.n + spec.lam * (beta @ beta))
 
 
+def _unique_indices(values) -> np.ndarray:
+    """Sorted distinct feature indices as an int array; 2, 2.0 and
+    np.int64(2) are all index 2, and a non-integral value raises."""
+    arr = np.fromiter(values, dtype=float)
+    whole = np.isfinite(arr) & (arr == np.round(arr))
+    if not whole.all():
+        raise InvalidArgumentError(
+            f"feature indices must be integers, got {arr[~whole][0]}"
+        )
+    return np.unique(arr.astype(np.intp))
+
+
 def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
     """Validate and sort a support set; returns an int array."""
-    idx = np.asarray(sorted(set(int(i) for i in S)), dtype=int)
+    idx = _unique_indices(S)
     if idx.size and (idx[0] < 0 or idx[-1] >= spec.p):
         raise InvalidArgumentError(
             f"support indices must lie in [0, {spec.p}), got {idx.tolist()}"
         )
     return idx
+
+
+def _check_zhat(zhat, p: int | None = None) -> np.ndarray:
+    """A fractional selection vector (length p when given), finite and in
+    [0, 1] up to 1e-9, clipped onto [0, 1]."""
+    zhat = np.asarray(zhat, dtype=float)
+    if zhat.ndim != 1 or (p is not None and zhat.shape != (p,)):
+        raise InvalidArgumentError(
+            f"zhat has shape {zhat.shape}, expected a 1-D vector of length p"
+        )
+    if not np.isfinite(zhat).all() or np.any(zhat < -1e-9) or np.any(zhat > 1 + 1e-9):
+        raise InvalidArgumentError("zhat entries must be finite and lie in [0, 1]")
+    return np.clip(zhat, 0.0, 1.0)
 
 
 def cholesky(K: np.ndarray) -> np.ndarray:

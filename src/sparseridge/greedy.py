@@ -31,6 +31,7 @@ from .core import (
     ProblemSpec,
     SparseEstimator,
     SpectralStats,
+    _check_zhat,
     restricted_estimator,
 )
 from .errors import InvalidArgumentError, NumericalError
@@ -196,11 +197,7 @@ def restricted_greedy(
     """
     if delta <= 0:
         raise InvalidArgumentError(f"delta must be positive, got {delta}")
-    zhat = np.asarray(zhat, dtype=float)
-    if zhat.shape != (spec.p,):
-        raise InvalidArgumentError(
-            f"zhat has shape {zhat.shape}, expected ({spec.p},)"
-        )
+    zhat = _check_zhat(zhat, spec.p)
     candidates = np.flatnonzero(zhat >= delta)
     if candidates.size == 0:
         warnings.warn(

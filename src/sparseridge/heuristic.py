@@ -223,9 +223,10 @@ def min_l1_given_level(spec: ProblemSpec, v_upper: float) -> np.ndarray:
     return _ElasticNetPath(spec).at_level(v_upper)
 
 
-def _count_zeros(beta: np.ndarray) -> int:
-    scale = max(1.0, float(np.abs(beta).max())) if beta.size else 1.0
-    return int(np.count_nonzero(np.abs(beta) <= ZERO_REL_TOL * scale))
+def _support(beta: np.ndarray) -> np.ndarray:
+    """Indices of the coefficients above ZERO_REL_TOL relative to max(1, max |beta_i|)."""
+    scale = max(1.0, float(np.abs(beta).max()))
+    return np.flatnonzero(np.abs(beta) > ZERO_REL_TOL * scale)
 
 
 def heuristic_bisection(
@@ -247,37 +248,26 @@ def heuristic_bisection(
     path = _ElasticNetPath(spec)
     lower = 0.0
     upper = float(y @ y) / n
-    incumbent_support: tuple[int, ...] = ()
+    incumbent_support = np.empty(0, dtype=int)
     trace = BisectionTrace()
-    it = 0
     while upper - lower > delta_hat:
-        it += 1
         q = 0.5 * (lower + upper)
         if q < ridge_min:
-            lower = q
-            trace.steps.append(
-                BisectionStep(
-                    iteration=it, lower=lower, upper=upper, q=q,
-                    l1_norm=math.inf, zeros=0, branch="up",
-                )
-            )
-            continue
-        beta_hat = path.at_level(q)
-        zeros = _count_zeros(beta_hat)
-        if zeros >= p - k:
+            l1_norm, zeros, attained = math.inf, 0, False
+        else:
+            beta_hat = path.at_level(q)
+            support = _support(beta_hat)
+            l1_norm, zeros = float(np.abs(beta_hat).sum()), p - support.size
+            attained = support.size <= k
+        if attained:
             upper = q
-            scale = max(1.0, float(np.abs(beta_hat).max()))
-            incumbent_support = tuple(
-                np.flatnonzero(np.abs(beta_hat) > ZERO_REL_TOL * scale).tolist()
-            )
-            branch = "down"
+            incumbent_support = support
         else:
             lower = q
-            branch = "up"
         trace.steps.append(
             BisectionStep(
-                iteration=it, lower=lower, upper=upper, q=q,
-                l1_norm=float(np.abs(beta_hat).sum()), zeros=zeros, branch=branch,
+                iteration=trace.iterations + 1, lower=lower, upper=upper, q=q,
+                l1_norm=l1_norm, zeros=zeros, branch="down" if attained else "up",
             )
         )
     est = restricted_estimator(spec, incumbent_support)

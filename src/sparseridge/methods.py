@@ -18,7 +18,7 @@ import functools
 import inspect
 
 from .core import ProblemSpec, SparseEstimator
-from .errors import ConvergenceError, InvalidArgumentError, SparseRidgeError
+from .errors import ConvergenceError, InvalidArgumentError
 from .exact import branch_and_bound, brute_force
 from .greedy import greedy_select, restricted_greedy
 from .heuristic import heuristic_bisection
@@ -50,12 +50,9 @@ def _fit_randomized(
     trials: int = 100,
     seed: int = 0,
 ) -> SparseEstimator:
-    result = randomized_solve(
+    return randomized_solve(
         spec, _relax_z(spec), trials=trials, seed=seed, repair=True
-    )
-    if result.best_repaired is None:
-        raise SparseRidgeError("randomized rounding returned no repaired estimator")
-    return result.best_repaired
+    ).best_repaired
 
 
 def _fit_heuristic(spec: ProblemSpec, delta: float = 1e-6) -> SparseEstimator:

@@ -23,6 +23,7 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
+    _check_zhat,
     _support_fit,
     restricted_estimator,
     ridge_objective,
@@ -72,15 +73,6 @@ class RandomizedResult:
             out["repaired_value"] = self.best_repaired.objective
             out["repaired_support"] = list(self.best_repaired.support)
         return out
-
-
-def _check_zhat(zhat: np.ndarray, p: int | None = None) -> np.ndarray:
-    zhat = np.asarray(zhat, dtype=float)
-    if zhat.ndim != 1 or (p is not None and zhat.shape != (p,)):
-        raise InvalidArgumentError("zhat must be a 1-D vector of length p")
-    if np.any(zhat < -1e-9) or np.any(zhat > 1 + 1e-9):
-        raise InvalidArgumentError("zhat entries must lie in [0, 1]")
-    return np.clip(zhat, 0.0, 1.0)
 
 
 def _check_seed(seed) -> int:

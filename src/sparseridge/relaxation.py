@@ -13,13 +13,14 @@ formulation they relax:
   capped box.
 
 ``v2`` and ``v4`` coincide (one is an exact reformulation of the other),
-which the test suite exploits as a cross-solver check.  The perspective
+so v2 is computed by v4's solver; the test suite checks the two against an
+independent alternating-minimization reference.  The perspective
 constraint set is the convex hull of its mixed-binary counterpart, so v2
 cannot be improved by adding valid inequalities in the same variables;
 tightening requires outside information such as the big-M bounds (v3).
-All solvers are first order and share two loops: projected gradient with
+All solvers are first order, with one loop each: projected gradient with
 Armijo backtracking (constant 1e-4, step halving) for ``v1``/``v4``, and
-exact alternating minimization for ``v2``/``v3`` whose z-subproblem is the
+exact alternating minimization for ``v3`` whose z-subproblem is the
 water-filling allocation below.
 
 v1, v2 and v4 carry one certificate.  Their objectives are convex (f(z) of
@@ -50,7 +51,7 @@ import numpy as np
 # cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4).
 from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
-from .core import ProblemSpec, RidgeSystem
+from .core import ProblemSpec, RidgeSystem, _support_fit, _unique_indices
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
 ARMIJO_C = 1e-4
@@ -160,8 +161,9 @@ def waterfill_z(
         lower = np.zeros(p)
     else:
         lower = np.asarray(lower, dtype=float)
-        if lower.shape != (p,) or np.any(lower < -1e-15) or np.any(lower > 1 + 1e-12):
-            raise InvalidArgumentError("lower bounds must lie in [0, 1]")
+        if (lower.shape != (p,) or not np.isfinite(lower).all()
+                or np.any(lower < -1e-15) or np.any(lower > 1 + 1e-12)):
+            raise InvalidArgumentError("lower bounds must be finite and lie in [0, 1]")
         lower = np.clip(lower, 0.0, 1.0)
     if lower.sum() > k + 1e-9:
         raise InvalidArgumentError(
@@ -283,8 +285,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
 def _masked_sets(spec, fixed_one, fixed_zero):
     """Sorted fixed-one indices and the free ones; the sets must be disjoint,
     in range and hold at most k ones."""
-    one = np.unique(np.fromiter(fixed_one, dtype=np.intp))
-    zero = np.unique(np.fromiter(fixed_zero, dtype=np.intp))
+    one, zero = _unique_indices(fixed_one), _unique_indices(fixed_zero)
     if np.intersect1d(one, zero).size:
         raise InvalidArgumentError("fixed_one and fixed_zero must be disjoint")
     fixed = np.concatenate([one, zero])
@@ -357,19 +358,6 @@ def solve_v4(
     )
 
 
-def _weighted_ridge(spec: ProblemSpec, z: np.ndarray) -> np.ndarray:
-    """argmin (1/n)||y - X b||^2 + lam*sum(b_i^2 / z_i); b_i = 0 where z_i ~ 0.
-
-    One :class:`~sparseridge.core.RidgeSystem` on the active set, weights z;
-    the system picks the |active| x |active| or the n x n side.
-    """
-    beta = np.zeros(spec.p)
-    active = np.flatnonzero(z > _Z_FLOOR)
-    system = RidgeSystem(spec.X[:, active], z[active], spec.n * spec.lam)
-    beta[active] = system.fit(spec.y)
-    return beta
-
-
 def _perspective_value(spec: ProblemSpec, beta: np.ndarray, z: np.ndarray) -> float:
     r = spec.y - spec.X @ beta
     pen = np.zeros_like(beta)
@@ -378,54 +366,17 @@ def _perspective_value(spec: ProblemSpec, beta: np.ndarray, z: np.ndarray) -> fl
     return float(r @ r / spec.n + spec.lam * pen.sum())
 
 
-def _alternate(spec, beta_step, lower_of, tol, max_iter) -> RelaxationSolution:
-    """Exact alternating minimization of the perspective objective.
-
-    Each cycle takes ``beta = beta_step(z, beta)`` and then water-fills z
-    above ``lower_of(beta)``; it stops when a cycle decreases the value by
-    at most ``tol``.  The initial z is interior so no coordinate is pinned
-    to the 0/0 face by accident.
-    """
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
-    z = np.full(spec.p, min(1.0, spec.k / spec.p))
-    beta = np.zeros(spec.p)
-    prev = val = decrease = np.inf
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        beta = beta_step(z, beta)
-        z = waterfill_z(beta, spec.k, lower=lower_of(beta))
-        val = _perspective_value(spec, beta, z)
-        decrease = prev - val
-        if decrease <= tol:
-            converged = True
-            break
-        prev = val
-    return RelaxationSolution(
-        z=z, value=val, iterations=iters,
-        kkt_residual=float(abs(decrease)) if np.isfinite(decrease) else np.inf,
-        converged=converged, beta=beta,
-    )
-
-
-def solve_v2_perspective(
-    spec: ProblemSpec, tol: float = 1e-9, max_iter: int = 50000
-) -> RelaxationSolution:
-    """Perspective relaxation value by exact alternating minimization.
+def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
+    """Perspective relaxation value, solved as v4 (the two coincide).
 
     With the auxiliary bound mu_i eliminated (mu_i = beta_i^2 / z_i at any
-    optimum), the beta-step is a weighted ridge solve and the z-step is
-    water-filling.  Stops when a full cycle decreases the value by at most
-    ``tol``.  ``lower_bound`` is v4's supporting hyperplane at the final z
-    (valid because v2 == v4), from one more f/gradient evaluation.
+    optimum), v2 is f(z) minimized over the capped box, which is v4.  The
+    value, z, certificate and convergence are :func:`solve_v4`'s; ``beta`` is
+    the perspective minimizer at that z, diag(z) X^T A(z)^-1 y.
     """
-    sol = _alternate(
-        spec, lambda z, _: _weighted_ridge(spec, z), lambda _: None, tol, max_iter
-    )
-    f, g = _value_grad(spec, sol.z)
-    lower_bound = f - _capped_box_gap(sol.z, g, spec.k)
-    return replace(sol, kkt_residual=sol.value - lower_bound, lower_bound=lower_bound)
+    sol = solve_v4(spec)
+    _, u = _value_dual(spec, sol.z)
+    return replace(sol, beta=sol.z * (spec.X.T @ u))
 
 
 def _positive_bounds(M: BigMVector, tol: float) -> np.ndarray:
@@ -473,7 +424,7 @@ def solve_v1(
         top = np.partition(np.abs(g) * Mv, spec.p - k)[spec.p - k:]
         return float(g @ b) + float(top.sum())
 
-    beta0 = _project_weighted_l1_box(_weighted_ridge(spec, np.ones(spec.p)), Mv, k)
+    beta0 = _project_weighted_l1_box(_support_fit(spec, np.arange(spec.p))[0], Mv, k)
     beta, val, iters, gap_val, converged = _projected_gradient(
         fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), gap, beta0, tol, max_iter
     )
@@ -535,17 +486,32 @@ def solve_v3(
     tol: float = 1e-9,
     max_iter: int = 20000,
 ) -> RelaxationSolution:
-    """Perspective-plus-big-M relaxation value by alternating minimization.
+    """Perspective-plus-big-M relaxation value by exact alternating minimization.
 
-    The beta-step is a box-constrained weighted ridge solved exactly by an
-    active set on RidgeSystem; the z-step is water-filling with per-coordinate
-    lower bounds |beta_i| / M_i keeping the linking constraints feasible.
+    Each cycle takes the beta-step, a box-constrained weighted ridge solved
+    exactly by an active set on RidgeSystem, and then the z-step,
+    water-filling with per-coordinate lower bounds |beta_i| / M_i that keep
+    the linking constraints feasible; it stops when a cycle decreases the
+    value by at most ``tol``.  The initial z is interior so no coordinate is
+    pinned to the 0/0 face by accident.
     """
     Mv = _positive_bounds(M, tol)
-    return _alternate(
-        spec,
-        lambda z, beta: _box_weighted_ridge(spec, z, Mv, beta),
-        lambda beta: np.abs(beta) / Mv,
-        tol,
-        max_iter,
+    z = np.full(spec.p, min(1.0, spec.k / spec.p))
+    beta = np.zeros(spec.p)
+    prev = val = decrease = np.inf
+    converged = False
+    iters = 0
+    for iters in range(1, max_iter + 1):
+        beta = _box_weighted_ridge(spec, z, Mv, beta)
+        z = waterfill_z(beta, spec.k, lower=np.abs(beta) / Mv)
+        val = _perspective_value(spec, beta, z)
+        decrease = prev - val
+        if decrease <= tol:
+            converged = True
+            break
+        prev = val
+    return RelaxationSolution(
+        z=z, value=val, iterations=iters,
+        kkt_residual=float(abs(decrease)) if np.isfinite(decrease) else np.inf,
+        converged=converged, beta=beta,
     )

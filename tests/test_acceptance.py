@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from helpers import identity_pair_spec, random_spec
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, perspective_alternating
 from sparseridge import (
     BigMVector,
     ProblemSpec,
@@ -82,7 +82,7 @@ def test_criterion_02_relaxation_equivalence():
     all_converged = True
     for spec in _relaxation_corpus(50, seed=101):
         v4 = solve_v4(spec)
-        v2 = solve_v2_perspective(spec)
+        v2 = perspective_alternating(spec)
         all_converged &= v4.converged and v2.converged
         if v4.converged and v2.converged:
             worst = max(worst, abs(v2.value - v4.value) / (1 + v4.value))

@@ -8,11 +8,13 @@ from helpers import random_spec
 from sparseridge import (
     ConvergenceError,
     InvalidArgumentError,
+    ProblemSpec,
     RelaxationSolution,
     fit,
     gcv_select,
 )
 from sparseridge.cli import main
+from sparseridge.data_io import load_dataset_csv
 
 
 @pytest.fixture
@@ -59,6 +61,20 @@ def test_fit_methods(tmp_path, data_csv, method):
     assert len(payload["support"]) <= 3
     assert payload["objective"] > 0
     assert len(payload["beta"]) == 8
+
+
+def test_fit_randomized_defaults(tmp_path, data_csv):
+    out = tmp_path / "fit.json"
+    assert main([
+        "fit", "--input", str(data_csv), "--lambda", "0.1", "--k", "3",
+        "--method", "randomized", "--out", str(out),
+    ]) == 0
+    payload = json.loads(out.read_text())
+    spec = ProblemSpec(data=load_dataset_csv(str(data_csv)), lam=0.1, k=3)
+    est = fit(spec, "randomized", trials=100, seed=0)
+    assert payload["support"] == list(est.support)
+    assert payload["objective"] == est.objective
+    assert payload["beta"] == est.beta.tolist()
 
 
 @pytest.mark.parametrize("method", ["restricted", "randomized"])
@@ -229,6 +245,16 @@ class TestExitCodes:
             "--lambda", "0.1", "--k", "1", "--method", "greedy",
             "--out", str(tmp_path / "x.json"),
         ]) == 2
+
+    @pytest.mark.parametrize("method, flag", [("greedy", "--trials"), ("greedy", "--delta"),
+                                              ("randomized", "--delta"), ("heuristic", "--seed")])
+    def test_option_the_method_does_not_take(self, tmp_path, data_csv, method, flag):
+        out = tmp_path / "x.json"
+        assert main([
+            "fit", "--input", str(data_csv), "--lambda", "0.1", "--k", "2",
+            "--method", method, flag, "5", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("level", ["nan", "inf"])
     def test_non_finite_big_m_level(self, tmp_path, data_csv, level):

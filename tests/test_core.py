@@ -118,6 +118,24 @@ class TestRestrictedEstimator:
             resid = (Xs.T @ Xs + spec.n * spec.lam * np.eye(3)) @ est.beta[S] - rhs
             assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(rhs)
 
+    @pytest.mark.parametrize("S", [[1.5], {2.7}, [0, np.nan]],
+                             ids=["fraction", "set_fraction", "nan"])
+    def test_non_integral_index_rejected(self, rng, S):
+        spec = random_spec(rng, 10, 6, 2, 0.1)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            restricted_estimator(spec, S)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            mic_value(spec, set(S))
+
+    def test_integral_indices_accepted(self, rng):
+        spec = random_spec(rng, 10, 6, 2, 0.1)
+        ref = restricted_estimator(spec, [0, 2])
+        for S in ([2.0, 0], [np.int64(2), np.int64(0)], {0.0, 2}):
+            est = restricted_estimator(spec, S)
+            assert est.support == (0, 2)
+            assert est.beta.tobytes() == ref.beta.tobytes()
+            assert mic_value(spec, set(S)) == ref.objective
+
     def test_objective_field_consistent(self, rng):
         spec = random_spec(rng, 14, 7, 3, 0.2)
         est = restricted_estimator(spec, [0, 2, 5])

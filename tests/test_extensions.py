@@ -45,6 +45,11 @@ class TestGcvScore:
         hdiag, _ = hat_diagonal_oracle(spec.X, spec.y, 0.05, [0, 1, 5])
         assert np.all(hdiag >= 0.0) and np.all(hdiag < 1.0)
 
+    def test_non_integral_index_rejected(self, rng):
+        spec = random_spec(rng, 15, 5, 2, 0.2)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            gcv_score(spec, [0.5], lam=0.2)
+
     def test_degenerate_hat_detected(self):
         X = np.eye(2)
         spec = ProblemSpec(data=Dataset(X=X, y=np.ones(2)), lam=1e-16, k=2)

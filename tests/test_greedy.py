@@ -274,6 +274,14 @@ class TestRestrictedGreedy:
         with pytest.raises(InvalidArgumentError):
             restricted_greedy(spec, np.full(4, 0.5), delta=0.0)
 
+    @pytest.mark.parametrize("zhat", [np.full(4, -5.0), np.full(4, 7.0),
+                                      np.array([0.5, np.nan, 0.5, 0.5])],
+                             ids=["negative", "above_one", "nan"])
+    def test_invalid_zhat(self, rng, zhat):
+        spec = random_spec(rng, 10, 4, 2, 0.2)
+        with pytest.raises(InvalidArgumentError, match="finite and lie in"):
+            restricted_greedy(spec, zhat)
+
 
 class TestRatioBound:
     def test_identity_pair_closed_form(self):

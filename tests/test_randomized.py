@@ -41,6 +41,10 @@ class TestRounding:
         with pytest.raises(InvalidArgumentError):
             randomized_round(np.array([0.5, 1.2]), 0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            randomized_round(np.array([0.5, np.nan]), 0)
+
 
 class TestCardinalityBound:
     def test_reference_values(self):
@@ -76,6 +80,11 @@ class TestRandomizedSolve:
         res = randomized_solve(spec, zhat, trials=1, seed=9)
         assert res.best.support == (1, 4)
         assert res.best.value == pytest.approx(mic_value(spec, {1, 4}), rel=1e-12)
+
+    def test_nan_zhat_rejected(self, rng):
+        spec = random_spec(rng, 12, 4, 2, 0.2)
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            randomized_solve(spec, np.array([0.5, np.nan, 0.5, 0.5]), trials=3)
 
     def test_repair_enforces_budget(self, rng):
         spec = random_spec(rng, 20, 10, 3, 0.15)

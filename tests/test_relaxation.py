@@ -11,6 +11,7 @@ from helpers import identity_pair_spec, masked_nodes, random_spec
 from oracles import (
     box_weighted_ridge_cd,
     finite_difference_gradient,
+    perspective_alternating,
     projected_objective_exact,
     projection_tau_bisection,
     subset_value_oracle,
@@ -107,6 +108,10 @@ class TestWaterfill:
     def test_infeasible_lower_bounds(self):
         with pytest.raises(InvalidArgumentError):
             waterfill_z(np.ones(3), 1.0, lower=np.array([0.5, 0.5, 0.5]))
+
+    def test_nan_lower_bound_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            waterfill_z(np.ones(3), 1.0, lower=np.array([0.1, np.nan, 0.1]))
 
 
 class TestBigM:
@@ -250,7 +255,7 @@ class TestProjectedValueSolver:
         sol = solve_v4(spec)
         star = brute_force(spec)
         assert sol.value <= star.objective + 1e-6
-        other = solve_v2_perspective(spec)
+        other = perspective_alternating(spec)
         assert abs(sol.value - other.value) <= 1e-5 * (1.0 + sol.value)
 
     def test_nonconvergence_flagged(self, rng):
@@ -282,13 +287,19 @@ class TestProjectedValueSolver:
         assert sol.z[1] == 1.0
         assert sol.z[4] == 0.0
         assert sol.z.sum() <= spec.k + 1e-9
+        # Integral floats and numpy integers name the same coordinates.
+        same = solve_v4(spec, fixed_one=(1.0,), fixed_zero=(np.int64(4),))
+        assert same.z.tobytes() == sol.z.tobytes()
 
     @pytest.mark.parametrize("fixed_one, fixed_zero, message", [
         ((1, 2), (2, 4), "disjoint"),
         ((6,), (), "out of range"),
         ((), (0, -1), "out of range"),
         ((0, 1, 2, 3), (), "budget k"),
-    ], ids=["overlap", "index_p", "negative_index", "more_ones_than_k"])
+        ((1.5,), (), "integers"),
+        ((), (2, 0.5), "integers"),
+    ], ids=["overlap", "index_p", "negative_index", "more_ones_than_k",
+            "fractional_one", "fractional_zero"])
     def test_rejects_bad_fixing(self, rng, fixed_one, fixed_zero, message):
         spec = random_spec(rng, 10, 6, 3, 0.2)
         with pytest.raises(InvalidArgumentError, match=message):
@@ -339,7 +350,7 @@ class TestPerspectiveSolver:
 
     def test_matches_projected_solver(self, rng):
         spec = random_spec(rng, 20, 10, 4, 0.1)
-        v2 = solve_v2_perspective(spec)
+        v2 = perspective_alternating(spec)
         v4 = solve_v4(spec)
         assert abs(v2.value - v4.value) <= 1e-5 * (1.0 + v4.value)
 
@@ -350,6 +361,10 @@ class TestPerspectiveSolver:
         assert np.all(sol.z <= 1.0 + 1e-12)
         nz = np.abs(sol.beta) > 0
         assert np.all(sol.z[nz] > 0)
+        # beta is the perspective minimizer at z, so it attains the value.
+        r = spec.y - spec.X @ sol.beta
+        attained = r @ r / spec.n + spec.lam * np.sum(sol.beta[nz] ** 2 / sol.z[nz])
+        assert attained == pytest.approx(sol.value, rel=1e-10)
 
 
 class TestBigMSolver:
@@ -490,7 +505,7 @@ class TestCertifiedGap:
             v2 = solve_v2_perspective(spec)
             # Bounds valid at the greedy level, tight enough that v1's budget can bind.
             M = big_m(spec, v_upper=greedy_select(spec)[0].objective)
-            solves += [(solve_v1(spec, M, tol=1e-8), 1e-8), (v2, None)]
+            solves += [(solve_v1(spec, M, tol=1e-8), 1e-8), (v2, 1e-7)]
             # v2 == v4, and each value is attained, so each bound lies below both.
             top = min(v2.value, v4.value) * (1.0 + 1e-12)
             assert v2.lower_bound <= top and v4.lower_bound <= top
@@ -499,7 +514,7 @@ class TestCertifiedGap:
             assert sol.kkt_residual == sol.value - sol.lower_bound
             # A gap at a feasible point is nonnegative, up to rounding.
             assert sol.kkt_residual >= -1e-12 * (1.0 + abs(sol.value))
-            if tol is not None and sol.converged:  # v2 stops on its cycle decrease
+            if sol.converged:
                 assert sol.kkt_residual <= tol * (1.0 + abs(sol.value))
 
 
