@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,12 +88,8 @@ class ProblemSpec:
     k: int
 
     def __post_init__(self) -> None:
-        lam = float(self.lam)
-        if not math.isfinite(lam) or lam <= 0.0:
-            raise InvalidArgumentError(f"lam must be positive and finite, got {lam}")
-        k = int(self.k)
-        if k != self.k:
-            raise InvalidArgumentError(f"k must be an integer, got {self.k}")
+        lam = _check_positive("lam", self.lam)
+        k = _check_integer("k", self.k)
         if not 1 <= k <= min(self.data.n, self.data.p):
             raise InvalidArgumentError(
                 f"k must satisfy 1 <= k <= min(n, p) = "
@@ -165,6 +162,21 @@ class SpectralStats:
     theta: dict[int, float] = field(default_factory=dict)
     underline_theta: float = 0.0
     mode: str = "exact"
+
+
+def _check_positive(name: str, value) -> float:
+    """``value`` as a float; raises unless it is positive and finite (NaN fails)."""
+    value = float(value)
+    if not (math.isfinite(value) and value > 0.0):
+        raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; 2, 2.0 and np.int64(2) pass, and 2.5, NaN or "2" raise."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
@@ -267,24 +279,23 @@ class RidgeSystem:
             K.ravel()[:: m + 1] += nlam * (1.0 / w)
         self._chol = cholesky(K)
 
-    def fit(self, y: np.ndarray) -> np.ndarray:
-        """b for the right side X_S^T y.  On the n x n side b = W X_S^T A^-1 y
-        directly, which avoids Woodbury's cancellation when nlam is small."""
-        if self.wide:
-            return self.w * (self.Xs.T @ cholesky_solve(self._chol, y))
-        return cholesky_solve(self._chol, self.Xs.T @ y)
+    def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """b for the right side X_S^T y, u = A^-1 y and the value of the fit.
 
-    def fit_dual(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``fit(y)`` together with u = A^-1 y, A = nlam*I + X_S diag(w) X_S^T.
-
-        On the m x m side u = (y - X_S b) / nlam; on the n x n side u comes
-        from the factor, because that residual cancels when nlam is small.
+        A = nlam*I + X_S diag(w) X_S^T.  On the m x m side u = (y - X_S b)/nlam;
+        on the n x n side b = W X_S^T u, which avoids Woodbury's cancellation
+        when nlam is small.  The value (||y - X_S b||^2 + nlam*sum(b_i^2/w_i))/n
+        (= nlam*y^T u/n) is stationary in b, so it rounds at machine level.
         """
         if self.wide:
             u = cholesky_solve(self._chol, y)
-            return self.w * (self.Xs.T @ u), u
-        b = cholesky_solve(self._chol, self.Xs.T @ y)
-        return b, (y - self.Xs @ b) / self.nlam
+            b = self.w * (self.Xs.T @ u)
+            r = y - self.Xs @ b
+        else:
+            b = cholesky_solve(self._chol, self.Xs.T @ y)
+            r = y - self.Xs @ b
+            u = r / self.nlam
+        return b, u, float(r @ r + self.nlam * (b @ (b / self.w))) / y.size
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """b for any right side r (m or m x c); Woodbury on the n x n side."""
@@ -298,13 +309,12 @@ class RidgeSystem:
 
 def _support_fit(spec: ProblemSpec, idx: np.ndarray) -> tuple[np.ndarray, float]:
     """Length-p ridge solution restricted to ``idx`` (no budget check) and its
-    ridge objective, from the residual on the support only."""
-    Xs = spec.X[:, idx]
-    b = RidgeSystem(Xs, np.ones(idx.size), spec.n * spec.lam).fit(spec.y)
-    r = spec.y - Xs @ b
+    ridge objective."""
+    system = RidgeSystem(spec.X[:, idx], np.ones(idx.size), spec.n * spec.lam)
+    b, _, value = system.fit(spec.y)
     beta = np.zeros(spec.p)
     beta[idx] = b
-    return beta, float(r @ r / spec.n + spec.lam * (b @ b))
+    return beta, value
 
 
 def restricted_estimator(spec: ProblemSpec, S) -> SparseEstimator:
@@ -319,12 +329,8 @@ def restricted_estimator(spec: ProblemSpec, S) -> SparseEstimator:
         raise BudgetExceededError(
             f"support of size {idx.size} exceeds the budget k={spec.k}"
         )
-    beta, _ = _support_fit(spec, idx)
-    return SparseEstimator(
-        support=tuple(idx.tolist()),
-        beta=beta,
-        objective=ridge_objective(spec, beta),
-    )
+    beta, value = _support_fit(spec, idx)
+    return SparseEstimator(support=tuple(idx.tolist()), beta=beta, objective=value)
 
 
 def _support_from_z(spec: ProblemSpec, z) -> np.ndarray:
@@ -379,7 +385,7 @@ def theta(
     ``upper_bound`` mode returns the sum of the ``s`` largest squared column
     norms, which dominates the exact value.
     """
-    s = int(s)
+    s = _check_integer("s", s)
     if not 1 <= s <= spec.p:
         raise InvalidArgumentError(f"s must lie in [1, {spec.p}], got {s}")
     if mode == "upper_bound":

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _clean_support
+from .core import (
+    Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _check_positive, _clean_support,
+)
 from .errors import DegenerateHatError, InvalidArgumentError, SparseRidgeError
 from .methods import check_options, fit
 
@@ -76,12 +78,11 @@ class PrecisionMapping:
 
 def gcv_score(spec: ProblemSpec, S, lam: float) -> float:
     """Generalized cross-validation score of support S at ridge weight lam."""
-    if lam <= 0:
-        raise InvalidArgumentError(f"lam must be positive, got {lam}")
+    _check_positive("lam", lam)
     idx = _clean_support(spec, S)
     Xs = spec.X[:, idx]
     system = RidgeSystem(Xs, np.ones(idx.size), spec.n * lam)
-    yhat = Xs @ system.fit(spec.y)
+    yhat = Xs @ system.fit(spec.y)[0]
     # diag(H) via H_ii = row_i K^{-1} row_i^T
     hdiag = np.sum(Xs * system.solve(Xs.T).T, axis=1)
     denom = 1.0 - hdiag

@@ -31,6 +31,7 @@ from .core import (
     ProblemSpec,
     SparseEstimator,
     SpectralStats,
+    _check_positive,
     _check_zhat,
     restricted_estimator,
 )
@@ -195,8 +196,7 @@ def restricted_greedy(
     candidates survive the filter, all of them are selected and a warning
     is emitted; an empty candidate set returns the zero estimator.
     """
-    if delta <= 0:
-        raise InvalidArgumentError(f"delta must be positive, got {delta}")
+    _check_positive("delta", delta)
     zhat = _check_zhat(zhat, spec.p)
     candidates = np.flatnonzero(zhat >= delta)
     if candidates.size == 0:

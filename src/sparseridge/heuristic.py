@@ -31,6 +31,7 @@ from .core import (
     ProblemSpec,
     RidgeSystem,
     SparseEstimator,
+    _check_positive,
     mic_value,
     restricted_estimator,
 )
@@ -240,8 +241,7 @@ def heuristic_bisection(
     Terminates in at most floor(log2(||y||^2 / (n*delta_hat))) + 1
     iterations.  All levels are read off one elastic-net path.
     """
-    if delta_hat <= 0:
-        raise InvalidArgumentError(f"delta_hat must be positive, got {delta_hat}")
+    _check_positive("delta_hat", delta_hat)
     p, k, n, y = spec.p, spec.k, spec.n, spec.y
     # Unconstrained ridge minimum: levels below it are unattainable outright.
     ridge_min = mic_value(spec, np.ones(p))

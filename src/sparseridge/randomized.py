@@ -23,10 +23,10 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
+    _check_integer,
     _check_zhat,
     _support_fit,
     restricted_estimator,
-    ridge_objective,
 )
 from .errors import InvalidArgumentError
 
@@ -76,7 +76,7 @@ class RandomizedResult:
 
 
 def _check_seed(seed) -> int:
-    seed = int(seed)
+    seed = _check_integer("seed", seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     return seed
@@ -109,11 +109,12 @@ def cardinality_bound(k: int, alpha: float) -> float:
     return (1.0 + math.sqrt(3.0 * math.log(2.0 / alpha) / k)) * k
 
 
-def _repair(spec: ProblemSpec, support: np.ndarray, beta: np.ndarray) -> SparseEstimator:
+def _repair(spec: ProblemSpec, draw: RoundingOutcome, beta: np.ndarray) -> SparseEstimator:
     """Estimator of a draw from ``beta``, its fit on the drawn support: that fit
     within the budget; otherwise the k largest |beta_i| survive and are refit."""
-    if support.size <= spec.k:
-        return SparseEstimator(tuple(support.tolist()), beta, ridge_objective(spec, beta))
+    if draw.cardinality <= spec.k:
+        return SparseEstimator(draw.support, beta, draw.value)
+    support = np.array(draw.support)
     order = np.argsort(np.abs(beta[support]), kind="stable")
     keep = np.sort(support[order[support.size - spec.k:]])
     return restricted_estimator(spec, keep)
@@ -135,6 +136,7 @@ def randomized_solve(
     raw statistics; ``p_exceed_bound`` is the fraction of draws whose
     cardinality exceeds ``cardinality_bound(k, alpha)``.
     """
+    trials = _check_integer("trials", trials)
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     zhat = _check_zhat(zhat, spec.p)
@@ -155,7 +157,7 @@ def randomized_solve(
             seed=key,
         ))
         if repair:
-            repaired.append((_repair(spec, support, beta), value))
+            repaired.append((_repair(spec, draws[-1], beta), value))
     # min keeps the first of equal values: ties go to the lowest trial index
     best_rep, best_rep_raw = (
         min(repaired, key=lambda r: r[0].objective) if repair else (None, None)

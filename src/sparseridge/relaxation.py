@@ -14,7 +14,9 @@ formulation they relax:
 
 ``v2`` and ``v4`` coincide (one is an exact reformulation of the other),
 so v2 is computed by v4's solver; the test suite checks the two against an
-independent alternating-minimization reference.  The perspective
+independent alternating-minimization reference.  One ridge fit on supp z
+gives f(z) (the fit's value), its gradient (from u = A(z)^-1 y) and v2's
+beta (the fit itself).  The perspective
 constraint set is the convex hull of its mixed-binary counterpart, so v2
 cannot be improved by adding valid inequalities in the same variables;
 tightening requires outside information such as the big-M bounds (v3).
@@ -51,7 +53,7 @@ import numpy as np
 # cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4).
 from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
-from .core import ProblemSpec, RidgeSystem, _support_fit, _unique_indices
+from .core import ProblemSpec, RidgeSystem, _check_positive, _support_fit, _unique_indices
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
 ARMIJO_C = 1e-4
@@ -210,22 +212,18 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     return BigMVector(M=np.abs(a) + s, v_upper=v_up, rho=rho)
 
 
-def _value_dual(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(w) and u = A(w)^-1 y from one RidgeSystem on the support S of w.
-
-    f is the perspective objective at the fit b on S, which is stationary in b
-    and so rounds at machine level.
-    """
+def _value_dual(spec: ProblemSpec, w: np.ndarray):
+    """f(w), u = A(w)^-1 y, the support S of w and the perspective minimizer b
+    on S, all from one RidgeSystem fit on S (f(w) is that fit's value)."""
     # Exact zeros drop out, and so do weights too small for n*lam/w_i to be finite.
     S = np.flatnonzero(w > spec.n * spec.lam / np.finfo(float).max)
-    beta = np.zeros(spec.p)
-    beta[S], u = RidgeSystem(spec.X[:, S], w[S], spec.n * spec.lam).fit_dual(spec.y)
-    return _perspective_value(spec, beta, w), u
+    b, u, val = RidgeSystem(spec.X[:, S], w[S], spec.n * spec.lam).fit(spec.y)
+    return val, u, S, b
 
 
 def _value_grad(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
     """f(w) and its gradient -lam*(x_i^T A(w)^-1 y)^2."""
-    val, u = _value_dual(spec, w)
+    val, u, _, _ = _value_dual(spec, w)
     return val, -spec.lam * (spec.X.T @ u) ** 2
 
 
@@ -318,8 +316,7 @@ def solve_v4(
     ``z0`` must be a finite length-p vector; its free entries are projected
     onto the box.
     """
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
+    _check_positive("tol", tol)
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != (spec.p,) or not np.isfinite(z0).all():
@@ -331,7 +328,7 @@ def solve_v4(
     if free.size == 0 or budget <= 0 or budget >= free.size:
         if budget > 0:
             z[free] = 1.0  # f decreases in every coordinate: saturate the box
-        val, _ = _value_dual(spec, z)
+        val = _value_dual(spec, z)[0]
         return RelaxationSolution(
             z=z, value=val, iterations=0, kkt_residual=0.0, converged=True,
             lower_bound=val,
@@ -372,18 +369,19 @@ def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
     With the auxiliary bound mu_i eliminated (mu_i = beta_i^2 / z_i at any
     optimum), v2 is f(z) minimized over the capped box, which is v4.  The
     value, z, certificate and convergence are :func:`solve_v4`'s; ``beta`` is
-    the perspective minimizer at that z, diag(z) X^T A(z)^-1 y.
+    the perspective minimizer at that z, the fit on supp z.
     """
     sol = solve_v4(spec)
-    _, u = _value_dual(spec, sol.z)
-    return replace(sol, beta=sol.z * (spec.X.T @ u))
+    _, _, S, b = _value_dual(spec, sol.z)
+    beta = np.zeros(spec.p)
+    beta[S] = b
+    return replace(sol, beta=beta)
 
 
 def _positive_bounds(M: BigMVector, tol: float) -> np.ndarray:
     if np.any(M.M <= 0):
         raise InvalidArgumentError("all big-M entries must be positive")
-    if tol <= 0:
-        raise InvalidArgumentError("tol must be positive")
+    _check_positive("tol", tol)
     return M.M
 
 
@@ -456,7 +454,7 @@ def _box_weighted_ridge(
     # Random starts 1000x outside the box took at most 2.2(p + 1) passes.
     for _ in range(4 * spec.p + 4):
         free, held = np.flatnonzero(active & ~clamped), np.flatnonzero(clamped)
-        fit = RidgeSystem(X[:, free], z[free], nlam).fit(y - X[:, held] @ b[held])
+        fit = RidgeSystem(X[:, free], z[free], nlam).fit(y - X[:, held] @ b[held])[0]
         out = np.abs(fit) > bound[free]
         if out.any():
             cross = free[out]

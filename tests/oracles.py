@@ -249,7 +249,7 @@ def perspective_alternating(spec, tol=1e-9, max_iter=50000):
         beta = np.zeros(spec.p)
         active = np.flatnonzero(z > _Z_FLOOR)
         system = RidgeSystem(spec.X[:, active], z[active], spec.n * spec.lam)
-        beta[active] = system.fit(spec.y)
+        beta[active] = system.fit(spec.y)[0]
         z = waterfill_z(beta, spec.k)
         nz = beta != 0.0
         r = spec.y - spec.X @ beta

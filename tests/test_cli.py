@@ -256,6 +256,15 @@ class TestExitCodes:
         ]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("method", ["heuristic", "restricted"])
+    def test_nan_delta(self, tmp_path, data_csv, method):
+        out = tmp_path / "x.json"
+        assert main([
+            "fit", "--input", str(data_csv), "--lambda", "0.1", "--k", "2",
+            "--method", method, "--delta", "nan", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("level", ["nan", "inf"])
     def test_non_finite_big_m_level(self, tmp_path, data_csv, level):
         assert main([

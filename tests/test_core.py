@@ -49,7 +49,8 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             data.X[0, 0] = 5.0
 
-    @pytest.mark.parametrize("lam,k", [(0.0, 1), (-1.0, 1), (0.1, 0), (0.1, 3)])
+    @pytest.mark.parametrize("lam,k", [(0.0, 1), (-1.0, 1), (0.1, 0), (0.1, 3),
+                                       (np.nan, 1), (0.1, 1.5), (0.1, np.nan)])
     def test_spec_invariants(self, lam, k):
         with pytest.raises(InvalidArgumentError):
             ProblemSpec(data=Dataset(X=np.eye(2), y=np.ones(2)), lam=lam, k=k)
@@ -137,11 +138,12 @@ class TestRestrictedEstimator:
             assert mic_value(spec, set(S)) == ref.objective
 
     def test_objective_field_consistent(self, rng):
-        spec = random_spec(rng, 14, 7, 3, 0.2)
-        est = restricted_estimator(spec, [0, 2, 5])
-        assert est.objective == pytest.approx(
-            ridge_objective(spec, est.beta), rel=1e-12
-        )
+        for n, p in [(14, 7), (5, 12)]:  # p < n and p > n
+            spec = random_spec(rng, n, p, 3, 0.2)
+            est = restricted_estimator(spec, [0, 2, 5])
+            assert est.objective == pytest.approx(
+                ridge_objective(spec, est.beta), rel=1e-12
+            )
 
 
 class TestMicValue:
@@ -233,11 +235,17 @@ class TestRidgeSystem:
         Xs, w, nlam, rng = case
         y = rng.standard_normal(Xs.shape[0])
         expected = gauss_solve(self.dense(Xs, w, nlam), Xs.T @ y)
-        got = RidgeSystem(Xs, w, nlam).fit(y)
+        got, u, value = RidgeSystem(Xs, w, nlam).fit(y)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * (
             1.0 + np.abs(expected).max(initial=0.0)
         )
+        # u = A^-1 y with A = nlam*I + X_S diag(w) X_S^T, and value = lam*y^T u.
+        n = Xs.shape[0]
+        u_want = gauss_solve(nlam * np.eye(n) + (Xs * w) @ Xs.T, y)
+        assert np.abs(u - u_want).max() <= 1e-12 * (1.0 + np.abs(u_want).max())
+        value_want = nlam / n * float(y @ u_want)
+        assert abs(value - value_want) <= 1e-12 * (1.0 + value_want)
 
     @PROPERTY
     @given(case=ridge_systems())
@@ -274,12 +282,19 @@ class TestRidgeSystem:
     def test_empty_support(self):
         y = np.array([1.0, -2.0, 3.0])
         system = RidgeSystem(np.zeros((3, 0)), np.zeros(0), 2.0)
-        assert system.fit(y).shape == (0,)
-        b, u = system.fit_dual(y)
+        b, u, value = system.fit(y)
         assert b.shape == (0,) and np.array_equal(u, y / 2.0)
+        assert value == float(y @ y) / 3
 
 
 class TestSpectral:
+    @pytest.mark.parametrize("s", [2.5, np.nan, "2"], ids=["fraction", "nan", "string"])
+    @pytest.mark.parametrize("mode", ["exact", "upper_bound"])
+    def test_non_integral_size_rejected(self, rng, mode, s):
+        spec = random_spec(rng, 6, 4, 2, 0.1)
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            theta(spec, s, mode=mode)
+
     def test_identity_design(self):
         spec = identity_pair_spec(lam=0.1, k=1)
         assert theta(spec, 1, mode="exact") == pytest.approx(1.0, abs=1e-12)

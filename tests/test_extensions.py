@@ -50,6 +50,12 @@ class TestGcvScore:
         with pytest.raises(InvalidArgumentError, match="integers"):
             gcv_score(spec, [0.5], lam=0.2)
 
+    @pytest.mark.parametrize("lam", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+    def test_bad_weight_rejected(self, rng, lam):
+        spec = random_spec(rng, 15, 5, 2, 0.2)
+        with pytest.raises(InvalidArgumentError, match="lam"):
+            gcv_score(spec, [0, 1], lam=lam)
+
     def test_degenerate_hat_detected(self):
         X = np.eye(2)
         spec = ProblemSpec(data=Dataset(X=X, y=np.ones(2)), lam=1e-16, k=2)

@@ -274,6 +274,12 @@ class TestRestrictedGreedy:
         with pytest.raises(InvalidArgumentError):
             restricted_greedy(spec, np.full(4, 0.5), delta=0.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_delta_rejected(self, rng, delta):
+        spec = random_spec(rng, 10, 4, 2, 0.2)
+        with pytest.raises(InvalidArgumentError, match="delta"):
+            restricted_greedy(spec, np.full(4, 0.5), delta=delta)
+
     @pytest.mark.parametrize("zhat", [np.full(4, -5.0), np.full(4, 7.0),
                                       np.array([0.5, np.nan, 0.5, 0.5])],
                              ids=["negative", "above_one", "nan"])

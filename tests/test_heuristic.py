@@ -169,6 +169,12 @@ class TestBisection:
         with pytest.raises(InvalidArgumentError):
             heuristic_bisection(spec, delta_hat=0.0)
 
+    @pytest.mark.parametrize("delta_hat", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_tolerance_rejected(self, rng, delta_hat):
+        spec = random_spec(rng, 8, 3, 1, 0.1)
+        with pytest.raises(InvalidArgumentError, match="delta_hat"):
+            heuristic_bisection(spec, delta_hat=delta_hat)
+
 
 @st.composite
 def path_specs(draw):

@@ -86,6 +86,13 @@ class TestRandomizedSolve:
         with pytest.raises(InvalidArgumentError, match="finite"):
             randomized_solve(spec, np.array([0.5, np.nan, 0.5, 0.5]), trials=3)
 
+    @pytest.mark.parametrize("option", [{"trials": 2.5}, {"trials": np.nan}, {"seed": 2.5}],
+                             ids=["fractional_trials", "nan_trials", "fractional_seed"])
+    def test_non_integral_count_rejected(self, rng, option):
+        spec = random_spec(rng, 12, 4, 2, 0.2)
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            randomized_solve(spec, np.full(4, 0.5), **option)
+
     def test_repair_enforces_budget(self, rng):
         spec = random_spec(rng, 20, 10, 3, 0.15)
         zhat = np.full(10, 0.6)

@@ -393,6 +393,19 @@ class TestBigMSolver:
             solve_v1(spec, BigMVector(M=np.array([1.0, 0.0, 1.0]), v_upper=1.0, rho=1.0))
 
 
+@pytest.mark.parametrize("tol", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
+@pytest.mark.parametrize("which", ["v1", "v3", "v4"])
+def test_bad_tolerance_rejected(rng, which, tol):
+    spec = random_spec(rng, 8, 3, 1, 0.1)
+    solve = {
+        "v1": lambda: solve_v1(spec, big_m(spec), tol=tol),
+        "v3": lambda: solve_v3(spec, big_m(spec), tol=tol),
+        "v4": lambda: solve_v4(spec, tol=tol),
+    }[which]
+    with pytest.raises(InvalidArgumentError, match="tol"):
+        solve()
+
+
 class TestCombinedSolver:
     def test_tight_bounds_dominate_perspective(self):
         lam = 0.1
@@ -477,7 +490,7 @@ class TestBoxConstrainedStep:
                 self.m = Xs.shape[1]
 
             def fit(self, r):
-                return np.full(self.m, 1e3)
+                return np.full(self.m, 1e3), None, None
 
         monkeypatch.setattr(relaxation, "RidgeSystem", Overshoot)
         spec = identity_pair_spec(lam=0.1, k=1)
