@@ -103,11 +103,12 @@ def gcv_select(
     """Fit once per grid weight, score each fitted support, keep the minimizer.
 
     Grid points where the solver fails are excluded with a warning; score
-    ties break toward the smallest weight.  An unknown method or option
-    raises InvalidArgumentError before any fit.
+    ties break toward the smallest weight.  An empty grid, a weight that is
+    not positive and finite, or an unknown method or option raises
+    InvalidArgumentError before any fit.
     """
-    grid = tuple(float(g) for g in grid)
-    if not grid or any(g <= 0 for g in grid):
+    grid = tuple(_check_positive("grid weight", g) for g in grid)
+    if not grid:
         raise InvalidArgumentError("grid must be a non-empty list of positive lam")
     check_options(method, method_options)
     scores: list[float] = []

@@ -214,8 +214,11 @@ def min_l1_given_level(spec: ProblemSpec, v_upper: float) -> np.ndarray:
     Walks the exact elastic-net path down to the first point that meets the
     level; that point has the minimal L1 norm among level-feasible points.
     Raises :class:`InfeasibleLevelError` when ``v_upper`` is below the
-    unconstrained ridge minimum.
+    unconstrained ridge minimum, and :class:`InvalidArgumentError` when it
+    is NaN.
     """
+    if math.isnan(v_upper):
+        raise InvalidArgumentError("level v_upper must not be NaN")
     ridge_min = mic_value(spec, np.ones(spec.p))
     if v_upper < ridge_min - 1e-10 * (1.0 + abs(ridge_min)):
         raise InfeasibleLevelError(

@@ -20,9 +20,11 @@ beta (the fit itself).  The perspective
 constraint set is the convex hull of its mixed-binary counterpart, so v2
 cannot be improved by adding valid inequalities in the same variables;
 tightening requires outside information such as the big-M bounds (v3).
-All solvers are first order, with one loop each: projected gradient with
-Armijo backtracking (constant 1e-4, step halving) for ``v1``/``v4``, and
-exact alternating minimization for ``v3`` whose z-subproblem is the
+All solvers are first order, with one loop each: projected gradient for
+``v1``/``v4``, whose first trial step is the Barzilai-Borwein step s^T s /
+s^T y of the last move (Birgin, Martinez & Raydan, SIAM J. Optim. 2000)
+and which halves it until a monotone Armijo test (constant 1e-4) passes,
+and exact alternating minimization for ``v3`` whose z-subproblem is the
 water-filling allocation below.
 
 v1, v2 and v4 carry one certificate.  Their objectives are convex (f(z) of
@@ -53,7 +55,9 @@ import numpy as np
 # cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4).
 from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
-from .core import ProblemSpec, RidgeSystem, _check_positive, _support_fit, _unique_indices
+from .core import (
+    ProblemSpec, RidgeSystem, _check_integer, _check_positive, _support_fit, _unique_indices,
+)
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
 ARMIJO_C = 1e-4
@@ -245,11 +249,25 @@ def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
     return float(g @ z) - float(np.partition(g, budget - 1)[:budget].sum())
 
 
+def _check_stop(tol, max_iter) -> int:
+    """``max_iter`` as an int; raises unless ``tol`` is positive and finite and
+    ``max_iter`` is an integer of at least 1."""
+    _check_positive("tol", tol)
+    max_iter = _check_integer("max_iter", max_iter)
+    if max_iter < 1:
+        raise InvalidArgumentError(f"max_iter must be at least 1, got {max_iter}")
+    return max_iter
+
+
 def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
     """Monotone projected gradient with Armijo backtracking from ``x``.
 
-    The step doubles before each line search and halves until the Armijo
-    test passes.  Stops when the certified gap ``gap(x, grad)`` is at most
+    Each line search starts from the Barzilai-Borwein step s^T s / s^T y of
+    the move just accepted (s the change in x, y the change in the
+    gradient), capped at 1e12, and halves it until the Armijo test passes.
+    The first search starts at 2; when s^T y <= 0 (for a convex objective,
+    only when the gradient did not change) the last step is doubled
+    instead.  Stops when the certified gap ``gap(x, grad)`` is at most
     tol*(1 + |value|); as fault guards, also when no step makes progress or
     when the state (x, step) repeats (zero-decrease steps can cycle at the
     rounding floor).  Returns (x, value, iterations, gap, converged), value
@@ -257,12 +275,11 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
     """
     val, grad = fval_grad(x)
     seen = set()  # hashed (x, step) states after each move
-    step = 1.0
+    step = 2.0
     for iters in range(1, max_iter + 1):
         g = gap(x, grad)
         if g <= tol * (1.0 + abs(val)):
             return x, val, iters, g, True
-        step = min(step * 2.0, 1e12)
         while True:
             x_new = project(x - step * grad)
             val_new, grad_new = fval_grad(x_new)
@@ -276,6 +293,9 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
         if np.array_equal(x_new, x) or state in seen:
             return x, val, iters, g, False  # stationary to rounding, gap > tol
         seen.add(state)
+        s = x_new - x
+        sy = float(s @ (grad_new - grad))
+        step = min(float(s @ s) / sy if sy > 0.0 else step * 2.0, 1e12)
         x, val, grad = x_new, val_new, grad_new
     return x, val, max_iter, gap(x, grad), False
 
@@ -316,7 +336,7 @@ def solve_v4(
     ``z0`` must be a finite length-p vector; its free entries are projected
     onto the box.
     """
-    _check_positive("tol", tol)
+    max_iter = _check_stop(tol, max_iter)
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != (spec.p,) or not np.isfinite(z0).all():
@@ -378,10 +398,9 @@ def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
     return replace(sol, beta=beta)
 
 
-def _positive_bounds(M: BigMVector, tol: float) -> np.ndarray:
+def _positive_bounds(M: BigMVector) -> np.ndarray:
     if np.any(M.M <= 0):
         raise InvalidArgumentError("all big-M entries must be positive")
-    _check_positive("tol", tol)
     return M.M
 
 
@@ -411,7 +430,8 @@ def solve_v1(
     gap's minimum of grad^T w over that set puts |w_i| = M_i against the sign
     of grad_i on the k largest |grad_i|*M_i.
     """
-    Mv = _positive_bounds(M, tol)
+    Mv = _positive_bounds(M)
+    max_iter = _check_stop(tol, max_iter)
     X, y, n, lam, k = spec.X, spec.y, spec.n, spec.lam, spec.k
 
     def fval_grad(b):
@@ -493,7 +513,8 @@ def solve_v3(
     value by at most ``tol``.  The initial z is interior so no coordinate is
     pinned to the 0/0 face by accident.
     """
-    Mv = _positive_bounds(M, tol)
+    Mv = _positive_bounds(M)
+    max_iter = _check_stop(tol, max_iter)
     z = np.full(spec.p, min(1.0, spec.k / spec.p))
     beta = np.zeros(spec.p)
     prev = val = decrease = np.inf

@@ -110,6 +110,15 @@ class TestGcvSelect:
         assert np.isnan(report.scores[0])
         assert report.best_lambda == 0.2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1], ids=["nan", "inf", "zero", "negative"])
+    def test_bad_grid_weight_rejected_before_any_fit(self, rng, monkeypatch, bad):
+        spec = random_spec(rng, 20, 6, 2, 0.1)
+        fits = []
+        monkeypatch.setattr(ext, "fit", lambda *a, **kw: fits.append(a))
+        with pytest.raises(InvalidArgumentError, match="grid weight"):
+            gcv_select(spec.data, k=2, grid=[0.1, bad])
+        assert fits == []
+
     def test_all_points_failing_raises(self, rng, monkeypatch):
         spec = random_spec(rng, 10, 4, 2, 0.1)
 

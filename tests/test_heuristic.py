@@ -102,6 +102,11 @@ class TestMinL1GivenLevel:
         with pytest.raises(InfeasibleLevelError):
             min_l1_given_level(spec, full.objective * 0.5)
 
+    def test_nan_level_rejected(self, rng):
+        spec = random_spec(rng, 20, 6, 2, 0.3)
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            min_l1_given_level(spec, math.nan)
+
 
 class TestBisection:
     def test_tolerance_above_initial_gap(self, rng):

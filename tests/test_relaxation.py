@@ -25,8 +25,10 @@ from sparseridge import (
     NumericalDomainError,
     NumericalError,
     ProblemSpec,
+    SyntheticConfig,
     big_m,
     brute_force,
+    generate_synthetic,
     greedy_select,
     project_capped_simplex,
     restricted_estimator,
@@ -281,6 +283,23 @@ class TestProjectedValueSolver:
         )
         assert not converged and resid == 1.0 and iters < 100
 
+    def test_spectral_first_step_rarely_backtracks(self, monkeypatch):
+        # The Barzilai-Borwein first step is accepted on most iterations; a
+        # doubled step backtracks on nearly every one (2.0 evaluations each).
+        data, _, _, _ = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        evaluations = []
+        value_grad = relaxation._value_grad
+
+        def counted(*args):
+            evaluations.append(1)
+            return value_grad(*args)
+
+        monkeypatch.setattr(relaxation, "_value_grad", counted)
+        sol = solve_v4(spec)
+        assert sol.converged
+        assert len(evaluations) <= 1.5 * sol.iterations
+
     def test_masked_solve_respects_fixing(self, rng):
         spec = random_spec(rng, 10, 6, 3, 0.2)
         sol = solve_v4(spec, fixed_one=(1,), fixed_zero=(4,))
@@ -403,6 +422,19 @@ def test_bad_tolerance_rejected(rng, which, tol):
         "v4": lambda: solve_v4(spec, tol=tol),
     }[which]
     with pytest.raises(InvalidArgumentError, match="tol"):
+        solve()
+
+
+@pytest.mark.parametrize("max_iter", [0, -3, 2.5, np.nan], ids=["zero", "negative", "fraction", "nan"])
+@pytest.mark.parametrize("which", ["v1", "v3", "v4"])
+def test_bad_max_iter_rejected(rng, which, max_iter):
+    spec = random_spec(rng, 8, 3, 1, 0.1)
+    solve = {
+        "v1": lambda: solve_v1(spec, big_m(spec), max_iter=max_iter),
+        "v3": lambda: solve_v3(spec, big_m(spec), max_iter=max_iter),
+        "v4": lambda: solve_v4(spec, max_iter=max_iter),
+    }[which]
+    with pytest.raises(InvalidArgumentError, match="max_iter"):
         solve()
 
 
