@@ -23,12 +23,14 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import BudgetExceededError, EnumerationCapError, InvalidArgumentError
 
 DEFAULT_ENUMERATION_CAP = 10**6
+# Elements of the (m, s, s) stack gathered for one enumeration block: 512 KB
+# of floats, so a block's memory is bounded whatever C(p, s) is.
+_BLOCK_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -177,6 +179,14 @@ def _check_integer(name: str, value) -> int:
     if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_count(name: str, value) -> int:
+    """``value`` as an int; raises unless it is an integer >= 0 (see _check_integer)."""
+    value = _check_integer(name, value)
+    if value < 0:
+        raise InvalidArgumentError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
@@ -366,11 +376,22 @@ def mic_value(spec: ProblemSpec, z) -> float:
     return _support_fit(spec, _support_from_z(spec, z))[1]
 
 
-def _max_eig_gram(G: np.ndarray) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix."""
-    if G.shape[0] == 1:
-        return float(G[0, 0])
-    return float(eigvalsh(G, subset_by_index=[G.shape[0] - 1, G.shape[0] - 1])[0])
+def _subset_blocks(p: int, s: int):
+    """Every size-s subset of range(p), in ``itertools.combinations`` order,
+    as (m, s) int arrays; m <= max(1, _BLOCK_ELEMENTS // s^2), so an (m, s, s)
+    stack gathered per block stays within the element budget."""
+    m = max(1, _BLOCK_ELEMENTS // (s * s))
+    combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
+    while True:
+        block = np.fromiter(itertools.islice(combos, m * s), dtype=np.intp)
+        if block.size == 0:
+            return
+        yield block.reshape(-1, s)
+
+
+def _gram_blocks(G: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """The (m, s, s) stack of principal submatrices G[S_i, S_i] for the rows S_i of S."""
+    return G[S[:, :, None], S[:, None, :]]
 
 
 def theta(
@@ -381,11 +402,13 @@ def theta(
 ) -> float:
     """Largest eigenvalue of X_S X_S^T over all supports of size ``s``.
 
-    ``exact`` mode enumerates every size-s subset (requires C(p, s) <= cap);
+    ``exact`` mode enumerates every size-s subset (requires C(p, s) <= cap),
+    in blocks: one batched eigenvalue call per block of Gram submatrices.
     ``upper_bound`` mode returns the sum of the ``s`` largest squared column
     norms, which dominates the exact value.
     """
     s = _check_integer("s", s)
+    cap = _check_count("cap", cap)
     if not 1 <= s <= spec.p:
         raise InvalidArgumentError(f"s must lie in [1, {spec.p}], got {s}")
     if mode == "upper_bound":
@@ -401,9 +424,8 @@ def theta(
         )
     G = spec.X.T @ spec.X
     best = 0.0
-    for S in itertools.combinations(range(spec.p), s):
-        ix = np.asarray(S)
-        best = max(best, _max_eig_gram(G[np.ix_(ix, ix)]))
+    for S in _subset_blocks(spec.p, s):
+        best = max(best, float(np.linalg.eigvalsh(_gram_blocks(G, S))[:, -1].max()))
     return best
 
 
@@ -412,9 +434,11 @@ def underline_theta(spec: ProblemSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> fl
 
     Whenever p - k + 1 < n every size-(p-k+1) subset is rank deficient and
     the minimum is 0 without enumeration.  Otherwise all admissible sizes
-    are enumerated (their total count must stay within the cap).
+    are enumerated (their total count must stay within the cap), in blocks:
+    one batched eigenvalue call per stack of n x n matrices, n <= |T|.
     """
     n, p, k = spec.n, spec.p, spec.k
+    cap = _check_count("cap", cap)
     t_min = p - k + 1
     if t_min < n:
         return 0.0
@@ -424,12 +448,11 @@ def underline_theta(spec: ProblemSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> fl
             f"enumerating {total} subsets of size >= {t_min} exceeds the cap {cap}"
         )
     best = math.inf
-    X = spec.X
+    Xt = spec.X.T
     for t in range(t_min, p + 1):
-        for T in itertools.combinations(range(p), t):
-            Xt = X[:, np.asarray(T)]
-            G = Xt @ Xt.T
-            low = float(eigvalsh(G, subset_by_index=[0, 0])[0])
+        for T in _subset_blocks(p, t):
+            XT = Xt[T]  # (m, t, n): rows are the columns of X_T
+            low = float(np.linalg.eigvalsh(XT.transpose(0, 2, 1) @ XT)[:, 0].min())
             best = min(best, max(0.0, low))
     return float(best)
 
@@ -440,6 +463,7 @@ def spectral_stats(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SpectralStats:
     """theta_s for s = 0..k plus underline_theta, as one bundle."""
+    cap = _check_count("cap", cap)
     thetas = {0: 0.0}
     for s in range(1, spec.k + 1):
         thetas[s] = theta(spec, s, mode=mode, cap=cap)

@@ -1,7 +1,10 @@
 """Exact solvers: exhaustive enumeration and relaxation-bounded tree search.
 
 Enumeration is sound because the projected objective f(S) is non-increasing
-under support growth, so only supports of size exactly k need scoring.
+under support growth, so only supports of size exactly k need scoring.  It
+scores the supports in lexicographic blocks from one Gram X^T X: each block
+is one stacked k x k solve, and a block's memory is bounded whatever C(p, k)
+is.
 
 The branch-and-bound solver is one best-first loop over nodes that fix
 coordinates of the binary selection vector z at 1 or 0; each node is bounded
@@ -28,12 +31,13 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
-    cholesky,
-    cholesky_solve,
+    _check_count,
+    _gram_blocks,
+    _subset_blocks,
     mic_value,
     restricted_estimator,
 )
-from .errors import EnumerationCapError
+from .errors import EnumerationCapError, InvalidArgumentError
 from .greedy import greedy_select
 from .relaxation import solve_v4
 
@@ -48,28 +52,35 @@ RELAX_MAX_ITER = 20000
 def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimator:
     """Globally optimal estimator by scoring every size-k support.
 
-    Ties go to the lexicographically smallest support (first found).
+    G = X^T X, X^T y and y^T y are formed once.  The supports are scored in
+    lexicographic blocks (``core._subset_blocks``, a bounded (m, k, k) stack
+    each) by one stacked solve of (G_SS + n*lam*I) b = (X^T y)_S, whose value
+    is (y^T y - (X^T y)_S . b)/n.  Ties go to the lexicographically smallest
+    support: the first minimizer in a block, and a later block only when it
+    is strictly better.  The winner is refit by ``restricted_estimator``.
     Requires C(p, k) <= cap.
     """
-    n, p, k, lam = spec.n, spec.p, spec.k, spec.lam
+    cap = _check_count("cap", cap)
+    n, p, k = spec.n, spec.p, spec.k
     count = math.comb(p, k)
     if count > cap:
         raise EnumerationCapError(
             f"C({p}, {k}) = {count} exceeds the enumeration cap {cap}"
         )
     G = spec.X.T @ spec.X
+    G.ravel()[:: p + 1] += n * spec.lam  # every G_SS + nlam*I is a block of it
     c = spec.X.T @ spec.y
     yy = float(spec.y @ spec.y)
-    ridge = n * lam * np.eye(k)
-
-    # Not RidgeSystem: one Gram serves every subset, where mic_value re-forms X_S^T X_S.
-    def value(S: tuple[int, ...]) -> float:
-        ix = np.asarray(S)
-        b = cholesky_solve(cholesky(G[np.ix_(ix, ix)] + ridge), c[ix])
-        return (yy - float(c[ix] @ b)) / n
-
-    # min keeps the first minimizer, which is the lexicographically smallest
-    return restricted_estimator(spec, min(itertools.combinations(range(p), k), key=value))
+    best_val, best = math.inf, None
+    for S in _subset_blocks(p, k):
+        cS = c[S]
+        # the explicit trailing axis: a 2-D right side would be read as one matrix
+        b = np.linalg.solve(_gram_blocks(G, S), cS[..., None])[..., 0]
+        values = (yy - np.einsum("ij,ij->i", cS, b)) / n
+        i = int(np.argmin(values))
+        if values[i] < best_val:
+            best_val, best = values[i], S[i]
+    return restricted_estimator(spec, best)
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,10 @@ def branch_and_bound(
     index).  Hitting ``node_cap`` returns the incumbent with the remaining
     gap flagged (``optimal=False``).
     """
+    gap_tol = float(gap_tol)
+    if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
+        raise InvalidArgumentError(f"gap_tol must be finite and >= 0, got {gap_tol}")
+    node_cap = _check_count("node_cap", node_cap)
     incumbent, _ = greedy_select(spec)
     inc_val, inc_support = incumbent.objective, incumbent.support
 

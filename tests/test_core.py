@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,8 @@ from sparseridge import (
     theta,
     underline_theta,
 )
-from sparseridge.core import RidgeSystem
+from sparseridge import core
+from sparseridge.core import RidgeSystem, _subset_blocks
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -323,6 +327,18 @@ class TestSpectral:
         with pytest.raises(EnumerationCapError):
             theta(spec, 3, mode="exact", cap=10)
 
+    @pytest.mark.parametrize("cap", [math.nan, 2.5, -1], ids=["nan", "fraction", "negative"])
+    @pytest.mark.parametrize("quantity", ["theta", "underline_theta", "spectral_stats"])
+    def test_invalid_cap_rejected(self, rng, quantity, cap):
+        spec = random_spec(rng, 3, 6, 2, 0.1)
+        call = {
+            "theta": lambda: theta(spec, 2, cap=cap),
+            "underline_theta": lambda: underline_theta(spec, cap=cap),
+            "spectral_stats": lambda: spectral_stats(spec, cap=cap),
+        }[quantity]
+        with pytest.raises(InvalidArgumentError, match="cap"):
+            call()
+
     def test_underline_identity(self):
         spec = identity_pair_spec(lam=0.1, k=1)
         assert underline_theta(spec) == pytest.approx(1.0, abs=1e-12)
@@ -357,6 +373,33 @@ class TestSpectral:
         assert loose.underline_theta == 0.0
         for s in (1, 2, 3):
             assert loose.theta[s] >= stats.theta[s] - 1e-12
+
+
+class TestSubsetBlocks:
+    @pytest.mark.parametrize("p, s", [(1, 1), (4, 1), (5, 2), (6, 3), (4, 4), (7, 5)])
+    @pytest.mark.parametrize("budget", [1, 3, 8, 2**16])
+    def test_combinations_order(self, monkeypatch, p, s, budget):
+        # budget 1 is smaller than one subset (s^2 elements) once s > 1
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+        blocks = list(_subset_blocks(p, s))
+        m = max(1, budget // (s * s))
+        assert all(b.dtype == np.intp and b.ndim == 2 and b.shape[1] == s for b in blocks)
+        assert all(1 <= b.shape[0] <= m for b in blocks)
+        assert all(b.shape[0] == m for b in blocks[:-1])
+        rows = [tuple(row) for b in blocks for row in b.tolist()]
+        assert rows == list(itertools.combinations(range(p), s))
+
+    def test_blocked_theta_matches_oracles(self, rng, monkeypatch):
+        spec = random_spec(rng, 4, 7, 3, 0.1, signal=False)
+        whole = [theta(spec, s) for s in (1, 2, 3)] + [underline_theta(spec)]
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 5)
+        blocked = [theta(spec, s) for s in (1, 2, 3)] + [underline_theta(spec)]
+        assert blocked == pytest.approx(whole, rel=1e-12, abs=1e-14)
+        for s in (1, 2, 3):
+            assert whole[s - 1] == pytest.approx(max_subset_eig_oracle(spec.X, s), rel=1e-10)
+        assert whole[3] == pytest.approx(
+            min_large_subset_eig_oracle(spec.X, 3), rel=1e-9, abs=1e-12
+        )
 
 
 def test_normalize_columns(rng):

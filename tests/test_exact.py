@@ -1,5 +1,7 @@
 import itertools
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,8 +10,12 @@ from hypothesis import strategies as st
 
 from helpers import KINDS, identity_pair_spec, masked_nodes, random_spec
 from oracles import subset_value_oracle
+from sparseridge import core
 from sparseridge import (
+    Dataset,
     EnumerationCapError,
+    InvalidArgumentError,
+    ProblemSpec,
     branch_and_bound,
     brute_force,
     mic_value,
@@ -48,6 +54,64 @@ class TestBruteForce:
         spec = random_spec(rng, 20, 12, 4, 0.2)
         with pytest.raises(EnumerationCapError):
             brute_force(spec, cap=10)
+
+    @pytest.mark.parametrize("cap", [math.nan, 2.5, -1], ids=["nan", "fraction", "negative"])
+    def test_invalid_cap_rejected(self, rng, cap):
+        spec = random_spec(rng, 8, 5, 2, 0.2)
+        with pytest.raises(InvalidArgumentError, match="cap"):
+            brute_force(spec, cap=cap)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, core._BLOCK_ELEMENTS])
+    def test_tie_across_blocks_goes_to_first_support(self, monkeypatch, budget):
+        # Integer data sum exactly, so columns 1 and 3 (equal) tie bit for bit.
+        # A budget of 2 puts them in different blocks, 1 in blocks of their own,
+        # 3 in one block with 3 after 1; with k = 1, m = budget.
+        X = np.array([[1, 2, 0, 2], [0, 1, 3, 1], [2, 3, 1, 3],
+                      [1, 0, 1, 0], [0, 2, 2, 2]], dtype=float)
+        y = np.array([2.0, 1.0, 3.0, 0.0, 2.0])
+        spec = ProblemSpec(data=Dataset(X=X, y=y), lam=0.1, k=1)
+        values = [subset_value_oracle(X, y, 0.1, [j]) for j in range(4)]
+        assert min(values) == values[1] < min(values[0], values[2])
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+        assert brute_force(spec).support == (1,)
+
+    def test_tied_pairs_across_blocks(self, monkeypatch):
+        # Column 4 duplicates column 1: {0, 1} and {0, 4} tie, far apart in order.
+        X = np.array([[1, 2, 0, 1, 2], [0, 1, 3, 0, 1], [2, 3, 1, 1, 3],
+                      [1, 0, 1, 2, 0], [0, 2, 2, 1, 2], [1, 1, 0, 0, 1]], dtype=float)
+        y = X[:, 0] + X[:, 1]
+        spec = ProblemSpec(data=Dataset(X=X, y=y), lam=0.01, k=2)
+        expected = brute_force(spec)
+        assert expected.support == (0, 1)
+        for budget in (1, 8, 12):  # m = 1, 2 and 3 pairs per block
+            monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+            est = brute_force(spec)
+            assert est.support == (0, 1)
+            assert est.objective == expected.objective
+
+    @pytest.mark.parametrize("shape", ["k1", "kp", "wide", "tall"])
+    @PROPERTY
+    @given(data=st.data())
+    def test_first_lexicographic_minimizer(self, shape, data):
+        if shape == "wide":
+            n = data.draw(st.integers(2, 5))
+            p = data.draw(st.integers(n + 1, 9))
+            k = data.draw(st.integers(1, n))
+        else:
+            p = data.draw(st.integers(2, 7))
+            n = data.draw(st.integers(p, 10))
+            k = {"k1": 1, "kp": p}.get(shape) or data.draw(st.integers(1, p))
+        lam = data.draw(st.sampled_from([0.01, 0.1, 1.0]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        spec = random_spec(rng, n, p, k, lam, signal=data.draw(st.booleans()))
+        supports = list(itertools.combinations(range(p), k))
+        values = [subset_value_oracle(spec.X, spec.y, lam, S) for S in supports]
+        first = supports[int(np.argmin(values))]
+        for budget in (1, core._BLOCK_ELEMENTS):  # one subset per block, and all
+            with mock.patch.object(core, "_BLOCK_ELEMENTS", budget):
+                est = brute_force(spec)
+            assert est.support == first
+            assert est.objective == pytest.approx(min(values), rel=1e-10)
 
 
 class TestBranchAndBound:
@@ -92,6 +156,20 @@ class TestBranchAndBound:
         assert res.final_gap > 1e-6
         # incumbent still feasible and correct here (greedy seed is optimal)
         assert res.estimator.objective == pytest.approx(0.5833333333333334, abs=1e-9)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"gap_tol": math.inf}, {"gap_tol": math.nan}, {"gap_tol": -1e-6},
+        {"node_cap": math.nan}, {"node_cap": 2.5}, {"node_cap": -1},
+    ], ids=["gap-inf", "gap-nan", "gap-negative", "cap-nan", "cap-fraction", "cap-negative"])
+    def test_invalid_stop_arguments_rejected(self, kwargs):
+        with pytest.raises(InvalidArgumentError, match=next(iter(kwargs))):
+            branch_and_bound(identity_pair_spec(lam=0.1, k=1), **kwargs)
+
+    def test_zero_stop_arguments_allowed(self):
+        spec = identity_pair_spec(lam=0.1, k=1)
+        assert branch_and_bound(spec, gap_tol=0.0).optimal
+        res = branch_and_bound(spec, node_cap=0)
+        assert res.nodes_explored == 0 and not res.optimal
 
     def test_report_json(self, rng):
         spec = random_spec(rng, 10, 6, 2, 0.2)
