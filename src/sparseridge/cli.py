@@ -48,6 +48,14 @@ def _load(args) -> ProblemSpec:
     return ProblemSpec(data=data, lam=args.lam, k=args.k)
 
 
+def _convert(kind, value, name: str):
+    """``kind(value)``; InvalidArgumentError naming ``name`` when that fails."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} is not a number: {value!r}") from None
+
+
 def _config_dict(args, skip=("func",)) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
@@ -87,7 +95,7 @@ def cmd_tune(args) -> int:
     data = load_dataset_csv(
         args.input, response=args.response_col, header=args.header
     )
-    grid = [float(g) for g in args.grid.split(",") if g.strip()]
+    grid = [_convert(float, g, "grid value") for g in args.grid.split(",") if g.strip()]
     report = gcv_select(data, k=args.k, grid=grid, method=args.method)
     payload = {"config": _config_dict(args)}
     payload.update(report.to_json_dict())
@@ -131,14 +139,16 @@ def cmd_gen(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
+    if not isinstance(config, dict) or not {"cells", "methods"} <= config.keys():
+        raise InvalidArgumentError('benchmark config must be an object with "cells" and "methods"')
     report = run_benchmark(
         cells=config["cells"],
         methods=config["methods"],
-        reps=int(config.get("reps", 10)),
-        seed=int(config.get("seed", 0)),
-        rho=float(config.get("rho", 0.5)),
-        snr=float(config.get("snr", 9.0)),
-        lam=float(config.get("lambda", 0.08)),
+        reps=_convert(int, config.get("reps", 10), '"reps"'),
+        seed=_convert(int, config.get("seed", 0), '"seed"'),
+        rho=_convert(float, config.get("rho", 0.5), '"rho"'),
+        snr=_convert(float, config.get("snr", 9.0), '"snr"'),
+        lam=_convert(float, config.get("lambda", 0.08), '"lambda"'),
         time_budget=config.get("time_budget"),
         method_options=config.get("method_options"),
     )

@@ -16,6 +16,8 @@ sign pattern; it ends where a feature enters, an active coefficient hits
 zero, or gamma reaches 0.  On a segment b(gamma) = u - gamma*w, where u is
 the ridge fit on the active set, so R(gamma) = R(u) + c*gamma^2 and a level
 is met in closed form by interpolating gamma^2 between the segment's ends.
+The correlations (2/n) X^T (y - X b) are carried from breakpoint to
+breakpoint, so a segment makes one product with X, for their rate along it.
 The walk is lazy: it stops as soon as R falls to the lowest level asked.
 """
 
@@ -113,16 +115,17 @@ class _ElasticNetPath:
     """Breakpoints (gamma_j, beta_j, R_j) of the elastic-net path, gamma
     decreasing from gamma_max, grown one segment at a time on demand.
 
-    KKT on the path: with c = (2/n) X^T (y - X b) - 2*lam*b, every active
-    feature has c_i = gamma * sign(b_i) and every inactive one |c_j| <= gamma.
-    Each beta_j is stored on its support only.
+    KKT on the path: every inactive feature has |rho_j| <= gamma, and every
+    active one rho_i - 2*lam*b_i = gamma * sign(b_i).  rho is kept for the last
+    breakpoint only, and each beta_j on its support only.
     """
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
         y, n = spec.y, spec.n
         self._xty = spec.X.T @ y
-        gamma_max = 2.0 * float(np.abs(self._xty).max()) / n
+        self._rho = 2.0 * self._xty / n
+        gamma_max = float(np.abs(self._rho).max())
         self._tie = TIE_REL_TOL * gamma_max
         self.gammas = [gamma_max]
         self.supports = [np.empty(0, dtype=int)]
@@ -147,10 +150,7 @@ class _ElasticNetPath:
                 f"elastic-net path did not reach gamma = 0 in {self._max_segments} segments"
             )
         X, y, n, lam = self.spec.X, self.spec.y, self.spec.n, self.spec.lam
-        gamma, active = self.gammas[-1], self.supports[-1]
-        b = self.values[-1]
-        c = 2.0 * (X.T @ (y - X[:, active] @ b)) / n
-        c[active] -= 2.0 * lam * b
+        gamma, active, c = self.gammas[-1], self.supports[-1], self._rho
         # Features on the boundary join with the sign of their correlation,
         # all at once; one whose coefficient would move against that sign
         # stays out (the worst first, then re-solve).
@@ -168,9 +168,10 @@ class _ElasticNetPath:
             if new.size == 0 or grow.min() > 0.0:
                 break
             new = np.delete(new, int(np.argmin(grow)))
-        # On the segment b_A(g) = u - g*w and, off A, c(g) = e + g*f.
-        XA = system.Xs
-        e, f = (2.0 / n) * (X.T @ np.column_stack([y - XA @ u, XA @ w])).T
+        # On the segment b_A(g) = u - g*w and, off A, c(g) = e + g*f; c(gamma) = rho.
+        XA, Xw = system.Xs, system.Xs @ w
+        f = (2.0 / n) * (X.T @ Xw)
+        e = c - gamma * f
         with np.errstate(divide="ignore", invalid="ignore"):
             exits = np.where(signs * w < 0.0, np.minimum(u / w, gamma), -np.inf)
             enter_up = np.where(1.0 - f > 0.0, e / (1.0 - f), -np.inf)
@@ -182,12 +183,12 @@ class _ElasticNetPath:
         b1 = u - g1 * w
         keep = exits < g1 - self._tie
         cand, signs, b1 = cand[keep], signs[keep], b1[keep]
-        r = y - X[:, cand] @ b1
+        r = y - XA @ u + g1 * Xw
         self.gammas.append(g1)
         self.supports.append(cand)
         self.values.append(b1)
         self.levels.append(float(r @ r / n + lam * (b1 @ b1)))
-        self._signs = signs
+        self._signs, self._rho = signs, e + g1 * f
         self.done = g1 == 0.0
 
     def at_level(self, q: float) -> np.ndarray:
@@ -245,12 +246,11 @@ def heuristic_bisection(
     iterations.  All levels are read off one elastic-net path.
     """
     _check_positive("delta_hat", delta_hat)
-    p, k, n, y = spec.p, spec.k, spec.n, spec.y
+    p, k = spec.p, spec.k
     # Unconstrained ridge minimum: levels below it are unattainable outright.
     ridge_min = mic_value(spec, np.ones(p))
     path = _ElasticNetPath(spec)
-    lower = 0.0
-    upper = float(y @ y) / n
+    lower, upper = 0.0, path.levels[0]
     incumbent_support = np.empty(0, dtype=int)
     trace = BisectionTrace()
     while upper - lower > delta_hat:

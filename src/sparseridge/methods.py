@@ -23,7 +23,7 @@ from .exact import branch_and_bound, brute_force
 from .greedy import greedy_select, restricted_greedy
 from .heuristic import heuristic_bisection
 from .randomized import randomized_solve
-from .relaxation import solve_v2_perspective
+from .relaxation import solve_v4
 
 
 def _fit_greedy(spec: ProblemSpec) -> SparseEstimator:
@@ -31,11 +31,12 @@ def _fit_greedy(spec: ProblemSpec) -> SparseEstimator:
 
 
 def _relax_z(spec: ProblemSpec):
-    """The v2 relaxation's z; raises ConvergenceError if its solve did not converge."""
-    sol = solve_v2_perspective(spec)
+    """The v2 relaxation's z, which is v4's, from one v4 solve (v2's fit of beta
+    would go unread); raises ConvergenceError if that solve did not converge."""
+    sol = solve_v4(spec)
     if not sol.converged:
         raise ConvergenceError(
-            f"relaxation v2 did not converge in {sol.iterations} iterations "
+            f"relaxation v2 (solved as v4) did not converge in {sol.iterations} iterations "
             f"(gap {sol.kkt_residual:.3g})"
         )
     return sol.z

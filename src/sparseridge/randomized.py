@@ -104,7 +104,7 @@ def cardinality_bound(k: int, alpha: float) -> float:
     """Level-alpha bound on the rounded cardinality: (1 + sqrt(3*log(2/alpha)/k))*k."""
     if not 0.0 < alpha < 1.0:
         raise InvalidArgumentError(f"alpha must lie in (0, 1), got {alpha}")
-    if k < 1:
+    if _check_integer("k", k) < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     return (1.0 + math.sqrt(3.0 * math.log(2.0 / alpha) / k)) * k
 

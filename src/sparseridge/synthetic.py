@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _check_integer, _check_positive
 from .errors import InvalidArgumentError
 
 
@@ -37,16 +37,29 @@ class SyntheticConfig:
     resample_small: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("n", "p", "k_true", "seed"):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
         if self.n < 1 or self.p < 1:
             raise InvalidArgumentError("n and p must be >= 1")
         if not 1 <= self.k_true <= self.p:
             raise InvalidArgumentError(f"k_true must lie in [1, p], got {self.k_true}")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
         if not -1.0 < self.rho < 1.0:
             raise InvalidArgumentError(f"rho must lie in (-1, 1), got {self.rho}")
-        if self.snr <= 0:
-            raise InvalidArgumentError(f"snr must be positive, got {self.snr}")
-        if self.coef_low >= self.coef_high:
+        _check_positive("snr", self.snr)
+        lo, hi, floor = self.coef_low, self.coef_high, self.min_signal
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(floor)):
+            raise InvalidArgumentError("coef_low, coef_high and min_signal must be finite")
+        if lo >= hi:
             raise InvalidArgumentError("coef_low must be < coef_high")
+        # Resampling draws until |coef| >= min_signal, which never happens
+        # when the whole range lies within [-min_signal, min_signal].
+        if self.resample_small and -floor <= lo and hi <= floor:
+            raise InvalidArgumentError(
+                f"with resample_small, [coef_low, coef_high] = [{lo}, {hi}] must reach "
+                f"outside [-min_signal, min_signal] = [{-floor}, {floor}]"
+            )
 
     def to_json_dict(self) -> dict:
         return {

@@ -83,7 +83,7 @@ def test_unconverged_relaxation_fails_fit(tmp_path, data_csv, monkeypatch, metho
         return RelaxationSolution(z=np.full(spec.p, spec.k / spec.p), value=0.0,
                                   iterations=7, kkt_residual=0.25, converged=False)
 
-    monkeypatch.setattr(methods, "solve_v2_perspective", stalled)
+    monkeypatch.setattr(methods, "solve_v4", stalled)
     spec = random_spec(np.random.default_rng(0), 20, 6, 2, 0.1)
     with pytest.raises(ConvergenceError, match=r"v2 .* 7 iterations .*0\.25"):
         fit(spec, method)
@@ -175,6 +175,39 @@ def test_bench(tmp_path):
     assert main(["bench", "--config", str(config), "--out", str(out)]) == 0
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
+
+
+def test_gen_negative_seed_exits_2(tmp_path):
+    assert main([
+        "gen", "--n", "20", "--p", "4", "--ktrue", "2",
+        "--seed", "-1", "--out", str(tmp_path / "d.csv"),
+    ]) == 2
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize("config, match", [
+    ({"methods": ["greedy"]}, '"cells"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}]}, '"methods"'),
+    ([1, 2], '"cells"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "reps": "x"}, '"reps"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "lambda": None},
+     '"lambda"'),
+])
+def test_malformed_bench_config_exits_2(tmp_path, capsys, config, match):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(config))
+    assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert match in capsys.readouterr().err
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_tune_bad_grid_value_exits_2(tmp_path, capsys, data_csv):
+    assert main([
+        "tune", "--input", str(data_csv), "--k", "3",
+        "--grid", "0.1,abc", "--out", str(tmp_path / "gcv.json"),
+    ]) == 2
+    assert "'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "gcv.json").exists()
 
 
 def test_unknown_method_option_rejected(tmp_path):

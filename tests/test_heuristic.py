@@ -17,8 +17,10 @@ from sparseridge import (
     InfeasibleLevelError,
     InvalidArgumentError,
     ProblemSpec,
+    SyntheticConfig,
     brute_force,
     elastic_net_cd,
+    generate_synthetic,
     heuristic_bisection,
     min_l1_given_level,
     restricted_estimator,
@@ -266,6 +268,16 @@ class TestElasticNetPathProperties:
         assert ridge_objective(spec, beta) <= q + 1e-12 * (1.0 + q)
         oracle_l1 = min_l1_path_scan(spec.X, spec.y, spec.lam, q, points=400)
         assert float(np.abs(beta).sum()) <= oracle_l1 + 1e-6
+
+    def test_carried_correlations_do_not_drift_over_a_long_walk(self):
+        # The path carries its correlations from segment to segment; checked
+        # here against fresh ones at every breakpoint of a 325-segment walk.
+        data = generate_synthetic(SyntheticConfig(n=100, p=300, k_true=5, seed=3))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=5)
+        path = _full_path(spec)
+        assert len(path.gammas) > 300
+        for j, gamma in enumerate(path.gammas):
+            assert _kkt_violation(spec, path.beta(j), gamma) <= 1e-9
 
     def test_tied_features_enter_together(self):
         spec = identity_pair_spec(lam=0.1, k=1)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,11 @@ class TestCardinalityBound:
     def test_alpha_range(self, alpha):
         with pytest.raises(InvalidArgumentError):
             cardinality_bound(5, alpha)
+
+    @pytest.mark.parametrize("k", [math.nan, 2.5, 0])
+    def test_k_must_be_a_positive_integer(self, k):
+        with pytest.raises(InvalidArgumentError, match="k must be"):
+            cardinality_bound(k, 0.1)
 
 
 class TestRandomizedSolve:

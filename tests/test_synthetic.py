@@ -66,6 +66,42 @@ class TestGenerator:
         with pytest.raises(InvalidArgumentError):
             SyntheticConfig(n=10, p=5, k_true=2, snr=0.0)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("n", 5.5, "n must be an integer"),
+        ("p", float("nan"), "p must be an integer"),
+        ("k_true", "2", "k_true must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+        ("seed", 1.5, "seed must be an integer"),
+        ("snr", float("nan"), "snr"),
+        ("snr", float("inf"), "snr"),
+        ("min_signal", float("nan"), "finite"),
+        ("coef_low", float("-inf"), "finite"),
+        ("coef_high", float("inf"), "finite"),
+    ])
+    def test_bad_field_rejected(self, field, value, match):
+        with pytest.raises(InvalidArgumentError, match=match):
+            SyntheticConfig(**{"n": 10, "p": 5, "k_true": 2, field: value})
+
+    def test_integral_floats_become_ints(self):
+        config = SyntheticConfig(n=10.0, p=np.int64(5), k_true=2, seed=3.0)
+        assert [type(v) for v in (config.n, config.p, config.seed)] == [int, int, int]
+        assert generate_synthetic(config)[0].X.shape == (10, 5)
+
+    @pytest.mark.parametrize("low, high", [(-1.0, 1.0), (-2.0, 2.0), (0.5, 1.5)])
+    def test_unreachable_min_signal_rejected(self, low, high):
+        # Every draw would have |coef| < min_signal, so resampling would never end.
+        kw = dict(n=5, p=4, k_true=2, coef_low=low, coef_high=high, min_signal=2.0)
+        with pytest.raises(InvalidArgumentError, match="min_signal"):
+            SyntheticConfig(**kw)
+        _, beta0, _, _ = generate_synthetic(SyntheticConfig(**kw, resample_small=False))
+        assert np.all((low <= beta0[:2]) & (beta0[:2] < high))
+
+    def test_range_reaching_past_min_signal_accepted(self):
+        config = SyntheticConfig(n=5, p=4, k_true=2, coef_low=-1.0, coef_high=2.5,
+                                 min_signal=2.0, seed=1)
+        _, beta0, _, _ = generate_synthetic(config)
+        assert np.all(np.abs(beta0[:2]) >= 2.0)
+
 
 class TestFalseAlarm:
     def test_perfect_selection(self):
