@@ -12,14 +12,16 @@ another, so no two solver calls share the machine's time.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import itertools
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemSpec
-from .errors import SparseRidgeError
+from .core import ProblemSpec, _check_count
+from .errors import InvalidArgumentError, SparseRidgeError
 from .methods import check_options, fit
 from .synthetic import SyntheticConfig, false_alarm_rate, generate_synthetic
 
@@ -78,6 +80,16 @@ def dataset_seed(base_seed: int, cell_index: int, rep: int) -> int:
     return int(np.random.SeedSequence([base_seed, cell_index, rep]).generate_state(1)[0])
 
 
+def _cell_config(cell, rho: float, snr: float) -> SyntheticConfig:
+    """The generator config of one grid cell (seed 0), validated."""
+    if not isinstance(cell, Mapping) or not {"n", "p", "k"} <= cell.keys():
+        raise InvalidArgumentError(f'each cell must be an object with "n", "p" and "k", got {cell!r}')
+    config = SyntheticConfig(n=cell["n"], p=cell["p"], k_true=cell["k"], rho=rho, snr=snr)
+    if config.k_true > config.n:
+        raise InvalidArgumentError(f"cell {dict(cell)} needs k <= n")
+    return config
+
+
 def run_benchmark(
     cells,
     methods,
@@ -92,22 +104,24 @@ def run_benchmark(
     """Run every method on ``reps`` fresh datasets per (n, p, k) cell.
 
     ``cells`` is an iterable of {"n": ..., "p": ..., "k": ...} mappings.
-    ``k`` doubles as the generator's true support size.  An unknown method
-    or ``method_options`` entry raises InvalidArgumentError before any fit.
+    ``k`` doubles as the generator's true support size.  A malformed cell
+    (integer n, p and k with 1 <= k <= min(n, p) required), a negative seed
+    or rep count, a string ``methods``, or an unknown method or
+    ``method_options`` entry raises InvalidArgumentError before any fit.
     """
-    cells = [dict(c) for c in cells]
+    configs = [_cell_config(cell, rho, snr) for cell in cells]
+    if isinstance(methods, str):
+        raise InvalidArgumentError(f"methods must be a list of names, not the string {methods!r}")
     methods = list(methods)
     options = method_options or {}
     for method in sorted(set(methods) | set(options)):
         check_options(method, options.get(method, {}))
+    seed, reps = _check_count("seed", seed), _check_count("reps", reps)
     report = BenchReport()
-    for cell_index, rep in itertools.product(range(len(cells)), range(reps)):
-        cell = cells[cell_index]
-        n, p, k = int(cell["n"]), int(cell["p"]), int(cell["k"])
+    for cell_index, rep in itertools.product(range(len(configs)), range(reps)):
         ds_seed = dataset_seed(seed, cell_index, rep)
-        config = SyntheticConfig(
-            n=n, p=p, k_true=k, rho=rho, snr=snr, seed=ds_seed
-        )
+        config = dataclasses.replace(configs[cell_index], seed=ds_seed)
+        n, p, k = config.n, config.p, config.k_true
         data, _, truth, _ = generate_synthetic(config)
         spec = ProblemSpec(data=data, lam=lam, k=k)
         for method in methods:

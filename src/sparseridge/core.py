@@ -376,11 +376,16 @@ def mic_value(spec: ProblemSpec, z) -> float:
     return _support_fit(spec, _support_from_z(spec, z))[1]
 
 
-def _subset_blocks(p: int, s: int):
+def _block_rows(s: int, width: int) -> int:
+    """Rows m of a block whose (m, s, width) stack stays within _BLOCK_ELEMENTS (m >= 1)."""
+    return max(1, _BLOCK_ELEMENTS // max(1, s * width))
+
+
+def _subset_blocks(p: int, s: int, width: int | None = None):
     """Every size-s subset of range(p), in ``itertools.combinations`` order,
-    as (m, s) int arrays; m <= max(1, _BLOCK_ELEMENTS // s^2), so an (m, s, s)
-    stack gathered per block stays within the element budget."""
-    m = max(1, _BLOCK_ELEMENTS // (s * s))
+    as (m, s) int arrays; m = _block_rows(s, width), so an (m, s, width) stack
+    gathered per block stays within the element budget (width s by default)."""
+    m = _block_rows(s, s if width is None else width)
     combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
     while True:
         block = np.fromiter(itertools.islice(combos, m * s), dtype=np.intp)
@@ -394,6 +399,27 @@ def _gram_blocks(G: np.ndarray, S: np.ndarray) -> np.ndarray:
     return G[S[:, :, None], S[:, None, :]]
 
 
+def _column_grams(Xt: np.ndarray, S: np.ndarray, shift: float = 0.0) -> np.ndarray:
+    """The (m, s, s) stack of X_S^T X_S + shift*I for the rows S_i of S, from
+    the (m, s, n) gather of those columns alone: no p x p Gram is formed.
+    ``Xt`` is X^T; made contiguous, its rows gather several times faster."""
+    Xg = Xt[S]  # the rows of Xg[i] are the columns of X_{S_i}
+    K = Xg @ Xg.transpose(0, 2, 1)
+    d = np.arange(S.shape[1])
+    K[:, d, d] += shift
+    return K
+
+
+def _stacked_fit(K: np.ndarray, c: np.ndarray, yy: float, n: int):
+    """(b, values): b_i solves K_i b_i = c_i for an (m, s, s) stack K and (m, s)
+    right sides c, with value (yy - c_i . b_i)/n.  For K_i = X_S^T X_S + nlam*I,
+    c_i = (X^T y)_S and yy = y^T y these are the ridge fits on the S_i and
+    their objectives."""
+    # the explicit trailing axis: a 2-D right side would be read as one matrix
+    b = np.linalg.solve(K, c[..., None])[..., 0]
+    return b, (yy - np.einsum("ij,ij->i", c, b)) / n
+
+
 def theta(
     spec: ProblemSpec,
     s: int,
@@ -403,7 +429,8 @@ def theta(
     """Largest eigenvalue of X_S X_S^T over all supports of size ``s``.
 
     ``exact`` mode enumerates every size-s subset (requires C(p, s) <= cap),
-    in blocks: one batched eigenvalue call per block of Gram submatrices.
+    in blocks: one batched eigenvalue call per block of X_S^T X_S, each
+    gathered from its own columns, so no p x p Gram is formed.
     ``upper_bound`` mode returns the sum of the ``s`` largest squared column
     norms, which dominates the exact value.
     """
@@ -422,10 +449,9 @@ def theta(
             f"C({spec.p}, {s}) = {count} exceeds the cap {cap}; "
             "use mode='upper_bound'"
         )
-    G = spec.X.T @ spec.X
-    best = 0.0
-    for S in _subset_blocks(spec.p, s):
-        best = max(best, float(np.linalg.eigvalsh(_gram_blocks(G, S))[:, -1].max()))
+    best, Xt = 0.0, np.ascontiguousarray(spec.X.T)
+    for S in _subset_blocks(spec.p, s, max(s, spec.n)):
+        best = max(best, float(np.linalg.eigvalsh(_column_grams(Xt, S))[:, -1].max()))
     return best
 
 

@@ -33,6 +33,7 @@ from .core import (
     SparseEstimator,
     _check_count,
     _gram_blocks,
+    _stacked_fit,
     _subset_blocks,
     mic_value,
     restricted_estimator,
@@ -54,10 +55,10 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
 
     G = X^T X, X^T y and y^T y are formed once.  The supports are scored in
     lexicographic blocks (``core._subset_blocks``, a bounded (m, k, k) stack
-    each) by one stacked solve of (G_SS + n*lam*I) b = (X^T y)_S, whose value
-    is (y^T y - (X^T y)_S . b)/n.  Ties go to the lexicographically smallest
-    support: the first minimizer in a block, and a later block only when it
-    is strictly better.  The winner is refit by ``restricted_estimator``.
+    each) by one stacked solve (``core._stacked_fit``) of
+    (G_SS + n*lam*I) b = (X^T y)_S, whose value is (y^T y - (X^T y)_S . b)/n.
+    Ties go to the lexicographically smallest support: the first minimizer in
+    a block, and a later block only when it is strictly better.  The winner is refit by ``restricted_estimator``.
     Requires C(p, k) <= cap.
     """
     cap = _check_count("cap", cap)
@@ -73,10 +74,7 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
     yy = float(spec.y @ spec.y)
     best_val, best = math.inf, None
     for S in _subset_blocks(p, k):
-        cS = c[S]
-        # the explicit trailing axis: a 2-D right side would be read as one matrix
-        b = np.linalg.solve(_gram_blocks(G, S), cS[..., None])[..., 0]
-        values = (yy - np.einsum("ij,ij->i", cS, b)) / n
+        values = _stacked_fit(_gram_blocks(G, S), c[S], yy, n)[1]
         i = int(np.argmin(values))
         if values[i] < best_val:
             best_val, best = values[i], S[i]

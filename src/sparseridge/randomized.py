@@ -4,13 +4,17 @@ Each feature i is kept with probability zhat_i (one uniform draw per
 feature), so the expected cardinality is sum(zhat) <= k but individual
 draws may exceed the budget; a concentration bound quantifies by how much.
 The multi-trial driver keeps the best draw and, optionally, repairs
-over-budget draws by refitting on the drawn support and dropping the
-smallest-magnitude coefficients.
+over-budget draws by dropping their smallest-magnitude coefficients.
 
 Randomness comes from the counter-based Philox generator with one stream
 per trial, keyed by ``SeedSequence([seed, trial_index])``, so distinct seeds
 draw distinct streams and any single trial can be reproduced in isolation,
 on any platform, from the key stored on its outcome.
+
+Draws are scored together, not fit one by one: each distinct support of a
+cardinality once, in stacked solves (``core._stacked_fit``) on Grams gathered
+from its own columns.  Only the winners are refit exactly, so reported values
+are exact fits; the stacked values that pick them agree to rounding only.
 """
 
 from __future__ import annotations
@@ -23,8 +27,12 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
+    _block_rows,
+    _check_count,
     _check_integer,
     _check_zhat,
+    _column_grams,
+    _stacked_fit,
     _support_fit,
     restricted_estimator,
 )
@@ -75,28 +83,37 @@ class RandomizedResult:
         return out
 
 
-def _check_seed(seed) -> int:
-    seed = _check_integer("seed", seed)
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
-    return seed
-
-
 def _trial_key(seed: int, trial: int) -> int:
     """Philox key of one trial of a multi-trial run."""
     return int(np.random.SeedSequence([seed, trial]).generate_state(1, np.uint64)[0])
+
+
+def _keyed_uniforms(gen: np.random.Generator, key: int, size: int) -> np.ndarray:
+    """``size`` uniforms of the Philox stream keyed by ``key`` (0 <= key < 2**128):
+    ``gen``'s Philox is rewound to counter 0 and that key, so the draw equals
+    ``Generator(Philox(key=key)).random(size)`` without building a generator."""
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([key & (2**64 - 1), key >> 64], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen.random(size)
 
 
 def randomized_round(zhat: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One independent-rounding draw; returns (support, z_tilde).
 
     Feature i is included iff a uniform draw U_i satisfies U_i <= zhat_i,
-    with the U_i drawn from the Philox stream keyed by ``seed``.
+    with the U_i drawn from the Philox stream keyed by ``seed`` (< 2**128).
     Deterministic given the seed.
     """
     zhat = _check_zhat(zhat)
-    u = np.random.Generator(np.random.Philox(key=_check_seed(seed))).random(zhat.shape[0])
-    z_tilde = (u <= zhat).astype(float)
+    key = _check_count("seed", seed)
+    if key >> 128:
+        raise InvalidArgumentError(f"seed must be below 2**128, got {seed}")
+    gen = np.random.Generator(np.random.Philox(0))
+    z_tilde = (_keyed_uniforms(gen, key, zhat.size) <= zhat).astype(float)
     return np.flatnonzero(z_tilde), z_tilde
 
 
@@ -109,15 +126,26 @@ def cardinality_bound(k: int, alpha: float) -> float:
     return (1.0 + math.sqrt(3.0 * math.log(2.0 / alpha) / k)) * k
 
 
-def _repair(spec: ProblemSpec, draw: RoundingOutcome, beta: np.ndarray) -> SparseEstimator:
-    """Estimator of a draw from ``beta``, its fit on the drawn support: that fit
-    within the budget; otherwise the k largest |beta_i| survive and are refit."""
-    if draw.cardinality <= spec.k:
-        return SparseEstimator(draw.support, beta, draw.value)
-    support = np.array(draw.support)
-    order = np.argsort(np.abs(beta[support]), kind="stable")
-    keep = np.sort(support[order[support.size - spec.k:]])
-    return restricted_estimator(spec, keep)
+def _fits(spec: ProblemSpec, rows: np.ndarray, Xt: np.ndarray, c: np.ndarray, yy: float):
+    """(b, values) of the ridge fits on the supports in the rows of ``rows``
+    (m, s); each distinct row is solved once.  Blocks of distinct rows take
+    one stacked solve each, on Grams gathered from their own columns; a row
+    wider than n is fit alone on the n x n side of ``RidgeSystem``."""
+    U, inverse = np.unique(rows, axis=0, return_inverse=True)
+    b, values = np.empty(U.shape), np.empty(len(U))
+    s, n = U.shape[1], spec.n
+    if s > n:
+        for i, row in enumerate(U):
+            beta, values[i] = _support_fit(spec, row)
+            b[i] = beta[row]
+    else:
+        step = _block_rows(s, n)
+        for lo in range(0, len(U), step):
+            S = U[lo:lo + step]
+            b[lo:lo + step], values[lo:lo + step] = _stacked_fit(
+                _column_grams(Xt, S, n * spec.lam), c[S], yy, n)
+    inverse = inverse.ravel()  # numpy 2.0.0 returns it 2-D for axis=0
+    return b[inverse], values[inverse]
 
 
 def randomized_solve(
@@ -132,39 +160,62 @@ def randomized_solve(
 
     The best outcome minimizes the raw value f(z_tilde) (ties to the lowest
     trial index).  With ``repair`` on, every over-budget draw is trimmed to
-    the budget and the best repaired estimator is reported alongside the
-    raw statistics; ``p_exceed_bound`` is the fraction of draws whose
+    its k largest |beta_i| on the drawn support and the best repaired
+    estimator (ties again to the lowest trial) is reported alongside the raw
+    statistics; ``p_exceed_bound`` is the fraction of draws whose
     cardinality exceeds ``cardinality_bound(k, alpha)``.
+
+    Draws are index arrays, scored per cardinality from the largest by
+    :func:`_fits`; trimmed supports join the size-k draws.  Only the winners
+    are refit exactly (``restricted_estimator``): reported values are exact
+    fits, but the choice rests on stacked values, equal to rounding only.
     """
     trials = _check_integer("trials", trials)
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     zhat = _check_zhat(zhat, spec.p)
-    seed = _check_seed(seed)
+    seed = _check_count("seed", seed)
     bound = cardinality_bound(spec.k, alpha)
+    k = spec.k
 
-    draws: list[RoundingOutcome] = []
-    repaired: list[tuple[SparseEstimator, float]] = []
-    for t in range(trials):
-        key = _trial_key(seed, t)
-        support, z_tilde = randomized_round(zhat, key)
-        beta, value = _support_fit(spec, support)  # the draw's one fit
-        draws.append(RoundingOutcome(
-            support=tuple(support.tolist()),
-            z_tilde=z_tilde,
-            cardinality=int(support.size),
-            value=value,
-            seed=key,
-        ))
-        if repair:
-            repaired.append((_repair(spec, draws[-1], beta), value))
-    # min keeps the first of equal values: ties go to the lowest trial index
-    best_rep, best_rep_raw = (
-        min(repaired, key=lambda r: r[0].objective) if repair else (None, None)
-    )
-    cards = np.array([d.cardinality for d in draws])
+    gen = np.random.Generator(np.random.Philox(0))
+    keys = [_trial_key(seed, t) for t in range(trials)]
+    draws = [np.flatnonzero(_keyed_uniforms(gen, key, spec.p) <= zhat) for key in keys]
+    cards = np.array([d.size for d in draws])
+    kept = list(draws)  # the repaired support of each draw
+    Xt = np.ascontiguousarray(spec.X.T)
+    c, yy = Xt @ spec.y, float(spec.y @ spec.y)
+    raw, repaired = np.empty(trials), np.empty(trials)  # each trial's two values
+    over: list[int] = []  # over-budget trials, trimmed to size k
+    for s in sorted(set(cards.tolist()) | {k}, reverse=True):
+        drawn = np.flatnonzero(cards == s).tolist()
+        group = drawn + (over if repair and s == k else [])
+        if not group:
+            continue
+        rows = np.array([kept[t] for t in group], dtype=np.intp).reshape(len(group), s)
+        b, values = _fits(spec, rows, Xt, c, yy)
+        raw[drawn] = values[:len(drawn)]
+        repaired[group] = values
+        if repair and s > k:
+            # the k largest |b_i| survive, as a stable sort of |b| ranks them
+            top = np.argsort(np.abs(b), axis=1, kind="stable")[:, s - k:]
+            for t, row in zip(group, np.sort(np.take_along_axis(rows, top, 1), axis=1)):
+                kept[t] = row
+            over += group
+
+    t_best = int(np.argmin(raw))  # argmin keeps the first: the lowest trial index
+    support = draws[t_best]
+    best = RoundingOutcome(support=tuple(support.tolist()),
+                           z_tilde=np.isin(np.arange(spec.p), support),
+                           cardinality=int(support.size),
+                           value=_support_fit(spec, support)[1], seed=keys[t_best])
+    best_rep = best_rep_raw = None
+    if repair:
+        t_rep = int(np.argmin(repaired))
+        best_rep = restricted_estimator(spec, kept[t_rep])
+        best_rep_raw = _support_fit(spec, draws[t_rep])[1]
     return RandomizedResult(
-        best=min(draws, key=lambda d: d.value),
+        best=best,
         best_repaired=best_rep,
         best_repaired_raw_value=best_rep_raw,
         trials=trials,

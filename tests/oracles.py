@@ -429,3 +429,44 @@ def greedy_dense_steps(X, y, lam, steps, candidates=None, tie_tol=1e-12):
         allowed[j] = False
         out.append((j, best, value))
     return out
+
+
+def randomized_trials_oracle(X, y, lam, k, zhat, trials, seed, repair=True, alpha=0.1):
+    """Best-of-trials independent rounding, one draw and one exact fit at a time.
+
+    The package's former per-trial loop: draw t keeps feature i iff
+    U_i <= zhat_i, with U from a fresh ``Generator(Philox(key))`` keyed by
+    ``SeedSequence([seed, t])``; every draw is fit on its own support; an
+    over-budget draw is trimmed to its k largest |beta_i| (stable ranking)
+    and refit.  The first of equal values wins.  Returns a dict of the
+    reported fields.
+    """
+    n, p = X.shape
+    zhat = np.clip(np.asarray(zhat, dtype=float), 0.0, 1.0)
+    best = rep = None
+    cards = []
+    for t in range(trials):
+        key = int(np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0])
+        z = (np.random.Generator(np.random.Philox(key=key)).random(p) <= zhat).astype(float)
+        support = np.flatnonzero(z)
+        cards.append(support.size)
+        beta = subset_fit_oracle(X, y, lam, support)
+        value = naive_ridge_objective(X, y, lam, beta)
+        if best is None or value < best["value"]:
+            best = {"support": tuple(support.tolist()), "z_tilde": z, "value": value, "seed": key}
+        if not repair:
+            continue
+        kept, kept_value = support, value
+        if support.size > k:
+            order = np.argsort(np.abs(beta[support]), kind="stable")
+            kept = np.sort(support[order[support.size - k:]])
+            kept_value = subset_value_oracle(X, y, lam, kept)
+        if rep is None or kept_value < rep["value"]:
+            rep = {"support": tuple(kept.tolist()), "value": kept_value, "raw_value": value}
+    bound = (1.0 + math.sqrt(3.0 * math.log(2.0 / alpha) / k)) * k
+    return {
+        "best": best,
+        "repaired": rep,
+        "mean_cardinality": float(np.mean(cards)),
+        "p_exceed_bound": sum(c > bound for c in cards) / trials,
+    }

@@ -192,8 +192,17 @@ def test_gen_negative_seed_exits_2(tmp_path):
     ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "reps": "x"}, '"reps"'),
     ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "lambda": None},
      '"lambda"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}, {"n": 20, "p": 6}], "methods": ["greedy"]}, '"k"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "seed": -1}, "seed"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": "greedy"}, "not the string 'greedy'"),
+    ({"cells": [{"n": 20, "p": 6.5, "k": 2}], "methods": ["greedy"]}, "p must be an integer"),
+    ({"cells": [{"n": 3, "p": 6, "k": 4}], "methods": ["greedy"]}, "k <= n"),
 ])
-def test_malformed_bench_config_exits_2(tmp_path, capsys, config, match):
+def test_malformed_bench_config_exits_2(tmp_path, capsys, monkeypatch, config, match):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a fit ran before the config was checked")
+
+    monkeypatch.setattr("sparseridge.bench.fit", no_fit)
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(config))
     assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2

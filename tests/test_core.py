@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +312,18 @@ class TestSpectral:
         assert theta(spec, 2, mode="exact") == pytest.approx(
             max_subset_eig_oracle(spec.X, 2), rel=1e-10
         )
+
+    def test_exact_on_wide_design_builds_no_p_by_p_gram(self, rng):
+        spec = random_spec(rng, 5, 3000, 1, 0.1, signal=False)
+        tracemalloc.start()
+        try:
+            value = theta(spec, 1, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(max_subset_eig_oracle(spec.X, 1), rel=1e-10)
+        # the block budget bounds the gathered stacks; at p = 3000 a p x p Gram takes 72 MB
+        assert peak < 4 * 8 * core._BLOCK_ELEMENTS
 
     def test_monotone_and_dominated_by_upper_bound(self, rng):
         spec = random_spec(rng, 8, 6, 4, 0.1, signal=False)

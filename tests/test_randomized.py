@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import identity_pair_spec, random_spec
+from oracles import randomized_trials_oracle
 from sparseridge import (
     InvalidArgumentError,
     brute_force,
@@ -12,6 +16,10 @@ from sparseridge import (
     randomized_round,
     randomized_solve,
 )
+from sparseridge.randomized import _keyed_uniforms
+
+# Reproducible property runs that leave no example database behind.
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 class TestRounding:
@@ -122,8 +130,9 @@ class TestRandomizedSolve:
         spec = random_spec(rng, 10, 6, 2, 0.3)
         zhat = np.clip(rng.uniform(0, 1, 6), 0, 1)
         res = randomized_solve(spec, zhat, trials=30, seed=11)
-        support, _ = randomized_round(zhat, res.best.seed)
+        support, z_tilde = randomized_round(zhat, res.best.seed)
         assert tuple(support.tolist()) == res.best.support
+        assert np.array_equal(z_tilde, res.best.z_tilde)
 
     def test_distinct_seeds_draw_distinct_streams(self, rng):
         spec = random_spec(rng, 10, 30, 3, 0.2)
@@ -156,3 +165,78 @@ class TestRandomizedSolve:
         for key in ("trials", "best_value", "best_support", "mean_cardinality",
                     "p_exceed_bound"):
             assert key in payload
+
+
+class TestKeyedStream:
+    @pytest.mark.parametrize("key", [0, 5, 2**64 - 1, 2**70 + 5])
+    def test_rekeyed_uniforms_equal_a_fresh_philox(self, key):
+        gen = np.random.Generator(np.random.Philox(1))
+        gen.random(3)  # a used generator: nothing of its stream may carry over
+        expected = np.random.Generator(np.random.Philox(key=key)).random(11)
+        assert np.array_equal(_keyed_uniforms(gen, key, 11), expected)
+        assert np.array_equal(_keyed_uniforms(gen, key, 11), expected)
+        zhat = np.linspace(0.0, 1.0, 11)
+        assert np.array_equal(randomized_round(zhat, key)[1], (expected <= zhat).astype(float))
+
+    def test_key_beyond_128_bits_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="2\\*\\*128"):
+            randomized_round(np.full(3, 0.5), 2**128)
+
+
+class TestBatchedScoring:
+    @PROPERTY
+    @given(data=st.data())
+    def test_matches_the_per_trial_oracle(self, data):
+        n = data.draw(st.integers(2, 8), label="n")
+        p = data.draw(st.integers(2, 10), label="p")
+        k = data.draw(st.integers(max(1, min(n, p) - 2), min(n, p)), label="k")
+        lam = data.draw(st.sampled_from([0.01, 0.1, 1.0]), label="lam")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        spec = random_spec(rng, n, p, k, lam)
+        entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+        zhat = np.array(data.draw(st.lists(entry, min_size=p, max_size=p), label="zhat"))
+        trials = data.draw(st.integers(1, 40), label="trials")
+        seed = data.draw(st.integers(0, 2**32), label="seed")
+        repair = data.draw(st.booleans(), label="repair")
+
+        res = randomized_solve(spec, zhat, trials=trials, seed=seed, repair=repair)
+        ref = randomized_trials_oracle(spec.X, spec.y, lam, k, zhat, trials, seed, repair)
+        assert res.best.support == ref["best"]["support"]
+        assert res.best.seed == ref["best"]["seed"]
+        assert np.array_equal(res.best.z_tilde, ref["best"]["z_tilde"])
+        assert res.best.value == pytest.approx(ref["best"]["value"], rel=1e-12)
+        assert res.mean_cardinality == ref["mean_cardinality"]
+        assert res.p_exceed_bound == ref["p_exceed_bound"]
+        if not repair:
+            assert res.best_repaired is None and res.best_repaired_raw_value is None
+            return
+        assert res.best_repaired.support == ref["repaired"]["support"]
+        assert res.best_repaired.objective == pytest.approx(ref["repaired"]["value"], rel=1e-12)
+        assert res.best_repaired_raw_value == pytest.approx(ref["repaired"]["raw_value"],
+                                                            rel=1e-12)
+
+    def test_over_budget_draw_ties_an_in_budget_one(self):
+        # X = I and y = (1, 1): {0} and {1} tie exactly, and trimming {0, 1}
+        # (|beta_0| = |beta_1|) keeps {1}, so over-budget and in-budget draws
+        # tie too; every tie goes to the lowest trial index.
+        spec = identity_pair_spec(lam=0.1, k=1)
+        for seed in range(6):
+            res = randomized_solve(spec, np.array([0.5, 0.5]), trials=12, seed=seed)
+            ref = randomized_trials_oracle(spec.X, spec.y, 0.1, 1, np.array([0.5, 0.5]),
+                                           12, seed)
+            assert res.best_repaired.support == ref["repaired"]["support"]
+            assert res.best_repaired_raw_value == ref["repaired"]["raw_value"]
+
+    def test_memory_does_not_grow_with_trials_times_p(self, rng):
+        spec = random_spec(rng, 30, 2000, 5, 0.1)
+        zhat = np.zeros(2000)
+        zhat[rng.choice(2000, 40, replace=False)] = rng.uniform(0.02, 0.2, 40)
+        tracemalloc.start()
+        try:
+            res = randomized_solve(spec, zhat, trials=20000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.trials == 20000 and res.best_repaired.cardinality <= 5
+        # one float per trial and feature would take 320 MB, one bool 40 MB
+        assert peak < 16 * 2**20
