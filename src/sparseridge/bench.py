@@ -83,7 +83,7 @@ def dataset_seed(base_seed: int, cell_index: int, rep: int) -> int:
 def _cell_config(cell, rho: float, snr: float) -> SyntheticConfig:
     """The generator config of one grid cell (seed 0), validated."""
     if not isinstance(cell, Mapping) or not {"n", "p", "k"} <= cell.keys():
-        raise InvalidArgumentError(f'each cell must be an object with "n", "p" and "k", got {cell!r}')
+        raise InvalidArgumentError(f'a cell must be an object with "n", "p" and "k", got {cell!r}')
     config = SyntheticConfig(n=cell["n"], p=cell["p"], k_true=cell["k"], rho=rho, snr=snr)
     if config.k_true > config.n:
         raise InvalidArgumentError(f"cell {dict(cell)} needs k <= n")

@@ -58,8 +58,8 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
     each) by one stacked solve (``core._stacked_fit``) of
     (G_SS + n*lam*I) b = (X^T y)_S, whose value is (y^T y - (X^T y)_S . b)/n.
     Ties go to the lexicographically smallest support: the first minimizer in
-    a block, and a later block only when it is strictly better.  The winner is refit by ``restricted_estimator``.
-    Requires C(p, k) <= cap.
+    a block, and a later block only when it is strictly better.  The winner
+    is refit by ``restricted_estimator``.  Requires C(p, k) <= cap.
     """
     cap = _check_count("cap", cap)
     n, p, k = spec.n, spec.p, spec.k
