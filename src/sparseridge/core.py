@@ -176,7 +176,9 @@ def _check_positive(name: str, value) -> float:
 
 def _check_integer(name: str, value) -> int:
     """``value`` as an int; 2, 2.0 and np.int64(2) pass, and 2.5, NaN or "2" raise."""
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value == int(value)):
+    # an int is checked as an int: converting one beyond float range would overflow
+    if not (isinstance(value, numbers.Integral)
+            or isinstance(value, numbers.Real) and float(value).is_integer()):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -394,30 +396,51 @@ def _subset_blocks(p: int, s: int, width: int | None = None):
         yield block.reshape(-1, s)
 
 
-def _gram_blocks(G: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """The (m, s, s) stack of principal submatrices G[S_i, S_i] for the rows S_i of S."""
-    return G[S[:, :, None], S[:, None, :]]
+def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
+                 shift: float = 0.0):
+    """(S, K) for blocks S of size-s supports, with K the (m, s, s) stack of
+    X_S^T X_S + shift*I over the rows of S.  The supports are the rows of
+    ``rows`` (m, s), or every size-s subset in ``_subset_blocks`` order.  When
+    p <= n, X^T X is formed once and each K sliced from it; otherwise each K
+    is gathered from its block's own columns, (m, s, n) within the element
+    budget, so no p x p Gram is formed."""
+    X, n, p = spec.X, spec.n, spec.p
+    width = s if p <= n else max(s, n)
+    if rows is None:
+        blocks = _subset_blocks(p, s, width)
+    else:
+        m = _block_rows(s, width)
+        blocks = (rows[lo:lo + m] for lo in range(0, len(rows), m))
+    if p <= n:
+        G = X.T @ X
+        G.ravel()[:: p + 1] += shift
+        for S in blocks:
+            yield S, G[S[:, :, None], S[:, None, :]]
+        return
+    Xt, d = np.ascontiguousarray(X.T), np.arange(s)  # contiguous rows gather faster
+    for S in blocks:
+        Xg = Xt[S]  # the rows of Xg[i] are the columns of X_{S_i}
+        K = Xg @ Xg.transpose(0, 2, 1)
+        K[:, d, d] += shift
+        yield S, K
 
 
-def _column_grams(Xt: np.ndarray, S: np.ndarray, shift: float = 0.0) -> np.ndarray:
-    """The (m, s, s) stack of X_S^T X_S + shift*I for the rows S_i of S, from
-    the (m, s, n) gather of those columns alone: no p x p Gram is formed.
-    ``Xt`` is X^T; made contiguous, its rows gather several times faster."""
-    Xg = Xt[S]  # the rows of Xg[i] are the columns of X_{S_i}
-    K = Xg @ Xg.transpose(0, 2, 1)
-    d = np.arange(S.shape[1])
-    K[:, d, d] += shift
-    return K
-
-
-def _stacked_fit(K: np.ndarray, c: np.ndarray, yy: float, n: int):
-    """(b, values): b_i solves K_i b_i = c_i for an (m, s, s) stack K and (m, s)
-    right sides c, with value (yy - c_i . b_i)/n.  For K_i = X_S^T X_S + nlam*I,
-    c_i = (X^T y)_S and yy = y^T y these are the ridge fits on the S_i and
-    their objectives."""
-    # the explicit trailing axis: a 2-D right side would be read as one matrix
-    b = np.linalg.solve(K, c[..., None])[..., 0]
-    return b, (yy - np.einsum("ij,ij->i", c, b)) / n
+def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray | None = None):
+    """(S, b, values) for the blocks S of ``_gram_stacks``: b_i is the ridge
+    fit on the support S_i and values_i its objective (y^T y - (X^T y)_S . b_i)/n,
+    from one stacked solve per block.  A row wider than n is fit alone on
+    the n x n side of ``RidgeSystem``."""
+    if s > spec.n:
+        for S in rows:
+            beta, value = _support_fit(spec, S)
+            yield S[None], beta[S][None], np.array([value])
+        return
+    c, yy = spec.X.T @ spec.y, float(spec.y @ spec.y)
+    for S, K in _gram_stacks(spec, s, rows, spec.n * spec.lam):
+        cS = c[S]
+        # the explicit trailing axis: a 2-D right side would be read as one matrix
+        b = np.linalg.solve(K, cS[..., None])[..., 0]
+        yield S, b, (yy - np.einsum("ij,ij->i", cS, b)) / spec.n
 
 
 def theta(
@@ -429,8 +452,8 @@ def theta(
     """Largest eigenvalue of X_S X_S^T over all supports of size ``s``.
 
     ``exact`` mode enumerates every size-s subset (requires C(p, s) <= cap),
-    in blocks: one batched eigenvalue call per block of X_S^T X_S, each
-    gathered from its own columns, so no p x p Gram is formed.
+    in blocks: one batched eigenvalue call per block of X_S^T X_S from
+    ``_gram_stacks``, so no p x p Gram is formed when p > n.
     ``upper_bound`` mode returns the sum of the ``s`` largest squared column
     norms, which dominates the exact value.
     """
@@ -449,9 +472,9 @@ def theta(
             f"C({spec.p}, {s}) = {count} exceeds the cap {cap}; "
             "use mode='upper_bound'"
         )
-    best, Xt = 0.0, np.ascontiguousarray(spec.X.T)
-    for S in _subset_blocks(spec.p, s, max(s, spec.n)):
-        best = max(best, float(np.linalg.eigvalsh(_column_grams(Xt, S))[:, -1].max()))
+    best = 0.0
+    for _, K in _gram_stacks(spec, s):
+        best = max(best, float(np.linalg.eigvalsh(K)[:, -1].max()))
     return best
 
 

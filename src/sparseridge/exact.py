@@ -2,9 +2,9 @@
 
 Enumeration is sound because the projected objective f(S) is non-increasing
 under support growth, so only supports of size exactly k need scoring.  It
-scores the supports in lexicographic blocks from one Gram X^T X: each block
-is one stacked k x k solve, and a block's memory is bounded whatever C(p, k)
-is.
+scores the supports in lexicographic blocks, each one stacked k x k solve
+whose memory is bounded whatever C(p, k) is, on Grams from
+``core._gram_stacks``, which builds no p x p object on a wide design.
 
 The branch-and-bound solver is one best-first loop over nodes that fix
 coordinates of the binary selection vector z at 1 or 0; each node is bounded
@@ -32,9 +32,7 @@ from .core import (
     ProblemSpec,
     SparseEstimator,
     _check_count,
-    _gram_blocks,
-    _stacked_fit,
-    _subset_blocks,
+    _ridge_scores,
     mic_value,
     restricted_estimator,
 )
@@ -53,28 +51,20 @@ RELAX_MAX_ITER = 20000
 def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimator:
     """Globally optimal estimator by scoring every size-k support.
 
-    G = X^T X, X^T y and y^T y are formed once.  The supports are scored in
-    lexicographic blocks (``core._subset_blocks``, a bounded (m, k, k) stack
-    each) by one stacked solve (``core._stacked_fit``) of
-    (G_SS + n*lam*I) b = (X^T y)_S, whose value is (y^T y - (X^T y)_S . b)/n.
+    The supports are scored in lexicographic blocks, one stacked solve each
+    (``core._ridge_scores``, which picks the Gram source by the shape of X).
     Ties go to the lexicographically smallest support: the first minimizer in
     a block, and a later block only when it is strictly better.  The winner
     is refit by ``restricted_estimator``.  Requires C(p, k) <= cap.
     """
     cap = _check_count("cap", cap)
-    n, p, k = spec.n, spec.p, spec.k
-    count = math.comb(p, k)
+    count = math.comb(spec.p, spec.k)
     if count > cap:
         raise EnumerationCapError(
-            f"C({p}, {k}) = {count} exceeds the enumeration cap {cap}"
+            f"C({spec.p}, {spec.k}) = {count} exceeds the enumeration cap {cap}"
         )
-    G = spec.X.T @ spec.X
-    G.ravel()[:: p + 1] += n * spec.lam  # every G_SS + nlam*I is a block of it
-    c = spec.X.T @ spec.y
-    yy = float(spec.y @ spec.y)
     best_val, best = math.inf, None
-    for S in _subset_blocks(p, k):
-        values = _stacked_fit(_gram_blocks(G, S), c[S], yy, n)[1]
+    for S, _, values in _ridge_scores(spec, spec.k):
         i = int(np.argmin(values))
         if values[i] < best_val:
             best_val, best = values[i], S[i]

@@ -243,7 +243,8 @@ def heuristic_bisection(
     the output refits the final witness support exactly, so the reported
     value is min(U, refit objective) and the estimator is always feasible.
     Terminates in at most floor(log2(||y||^2 / (n*delta_hat))) + 1
-    iterations.  All levels are read off one elastic-net path.
+    iterations; it stops sooner if the bracket is one ulp wide, which can
+    be wider than ``delta_hat``.  All levels are read off one elastic-net path.
     """
     _check_positive("delta_hat", delta_hat)
     p, k = spec.p, spec.k
@@ -255,6 +256,8 @@ def heuristic_bisection(
     trace = BisectionTrace()
     while upper - lower > delta_hat:
         q = 0.5 * (lower + upper)
+        if not lower < q < upper:  # the bracket is one ulp wide: it cannot shrink
+            break
         if q < ridge_min:
             l1_norm, zeros, attained = math.inf, 0, False
         else:

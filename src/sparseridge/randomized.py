@@ -12,9 +12,9 @@ draw distinct streams and any single trial can be reproduced in isolation,
 on any platform, from the key stored on its outcome.
 
 Draws are scored together, not fit one by one: each distinct support of a
-cardinality once, in stacked solves (``core._stacked_fit``) on Grams gathered
-from its own columns.  Only the winners are refit exactly, so reported values
-are exact fits; the stacked values that pick them agree to rounding only.
+cardinality once, in the stacked solves of ``core._ridge_scores``.  Only the
+winners are refit exactly, so reported values are exact fits; the stacked
+values that pick them agree to rounding only.
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
-    _block_rows,
     _check_count,
     _check_integer,
     _check_zhat,
-    _column_grams,
-    _stacked_fit,
+    _ridge_scores,
     _support_fit,
     restricted_estimator,
 )
@@ -126,28 +124,6 @@ def cardinality_bound(k: int, alpha: float) -> float:
     return (1.0 + math.sqrt(3.0 * math.log(2.0 / alpha) / k)) * k
 
 
-def _fits(spec: ProblemSpec, rows: np.ndarray, Xt: np.ndarray, c: np.ndarray, yy: float):
-    """(b, values) of the ridge fits on the supports in the rows of ``rows``
-    (m, s); each distinct row is solved once.  Blocks of distinct rows take
-    one stacked solve each, on Grams gathered from their own columns; a row
-    wider than n is fit alone on the n x n side of ``RidgeSystem``."""
-    U, inverse = np.unique(rows, axis=0, return_inverse=True)
-    b, values = np.empty(U.shape), np.empty(len(U))
-    s, n = U.shape[1], spec.n
-    if s > n:
-        for i, row in enumerate(U):
-            beta, values[i] = _support_fit(spec, row)
-            b[i] = beta[row]
-    else:
-        step = _block_rows(s, n)
-        for lo in range(0, len(U), step):
-            S = U[lo:lo + step]
-            b[lo:lo + step], values[lo:lo + step] = _stacked_fit(
-                _column_grams(Xt, S, n * spec.lam), c[S], yy, n)
-    inverse = inverse.ravel()  # numpy 2.0.0 returns it 2-D for axis=0
-    return b[inverse], values[inverse]
-
-
 def randomized_solve(
     spec: ProblemSpec,
     zhat: np.ndarray,
@@ -165,10 +141,11 @@ def randomized_solve(
     statistics; ``p_exceed_bound`` is the fraction of draws whose
     cardinality exceeds ``cardinality_bound(k, alpha)``.
 
-    Draws are index arrays, scored per cardinality from the largest by
-    :func:`_fits`; trimmed supports join the size-k draws.  Only the winners
-    are refit exactly (``restricted_estimator``): reported values are exact
-    fits, but the choice rests on stacked values, equal to rounding only.
+    Draws are index arrays, scored per cardinality from the largest, each
+    distinct support once by ``core._ridge_scores``; trimmed supports join
+    the size-k draws.  Only the winners are refit exactly
+    (``restricted_estimator``): reported values are exact fits, but the
+    choice rests on stacked values, equal to rounding only.
     """
     trials = _check_integer("trials", trials)
     if trials < 1:
@@ -183,8 +160,6 @@ def randomized_solve(
     draws = [np.flatnonzero(_keyed_uniforms(gen, key, spec.p) <= zhat) for key in keys]
     cards = np.array([d.size for d in draws])
     kept = list(draws)  # the repaired support of each draw
-    Xt = np.ascontiguousarray(spec.X.T)
-    c, yy = Xt @ spec.y, float(spec.y @ spec.y)
     raw, repaired = np.empty(trials), np.empty(trials)  # each trial's two values
     over: list[int] = []  # over-budget trials, trimmed to size k
     for s in sorted(set(cards.tolist()) | {k}, reverse=True):
@@ -193,7 +168,11 @@ def randomized_solve(
         if not group:
             continue
         rows = np.array([kept[t] for t in group], dtype=np.intp).reshape(len(group), s)
-        b, values = _fits(spec, rows, Xt, c, yy)
+        # each distinct support is scored once
+        U, inverse = np.unique(rows, axis=0, return_inverse=True)
+        _, b, values = (np.concatenate(a) for a in zip(*_ridge_scores(spec, s, U)))
+        inverse = inverse.ravel()  # numpy 2.0.0 returns it 2-D for axis=0
+        b, values = b[inverse], values[inverse]
         raw[drawn] = values[:len(drawn)]
         repaired[group] = values
         if repair and s > k:

@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-# cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4).
+# cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 2).
 from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import (

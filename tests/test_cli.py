@@ -177,6 +177,15 @@ def test_bench(tmp_path):
     assert len(lines) == 3
 
 
+def test_gen_seed_beyond_float_range(tmp_path):
+    # a 401-digit seed is a valid NumPy seed; it used to overflow in validation
+    assert main([
+        "gen", "--n", "20", "--p", "4", "--ktrue", "2",
+        "--seed", str(10**400), "--out", str(tmp_path / "d.csv"),
+    ]) == 0
+    assert load_dataset_csv(tmp_path / "d.csv").X.shape == (20, 4)
+
+
 def test_gen_negative_seed_exits_2(tmp_path):
     assert main([
         "gen", "--n", "20", "--p", "4", "--ktrue", "2",

@@ -55,7 +55,8 @@ class TestDatasetValidation:
             data.X[0, 0] = 5.0
 
     @pytest.mark.parametrize("lam,k", [(0.0, 1), (-1.0, 1), (0.1, 0), (0.1, 3),
-                                       (np.nan, 1), (0.1, 1.5), (0.1, np.nan)])
+                                       (np.nan, 1), (0.1, 1.5), (0.1, np.nan),
+                                       pytest.param(0.1, 10**400, id="0.1-k10**400")])
     def test_spec_invariants(self, lam, k):
         with pytest.raises(InvalidArgumentError):
             ProblemSpec(data=Dataset(X=np.eye(2), y=np.ones(2)), lam=lam, k=k)

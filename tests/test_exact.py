@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -60,6 +61,22 @@ class TestBruteForce:
         spec = random_spec(rng, 8, 5, 2, 0.2)
         with pytest.raises(InvalidArgumentError, match="cap"):
             brute_force(spec, cap=cap)
+
+    def test_wide_design_builds_no_p_by_p_gram(self, rng):
+        spec = random_spec(rng, 5, 3000, 1, 0.1, signal=False)
+        tracemalloc.start()
+        try:
+            est = brute_force(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a one-feature ridge fit in closed form: (y^T y - (x^T y)^2 / (x^T x + n*lam)) / n
+        c, g = spec.X.T @ spec.y, np.sum(spec.X**2, axis=0)
+        values = (spec.y @ spec.y - c**2 / (g + spec.n * 0.1)) / spec.n
+        assert est.support == (int(np.argmin(values)),)
+        assert est.objective == pytest.approx(values.min(), rel=1e-10)
+        # the block budget bounds the gathered stacks; at p = 3000 a p x p Gram takes 72 MB
+        assert peak < 4 * 8 * core._BLOCK_ELEMENTS
 
     @pytest.mark.parametrize("budget", [1, 2, 3, core._BLOCK_ELEMENTS])
     def test_tie_across_blocks_goes_to_first_support(self, monkeypatch, budget):

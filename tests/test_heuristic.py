@@ -147,6 +147,20 @@ class TestBisection:
                 ridge_objective(spec, est.beta), rel=1e-12
             )
 
+    def test_bracket_one_ulp_wide_stops(self):
+        # At this scale delta_hat is below one ulp of the objective, so the
+        # bracket stops shrinking before it is delta_hat wide; the loop must
+        # still end within the iteration bound.
+        data = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=Dataset(X=data.X, y=data.y * 1e5), lam=0.08, k=6)
+        est, trace = heuristic_bisection(spec, delta_hat=1e-6)
+        bound = math.floor(math.log2(float(spec.y @ spec.y) / (spec.n * 1e-6))) + 1
+        assert trace.iterations <= bound
+        last = trace.steps[-1]
+        assert last.upper - last.lower > 1e-6
+        assert est.cardinality <= spec.k
+        assert trace.final_value == min(last.upper, est.objective)
+
     def test_bracket_halves_every_iteration(self, rng):
         spec = random_spec(rng, 20, 8, 3, 0.1)
         _, trace = heuristic_bisection(spec, delta_hat=1e-3)

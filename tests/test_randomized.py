@@ -179,8 +179,9 @@ class TestKeyedStream:
         assert np.array_equal(randomized_round(zhat, key)[1], (expected <= zhat).astype(float))
 
     def test_key_beyond_128_bits_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="2\\*\\*128"):
-            randomized_round(np.full(3, 0.5), 2**128)
+        for key in (2**128, 10**400):  # 10**400 is beyond float range too
+            with pytest.raises(InvalidArgumentError, match="2\\*\\*128"):
+                randomized_round(np.full(3, 0.5), key)
 
 
 class TestBatchedScoring:

@@ -66,6 +66,13 @@ class TestGenerator:
         with pytest.raises(InvalidArgumentError):
             SyntheticConfig(n=10, p=5, k_true=2, snr=0.0)
 
+    def test_seed_beyond_float_range_accepted(self):
+        # NumPy seeds take any non-negative int
+        config = SyntheticConfig(n=6, p=4, k_true=2, seed=10**400)
+        assert config.seed == 10**400
+        a, b = generate_synthetic(config)[0], generate_synthetic(config)[0]
+        assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
     @pytest.mark.parametrize("field, value, match", [
         ("n", 5.5, "n must be an integer"),
         ("p", float("nan"), "p must be an integer"),
