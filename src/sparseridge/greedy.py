@@ -156,20 +156,20 @@ def _run_greedy(
     trace = GreedyTrace()
     allowed = np.zeros(spec.p, dtype=bool)
     allowed[candidates] = True
+    tie = TIE_TOL * state.current_value  # relative to f(0) = y^T y / n, which bounds |gain|
     for it in range(1, steps + 1):
         gains = state.gains()
         gains[~allowed] = np.inf
         best = float(gains.min())
         if not np.isfinite(best):
             break
-        # lowest index among ties within absolute tolerance
-        j = int(np.flatnonzero(gains <= best + TIE_TOL)[0])
+        j = int(np.flatnonzero(gains <= best + tie)[0])  # lowest index among ties
         state.select(j)
         allowed[j] = False
         trace.steps.append(
             GreedyStep(
                 iteration=it, chosen=j, gain=best,
-                value=state.current_value, zero_gain=abs(best) <= TIE_TOL,
+                value=state.current_value, zero_gain=abs(best) <= tie,
             )
         )
     est = restricted_estimator(spec, state.selected)

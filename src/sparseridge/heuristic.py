@@ -60,6 +60,7 @@ class BisectionStep:
 class BisectionTrace:
     steps: list[BisectionStep] = field(default_factory=list)
     final_value: float = math.nan
+    bracket_met: bool = False  # whether the final bracket is at most delta_hat wide
 
     @property
     def iterations(self) -> int:
@@ -243,8 +244,9 @@ def heuristic_bisection(
     the output refits the final witness support exactly, so the reported
     value is min(U, refit objective) and the estimator is always feasible.
     Terminates in at most floor(log2(||y||^2 / (n*delta_hat))) + 1
-    iterations; it stops sooner if the bracket is one ulp wide, which can
-    be wider than ``delta_hat``.  All levels are read off one elastic-net path.
+    iterations; it stops sooner if the bracket is one ulp wide, which can be
+    wider than ``delta_hat`` (then ``trace.bracket_met`` is False).  All
+    levels are read off one elastic-net path.
     """
     _check_positive("delta_hat", delta_hat)
     p, k = spec.p, spec.k
@@ -278,4 +280,5 @@ def heuristic_bisection(
         )
     est = restricted_estimator(spec, incumbent_support)
     trace.final_value = min(upper, est.objective)
+    trace.bracket_met = upper - lower <= delta_hat
     return est, trace

@@ -20,12 +20,13 @@ beta (the fit itself).  The perspective
 constraint set is the convex hull of its mixed-binary counterpart, so v2
 cannot be improved by adding valid inequalities in the same variables;
 tightening requires outside information such as the big-M bounds (v3).
-All solvers are first order, with one loop each: projected gradient for
-``v1``/``v4``, whose first trial step is the Barzilai-Borwein step s^T s /
-s^T y of the last move (Birgin, Martinez & Raydan, SIAM J. Optim. 2000)
-and which halves it until a monotone Armijo test (constant 1e-4) passes,
-and exact alternating minimization for ``v3`` whose z-subproblem is the
-water-filling allocation below.
+All solvers are first order, with one loop each: for ``v1``/``v4``,
+nonmonotone spectral projected gradient, which projects once per iteration
+at the Barzilai-Borwein step of the last move and halves along that direction
+until an Armijo test (constant 1e-4) against the largest of the last 10
+values passes (Birgin, Martinez & Raydan, SIAM J. Optim. 2000; Grippo,
+Lampariello & Lucidi, SIAM J. Numer. Anal. 1986); for ``v3``, exact
+alternating minimization whose z-subproblem is the water-filling below.
 
 v1, v2 and v4 carry one certificate.  Their objectives are convex (f(z) of
 v4 too, since v2 == v4), so at any feasible point x the supporting
@@ -49,6 +50,7 @@ beta = 0 as a feasible point, so it can never return anything useful.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -61,6 +63,7 @@ from .core import (
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
 ARMIJO_C = 1e-4
+NONMONOTONE_MEMORY = 10  # Armijo tests compare with the max of this many last values
 _Z_FLOOR = 1e-14
 # v3's beta-step releases a clamped coordinate whose inward gradient exceeds
 # this share of n*lam*M_i, the size of its penalty term's gradient.
@@ -260,35 +263,42 @@ def _check_stop(tol, max_iter) -> int:
 
 
 def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
-    """Monotone projected gradient with Armijo backtracking from ``x``.
+    """Nonmonotone spectral projected gradient (SPG2) from ``x``.
 
-    Each line search starts from the Barzilai-Borwein step s^T s / s^T y of
-    the move just accepted (s the change in x, y the change in the
-    gradient), capped at 1e12, and halves it until the Armijo test passes.
-    The first search starts at 2; when s^T y <= 0 (for a convex objective,
-    only when the gradient did not change) the last step is doubled
-    instead.  Stops when the certified gap ``gap(x, grad)`` is at most
+    Each iteration projects once, d = P(x - step*grad) - x, with ``step`` the
+    Barzilai-Borwein step s^T s / s^T y of the last move (s and y the changes
+    in x and in the gradient; 2 at first, the last step doubled when
+    s^T y <= 0), capped at 1e12.  It halves t along x + t*d, with no further
+    projection, until an Armijo test against the largest of the last
+    NONMONOTONE_MEMORY values passes (Birgin, Martinez & Raydan, SIAM J.
+    Optim. 2000, Alg. 2.2; Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal.
+    1986); t = 1 takes the projected point itself, so exact 0s and 1s stay.
+    Stops when the certified gap ``gap(x, grad)`` is at most
     tol*(1 + |value|); as fault guards, also when no step makes progress or
     when the state (x, step) repeats (zero-decrease steps can cycle at the
     rounding floor).  Returns (x, value, iterations, gap, converged), value
     and gap at the returned x.
     """
     val, grad = fval_grad(x)
+    recent = deque([val], maxlen=NONMONOTONE_MEMORY)
     seen = set()  # hashed (x, step) states after each move
     step = 2.0
     for iters in range(1, max_iter + 1):
         g = gap(x, grad)
         if g <= tol * (1.0 + abs(val)):
             return x, val, iters, g, True
+        x_new = project(x - step * grad)
+        d, t, ref = x_new - x, 1.0, max(recent)
+        slope = ARMIJO_C * float(grad @ d)
         while True:
-            x_new = project(x - step * grad)
             val_new, grad_new = fval_grad(x_new)
-            if val_new <= val + ARMIJO_C * float(grad @ (x_new - x)):
+            if val_new <= ref + t * slope:
                 break
-            step *= 0.5
-            if step < 1e-18:
+            t *= 0.5
+            if t < 1e-18:
                 x_new = x
                 break
+            x_new = x + t * d
         state = (hash(x_new.tobytes()), step)
         if np.array_equal(x_new, x) or state in seen:
             return x, val, iters, g, False  # stationary to rounding, gap > tol
@@ -297,6 +307,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
         sy = float(s @ (grad_new - grad))
         step = min(float(s @ s) / sy if sy > 0.0 else step * 2.0, 1e12)
         x, val, grad = x_new, val_new, grad_new
+        recent.append(val)
     return x, val, max_iter, gap(x, grad), False
 
 
@@ -325,7 +336,7 @@ def solve_v4(
     fixed_zero=(),
     z0: np.ndarray | None = None,
 ) -> RelaxationSolution:
-    """Minimize f(z) over the capped box by monotone projected gradient.
+    """Minimize f(z) over the capped box by nonmonotone spectral projected gradient.
 
     ``fixed_one`` / ``fixed_zero`` pin coordinates of z at 1 / 0 (used by
     the exact solver's tree search); the remaining coordinates are

@@ -182,6 +182,41 @@ def projected_objective_exact(X, y, lam, z):
         return float(value), np.array([float(g) for g in grad])
 
 
+def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, armijo_c=1e-4):
+    """The package's former projected-gradient loop, kept as a reference.
+
+    Same interface, Barzilai-Borwein steps, gap stop and fault guards as
+    ``sparseridge.relaxation._projected_gradient``, but monotone: every
+    rejected trial halves the step and projects again, until the value
+    falls by the Armijo amount below the current one.
+    """
+    val, grad = fval_grad(x)
+    seen = set()
+    step = 2.0
+    for iters in range(1, max_iter + 1):
+        g = gap(x, grad)
+        if g <= tol * (1.0 + abs(val)):
+            return x, val, iters, g, True
+        while True:
+            x_new = project(x - step * grad)
+            val_new, grad_new = fval_grad(x_new)
+            if val_new <= val + armijo_c * float(grad @ (x_new - x)):
+                break
+            step *= 0.5
+            if step < 1e-18:
+                x_new = x
+                break
+        state = (hash(x_new.tobytes()), step)
+        if np.array_equal(x_new, x) or state in seen:
+            return x, val, iters, g, False
+        seen.add(state)
+        s = x_new - x
+        sy = float(s @ (grad_new - grad))
+        step = min(float(s @ s) / sy if sy > 0.0 else step * 2.0, 1e12)
+        x, val, grad = x_new, val_new, grad_new
+    return x, val, max_iter, gap(x, grad), False
+
+
 # The weight floor below which sparseridge.relaxation drops a coordinate.
 _Z_FLOOR = 1e-14
 
@@ -401,7 +436,8 @@ def greedy_dense_steps(X, y, lam, steps, candidates=None, tie_tol=1e-12):
 
     The package's former update: every step rewrites the whole block with a
     rank-one outer product.  Returns (chosen, gain, value) per step, with
-    ties in the argmin going to the lowest index within ``tie_tol``.
+    ties in the argmin going to the lowest index within ``tie_tol`` times
+    f(0) = y^T y / n.
     """
     n, p = X.shape
     nl = n * lam
@@ -409,6 +445,7 @@ def greedy_dense_steps(X, y, lam, steps, candidates=None, tie_tol=1e-12):
     quad = np.sum(X**2, axis=0) / nl
     cross = (X.T @ y) / nl
     value = float(y @ y) / n
+    tie = tie_tol * value
     allowed = np.zeros(p, dtype=bool)
     allowed[np.arange(p) if candidates is None else candidates] = True
     out = []
@@ -418,7 +455,7 @@ def greedy_dense_steps(X, y, lam, steps, candidates=None, tie_tol=1e-12):
         best = float(gains.min())
         if not np.isfinite(best):
             break
-        j = int(np.flatnonzero(gains <= best + tie_tol)[0])
+        j = int(np.flatnonzero(gains <= best + tie)[0])
         denom = 1.0 + quad[j]
         w = inv_products[:, j].copy()
         c = X.T @ w

@@ -15,7 +15,9 @@ from sparseridge import (
     InvalidArgumentError,
     ProblemSpec,
     SpectralStats,
+    SyntheticConfig,
     brute_force,
+    generate_synthetic,
     greedy_distance_bound,
     greedy_ratio_bound,
     greedy_select,
@@ -108,6 +110,19 @@ class TestGreedySelect:
         assert est.cardinality == 2  # the loop still fills the budget
         assert all(s.zero_gain for s in trace.steps)
         assert est.support == (0, 1)  # lowest indices on ties
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-3, 1e3, 1e6])
+    @pytest.mark.parametrize("cell", [(200, 300, 10), (500, 1000, 10)], ids=str)
+    def test_same_support_in_any_units_of_y(self, cell, c):
+        # Gains scale with c^2 when y -> c*y, and so does the tie tolerance;
+        # an absolute one picked worse supports at c = 1e-5 and 1e-6 here.
+        n, p, k = cell
+        data = generate_synthetic(SyntheticConfig(n=n, p=p, k_true=k, seed=1))[0]
+        est, _ = greedy_select(ProblemSpec(data=data, lam=0.08, k=k))
+        scaled = ProblemSpec(data=Dataset(X=data.X, y=c * data.y), lam=0.08, k=k)
+        est_c, _ = greedy_select(scaled)
+        assert est_c.support == est.support
+        assert est_c.objective == pytest.approx(c * c * est.objective, rel=1e-9)
 
     def test_trace_json_lines(self, rng):
         spec = random_spec(rng, 10, 4, 2, 0.2)

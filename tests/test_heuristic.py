@@ -160,6 +160,14 @@ class TestBisection:
         assert last.upper - last.lower > 1e-6
         assert est.cardinality <= spec.k
         assert trace.final_value == min(last.upper, est.objective)
+        assert not trace.bracket_met
+
+    def test_bracket_met_in_unit_scale(self):
+        data = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        _, trace = heuristic_bisection(spec, delta_hat=1e-6)
+        last = trace.steps[-1]
+        assert trace.bracket_met and last.upper - last.lower <= 1e-6
 
     def test_bracket_halves_every_iteration(self, rng):
         spec = random_spec(rng, 20, 8, 3, 0.1)

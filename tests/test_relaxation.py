@@ -1,5 +1,6 @@
 import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import identity_pair_spec, masked_nodes, random_spec
 from oracles import (
     box_weighted_ridge_cd,
     finite_difference_gradient,
+    monotone_projected_gradient,
     perspective_alternating,
     projected_objective_exact,
     projection_tau_bisection,
@@ -300,6 +302,24 @@ class TestProjectedValueSolver:
         assert sol.converged
         assert len(evaluations) <= 1.5 * sol.iterations
 
+    def test_one_projection_per_move(self, monkeypatch):
+        # The nonmonotone search projects once per move and backtracks along
+        # the projected direction; on this instance it almost never backtracks.
+        data, _, _, _ = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        calls = {"project_capped_simplex": 0, "_value_grad": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(relaxation, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(relaxation, name, counted)
+        sol = solve_v4(spec)
+        assert sol.converged
+        # The last iteration certifies the gap and makes no move.
+        assert calls["project_capped_simplex"] == sol.iterations - 1
+        assert calls["_value_grad"] <= 1.1 * sol.iterations
+
     def test_masked_solve_respects_fixing(self, rng):
         spec = random_spec(rng, 10, 6, 3, 0.2)
         sol = solve_v4(spec, fixed_one=(1,), fixed_zero=(4,))
@@ -561,6 +581,55 @@ class TestCertifiedGap:
             assert sol.kkt_residual >= -1e-12 * (1.0 + abs(sol.value))
             if sol.converged:
                 assert sol.kkt_residual <= tol * (1.0 + abs(sol.value))
+
+
+def _node_optimum(spec, ones, free):
+    """The best objective over supports holding ``ones`` and at most
+    k - |ones| of ``free``, by enumeration."""
+    budget = spec.k - len(ones)
+    return min(
+        subset_value_oracle(spec.X, spec.y, spec.lam, list(ones) + list(extra))
+        for r in range(min(budget, len(free)) + 1)
+        for extra in itertools.combinations(free, r)
+    )
+
+
+def _assert_agree(new, old, best, z, k):
+    """Both solves converged, their values agree within the sum of their
+    certified gaps, the bound lies below the optimum and z is feasible."""
+    assert new.converged and old.converged
+    slack = 1e-12 * (1.0 + abs(old.value))
+    assert abs(new.value - old.value) <= new.kkt_residual + old.kkt_residual + slack
+    assert new.lower_bound <= best * (1.0 + 1e-10)
+    assert np.all(z >= 0.0) and np.all(z <= 1.0)
+    assert z.sum() <= k * (1.0 + 1e-12)
+
+
+class TestNonmonotoneAgainstMonotone:
+    """The nonmonotone loop against the former monotone one (tests/oracles)."""
+
+    @settings(PROPERTY, max_examples=60)
+    @given(node=st.sampled_from(["root", "open"]).flatmap(masked_nodes), data=st.data())
+    def test_v4(self, node, data):
+        spec, ones, free, zeros = node
+        z0 = data.draw(st.none() | arrays(float, spec.p, elements=st.floats(-0.5, 1.5)))
+        new = solve_v4(spec, fixed_one=ones, fixed_zero=zeros, z0=z0)
+        with mock.patch.object(relaxation, "_projected_gradient", monotone_projected_gradient):
+            old = solve_v4(spec, fixed_one=ones, fixed_zero=zeros, z0=z0)
+        _assert_agree(new, old, _node_optimum(spec, ones, free), new.z, spec.k)
+        assert np.all(new.z[ones] == 1.0) and np.all(new.z[zeros] == 0.0)
+
+    @settings(PROPERTY, max_examples=30)
+    @given(node=masked_nodes("root"))
+    def test_v1(self, node):
+        spec = node[0]
+        M = big_m(spec, v_upper=greedy_select(spec)[0].objective)
+        new = solve_v1(spec, M)
+        with mock.patch.object(relaxation, "_projected_gradient", monotone_projected_gradient), \
+                mock.patch.object(relaxation, "_project_weighted_l1_box",
+                                  weighted_l1_box_projection_bisection):
+            old = solve_v1(spec, M)
+        _assert_agree(new, old, brute_force(spec).objective, new.z, spec.k)
 
 
 @st.composite
