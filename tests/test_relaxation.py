@@ -285,6 +285,29 @@ class TestProjectedValueSolver:
         )
         assert not converged and resid == 1.0 and iters < 100
 
+    def test_backtracks_along_one_projection(self):
+        # f(x) = x^2 on [-10, 10] from x = 1: the first trial x - 2*grad = -3
+        # fails the Armijo test, and so does t = 1/2 (x = -1, no decrease);
+        # t = 1/4 reaches the minimizer.  One projection serves all three.
+        trials, projections = [], []
+
+        def fval_grad(x):
+            trials.append(float(x[0]))
+            return float(x[0] ** 2), 2.0 * x
+
+        def clip(v):
+            projections.append(v)
+            return np.clip(v, -10.0, 10.0)
+
+        def gap(x, grad):  # grad*x minus its minimum over the box
+            return float(grad[0] * x[0] + 10.0 * abs(grad[0]))
+
+        x, val, iters, resid, converged = relaxation._projected_gradient(
+            fval_grad, clip, gap, np.ones(1), 1e-9, 100
+        )
+        assert converged and x[0] == 0.0 and val == 0.0
+        assert trials == [1.0, -3.0, -1.0, 0.0] and len(projections) == 1
+
     def test_spectral_first_step_rarely_backtracks(self, monkeypatch):
         # The Barzilai-Borwein first step is accepted on most iterations; a
         # doubled step backtracks on nearly every one (2.0 evaluations each).
@@ -594,15 +617,15 @@ def _node_optimum(spec, ones, free):
     )
 
 
-def _assert_agree(new, old, best, z, k):
+def _assert_agree(new, old, best, k):
     """Both solves converged, their values agree within the sum of their
     certified gaps, the bound lies below the optimum and z is feasible."""
     assert new.converged and old.converged
     slack = 1e-12 * (1.0 + abs(old.value))
     assert abs(new.value - old.value) <= new.kkt_residual + old.kkt_residual + slack
     assert new.lower_bound <= best * (1.0 + 1e-10)
-    assert np.all(z >= 0.0) and np.all(z <= 1.0)
-    assert z.sum() <= k * (1.0 + 1e-12)
+    assert np.all(new.z >= 0.0) and np.all(new.z <= 1.0)
+    assert new.z.sum() <= k * (1.0 + 1e-12)
 
 
 class TestNonmonotoneAgainstMonotone:
@@ -616,7 +639,7 @@ class TestNonmonotoneAgainstMonotone:
         new = solve_v4(spec, fixed_one=ones, fixed_zero=zeros, z0=z0)
         with mock.patch.object(relaxation, "_projected_gradient", monotone_projected_gradient):
             old = solve_v4(spec, fixed_one=ones, fixed_zero=zeros, z0=z0)
-        _assert_agree(new, old, _node_optimum(spec, ones, free), new.z, spec.k)
+        _assert_agree(new, old, _node_optimum(spec, ones, free), spec.k)
         assert np.all(new.z[ones] == 1.0) and np.all(new.z[zeros] == 0.0)
 
     @settings(PROPERTY, max_examples=30)
@@ -629,7 +652,7 @@ class TestNonmonotoneAgainstMonotone:
                 mock.patch.object(relaxation, "_project_weighted_l1_box",
                                   weighted_l1_box_projection_bisection):
             old = solve_v1(spec, M)
-        _assert_agree(new, old, brute_force(spec).objective, new.z, spec.k)
+        _assert_agree(new, old, brute_force(spec).objective, spec.k)
 
 
 @st.composite
