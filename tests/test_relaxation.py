@@ -573,6 +573,17 @@ class TestBoxConstrainedStep:
             relaxation._box_weighted_ridge(spec, np.ones(2), np.full(2, 10.0), np.zeros(2))
 
 
+def _node_optimum(spec, ones, free):
+    """The best objective over supports holding ``ones`` and at most
+    k - |ones| of ``free``, by enumeration."""
+    budget = spec.k - len(ones)
+    return min(
+        subset_value_oracle(spec.X, spec.y, spec.lam, list(ones) + list(extra))
+        for r in range(min(budget, len(free)) + 1)
+        for extra in itertools.combinations(free, r)
+    )
+
+
 class TestCertifiedGap:
     """v1, v2 and v4 report value - lower_bound as kkt_residual, with
     lower_bound certified against enumeration."""
@@ -581,12 +592,7 @@ class TestCertifiedGap:
     @given(node=st.sampled_from(["root", "open"]).flatmap(masked_nodes))
     def test_lower_bound_below_optimum(self, node):
         spec, ones, free, zeros = node
-        budget = spec.k - len(ones)
-        best = min(
-            subset_value_oracle(spec.X, spec.y, spec.lam, ones + list(extra))
-            for r in range(min(budget, len(free)) + 1)
-            for extra in itertools.combinations(free, r)
-        )
+        best = _node_optimum(spec, ones, free)
         v4 = solve_v4(spec, tol=1e-7, fixed_one=ones, fixed_zero=zeros)
         solves = [(v4, 1e-7)]
         if not ones and not zeros:  # v1 and v2 solve the root only
@@ -604,17 +610,6 @@ class TestCertifiedGap:
             assert sol.kkt_residual >= -1e-12 * (1.0 + abs(sol.value))
             if sol.converged:
                 assert sol.kkt_residual <= tol * (1.0 + abs(sol.value))
-
-
-def _node_optimum(spec, ones, free):
-    """The best objective over supports holding ``ones`` and at most
-    k - |ones| of ``free``, by enumeration."""
-    budget = spec.k - len(ones)
-    return min(
-        subset_value_oracle(spec.X, spec.y, spec.lam, list(ones) + list(extra))
-        for r in range(min(budget, len(free)) + 1)
-        for extra in itertools.combinations(free, r)
-    )
 
 
 def _assert_agree(new, old, best, k):
