@@ -14,6 +14,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import itertools
+import math
+import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -106,17 +108,28 @@ def run_benchmark(
     ``cells`` is an iterable of {"n": ..., "p": ..., "k": ...} mappings.
     ``k`` doubles as the generator's true support size.  A malformed cell
     (integer n, p and k with 1 <= k <= min(n, p) required), a negative seed
-    or rep count, a string ``methods``, or an unknown method or
-    ``method_options`` entry raises InvalidArgumentError before any fit.
+    or rep count, a string ``methods``, a ``time_budget`` that is not None
+    or a finite number >= 0, a ``method_options`` that does not map each name
+    to a mapping, or an unknown method or option there raises
+    InvalidArgumentError before any fit.
     """
     configs = [_cell_config(cell, rho, snr) for cell in cells]
     if isinstance(methods, str):
         raise InvalidArgumentError(f"methods must be a list of names, not the string {methods!r}")
     methods = list(methods)
-    options = method_options or {}
+    options = {} if method_options is None else method_options
+    if not (isinstance(options, Mapping) and all(isinstance(o, Mapping) for o in options.values())):
+        raise InvalidArgumentError(
+            f"method_options must map each method name to an object of options, got {options!r}"
+        )
     for method in sorted(set(methods) | set(options)):
         check_options(method, options.get(method, {}))
     seed, reps = _check_count("seed", seed), _check_count("reps", reps)
+    if time_budget is not None and not (
+            isinstance(time_budget, numbers.Real) and 0 <= time_budget < math.inf):
+        raise InvalidArgumentError(
+            f"time_budget must be None or a finite number >= 0, got {time_budget!r}"
+        )
     report = BenchReport()
     for cell_index, rep in itertools.product(range(len(configs)), range(reps)):
         ds_seed = dataset_seed(seed, cell_index, rep)

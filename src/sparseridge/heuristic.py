@@ -90,7 +90,7 @@ def elastic_net_cd(
     soft(x_i^T r_{-i} / n, gamma/2) / (||x_i||^2/n + lam); sweeps stop when
     the largest coordinate change in a sweep is at most ``tol``.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise InvalidArgumentError(f"gamma must be nonnegative, got {gamma}")
     X, y, n, lam, p = spec.X, spec.y, spec.n, spec.lam, spec.p
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)

@@ -20,20 +20,20 @@ beta (the fit itself).  The perspective
 constraint set is the convex hull of its mixed-binary counterpart, so v2
 cannot be improved by adding valid inequalities in the same variables;
 tightening requires outside information such as the big-M bounds (v3).
-All solvers are first order, with one loop each: for ``v1``/``v4``,
-nonmonotone spectral projected gradient, which projects once per iteration
-at the Barzilai-Borwein step of the last move and halves along that direction
-until an Armijo test (constant 1e-4) against the largest of the last 10
-values passes (Birgin, Martinez & Raydan, SIAM J. Optim. 2000; Grippo,
-Lampariello & Lucidi, SIAM J. Numer. Anal. 1986); for ``v3``, exact
-alternating minimization whose z-subproblem is the water-filling below.
+All solvers are first order, with one loop: nonmonotone spectral projected
+gradient, which projects once per iteration at the Barzilai-Borwein step of
+the last move and halves along that direction until an Armijo test
+(constant 1e-4) against the largest of the last 10 values passes (Birgin,
+Martinez & Raydan, SIAM J. Optim. 2000; Grippo, Lampariello & Lucidi, SIAM
+J. Numer. Anal. 1986).  v1 runs it on beta; v2/v4 on f(z) and v3 on g(z),
+the box-constrained perspective minimum over beta, through one driver.
 
-v1, v2 and v4 carry one certificate.  Their objectives are convex (f(z) of
-v4 too, since v2 == v4), so at any feasible point x the supporting
-hyperplane gives value - gap <= the relaxation value, where the gap
-grad^T x - min over the feasible set of grad^T w is the Frank-Wolfe duality
-gap (Jaggi, ICML 2013).  ``lower_bound`` is value - gap and
-``kkt_residual`` is value - lower_bound; the projected-gradient loop stops
+All four carry one certificate.  Their objectives are convex (f(z) since
+v2 == v4, g(z) as a partial minimum of a jointly convex function), so at any
+feasible point x the supporting hyperplane gives value - gap <= the
+relaxation value, where the gap grad^T x - min over the feasible set of
+grad^T w is the Frank-Wolfe duality gap (Jaggi, ICML 2013).  ``lower_bound``
+is value - gap and ``kkt_residual`` is value - lower_bound; the loop stops
 once the gap is at most tol*(1 + |value|).
 
 The capped-simplex projection, water-filling and v1's weighted-L1-box
@@ -80,7 +80,7 @@ class RelaxationSolution:
     kkt_residual: float
     converged: bool
     beta: np.ndarray | None = None
-    lower_bound: float | None = None  # certified value - gap; None for v3
+    lower_bound: float | None = None  # certified value - gap
 
     def __post_init__(self) -> None:
         z = np.array(self.z, dtype=float)
@@ -145,7 +145,7 @@ def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
     otherwise z = clip(v - tau, 0, 1) with the unique shift tau > 0 that
     makes sum(z) == k, found exactly on the sorted breakpoints v_i, v_i - 1.
     """
-    if k <= 0:
+    if not k > 0:
         raise InvalidArgumentError(f"budget k must be positive, got {k}")
     v = np.asarray(v, dtype=float)
     clipped = np.clip(v, 0.0, 1.0)
@@ -174,9 +174,9 @@ def waterfill_z(
                 or np.any(lower < -1e-15) or np.any(lower > 1 + 1e-12)):
             raise InvalidArgumentError("lower bounds must be finite and lie in [0, 1]")
         lower = np.clip(lower, 0.0, 1.0)
-    if lower.sum() > k + 1e-9:
+    if not lower.sum() <= k + 1e-9:
         raise InvalidArgumentError(
-            f"lower bounds sum to {lower.sum():.6g} > budget {k}"
+            f"budget k must be at least the lower bounds' sum {lower.sum():.6g}, got {k}"
         )
     if lower.sum() >= k - 1e-12:
         return lower.copy()  # bounds alone exhaust the budget
@@ -246,7 +246,7 @@ def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndar
 
 def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
     """g^T z - min of g^T w over {w in [0,1]^m : sum(w) <= budget}, for g <= 0
-    (the gradient of f): weight 1 on the ``budget`` smallest entries."""
+    (a gradient of f or of v3's g): weight 1 on the ``budget`` smallest entries."""
     if budget >= g.size:
         return float(g @ z) - float(g.sum())
     return float(g @ z) - float(np.partition(g, budget - 1)[:budget].sum())
@@ -328,21 +328,16 @@ def _masked_sets(spec, fixed_one, fixed_zero):
     return one, np.flatnonzero(free)
 
 
-def solve_v4(
-    spec: ProblemSpec,
-    tol: float = 1e-7,
-    max_iter: int = 5000,
-    fixed_one=(),
-    fixed_zero=(),
-    z0: np.ndarray | None = None,
-) -> RelaxationSolution:
-    """Minimize f(z) over the capped box by nonmonotone spectral projected gradient.
+def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None):
+    """Minimize a convex g(z), nonincreasing in z, over the capped box by
+    nonmonotone spectral projected gradient; ``value_grad(z)`` returns g(z)
+    and its gradient at a length-p z.
 
     ``fixed_one`` / ``fixed_zero`` pin coordinates of z at 1 / 0 (used by
     the exact solver's tree search); the remaining coordinates are
     optimized over the budget k - |fixed_one|.  ``lower_bound`` is the
-    supporting hyperplane's minimum over the capped box, f(z) + min_w
-    grad f(z)^T (w - z) (weight 1 on the ``budget`` most negative gradient
+    supporting hyperplane's minimum over the capped box, g(z) + min_w
+    grad g(z)^T (w - z) (weight 1 on the ``budget`` most negative gradient
     entries); it is the value itself in the closed-form cases.  A warm start
     ``z0`` must be a finite length-p vector; its free entries are projected
     onto the box.
@@ -358,8 +353,8 @@ def solve_v4(
     z[one] = 1.0
     if free.size == 0 or budget <= 0 or budget >= free.size:
         if budget > 0:
-            z[free] = 1.0  # f decreases in every coordinate: saturate the box
-        val = _value_dual(spec, z)[0]
+            z[free] = 1.0  # g decreases in every coordinate: saturate the box
+        val = value_grad(z)[0]
         return RelaxationSolution(
             z=z, value=val, iterations=0, kkt_residual=0.0, converged=True,
             lower_bound=val,
@@ -367,7 +362,7 @@ def solve_v4(
 
     def fval_grad(zf):
         z[free] = zf
-        val, grad = _value_grad(spec, z)
+        val, grad = value_grad(z)
         return val, grad[free]
 
     if z0 is not None:
@@ -384,6 +379,19 @@ def solve_v4(
         z=z, value=val, iterations=iters, kkt_residual=val - lower_bound,
         converged=converged, lower_bound=lower_bound,
     )
+
+
+def solve_v4(
+    spec: ProblemSpec,
+    tol: float = 1e-7,
+    max_iter: int = 5000,
+    fixed_one=(),
+    fixed_zero=(),
+    z0: np.ndarray | None = None,
+) -> RelaxationSolution:
+    """f(z) minimized over the capped box by :func:`_capped_box_minimum`."""
+    return _capped_box_minimum(spec, lambda z: _value_grad(spec, z), tol, max_iter,
+                               fixed_one, fixed_zero, z0)
 
 
 def _perspective_value(spec: ProblemSpec, beta: np.ndarray, z: np.ndarray) -> float:
@@ -509,39 +517,31 @@ def _box_weighted_ridge(
     raise NumericalError("box-constrained beta-step reached its pass cap")
 
 
+def _v3_value_grad(spec: ProblemSpec, M: np.ndarray, z: np.ndarray, beta: np.ndarray):
+    """v3's g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i
+    and its gradient; ``beta`` holds the warm start and is overwritten with b.
+
+    dg/dz_i = -lam*(b_i/z_i)^2 - M_i*mu_i, mu_i the multiplier of that bound.
+    With c_i = |x_i^T (y - X b)|/n it is v4's -c_i^2/lam while the bound is
+    slack (c_i <= lam*M_i), and lam*M_i^2 - 2*M_i*c_i once it binds.
+    """
+    beta[:] = _box_weighted_ridge(spec, z, M, beta)
+    c = np.abs(spec.X.T @ (spec.y - spec.X @ beta)) / spec.n
+    grad = np.where(c <= spec.lam * M, -c**2 / spec.lam, spec.lam * M**2 - 2.0 * M * c)
+    return _perspective_value(spec, beta, z), grad
+
+
 def solve_v3(
     spec: ProblemSpec,
     M: BigMVector,
     tol: float = 1e-9,
     max_iter: int = 20000,
 ) -> RelaxationSolution:
-    """Perspective-plus-big-M relaxation value by exact alternating minimization.
-
-    Each cycle takes the beta-step, a box-constrained weighted ridge solved
-    exactly by an active set on RidgeSystem, and then the z-step,
-    water-filling with per-coordinate lower bounds |beta_i| / M_i that keep
-    the linking constraints feasible; it stops when a cycle decreases the
-    value by at most ``tol``.  The initial z is interior so no coordinate is
-    pinned to the 0/0 face by accident.
+    """Perspective-plus-big-M relaxation value: :func:`_v3_value_grad`'s g(z),
+    convex and nonincreasing in z, minimized by :func:`_capped_box_minimum`
+    with its certificate.  Each beta-step is warm-started from the last one;
+    ``beta`` is the minimizer at the returned z.
     """
-    Mv = _positive_bounds(M)
-    max_iter = _check_stop(tol, max_iter)
-    z = np.full(spec.p, min(1.0, spec.k / spec.p))
-    beta = np.zeros(spec.p)
-    prev = val = decrease = np.inf
-    converged = False
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        beta = _box_weighted_ridge(spec, z, Mv, beta)
-        z = waterfill_z(beta, spec.k, lower=np.abs(beta) / Mv)
-        val = _perspective_value(spec, beta, z)
-        decrease = prev - val
-        if decrease <= tol:
-            converged = True
-            break
-        prev = val
-    return RelaxationSolution(
-        z=z, value=val, iterations=iters,
-        kkt_residual=float(abs(decrease)) if np.isfinite(decrease) else np.inf,
-        converged=converged, beta=beta,
-    )
+    Mv, beta = _positive_bounds(M), np.zeros(spec.p)
+    sol = _capped_box_minimum(spec, lambda z: _v3_value_grad(spec, Mv, z, beta), tol, max_iter)
+    return replace(sol, beta=_box_weighted_ridge(spec, sol.z, Mv, beta))

@@ -206,6 +206,16 @@ def test_gen_negative_seed_exits_2(tmp_path):
     ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": "greedy"}, "not the string 'greedy'"),
     ({"cells": [{"n": 20, "p": 6.5, "k": 2}], "methods": ["greedy"]}, "p must be an integer"),
     ({"cells": [{"n": 3, "p": 6, "k": 4}], "methods": ["greedy"]}, "k <= n"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "time_budget": "abc"},
+     "time_budget"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "time_budget": -1},
+     "time_budget"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "time_budget": float("nan")},
+     "time_budget"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "method_options": ["greedy"]},
+     "method_options"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "method_options": {"greedy": 5}},
+     "method_options"),
 ])
 def test_malformed_bench_config_exits_2(tmp_path, capsys, monkeypatch, config, match):
     def no_fit(*args, **kwargs):

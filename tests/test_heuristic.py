@@ -72,6 +72,8 @@ class TestElasticNetCd:
         spec = random_spec(rng, 8, 3, 1, 0.1)
         with pytest.raises(InvalidArgumentError):
             elastic_net_cd(spec, gamma=-0.1)
+        with pytest.raises(InvalidArgumentError):
+            elastic_net_cd(spec, gamma=math.nan)
 
 
 class TestMinL1GivenLevel:

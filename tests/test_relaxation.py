@@ -78,6 +78,11 @@ class TestCappedSimplexProjection:
         z = project_capped_simplex(v, 3.0)
         assert z.sum() == pytest.approx(3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_bad_budget_rejected(self, k):
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            project_capped_simplex(np.array([0.5, 0.2]), k)
+
 
 class TestWaterfill:
     def test_symmetric_split(self):
@@ -112,6 +117,8 @@ class TestWaterfill:
     def test_infeasible_lower_bounds(self):
         with pytest.raises(InvalidArgumentError):
             waterfill_z(np.ones(3), 1.0, lower=np.array([0.5, 0.5, 0.5]))
+        with pytest.raises(InvalidArgumentError, match="budget"):
+            waterfill_z(np.ones(3), np.nan)
 
     def test_nan_lower_bound_rejected(self):
         with pytest.raises(InvalidArgumentError, match="finite"):
@@ -511,6 +518,41 @@ class TestCombinedSolver:
             assert max(v1.value, v2.value, v3.value, v4.value) <= star.objective + 1e-6
 
 
+class TestCombinedSolverCertificate:
+    """v3 on the capped-box driver: a certified bound, below the optimum."""
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_below_optimum(self, seed):
+        # A loop that stops on a small per-cycle decrease ends above the
+        # optimum here (0.1594381 and 0.1753617 against 0.1587487 and
+        # 0.1745716) and still reports converged=True.
+        spec = random_spec(np.random.default_rng(seed), 13, 2, 1, 0.025)
+        M = big_m(spec, v_upper=greedy_select(spec)[0].objective)
+        v3 = solve_v3(spec, M)
+        assert v3.converged
+        assert v3.value <= brute_force(spec).objective * (1.0 + 1e-9)
+        assert v3.lower_bound <= v3.value
+        # beta is the minimizer at the returned z.
+        value = relaxation._perspective_value(spec, v3.beta, v3.z)
+        assert value == pytest.approx(v3.value, rel=1e-10)
+
+    def test_gradient_matches_central_differences(self, rng):
+        clamped = 0
+        for _ in range(10):
+            spec = random_spec(rng, 10, 6, 3, float(rng.choice([0.05, 0.3])))
+            # Bounds scaled down so that the box binds on some coordinates.
+            M = big_m(spec).M * rng.uniform(0.05, 0.3)
+            z = rng.uniform(0.1, 0.9, size=6)
+            beta = np.zeros(6)
+            _, grad = relaxation._v3_value_grad(spec, M, z, beta)
+            clamped += np.any(np.abs(beta) >= M * z * (1.0 - 1e-12))
+            fd = finite_difference_gradient(
+                lambda w: relaxation._v3_value_grad(spec, M, w, beta.copy())[0], z
+            )
+            assert grad == pytest.approx(fd, rel=1e-6, abs=1e-10)
+        assert clamped > 0
+
+
 @st.composite
 def box_step_cases(draw):
     """(spec, z, M, beta0) with p < n or p > n, some z_i exactly 0 and the
@@ -585,7 +627,7 @@ def _node_optimum(spec, ones, free):
 
 
 class TestCertifiedGap:
-    """v1, v2 and v4 report value - lower_bound as kkt_residual, with
+    """v1 to v4 report value - lower_bound as kkt_residual, with
     lower_bound certified against enumeration."""
 
     @settings(PROPERTY, max_examples=100)
@@ -595,11 +637,12 @@ class TestCertifiedGap:
         best = _node_optimum(spec, ones, free)
         v4 = solve_v4(spec, tol=1e-7, fixed_one=ones, fixed_zero=zeros)
         solves = [(v4, 1e-7)]
-        if not ones and not zeros:  # v1 and v2 solve the root only
+        if not ones and not zeros:  # v1, v2 and v3 solve the root only
             v2 = solve_v2_perspective(spec)
             # Bounds valid at the greedy level, tight enough that v1's budget can bind.
             M = big_m(spec, v_upper=greedy_select(spec)[0].objective)
-            solves += [(solve_v1(spec, M, tol=1e-8), 1e-8), (v2, 1e-7)]
+            solves += [(solve_v1(spec, M, tol=1e-8), 1e-8), (v2, 1e-7),
+                       (solve_v3(spec, M, tol=1e-9), 1e-9)]
             # v2 == v4, and each value is attained, so each bound lies below both.
             top = min(v2.value, v4.value) * (1.0 + 1e-12)
             assert v2.lower_bound <= top and v4.lower_bound <= top
