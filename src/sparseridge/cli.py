@@ -136,21 +136,32 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+# Numeric bench config keys and the run_benchmark parameters they set.
+_BENCH_NUMBERS = {"reps": "reps", "seed": "seed", "rho": "rho", "snr": "snr", "lambda": "lam"}
+
+
 def cmd_bench(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh)
     if not isinstance(config, dict) or not {"cells", "methods"} <= config.keys():
         raise InvalidArgumentError('benchmark config must be an object with "cells" and "methods"')
+    # Only the keys given are passed: run_benchmark holds the defaults and
+    # checks ranges; here a count must be a JSON integer and the rest numbers.
+    options = {}
+    for key, name in _BENCH_NUMBERS.items():
+        if key in config:
+            value, count = config[key], name in ("reps", "seed")
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or count and not float(value).is_integer()):
+                kind = "an integer" if count else "a number"
+                raise InvalidArgumentError(f'"{key}" must be {kind}, got {value!r}')
+            options[name] = value
     report = run_benchmark(
         cells=config["cells"],
         methods=config["methods"],
-        reps=_convert(int, config.get("reps", 10), '"reps"'),
-        seed=_convert(int, config.get("seed", 0), '"seed"'),
-        rho=_convert(float, config.get("rho", 0.5), '"rho"'),
-        snr=_convert(float, config.get("snr", 9.0), '"snr"'),
-        lam=_convert(float, config.get("lambda", 0.08), '"lambda"'),
         time_budget=config.get("time_budget"),
         method_options=config.get("method_options"),
+        **options,
     )
     report.to_csv(args.out)
     for agg in report.aggregates():

@@ -481,28 +481,29 @@ def theta(
 def underline_theta(spec: ProblemSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
     """Smallest eigenvalue of X_T X_T^T over all T with |T| >= p - k + 1.
 
-    Whenever p - k + 1 < n every size-(p-k+1) subset is rank deficient and
-    the minimum is 0 without enumeration.  Otherwise all admissible sizes
-    are enumerated (their total count must stay within the cap), in blocks:
-    one batched eigenvalue call per stack of n x n matrices, n <= |T|.
+    Adding a column to T adds the PSD term x x^T, so the minimum is attained
+    at |T| = p - k + 1 and only that size is enumerated (C(p, p - k + 1)
+    subsets, which must stay within the cap).  Whenever p - k + 1 < n every
+    such subset is rank deficient and the minimum is 0 without enumeration.
+    Subsets go in blocks: one batched eigenvalue call per stack of n x n
+    matrices.
     """
     n, p, k = spec.n, spec.p, spec.k
     cap = _check_count("cap", cap)
-    t_min = p - k + 1
-    if t_min < n:
+    t = p - k + 1
+    if t < n:
         return 0.0
-    total = sum(math.comb(p, t) for t in range(t_min, p + 1))
+    total = math.comb(p, t)
     if total > cap:
         raise EnumerationCapError(
-            f"enumerating {total} subsets of size >= {t_min} exceeds the cap {cap}"
+            f"enumerating {total} subsets of size {t} exceeds the cap {cap}"
         )
     best = math.inf
     Xt = spec.X.T
-    for t in range(t_min, p + 1):
-        for T in _subset_blocks(p, t):
-            XT = Xt[T]  # (m, t, n): rows are the columns of X_T
-            low = float(np.linalg.eigvalsh(XT.transpose(0, 2, 1) @ XT)[:, 0].min())
-            best = min(best, max(0.0, low))
+    for T in _subset_blocks(p, t):
+        XT = Xt[T]  # (m, t, n): rows are the columns of X_T
+        low = float(np.linalg.eigvalsh(XT.transpose(0, 2, 1) @ XT)[:, 0].min())
+        best = min(best, max(0.0, low))
     return float(best)
 
 

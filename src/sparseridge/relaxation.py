@@ -14,12 +14,13 @@ formulation they relax:
 
 ``v2`` and ``v4`` coincide (one is an exact reformulation of the other),
 so v2 is computed by v4's solver; the test suite checks the two against an
-independent alternating-minimization reference.  One ridge fit on supp z
-gives f(z) (the fit's value), its gradient (from u = A(z)^-1 y) and v2's
-beta (the fit itself).  The perspective
-constraint set is the convex hull of its mixed-binary counterpart, so v2
-cannot be improved by adding valid inequalities in the same variables;
-tightening requires outside information such as the big-M bounds (v3).
+independent alternating-minimization reference.  One kernel evaluates
+v3's g(z), the perspective minimum over beta with |beta_i| <= M_i z_i, with
+its gradient and minimizer; without the bound g is f, and one ridge fit on
+supp z gives f(z), its gradient and v2's beta.  The perspective constraint
+set is the convex hull of its mixed-binary counterpart, so v2 cannot be
+improved by adding valid inequalities in the same variables; tightening
+requires outside information such as the big-M bounds (v3).
 All solvers are first order, with one loop: nonmonotone spectral projected
 gradient, which projects once per iteration at the Barzilai-Borwein step of
 the last move and halves along that direction until an Armijo test
@@ -64,9 +65,8 @@ from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
 ARMIJO_C = 1e-4
 NONMONOTONE_MEMORY = 10  # Armijo tests compare with the max of this many last values
-_Z_FLOOR = 1e-14
 # v3's beta-step releases a clamped coordinate whose inward gradient exceeds
-# this share of n*lam*M_i, the size of its penalty term's gradient.
+# this share of M_i, the size of its penalty term's gradient (scaled by 1/(2 lam)).
 _RELEASE_TOL = 1e-12
 
 
@@ -219,19 +219,67 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     return BigMVector(M=np.abs(a) + s, v_upper=v_up, rho=rho)
 
 
-def _value_dual(spec: ProblemSpec, w: np.ndarray):
-    """f(w), u = A(w)^-1 y, the support S of w and the perspective minimizer b
-    on S, all from one RidgeSystem fit on S (f(w) is that fit's value)."""
-    # Exact zeros drop out, and so do weights too small for n*lam/w_i to be finite.
-    S = np.flatnonzero(w > spec.n * spec.lam / np.finfo(float).max)
-    b, u, val = RidgeSystem(spec.X[:, S], w[S], spec.n * spec.lam).fit(spec.y)
-    return val, u, S, b
+def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
+    """g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i,
+    its gradient in z and the minimizer b; ``M=None`` drops the bound, giving
+    v4's f(z) = lam*y^T A(z)^-1 y.
+
+    z_i counts when n*lam/z_i is finite; b_i = 0 elsewhere.  Every fit is a
+    RidgeSystem on the free support whose u gives the residual y - X b =
+    n*lam*u, so with a = X^T u the gradient -lam*(b_i/z_i)^2 - M_i*mu_i (mu_i
+    the bound's multiplier) is -lam*a_i^2 where |a_i| <= M_i and
+    lam*M_i*(M_i - 2|a_i|) where the bound binds.  Without a bound one fit
+    on supp z is the answer.  With one, bounded-variable least squares
+    (Lawson & Hanson; Stark & Parker) runs from clip(beta0), kept feasible:
+    each pass holds the clamped coordinates at +-M_i z_i and fits the free
+    ones.  An infeasible fit is followed up to the first bound it crosses,
+    which clamps that coordinate; after a feasible one the clamped
+    coordinate whose gradient points most strongly inward is released, until
+    none does.  Raises NumericalError when the pass cap is reached.
+    """
+    X, y, nlam = spec.X, spec.y, spec.n * spec.lam
+    active = z > nlam / np.finfo(float).max
+    if M is None:
+        S, b = np.flatnonzero(active), np.zeros(spec.p)
+        b[S], u, val = RidgeSystem(X[:, S], z[S], nlam).fit(y)
+        return val, -spec.lam * (X.T @ u) ** 2, b
+    bound = np.where(active, M * z, 0.0)
+    b = np.clip(beta0, -bound, bound)
+    clamped = active & (np.abs(b) >= bound)
+    # Random starts 1000x outside the box took at most 2.2(p + 1) passes.
+    for _ in range(4 * spec.p + 4):
+        free, held = np.flatnonzero(active & ~clamped), np.flatnonzero(clamped)
+        fit, u, val = RidgeSystem(X[:, free], z[free], nlam).fit(y - X[:, held] @ b[held])
+        out = np.abs(fit) > bound[free]
+        if out.any():
+            cross = free[out]
+            edge = np.copysign(bound[cross], fit[out])
+            t = (edge - b[cross]) / (fit[out] - b[cross])
+            j = t.argmin()
+            b[free] += t[j] * (fit - b[free])
+            b[cross[j]] = edge[j]
+            b = np.clip(b, -bound, bound)  # rounding in the step
+            clamped |= active & (np.abs(b) >= bound)
+            continue
+        b[free] = fit
+        a = X.T @ u
+        if held.size:
+            # sign(b_i) times the gradient of 1/(2 lam) times the objective at
+            # b_i = +-M_i z_i: positive where moving b_i inward descends.
+            inward = M[held] - np.sign(b[held]) * a[held]
+            i = inward.argmax()
+            if inward[i] > _RELEASE_TOL * M[held[i]]:
+                clamped[held[i]] = False
+                continue
+        val += spec.lam * float(np.sum(b[held] ** 2 / z[held]))
+        absa = np.abs(a)
+        return val, np.where(absa <= M, -spec.lam * a**2, spec.lam * M * (M - 2.0 * absa)), b
+    raise NumericalError("box-constrained beta-step reached its pass cap")
 
 
 def _value_grad(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
     """f(w) and its gradient -lam*(x_i^T A(w)^-1 y)^2."""
-    val, u, _, _ = _value_dual(spec, w)
-    return val, -spec.lam * (spec.X.T @ u) ** 2
+    return _perspective_fit(spec, w)[:2]
 
 
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -394,14 +442,6 @@ def solve_v4(
                                fixed_one, fixed_zero, z0)
 
 
-def _perspective_value(spec: ProblemSpec, beta: np.ndarray, z: np.ndarray) -> float:
-    r = spec.y - spec.X @ beta
-    pen = np.zeros_like(beta)
-    nz = np.abs(beta) > 0
-    pen[nz] = beta[nz] ** 2 / z[nz]
-    return float(r @ r / spec.n + spec.lam * pen.sum())
-
-
 def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
     """Perspective relaxation value, solved as v4 (the two coincide).
 
@@ -411,10 +451,7 @@ def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
     the perspective minimizer at that z, the fit on supp z.
     """
     sol = solve_v4(spec)
-    _, _, S, b = _value_dual(spec, sol.z)
-    beta = np.zeros(spec.p)
-    beta[S] = b
-    return replace(sol, beta=beta)
+    return replace(sol, beta=_perspective_fit(spec, sol.z)[2])
 
 
 def _positive_bounds(M: BigMVector) -> np.ndarray:
@@ -472,76 +509,22 @@ def solve_v1(
     )
 
 
-def _box_weighted_ridge(
-    spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.ndarray
-) -> np.ndarray:
-    """argmin (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) s.t. |b_i| <= M_i z_i.
-
-    Bounded-variable least squares (Lawson & Hanson; Stark & Parker), kept
-    feasible from clip(beta0): each pass holds the clamped coordinates at
-    +-M_i z_i and fits the free ones with one RidgeSystem.  An infeasible fit
-    is followed up to the first bound it crosses, which clamps that
-    coordinate; after a feasible one the clamped coordinate whose gradient
-    points most strongly inward is released, until none does.  b_i = 0
-    where z_i ~ 0.  Raises NumericalError when the pass cap is reached.
-    """
-    X, y, nlam = spec.X, spec.y, spec.n * spec.lam
-    active = z > _Z_FLOOR
-    bound = np.where(active, M * z, 0.0)
-    b = np.clip(beta0, -bound, bound)
-    clamped = active & (np.abs(b) >= bound)
-    # Random starts 1000x outside the box took at most 2.2(p + 1) passes.
-    for _ in range(4 * spec.p + 4):
-        free, held = np.flatnonzero(active & ~clamped), np.flatnonzero(clamped)
-        fit = RidgeSystem(X[:, free], z[free], nlam).fit(y - X[:, held] @ b[held])[0]
-        out = np.abs(fit) > bound[free]
-        if out.any():
-            cross = free[out]
-            edge = np.copysign(bound[cross], fit[out])
-            t = (edge - b[cross]) / (fit[out] - b[cross])
-            j = t.argmin()
-            b[free] += t[j] * (fit - b[free])
-            b[cross[j]] = edge[j]
-            b = np.clip(b, -bound, bound)  # rounding in the step
-            clamped |= active & (np.abs(b) >= bound)
-            continue
-        b[free] = fit
-        if held.size == 0:
-            return b
-        # -sign(b_i) times the gradient of n/2 times the objective, at b_i = +-M_i z_i.
-        inward = nlam * M[held] - np.sign(b[held]) * (X[:, held].T @ (y - X @ b))
-        i = inward.argmax()
-        if inward[i] <= _RELEASE_TOL * nlam * M[held[i]]:
-            return b
-        clamped[held[i]] = False
-    raise NumericalError("box-constrained beta-step reached its pass cap")
-
-
-def _v3_value_grad(spec: ProblemSpec, M: np.ndarray, z: np.ndarray, beta: np.ndarray):
-    """v3's g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i
-    and its gradient; ``beta`` holds the warm start and is overwritten with b.
-
-    dg/dz_i = -lam*(b_i/z_i)^2 - M_i*mu_i, mu_i the multiplier of that bound.
-    With c_i = |x_i^T (y - X b)|/n it is v4's -c_i^2/lam while the bound is
-    slack (c_i <= lam*M_i), and lam*M_i^2 - 2*M_i*c_i once it binds.
-    """
-    beta[:] = _box_weighted_ridge(spec, z, M, beta)
-    c = np.abs(spec.X.T @ (spec.y - spec.X @ beta)) / spec.n
-    grad = np.where(c <= spec.lam * M, -c**2 / spec.lam, spec.lam * M**2 - 2.0 * M * c)
-    return _perspective_value(spec, beta, z), grad
-
-
 def solve_v3(
     spec: ProblemSpec,
     M: BigMVector,
     tol: float = 1e-9,
     max_iter: int = 20000,
 ) -> RelaxationSolution:
-    """Perspective-plus-big-M relaxation value: :func:`_v3_value_grad`'s g(z),
+    """Perspective-plus-big-M relaxation value: :func:`_perspective_fit`'s g(z),
     convex and nonincreasing in z, minimized by :func:`_capped_box_minimum`
     with its certificate.  Each beta-step is warm-started from the last one;
     ``beta`` is the minimizer at the returned z.
     """
     Mv, beta = _positive_bounds(M), np.zeros(spec.p)
-    sol = _capped_box_minimum(spec, lambda z: _v3_value_grad(spec, Mv, z, beta), tol, max_iter)
-    return replace(sol, beta=_box_weighted_ridge(spec, sol.z, Mv, beta))
+
+    def value_grad(z):
+        val, grad, beta[:] = _perspective_fit(spec, z, Mv, beta)
+        return val, grad
+
+    sol = _capped_box_minimum(spec, value_grad, tol, max_iter)
+    return replace(sol, beta=_perspective_fit(spec, sol.z, Mv, beta)[2])

@@ -217,8 +217,17 @@ def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, armij
     return x, val, max_iter, gap(x, grad), False
 
 
-# The weight floor below which sparseridge.relaxation drops a coordinate.
+# The weight at or below which these references drop a coordinate.
 _Z_FLOOR = 1e-14
+
+
+def perspective_value(spec, beta: np.ndarray, z: np.ndarray) -> float:
+    """(1/n)||y - X beta||^2 + lam*sum(beta_i^2/z_i), with 0/0 := 0."""
+    r = spec.y - spec.X @ beta
+    pen = np.zeros_like(beta)
+    nz = np.abs(beta) > 0
+    pen[nz] = beta[nz] ** 2 / z[nz]
+    return float(r @ r / spec.n + spec.lam * pen.sum())
 
 
 def box_weighted_ridge_cd(

@@ -177,6 +177,22 @@ def test_bench(tmp_path):
     assert len(lines) == 3
 
 
+def test_bench_passes_only_given_keys(tmp_path, monkeypatch):
+    # Defaults live in run_benchmark alone; an integral float count passes.
+    seen = {}
+
+    def record(**kwargs):
+        seen.update(kwargs)
+        raise InvalidArgumentError("stop")
+
+    monkeypatch.setattr("sparseridge.cli.run_benchmark", record)
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"cells": [], "methods": ["greedy"], "reps": 2.0, "lambda": 1}))
+    assert main(["bench", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 2
+    assert seen == {"cells": [], "methods": ["greedy"], "reps": 2.0, "lam": 1,
+                    "time_budget": None, "method_options": None}
+
+
 def test_gen_seed_beyond_float_range(tmp_path):
     # a 401-digit seed is a valid NumPy seed; it used to overflow in validation
     assert main([
@@ -216,6 +232,10 @@ def test_gen_negative_seed_exits_2(tmp_path):
      "method_options"),
     ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "method_options": {"greedy": 5}},
      "method_options"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "reps": 2.7}, '"reps"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "seed": 1.5}, '"seed"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "reps": True}, '"reps"'),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "rho": "0.5"}, '"rho"'),
 ])
 def test_malformed_bench_config_exits_2(tmp_path, capsys, monkeypatch, config, match):
     def no_fit(*args, **kwargs):

@@ -372,6 +372,14 @@ class TestSpectral:
             min_large_subset_eig_oracle(spec.X, 3), rel=1e-9, abs=1e-12
         )
 
+    def test_underline_enumerates_smallest_size_only(self, rng):
+        # Larger T add PSD terms, so the C(6, 4) = 15 subsets of size 4 are
+        # enough; counting sizes 5 and 6 too (22 subsets) would break cap=15.
+        spec = random_spec(rng, 4, 6, 3, 0.1, signal=False)
+        assert underline_theta(spec, cap=15) == pytest.approx(
+            min_large_subset_eig_oracle(spec.X, 3), rel=1e-9, abs=1e-12
+        )
+
     def test_underline_zero_fast_path(self, rng):
         # p - k + 1 < n forces rank deficiency
         spec = random_spec(rng, 6, 6, 2, 0.1, signal=False)

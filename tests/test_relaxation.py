@@ -14,6 +14,7 @@ from oracles import (
     finite_difference_gradient,
     monotone_projected_gradient,
     perspective_alternating,
+    perspective_value,
     projected_objective_exact,
     projection_tau_bisection,
     subset_value_oracle,
@@ -533,7 +534,7 @@ class TestCombinedSolverCertificate:
         assert v3.value <= brute_force(spec).objective * (1.0 + 1e-9)
         assert v3.lower_bound <= v3.value
         # beta is the minimizer at the returned z.
-        value = relaxation._perspective_value(spec, v3.beta, v3.z)
+        value = perspective_value(spec, v3.beta, v3.z)
         assert value == pytest.approx(v3.value, rel=1e-10)
 
     def test_gradient_matches_central_differences(self, rng):
@@ -544,10 +545,10 @@ class TestCombinedSolverCertificate:
             M = big_m(spec).M * rng.uniform(0.05, 0.3)
             z = rng.uniform(0.1, 0.9, size=6)
             beta = np.zeros(6)
-            _, grad = relaxation._v3_value_grad(spec, M, z, beta)
+            _, grad, beta = relaxation._perspective_fit(spec, z, M, beta)
             clamped += np.any(np.abs(beta) >= M * z * (1.0 - 1e-12))
             fd = finite_difference_gradient(
-                lambda w: relaxation._v3_value_grad(spec, M, w, beta.copy())[0], z
+                lambda w: relaxation._perspective_fit(spec, w, M, beta)[0], z
             )
             assert grad == pytest.approx(fd, rel=1e-6, abs=1e-10)
         assert clamped > 0
@@ -580,14 +581,14 @@ class TestBoxConstrainedStep:
     @given(case=box_step_cases())
     def test_matches_reference_and_kkt(self, case):
         spec, z, M, beta0 = case
-        b = relaxation._box_weighted_ridge(spec, z, M, beta0)
+        b = relaxation._perspective_fit(spec, z, M, beta0)[2]
         # The sweep budget is raised: at lam ~ 1e-3 with p > n the reference
         # needs far more than its default 2000 sweeps to reach tol.
         ref = box_weighted_ridge_cd(spec, z, M, beta0, sweeps=10**6, tol=1e-15)
         bound = M * z
         assert np.all(np.abs(b) <= bound) and np.all(b[z == 0.0] == 0.0)
-        value = relaxation._perspective_value(spec, b, z)
-        assert abs(value - relaxation._perspective_value(spec, ref, z)) <= 1e-12 * value
+        value = perspective_value(spec, b, z)
+        assert abs(value - perspective_value(spec, ref, z)) <= 1e-12 * value
         assert np.abs(b - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
         # KKT: g = X^T (X b - y) + n*lam*b/z vanishes on the free coordinates
         # and points outward (or vanishes) on the clamped ones.
@@ -599,20 +600,34 @@ class TestBoxConstrainedStep:
         slack = np.where(at_bound, np.maximum(np.sign(b[on]) * g, 0.0), np.abs(g))
         assert np.all(slack <= 1e-9 * scale)
 
+    @PROPERTY
+    @given(case=box_step_cases())
+    def test_slack_bound_matches_unbounded(self, case):
+        # Bounds 1e6 times the valid big-M never bind: value, gradient and b
+        # are v4's f, its gradient and v2's b at the same z.
+        spec, z, _, beta0 = case
+        M = big_m(spec).M * 1e6
+        free = relaxation._perspective_fit(spec, z)
+        boxed = relaxation._perspective_fit(spec, z, M, beta0)
+        assert np.all(np.abs(free[2]) <= M * z)
+        assert abs(boxed[0] - free[0]) <= 1e-12 * abs(free[0])
+        for got, want in zip(boxed[1:], free[1:]):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_pass_cap_raises(self, monkeypatch):
         # A solve that always overshoots the box: the coordinate released after
         # each feasible pass is clamped again at once, so the loop never ends.
         class Overshoot:
             def __init__(self, Xs, w, nlam):
-                self.m = Xs.shape[1]
+                self.n, self.m = Xs.shape
 
             def fit(self, r):
-                return np.full(self.m, 1e3), None, None
+                return np.full(self.m, 1e3), np.zeros(self.n), None
 
         monkeypatch.setattr(relaxation, "RidgeSystem", Overshoot)
         spec = identity_pair_spec(lam=0.1, k=1)
         with pytest.raises(NumericalError):
-            relaxation._box_weighted_ridge(spec, np.ones(2), np.full(2, 10.0), np.zeros(2))
+            relaxation._perspective_fit(spec, np.ones(2), np.full(2, 10.0), np.zeros(2))
 
 
 def _node_optimum(spec, ones, free):
