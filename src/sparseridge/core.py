@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .errors import BudgetExceededError, EnumerationCapError, InvalidArgumentError
+from .errors import BudgetExceededError, EnumerationCapError, InvalidArgumentError, NumericalError
 
 DEFAULT_ENUMERATION_CAP = 10**6
-# Elements of the (m, s, s) stack gathered for one enumeration block: 512 KB
-# of floats, so a block's memory is bounded whatever C(p, s) is.
+# Floats in the working set of one enumeration block: 512 KB, so a block's
+# memory is bounded whatever C(p, s) is.
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -175,9 +175,10 @@ def _check_positive(name: str, value) -> float:
 
 
 def _check_integer(name: str, value) -> int:
-    """``value`` as an int; 2, 2.0 and np.int64(2) pass, and 2.5, NaN or "2" raise."""
+    """``value`` as an int; 2, 2.0 and np.int64(2) pass, and 2.5, NaN, "2" or True raise."""
     # an int is checked as an int: converting one beyond float range would overflow
-    if not (isinstance(value, numbers.Integral)
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
             or isinstance(value, numbers.Real) and float(value).is_integer()):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     return int(value)
@@ -378,16 +379,16 @@ def mic_value(spec: ProblemSpec, z) -> float:
     return _support_fit(spec, _support_from_z(spec, z))[1]
 
 
-def _block_rows(s: int, width: int) -> int:
-    """Rows m of a block whose (m, s, width) stack stays within _BLOCK_ELEMENTS (m >= 1)."""
-    return max(1, _BLOCK_ELEMENTS // max(1, s * width))
+def _block_rows(elements: int) -> int:
+    """Rows m (>= 1) of a block of ``elements`` floats a row, within _BLOCK_ELEMENTS."""
+    return max(1, _BLOCK_ELEMENTS // max(1, elements))
 
 
-def _subset_blocks(p: int, s: int, width: int | None = None):
+def _subset_blocks(p: int, s: int, elements: int | None = None):
     """Every size-s subset of range(p), in ``itertools.combinations`` order,
-    as (m, s) int arrays; m = _block_rows(s, width), so an (m, s, width) stack
-    gathered per block stays within the element budget (width s by default)."""
-    m = _block_rows(s, s if width is None else width)
+    as (m, s) int arrays; m = _block_rows(elements), for a working set of
+    ``elements`` floats per subset (s * s by default)."""
+    m = _block_rows(s * s if elements is None else elements)
     combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
     while True:
         block = np.fromiter(itertools.islice(combos, m * s), dtype=np.intp)
@@ -407,9 +408,9 @@ def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
     X, n, p = spec.X, spec.n, spec.p
     width = s if p <= n else max(s, n)
     if rows is None:
-        blocks = _subset_blocks(p, s, width)
+        blocks = _subset_blocks(p, s, s * width)
     else:
-        m = _block_rows(s, width)
+        m = _block_rows(s * width)
         blocks = (rows[lo:lo + m] for lo in range(0, len(rows), m))
     if p <= n:
         G = X.T @ X
@@ -425,11 +426,11 @@ def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
         yield S, K
 
 
-def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray | None = None):
-    """(S, b, values) for the blocks S of ``_gram_stacks``: b_i is the ridge
-    fit on the support S_i and values_i its objective (y^T y - (X^T y)_S . b_i)/n,
-    from one stacked solve per block.  A row wider than n is fit alone on
-    the n x n side of ``RidgeSystem``."""
+def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
+    """(S, b, values) for blocks S of the supports ``rows`` (m, s): b_i is the
+    ridge fit on S_i and values_i its objective (y^T y - (X^T y)_S . b_i)/n,
+    from one stacked solve per block of ``_gram_stacks``.  A row wider than n
+    is fit alone on the n x n side of ``RidgeSystem``."""
     if s > spec.n:
         for S in rows:
             beta, value = _support_fit(spec, S)
@@ -441,6 +442,55 @@ def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray | None = None):
         # the explicit trailing axis: a 2-D right side would be read as one matrix
         b = np.linalg.solve(K, cS[..., None])[..., 0]
         yield S, b, (yy - np.einsum("ij,ij->i", cS, b)) / spec.n
+
+
+def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
+    """The lexicographically first size-k support of least ridge value.
+
+    P + (j,), j > max P, extends its (k-1)-prefix P (Furnival & Wilson's leaps
+    and bounds): with L L^T = G_PP + n*lam*I, G = X^T X, c = X^T y,
+    l_j = L^-1 G[P, j] and w = L^-1 c_P, its value is (y^T y - |w|^2 - e_j^2/d_j)/n,
+    d_j = G_jj + n*lam - |l_j|^2, e_j = c_j - l_j . w.  Prefixes go in lexicographic
+    blocks within the element budget (no p x p object when p > n); the argmin is
+    row-major and a later block must be strictly better, so ties go to the first
+    support.  A non-finite pivot or value raises NumericalError."""
+    X, n, p, s = spec.X, spec.n, spec.p, spec.k - 1
+    nlam, yy, c = n * spec.lam, float(spec.y @ spec.y), X.T @ spec.y
+    g = np.einsum("ij,ij->j", X, X) + nlam
+    G, Xt = (X.T @ X, None) if p <= n else (None, np.ascontiguousarray(X.T))  # rows gather fast
+    # per prefix: s Gram rows (s columns of X too when p > n) and six score rows
+    elements = (s + 6) * p + (s * n if p > n else 0)
+    blocks = _subset_blocks(p - 1, s, elements) if s else [np.empty((1, 0), np.intp)]
+    best_val, best = math.inf, None
+    for P in blocks:
+        lo = int(P[0, 0]) if s else 0  # the block's smallest feature
+        at, cols = np.arange(len(P)), P - lo
+        R = G[P, lo:] if G is not None else Xt[P] @ X[:, lo:]
+        w = c[P]
+        # rows of L^-1 G[P, lo:] and w = L^-1 c_P in place; n*lam enters only the
+        # pivots, as the entries it would shift (columns j in P) feed no valid value
+        for i in range(s):
+            Li = R[at, :i, cols[:, i]]  # L[i, :i] of each prefix
+            R[:, i] -= np.einsum("ah,ahw->aw", Li, R[:, :i])
+            w[:, i] -= np.einsum("ah,ah->a", Li, w[:, :i])
+            pivot = R[at, i, cols[:, i]] + nlam
+            if not 0 < pivot.min() <= pivot.max() < math.inf:  # NaN fails too
+                raise NumericalError("brute force met a non-finite or non-positive pivot")
+            root = np.sqrt(pivot)
+            R[:, i] /= root[:, None]
+            w[:, i] /= root
+        d = g[lo:] - np.einsum("asw,asw->aw", R, R)
+        e = c[lo:] - np.einsum("as,asw->aw", w, R)
+        valid = np.arange(lo, p) > P.max(axis=1, initial=-1)[:, None]
+        drop = np.full(d.shape, -math.inf)  # so that invalid extensions score +inf
+        np.divide(e * e, d, out=drop, where=valid)
+        values = (yy - np.einsum("as,as->a", w, w))[:, None] - drop
+        if not np.isfinite(values[valid]).all():
+            raise NumericalError("brute force met a non-finite support value")
+        a, j = divmod(int(np.argmin(values)), values.shape[1])
+        if values[a, j] < best_val:
+            best_val, best = values[a, j], (*P[a].tolist(), lo + j)
+    return best
 
 
 def theta(

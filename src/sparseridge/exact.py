@@ -1,10 +1,9 @@
 """Exact solvers: exhaustive enumeration and relaxation-bounded tree search.
 
 Enumeration is sound because the projected objective f(S) is non-increasing
-under support growth, so only supports of size exactly k need scoring.  It
-scores the supports in lexicographic blocks, each one stacked k x k solve
-whose memory is bounded whatever C(p, k) is, on Grams from
-``core._gram_stacks``, which builds no p x p object on a wide design.
+under support growth, so only supports of size exactly k need scoring.  Each
+is scored as a one-column extension of its (k-1)-prefix, in blocks of bounded
+memory and with no p x p object on a wide design (``core._best_support``).
 
 The branch-and-bound solver is one best-first loop over nodes that fix
 coordinates of the binary selection vector z at 1 or 0; each node is bounded
@@ -31,8 +30,8 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
+    _best_support,
     _check_count,
-    _ridge_scores,
     mic_value,
     restricted_estimator,
 )
@@ -49,26 +48,16 @@ RELAX_MAX_ITER = 20000
 
 
 def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimator:
-    """Globally optimal estimator by scoring every size-k support.
-
-    The supports are scored in lexicographic blocks, one stacked solve each
-    (``core._ridge_scores``, which picks the Gram source by the shape of X).
-    Ties go to the lexicographically smallest support: the first minimizer in
-    a block, and a later block only when it is strictly better.  The winner
-    is refit by ``restricted_estimator``.  Requires C(p, k) <= cap.
-    """
+    """Globally optimal estimator: the first best size-k support in
+    lexicographic order (``core._best_support``), refit by
+    ``restricted_estimator``.  Requires C(p, k) <= cap."""
     cap = _check_count("cap", cap)
     count = math.comb(spec.p, spec.k)
     if count > cap:
         raise EnumerationCapError(
             f"C({spec.p}, {spec.k}) = {count} exceeds the enumeration cap {cap}"
         )
-    best_val, best = math.inf, None
-    for S, _, values in _ridge_scores(spec, spec.k):
-        i = int(np.argmin(values))
-        if values[i] < best_val:
-            best_val, best = values[i], S[i]
-    return restricted_estimator(spec, best)
+    return restricted_estimator(spec, _best_support(spec))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import sparseridge.methods as methods
 from helpers import random_spec
 from sparseridge import (
     ConvergenceError,
+    Dataset,
     InvalidArgumentError,
     ProblemSpec,
     RelaxationSolution,
@@ -14,7 +15,7 @@ from sparseridge import (
     gcv_select,
 )
 from sparseridge.cli import main
-from sparseridge.data_io import load_dataset_csv
+from sparseridge.data_io import load_dataset_csv, save_dataset_csv
 
 
 @pytest.fixture
@@ -319,6 +320,18 @@ class TestExitCodes:
             "fit", "--input", str(path), "--lambda", "0.1", "--k", "15",
             "--method", "brute", "--out", str(tmp_path / "x.json"),
         ]) == 3
+
+    def test_non_finite_brute_force_value(self, tmp_path):
+        # X^T X overflows in the last column, so a support value is not finite
+        X = np.random.default_rng(0).standard_normal((8, 5))
+        X[:, 4] *= 1e160
+        path = tmp_path / "huge.csv"
+        save_dataset_csv(Dataset(X=X, y=np.arange(8.0)), str(path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main([
+                "fit", "--input", str(path), "--lambda", "0.1", "--k", "2",
+                "--method", "brute", "--out", str(tmp_path / "x.json"),
+            ]) == 3
 
     def test_bad_response_column(self, tmp_path, data_csv):
         assert main([

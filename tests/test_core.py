@@ -21,10 +21,14 @@ from sparseridge import (
     EnumerationCapError,
     InvalidArgumentError,
     ProblemSpec,
+    SyntheticConfig,
+    brute_force,
     mic_value,
     normalize_columns,
+    randomized_solve,
     restricted_estimator,
     ridge_objective,
+    run_benchmark,
     spectral_stats,
     theta,
     underline_theta,
@@ -55,11 +59,24 @@ class TestDatasetValidation:
             data.X[0, 0] = 5.0
 
     @pytest.mark.parametrize("lam,k", [(0.0, 1), (-1.0, 1), (0.1, 0), (0.1, 3),
-                                       (np.nan, 1), (0.1, 1.5), (0.1, np.nan),
+                                       (np.nan, 1), (0.1, 1.5), (0.1, np.nan), (0.1, True),
                                        pytest.param(0.1, 10**400, id="0.1-k10**400")])
     def test_spec_invariants(self, lam, k):
         with pytest.raises(InvalidArgumentError):
             ProblemSpec(data=Dataset(X=np.eye(2), y=np.ones(2)), lam=lam, k=k)
+
+
+# bool is an int subclass, but True is no count: each entry point must refuse it
+@pytest.mark.parametrize("call", [
+    lambda spec: SyntheticConfig(n=10, p=5, k_true=True),
+    lambda spec: run_benchmark([{"n": 10, "p": 5, "k": 2}], ["greedy"], reps=True),
+    lambda spec: brute_force(spec, cap=True),
+    lambda spec: randomized_solve(spec, np.full(spec.p, 0.4), trials=True),
+], ids=["synthetic-k_true", "benchmark-reps", "brute-cap", "randomized-trials"])
+def test_boolean_is_not_an_integer(rng, call):
+    spec = random_spec(rng, 8, 5, 2, 0.1)
+    with pytest.raises(InvalidArgumentError, match="must be an integer, got True"):
+        call(spec)
 
 
 class TestRidgeObjective:

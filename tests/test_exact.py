@@ -16,6 +16,7 @@ from sparseridge import (
     Dataset,
     EnumerationCapError,
     InvalidArgumentError,
+    NumericalError,
     ProblemSpec,
     branch_and_bound,
     brute_force,
@@ -78,11 +79,44 @@ class TestBruteForce:
         # the block budget bounds the gathered stacks; at p = 3000 a p x p Gram takes 72 MB
         assert peak < 4 * 8 * core._BLOCK_ELEMENTS
 
+    def test_wide_pairs_stay_within_the_block_budget(self, rng):
+        # k = 2 extends each one-column prefix by every later column: the budget
+        # must bound the Gram rows and the score rows of a block together
+        spec = random_spec(rng, 5, 2000, 2, 0.1, signal=False)
+        tracemalloc.start()
+        try:
+            est = brute_force(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * core._BLOCK_ELEMENTS
+        # every pair in closed form: c_S^T K_S^-1 c_S with K_S = G_SS + n*lam*I
+        G, c = spec.X.T @ spec.X, spec.X.T @ spec.y
+        a = np.diag(G) + spec.n * 0.1
+        i, j = np.triu_indices(spec.p, 1)  # row-major: lexicographic pairs
+        fitted = (a[j] * c[i]**2 - 2 * G[i, j] * c[i] * c[j] + a[i] * c[j]**2) \
+            / (a[i] * a[j] - G[i, j]**2)
+        values = (spec.y @ spec.y - fitted) / spec.n
+        first = int(np.argmin(values))
+        assert est.support == (i[first], j[first])
+        assert est.objective == pytest.approx(values[first], rel=1e-10)
+
+    @pytest.mark.parametrize("column", [0, 4], ids=["prefix-pivot", "extension-score"])
+    def test_non_finite_value_raises(self, column):
+        # X^T X overflows in the scaled column: at a prefix's pivot for column 0,
+        # in the extension values for column 4; neither may be skipped or returned
+        X = np.random.default_rng(0).standard_normal((8, 5))
+        X[:, column] *= 1e160
+        spec = ProblemSpec(data=Dataset(X=X, y=np.arange(8.0)), lam=0.1, k=2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericalError, match="brute force"):
+            brute_force(spec)
+
     @pytest.mark.parametrize("budget", [1, 2, 3, core._BLOCK_ELEMENTS])
     def test_tie_across_blocks_goes_to_first_support(self, monkeypatch, budget):
         # Integer data sum exactly, so columns 1 and 3 (equal) tie bit for bit.
-        # A budget of 2 puts them in different blocks, 1 in blocks of their own,
-        # 3 in one block with 3 after 1; with k = 1, m = budget.
+        # With k = 1 every column extends the one empty prefix, so each budget
+        # scores all four in one block and the row-major argmin keeps column 1.
         X = np.array([[1, 2, 0, 2], [0, 1, 3, 1], [2, 3, 1, 3],
                       [1, 0, 1, 0], [0, 2, 2, 2]], dtype=float)
         y = np.array([2.0, 1.0, 3.0, 0.0, 2.0])
@@ -100,11 +134,30 @@ class TestBruteForce:
         spec = ProblemSpec(data=Dataset(X=X, y=y), lam=0.01, k=2)
         expected = brute_force(spec)
         assert expected.support == (0, 1)
-        for budget in (1, 8, 12):  # m = 1, 2 and 3 pairs per block
+        for budget in (1, 8, 12):  # both pairs extend prefix (0,): one block each time
             monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
             est = brute_force(spec)
             assert est.support == (0, 1)
             assert est.objective == expected.objective
+
+    @pytest.mark.parametrize("budget", [1, 64, core._BLOCK_ELEMENTS])
+    def test_tie_between_prefixes_goes_to_first_support(self, monkeypatch, budget):
+        # Column 3 duplicates column 0, so {0, 2} ties {2, 3}: two supports that
+        # extend different prefixes, (0,) and (2,).  Columns 0 and 2 are
+        # orthogonal with X^T X + n*lam*I = 4 on their diagonal, so both values
+        # are exact.  Budget 1 puts each prefix in its own block, 64 puts (0,)
+        # and (1,) in a block before (2,), and the default scores all at once.
+        X = np.array([[1, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0], [0, 0, 1, 0]], dtype=float)
+        y = np.array([1.0, 2.0, 1.0, 2.0])
+        spec = ProblemSpec(data=Dataset(X=X, y=y), lam=0.5, k=2)
+        values = {S: subset_value_oracle(X, y, 0.5, S)
+                  for S in itertools.combinations(range(4), 2)}
+        assert values[(0, 2)] == values[(2, 3)] < min(
+            v for S, v in values.items() if S not in {(0, 2), (2, 3)})
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+        est = brute_force(spec)
+        assert est.support == (0, 2)
+        assert est.objective == restricted_estimator(spec, (0, 2)).objective
 
     @pytest.mark.parametrize("shape", ["k1", "kp", "wide", "tall"])
     @PROPERTY
