@@ -13,6 +13,14 @@ pieces every solver builds on: the ridge objective, the one
 support-restricted ridge solve (:class:`RidgeSystem`), the exact estimator
 on a support set, the projected objective over binary selections, and the
 extremal subset singular values used by the a-priori quality bounds.
+
+Solvers see X through the normal equations.  Each dataset forms them once,
+in :class:`NormalEquations` (``Dataset.normal``): X^T y, y^T y and the
+squared column norms on first use, X^T X only when p <= n and a consumer
+that reads it many times asks for it (the stacked scorers and ``big_m``).
+Gram entries come from its one block accessor: slices of X^T X once it is
+formed, products of the gathered columns otherwise, so a one-off support
+fit costs what its own columns do.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
@@ -38,7 +47,8 @@ class Dataset:
     """Design matrix ``X`` (n x p), response ``y`` (n,) and optional names.
 
     Arrays are copied and frozen at construction, so instances are safe to
-    share across threads.
+    share across threads; two threads that first read :attr:`normal` together
+    may both form it, and either copy serves.
     """
 
     X: np.ndarray
@@ -79,6 +89,49 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def normal(self) -> NormalEquations:
+        """The normal equations of (X, y), formed once, on first use."""
+        return NormalEquations(self.X, self.y)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class NormalEquations:
+    """What solvers read of a dataset: ``c`` = X^T y, ``yy`` = y^T y, ``sq`` the
+    squared column norms and ``G`` = X^T X, formed on first read of ``G`` and
+    only when p <= n (no p x p object on a wide design).  Only consumers that
+    use G many times read it (the stacked scorers, ``big_m``); a one-off fit
+    takes :meth:`block`, which never forms it.  Arrays are read-only."""
+
+    def __init__(self, X: np.ndarray, y: np.ndarray):
+        self.X = X
+        self.c = _frozen(X.T @ y)
+        self.yy = float(y @ y)
+        self.sq = _frozen(np.einsum("ij,ij->j", X, X))
+
+    @cached_property
+    def G(self) -> np.ndarray | None:
+        """X^T X when p <= n, else None."""
+        n, p = self.X.shape
+        return _frozen(self.X.T @ self.X) if p <= n else None
+
+    def block(self, rows: np.ndarray, cols, Xr: np.ndarray | None = None) -> np.ndarray:
+        """x_i^T x_j for i in ``rows`` (..., a) and j in ``cols`` (a slice, or (..., b)
+        broadcasting with ``rows``) as a fresh (..., a, b) array: entries of G once
+        it is formed, otherwise products of the gathered columns.  ``Xr``, the columns X_rows (n x a) when the caller holds them,
+        spares gathering them again."""
+        G, Xt = self.__dict__.get("G"), self.X.T
+        if G is None:
+            A = Xt[rows] if Xr is None else Xr.T  # the rows of A are the columns of X_rows
+            return A @ (A if cols is rows else Xt[cols]).swapaxes(-1, -2)
+        if isinstance(cols, slice):
+            return G[rows, cols]
+        return G[rows[..., :, None], cols[..., None, :]]
 
 
 @dataclass(frozen=True)
@@ -272,23 +325,24 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class RidgeSystem:
-    """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r, factored once.
+    """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r on the
+    support S (m indices) of ``data``, with positive weights w, factored once.
 
-    ``X_S`` is n x m and the weights ``w`` are positive.  The m x m matrix is
-    factored when m <= n; otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is,
-    and solves go through it.  m = 0 is allowed (the 0 x 0 side).
+    The m x m matrix, a block of the dataset's normal equations, is factored
+    when m <= n; otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is, and
+    solves go through it.  m = 0 is allowed (the 0 x 0 side).
     """
 
-    def __init__(self, Xs: np.ndarray, w: np.ndarray, nlam: float):
-        self.Xs, self.w, self.nlam = Xs, w, nlam
-        n, m = Xs.shape
+    def __init__(self, data: Dataset, S: np.ndarray, w: np.ndarray, nlam: float):
+        self.Xs, self.w, self.nlam = data.X[:, S], w, nlam
+        n, m = self.Xs.shape
         self.wide = m > n
-        # K is a fresh contiguous product: ravel() is a view, [::size + 1] its diagonal.
+        # K is a fresh contiguous array: ravel() is a view, [::size + 1] its diagonal.
         if self.wide:
-            K = (Xs * w) @ Xs.T
+            K = (self.Xs * w) @ self.Xs.T
             K.ravel()[:: n + 1] += nlam
         else:
-            K = Xs.T @ Xs
+            K = data.normal.block(S, S, self.Xs)
             K.ravel()[:: m + 1] += nlam * (1.0 / w)
         self._chol = cholesky(K)
 
@@ -323,7 +377,7 @@ class RidgeSystem:
 def _support_fit(spec: ProblemSpec, idx: np.ndarray) -> tuple[np.ndarray, float]:
     """Length-p ridge solution restricted to ``idx`` (no budget check) and its
     ridge objective."""
-    system = RidgeSystem(spec.X[:, idx], np.ones(idx.size), spec.n * spec.lam)
+    system = RidgeSystem(spec.data, idx, np.ones(idx.size), spec.n * spec.lam)
     b, _, value = system.fit(spec.y)
     beta = np.zeros(spec.p)
     beta[idx] = b
@@ -387,41 +441,32 @@ def _block_rows(elements: int) -> int:
 def _subset_blocks(p: int, s: int, elements: int | None = None):
     """Every size-s subset of range(p), in ``itertools.combinations`` order,
     as (m, s) int arrays; m = _block_rows(elements), for a working set of
-    ``elements`` floats per subset (s * s by default)."""
+    ``elements`` floats per subset (s * s by default).  s = 0 gives one (1, 0)
+    block, the empty subset."""
     m = _block_rows(s * s if elements is None else elements)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(p), s))
-    while True:
-        block = np.fromiter(itertools.islice(combos, m * s), dtype=np.intp)
-        if block.size == 0:
-            return
-        yield block.reshape(-1, s)
+    combos = itertools.combinations(range(p), s)
+    while rows := list(itertools.islice(combos, m)):
+        yield np.fromiter(itertools.chain.from_iterable(rows), np.intp,
+                          len(rows) * s).reshape(len(rows), s)
 
 
 def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
                  shift: float = 0.0):
     """(S, K) for blocks S of size-s supports, with K the (m, s, s) stack of
-    X_S^T X_S + shift*I over the rows of S.  The supports are the rows of
-    ``rows`` (m, s), or every size-s subset in ``_subset_blocks`` order.  When
-    p <= n, X^T X is formed once and each K sliced from it; otherwise each K
-    is gathered from its block's own columns, (m, s, n) within the element
-    budget, so no p x p Gram is formed."""
-    X, n, p = spec.X, spec.n, spec.p
-    width = s if p <= n else max(s, n)
+    X_S^T X_S + shift*I over the rows of S, from the normal equations'
+    blocks.  The supports are the rows of ``rows`` (m, s), or every size-s
+    subset in ``_subset_blocks`` order.  Gathered columns (s x n per support
+    when p > n) count in the element budget."""
+    eq = spec.data.normal
+    width = s if eq.G is not None else max(s, spec.n)
     if rows is None:
-        blocks = _subset_blocks(p, s, s * width)
+        blocks = _subset_blocks(spec.p, s, s * width)
     else:
         m = _block_rows(s * width)
         blocks = (rows[lo:lo + m] for lo in range(0, len(rows), m))
-    if p <= n:
-        G = X.T @ X
-        G.ravel()[:: p + 1] += shift
-        for S in blocks:
-            yield S, G[S[:, :, None], S[:, None, :]]
-        return
-    Xt, d = np.ascontiguousarray(X.T), np.arange(s)  # contiguous rows gather faster
+    d = np.arange(s)
     for S in blocks:
-        Xg = Xt[S]  # the rows of Xg[i] are the columns of X_{S_i}
-        K = Xg @ Xg.transpose(0, 2, 1)
+        K = eq.block(S, S)
         K[:, d, d] += shift
         yield S, K
 
@@ -436,12 +481,12 @@ def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
             beta, value = _support_fit(spec, S)
             yield S[None], beta[S][None], np.array([value])
         return
-    c, yy = spec.X.T @ spec.y, float(spec.y @ spec.y)
+    eq = spec.data.normal
     for S, K in _gram_stacks(spec, s, rows, spec.n * spec.lam):
-        cS = c[S]
+        cS = eq.c[S]
         # the explicit trailing axis: a 2-D right side would be read as one matrix
         b = np.linalg.solve(K, cS[..., None])[..., 0]
-        yield S, b, (yy - np.einsum("ij,ij->i", cS, b)) / spec.n
+        yield S, b, (eq.yy - np.einsum("ij,ij->i", cS, b)) / spec.n
 
 
 def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
@@ -454,19 +499,17 @@ def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
     blocks within the element budget (no p x p object when p > n); the argmin is
     row-major and a later block must be strictly better, so ties go to the first
     support.  A non-finite pivot or value raises NumericalError."""
-    X, n, p, s = spec.X, spec.n, spec.p, spec.k - 1
-    nlam, yy, c = n * spec.lam, float(spec.y @ spec.y), X.T @ spec.y
-    g = np.einsum("ij,ij->j", X, X) + nlam
-    G, Xt = (X.T @ X, None) if p <= n else (None, np.ascontiguousarray(X.T))  # rows gather fast
+    eq, n, p, s = spec.data.normal, spec.n, spec.p, spec.k - 1
+    nlam = n * spec.lam
+    g = eq.sq + nlam
     # per prefix: s Gram rows (s columns of X too when p > n) and six score rows
-    elements = (s + 6) * p + (s * n if p > n else 0)
-    blocks = _subset_blocks(p - 1, s, elements) if s else [np.empty((1, 0), np.intp)]
+    elements = (s + 6) * p + (s * n if eq.G is None else 0)
     best_val, best = math.inf, None
-    for P in blocks:
+    for P in _subset_blocks(p - 1, s, elements):
         lo = int(P[0, 0]) if s else 0  # the block's smallest feature
         at, cols = np.arange(len(P)), P - lo
-        R = G[P, lo:] if G is not None else Xt[P] @ X[:, lo:]
-        w = c[P]
+        R = eq.block(P, slice(lo, None))
+        w = eq.c[P]
         # rows of L^-1 G[P, lo:] and w = L^-1 c_P in place; n*lam enters only the
         # pivots, as the entries it would shift (columns j in P) feed no valid value
         for i in range(s):
@@ -480,11 +523,11 @@ def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
             R[:, i] /= root[:, None]
             w[:, i] /= root
         d = g[lo:] - np.einsum("asw,asw->aw", R, R)
-        e = c[lo:] - np.einsum("as,asw->aw", w, R)
+        e = eq.c[lo:] - np.einsum("as,asw->aw", w, R)
         valid = np.arange(lo, p) > P.max(axis=1, initial=-1)[:, None]
         drop = np.full(d.shape, -math.inf)  # so that invalid extensions score +inf
         np.divide(e * e, d, out=drop, where=valid)
-        values = (yy - np.einsum("as,as->a", w, w))[:, None] - drop
+        values = (eq.yy - np.einsum("as,as->a", w, w))[:, None] - drop
         if not np.isfinite(values[valid]).all():
             raise NumericalError("brute force met a non-finite support value")
         a, j = divmod(int(np.argmin(values)), values.shape[1])
@@ -512,8 +555,7 @@ def theta(
     if not 1 <= s <= spec.p:
         raise InvalidArgumentError(f"s must lie in [1, {spec.p}], got {s}")
     if mode == "upper_bound":
-        sq = np.sum(spec.X**2, axis=0)
-        return float(np.sort(sq)[-s:].sum())
+        return float(np.sort(spec.data.normal.sq)[-s:].sum())
     if mode != "exact":
         raise InvalidArgumentError(f"unknown mode {mode!r}")
     count = math.comb(spec.p, s)

@@ -4,12 +4,15 @@ Dataset files hold plain decimal numbers, one observation per row, with a
 single designated response column (default: the last); ``np.loadtxt``
 parses them, skipping blank lines and accepting quoted or space-padded
 fields.  A header row is opt-in; with a header, the response column may
-also be named.  Malformed input raises InvalidArgumentError naming the file.
+also be named: text is an index when it is an ASCII ``-?[0-9]+`` and a
+header name otherwise.  Malformed input raises InvalidArgumentError naming
+the file.
 """
 
 from __future__ import annotations
 
 import csv
+import re
 import warnings
 
 import numpy as np
@@ -44,7 +47,7 @@ def _resolve_response(response, width: int, names) -> int:
     if response in (None, "last"):
         return width - 1
     if isinstance(response, str):
-        if response.lstrip("-").isdigit():
+        if re.fullmatch(r"-?[0-9]+", response):  # ASCII digits only
             response = int(response)
         elif names is not None and response in names:
             return names.index(response)

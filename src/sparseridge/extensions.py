@@ -80,8 +80,8 @@ def gcv_score(spec: ProblemSpec, S, lam: float) -> float:
     """Generalized cross-validation score of support S at ridge weight lam."""
     _check_positive("lam", lam)
     idx = _clean_support(spec, S)
-    Xs = spec.X[:, idx]
-    system = RidgeSystem(Xs, np.ones(idx.size), spec.n * lam)
+    system = RidgeSystem(spec.data, idx, np.ones(idx.size), spec.n * lam)
+    Xs = system.Xs
     yhat = Xs @ system.fit(spec.y)[0]
     # diag(H) via H_ii = row_i K^{-1} row_i^T
     hdiag = np.sum(Xs * system.solve(Xs.T).T, axis=1)

@@ -19,7 +19,6 @@ selection inside the survivors.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,15 +62,15 @@ class GreedyState:
 
     @classmethod
     def initial(cls, spec: ProblemSpec) -> "GreedyState":
-        nl = spec.n * spec.lam
+        nl, eq = spec.n * spec.lam, spec.data.normal
         return cls(
             spec=spec,
             factor=np.empty((spec.n, 0)),
-            quad_terms=np.einsum("ij,ij->j", spec.X, spec.X) / nl,
-            cross_terms=(spec.X.T @ spec.y) / nl,
+            quad_terms=eq.sq / nl,
+            cross_terms=eq.c / nl,
             inv_y=spec.y / nl,
             selected=[],
-            current_value=float(spec.y @ spec.y) / spec.n,
+            current_value=eq.yy / spec.n,
         )
 
     @property
@@ -134,19 +133,10 @@ class GreedyStep:
 
 @dataclass
 class GreedyTrace:
-    """Per-iteration record of the selection; serializable as JSON lines."""
+    """Per-iteration record of the selection."""
 
     steps: list[GreedyStep] = field(default_factory=list)
     short_candidates: bool = False
-
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps(
-                {"iter": s.iteration, "chosen": s.chosen, "gain": s.gain,
-                 "value": s.value}
-            )
-            for s in self.steps
-        )
 
 
 def _run_greedy(
@@ -258,14 +248,14 @@ def greedy_distance_bound(
     s_g = set(greedy_est.support)
     s_star = set(optimal_est.support)
     diff = len(s_g - s_star)
-    union = sorted(s_g | s_star)
-    if not union:
+    union = np.array(sorted(s_g | s_star), dtype=np.intp)
+    if not union.size:
         return 0.0
     if diff not in stats.theta:
         raise InvalidArgumentError(f"stats must contain theta_{diff}")
     nl = spec.n * spec.lam
-    Xu = spec.X[:, union]
-    sig_min = max(0.0, float(eigvalsh(Xu.T @ Xu, subset_by_index=[0, 0])[0]))
+    G = spec.data.normal.block(union, union)
+    sig_min = max(0.0, float(eigvalsh(G, subset_by_index=[0, 0])[0]))
     nu = max(0.0, greedy_ratio_bound(spec, stats) - 1.0)
     v_star = optimal_est.objective
     denom = nl + sig_min

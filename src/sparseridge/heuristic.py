@@ -23,7 +23,6 @@ The walk is lazy: it stops as soon as R falls to the lowest level asked.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,16 +64,6 @@ class BisectionTrace:
     @property
     def iterations(self) -> int:
         return len(self.steps)
-
-    def to_json_lines(self) -> str:
-        return "\n".join(
-            json.dumps(
-                {"iter": s.iteration, "L": s.lower, "U": s.upper, "q": s.q,
-                 "l1": s.l1_norm if math.isfinite(s.l1_norm) else None,
-                 "zeros": s.zeros, "branch": s.branch}
-            )
-            for s in self.steps
-        )
 
 
 def elastic_net_cd(
@@ -123,15 +112,13 @@ class _ElasticNetPath:
 
     def __init__(self, spec: ProblemSpec):
         self.spec = spec
-        y, n = spec.y, spec.n
-        self._xty = spec.X.T @ y
-        self._rho = 2.0 * self._xty / n
+        self._rho = 2.0 * spec.data.normal.c / spec.n
         gamma_max = float(np.abs(self._rho).max())
         self._tie = TIE_REL_TOL * gamma_max
         self.gammas = [gamma_max]
         self.supports = [np.empty(0, dtype=int)]
         self.values = [np.empty(0)]
-        self.levels = [float(y @ y) / n]
+        self.levels = [spec.data.normal.yy / spec.n]
         self._signs = np.empty(0)
         self.done = gamma_max == 0.0
         # Every segment ends at an event or at gamma = 0, and a feature can
@@ -162,8 +149,8 @@ class _ElasticNetPath:
             cand = np.concatenate([active, new])
             signs = np.concatenate([self._signs, np.sign(c[new])])
             # (X_A^T X_A + n*lam*I) [u, w] = [X_A^T y, n*s/2]
-            system = RidgeSystem(X[:, cand], np.ones(cand.size), n * lam)
-            rhs = np.column_stack([self._xty[cand], 0.5 * n * signs])
+            system = RidgeSystem(self.spec.data, cand, np.ones(cand.size), n * lam)
+            rhs = np.column_stack([self.spec.data.normal.c[cand], 0.5 * n * signs])
             u, w = system.solve(rhs).T
             grow = (signs * w)[active.size:]
             if new.size == 0 or grow.min() > 0.0:

@@ -55,7 +55,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
-# cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 2).
+# cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4(a)).
 from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import (
@@ -196,18 +196,18 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     - ||y||^2/(n rho), hence |beta_i| <= |a_i| + sqrt(D).  Defaults to the
     always-valid level v_upper = ||y||^2 / n (attained by beta = 0); a
     non-finite level is rejected.
-    When p > n, X^T X is singular and sigma_min = 0 without forming it.
+    X^T X, y^T y and X^T y are read from the dataset's normal equations; when
+    p > n, X^T X is singular and sigma_min = 0 without forming it.
     """
-    X, y, n = spec.X, spec.y, spec.n
+    eq, n = spec.data.normal, spec.n
     sig_min = 0.0
-    if spec.p <= n:
-        sig_min = max(0.0, float(eigvalsh(X.T @ X, subset_by_index=[0, 0])[0]))
+    if eq.G is not None:
+        sig_min = max(0.0, float(eigvalsh(eq.G, subset_by_index=[0, 0])[0]))
     rho = sig_min / n + spec.lam
-    yy = float(y @ y)
+    yy, c = eq.yy, eq.c
     v_up = yy / n if v_upper is None else float(v_upper)
     if not np.isfinite(v_up):
         raise InvalidArgumentError(f"v_upper must be finite, got {v_up}")
-    c = X.T @ y
     a = c / (n * rho)
     disc = float(c @ c) / (n * rho) ** 2 + v_up / rho - yy / (n * rho)
     if disc < -1e-12 * max(1.0, yy):
@@ -241,7 +241,7 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     active = z > nlam / np.finfo(float).max
     if M is None:
         S, b = np.flatnonzero(active), np.zeros(spec.p)
-        b[S], u, val = RidgeSystem(X[:, S], z[S], nlam).fit(y)
+        b[S], u, val = RidgeSystem(spec.data, S, z[S], nlam).fit(y)
         return val, -spec.lam * (X.T @ u) ** 2, b
     bound = np.where(active, M * z, 0.0)
     b = np.clip(beta0, -bound, bound)
@@ -249,7 +249,7 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     # Random starts 1000x outside the box took at most 2.2(p + 1) passes.
     for _ in range(4 * spec.p + 4):
         free, held = np.flatnonzero(active & ~clamped), np.flatnonzero(clamped)
-        fit, u, val = RidgeSystem(X[:, free], z[free], nlam).fit(y - X[:, held] @ b[held])
+        fit, u, val = RidgeSystem(spec.data, free, z[free], nlam).fit(y - X[:, held] @ b[held])
         out = np.abs(fit) > bound[free]
         if out.any():
             cross = free[out]

@@ -292,7 +292,7 @@ def perspective_alternating(spec, tol=1e-9, max_iter=50000):
     for iters in range(1, max_iter + 1):
         beta = np.zeros(spec.p)
         active = np.flatnonzero(z > _Z_FLOOR)
-        system = RidgeSystem(spec.X[:, active], z[active], spec.n * spec.lam)
+        system = RidgeSystem(spec.data, active, z[active], spec.n * spec.lam)
         beta[active] = system.fit(spec.y)[0]
         z = waterfill_z(beta, spec.k)
         nz = beta != 0.0

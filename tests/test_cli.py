@@ -340,6 +340,16 @@ class TestExitCodes:
             "--out", str(tmp_path / "x.json"),
         ]) == 2
 
+    @pytest.mark.parametrize("col", ["--1", "\u0663"])
+    def test_response_column_neither_index_nor_name(self, tmp_path, data_csv, col):
+        # only an ASCII -?[0-9]+ is an index ('\u0663' is an Arabic-Indic 3);
+        # anything else is looked up as a header name
+        assert main([
+            "fit", "--input", str(data_csv), f"--response-col={col}",
+            "--lambda", "0.1", "--k", "1", "--method", "greedy",
+            "--out", str(tmp_path / "x.json"),
+        ]) == 2
+
     @pytest.mark.parametrize("method, flag", [("greedy", "--trials"), ("greedy", "--delta"),
                                               ("randomized", "--delta"), ("heuristic", "--seed")])
     def test_option_the_method_does_not_take(self, tmp_path, data_csv, method, flag):

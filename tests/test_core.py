@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -23,12 +25,15 @@ from sparseridge import (
     ProblemSpec,
     SyntheticConfig,
     brute_force,
+    gcv_score,
+    greedy_select,
     mic_value,
     normalize_columns,
     randomized_solve,
     restricted_estimator,
     ridge_objective,
     run_benchmark,
+    solve_v4,
     spectral_stats,
     theta,
     underline_theta,
@@ -252,13 +257,21 @@ class TestRidgeSystem:
     def dense(Xs, w, nlam):
         return Xs.T @ Xs + nlam * np.diag(1.0 / w)
 
+    @staticmethod
+    def system(Xs, w, nlam):
+        """RidgeSystem on the first m columns of a dataset with one column more,
+        so that m = 0 makes a dataset too and m = n a wide one (no X^T X)."""
+        n, m = Xs.shape
+        data = Dataset(X=np.column_stack([Xs, np.ones(n)]), y=np.zeros(n))
+        return RidgeSystem(data, np.arange(m), w, nlam)
+
     @PROPERTY
     @given(case=ridge_systems())
     def test_fit_matches_gaussian_elimination(self, case):
         Xs, w, nlam, rng = case
         y = rng.standard_normal(Xs.shape[0])
         expected = gauss_solve(self.dense(Xs, w, nlam), Xs.T @ y)
-        got, u, value = RidgeSystem(Xs, w, nlam).fit(y)
+        got, u, value = self.system(Xs, w, nlam).fit(y)
         assert got.shape == expected.shape
         assert np.abs(got - expected).max(initial=0.0) <= 1e-12 * (
             1.0 + np.abs(expected).max(initial=0.0)
@@ -275,7 +288,7 @@ class TestRidgeSystem:
     def test_solve_matches_gaussian_elimination(self, case):
         Xs, w, nlam, rng = case
         m = Xs.shape[1]
-        system = RidgeSystem(Xs, w, nlam)
+        system = self.system(Xs, w, nlam)
         K = self.dense(Xs, w, nlam)
         r = rng.standard_normal(m)
         R = rng.standard_normal((m, 2))
@@ -291,23 +304,111 @@ class TestRidgeSystem:
     @pytest.mark.parametrize("m", [2, 7])
     def test_nonfinite_system_or_right_side_raises_value_error(self, m):
         Xs = np.random.default_rng(0).standard_normal((4, m))
-        system = RidgeSystem(Xs, np.ones(m), 1.0)
+        system = self.system(Xs, np.ones(m), 1.0)
         with pytest.raises(ValueError):
             system.solve(np.full(m, np.nan))
-        Xs[1, 1] = np.nan
+        # a dataset is finite, so a non-finite system comes from its weights
+        w = np.ones(m)
+        w[1] = np.nan
         with pytest.raises(ValueError):
-            RidgeSystem(Xs, np.ones(m), 1.0)
+            self.system(Xs, w, 1.0)
 
     def test_indefinite_system_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
-            RidgeSystem(np.eye(3)[:, :2], np.array([1.0, -1.0]), 2.0)
+            self.system(np.eye(3)[:, :2], np.array([1.0, -1.0]), 2.0)
 
     def test_empty_support(self):
         y = np.array([1.0, -2.0, 3.0])
-        system = RidgeSystem(np.zeros((3, 0)), np.zeros(0), 2.0)
-        b, u, value = system.fit(y)
+        b, u, value = self.system(np.zeros((3, 0)), np.zeros(0), 2.0).fit(y)
         assert b.shape == (0,) and np.array_equal(u, y / 2.0)
         assert value == float(y @ y) / 3
+
+
+class TestNormalEquations:
+    def test_formed_once_per_dataset_and_read_only(self, rng):
+        spec = random_spec(rng, 8, 5, 2, 0.1)
+        eq = spec.data.normal
+        assert ProblemSpec(data=spec.data, lam=0.3, k=1).data.normal is eq
+        assert np.array_equal(eq.G, spec.X.T @ spec.X)
+        assert np.array_equal(eq.c, spec.X.T @ spec.y) and eq.yy == spec.y @ spec.y
+        for arr in (eq.c, eq.sq, eq.G):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_wide_design_forms_no_gram(self, rng):
+        spec = random_spec(rng, 4, 9, 2, 0.1)
+        eq = spec.data.normal
+        assert eq.G is None
+        S = np.array([[1, 5, 6], [0, 2, 8]])
+        want = np.stack([spec.X[:, r].T @ spec.X[:, r] for r in S])
+        assert np.allclose(eq.block(S, S), want, rtol=1e-14, atol=1e-14)
+        assert np.allclose(eq.block(S[0], slice(3, None)), spec.X[:, S[0]].T @ spec.X[:, 3:],
+                           rtol=1e-14, atol=1e-14)
+
+    def test_threads_share_one_dataset(self, rng):
+        # the view is formed on first read; threads racing to it must all see
+        # the same normal equations and so get the same fits
+        spec = random_spec(rng, 30, 12, 3, 0.1)
+        want = restricted_estimator(ProblemSpec(data=Dataset(X=spec.X, y=spec.y), lam=0.1, k=3),
+                                    (0, 1, 2))
+        results = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=lambda: results.append(
+                restricted_estimator(spec, (0, 1, 2)))) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads) and len(results) == 8
+        for est in results:
+            assert est.objective == want.objective
+            assert np.array_equal(est.beta, want.beta)
+
+    def test_one_off_fits_form_no_gram(self, rng):
+        # a tall design's X^T X is formed only for the stacked scorers and big_m;
+        # a single fit, greedy or GCV reads its own columns (at p = 400 a p x p
+        # float array takes 1.28 MB)
+        calls = [lambda spec: restricted_estimator(spec, (0, 1, 2)), greedy_select,
+                 lambda spec: gcv_score(spec, (0, 1, 2), 0.1)]
+        for call in calls:
+            spec = random_spec(rng, 2000, 400, 3, 0.1)
+            tracemalloc.start()
+            try:
+                call(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 400 * 400 / 4
+            S = np.array([[0, 1], [2, 3]])
+            want = np.stack([spec.X[:, r].T @ spec.X[:, r] for r in S])
+            assert np.allclose(spec.data.normal.block(S, S), want, rtol=1e-13, atol=0.0)
+            G = spec.data.normal.G  # formed now, and read by later blocks
+            assert np.array_equal(spec.data.normal.block(S, S), G[S[:, :, None], S[:, None, :]])
+
+    def test_gram_stack_shift_leaves_the_view_unchanged(self, rng):
+        spec = random_spec(rng, 8, 5, 2, 0.1)
+        G = spec.data.normal.G.copy()
+        for S, K in core._gram_stacks(spec, 2, shift=3.0):
+            assert np.array_equal(K, G[S[:, :, None], S[:, None, :]] + 3.0 * np.eye(2))
+        assert np.array_equal(spec.data.normal.G, G)
+
+    def test_wide_solvers_build_no_p_by_p_object(self, rng):
+        # at p = 3000 a p x p float array takes 72 MB
+        calls = [greedy_select, brute_force, solve_v4,
+                 lambda spec: randomized_solve(spec, np.full(spec.p, 1.0 / spec.p))]
+        for call in calls:
+            spec = random_spec(rng, 5, 3000, 1, 0.1, signal=False)
+            tracemalloc.start()
+            try:
+                call(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 8 * core._BLOCK_ELEMENTS
 
 
 class TestSpectral:
@@ -427,6 +528,13 @@ class TestSubsetBlocks:
         assert all(b.shape[0] == m for b in blocks[:-1])
         rows = [tuple(row) for b in blocks for row in b.tolist()]
         assert rows == list(itertools.combinations(range(p), s))
+
+    @pytest.mark.parametrize("p", [0, 1, 5])
+    def test_empty_subset_is_one_block(self, p):
+        # C(p, 0) = 1: the empty subset, as one (1, 0) block
+        blocks = list(_subset_blocks(p, 0))
+        assert len(blocks) == 1
+        assert blocks[0].shape == (1, 0) and blocks[0].dtype == np.intp
 
     def test_blocked_theta_matches_oracles(self, rng, monkeypatch):
         spec = random_spec(rng, 4, 7, 3, 0.1, signal=False)

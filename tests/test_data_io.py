@@ -41,6 +41,13 @@ class TestAccepted:
         assert np.array_equal(data.X, [[1.0, 3.0], [4.0, 6.0]])
         assert np.array_equal(data.y, [2.0, 5.0])
 
+    def test_non_ascii_digits_name_a_column(self, tmp_path):
+        # '\u0663' is an Arabic-Indic 3: a header name, not column 3
+        path = _write(tmp_path, "a,\u0663,b,c\n1,2,3,4\n")
+        data = load_dataset_csv(path, response="\u0663", header=True)
+        assert data.feature_names == ("a", "b", "c")
+        assert np.array_equal(data.y, [2.0])
+
     @pytest.mark.parametrize("header", [False, True])
     def test_save_load_round_trip_is_bit_exact(self, tmp_path, header):
         rng = np.random.default_rng(11)

@@ -1,4 +1,3 @@
-import json
 import time
 import tracemalloc
 import warnings
@@ -123,14 +122,6 @@ class TestGreedySelect:
         est_c, _ = greedy_select(scaled)
         assert est_c.support == est.support
         assert est_c.objective == pytest.approx(c * c * est.objective, rel=1e-9)
-
-    def test_trace_json_lines(self, rng):
-        spec = random_spec(rng, 10, 4, 2, 0.2)
-        _, trace = greedy_select(spec)
-        lines = trace.to_json_lines().splitlines()
-        assert len(lines) == 2
-        rec = json.loads(lines[0])
-        assert set(rec) == {"iter", "chosen", "gain", "value"}
 
 
 class TestIncrementalState:

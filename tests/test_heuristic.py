@@ -186,15 +186,6 @@ class TestBisection:
             if step.branch == "down":
                 assert step.zeros >= spec.p - spec.k
 
-    def test_trace_json_lines(self, rng):
-        import json
-
-        spec = random_spec(rng, 12, 5, 2, 0.2)
-        _, trace = heuristic_bisection(spec, delta_hat=1e-2)
-        for line in trace.to_json_lines().splitlines():
-            rec = json.loads(line)
-            assert set(rec) == {"iter", "L", "U", "q", "l1", "zeros", "branch"}
-
     def test_rejects_bad_tolerance(self, rng):
         spec = random_spec(rng, 8, 3, 1, 0.1)
         with pytest.raises(InvalidArgumentError):

@@ -12,6 +12,7 @@ from helpers import identity_pair_spec, masked_nodes, random_spec
 from oracles import (
     box_weighted_ridge_cd,
     finite_difference_gradient,
+    gauss_solve,
     monotone_projected_gradient,
     perspective_alternating,
     perspective_value,
@@ -574,6 +575,58 @@ def box_step_cases(draw):
     return spec, z, M, beta0
 
 
+@st.composite
+def perspective_cases(draw):
+    """(spec, z) on a tall (p <= n, X^T X formed) or wide design, with some
+    z_i exactly 0 and |supp z| below, at or above n."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.one_of(st.integers(1, n), st.integers(n + 1, 3 * n)))
+    lam = 10.0 ** draw(st.floats(-2.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec = ProblemSpec(
+        data=Dataset(X=rng.standard_normal((n, p)), y=rng.standard_normal(n)),
+        lam=lam, k=1,
+    )
+    z = rng.uniform(0.05, 1.0, p)
+    z[rng.permutation(p)[:draw(st.integers(0, p))]] = 0.0
+    return spec, z
+
+
+class TestPerspectiveFit:
+    """v4's kernel on tall and wide designs."""
+
+    @PROPERTY
+    @given(case=perspective_cases())
+    def test_matches_explicit_formulas(self, case):
+        spec, z = case
+        value, grad, b = relaxation._perspective_fit(spec, z)
+        # A = n*lam*I + X_S diag(z_S) X_S^T, u = A^-1 y: f = lam*y^T u, its
+        # gradient -lam*(X^T u)^2 and b = diag(z) X^T u (0 off the support)
+        S = z > 0.0
+        A = spec.n * spec.lam * np.eye(spec.n) + (spec.X[:, S] * z[S]) @ spec.X[:, S].T
+        u = gauss_solve(A, spec.y)
+        a = spec.X.T @ u
+        value_want = spec.lam * float(spec.y @ u)
+        assert abs(value - value_want) <= 1e-12 * value_want
+        assert abs(perspective_value(spec, b, z) - value_want) <= 1e-12 * value_want
+        grad_want = -spec.lam * a**2
+        assert np.abs(grad - grad_want).max() <= 1e-12 * np.abs(grad_want).max()
+        b_want = np.where(S, z * a, 0.0)
+        assert np.all(b[~S] == 0.0)
+        assert np.abs(b - b_want).max() <= 1e-12 * max(np.abs(b_want).max(), 1e-300)
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-8])
+    def test_value_keeps_its_digits_on_a_noise_free_fit(self, lam):
+        # y in the span of X: f is far below y^T y/n, where y^T y - c_S . b would
+        # cancel (to 1e-8 relative at lam = 1e-8); the residual's value does not
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 10))
+        spec = ProblemSpec(data=Dataset(X=X, y=X @ rng.uniform(-2.0, 2.0, 10)), lam=lam, k=3)
+        z = np.full(10, 0.5)
+        value, _, b = relaxation._perspective_fit(spec, z)
+        assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
+
+
 class TestBoxConstrainedStep:
     """v3's active-set beta-step against the coordinate-descent reference."""
 
@@ -618,8 +671,8 @@ class TestBoxConstrainedStep:
         # A solve that always overshoots the box: the coordinate released after
         # each feasible pass is clamped again at once, so the loop never ends.
         class Overshoot:
-            def __init__(self, Xs, w, nlam):
-                self.n, self.m = Xs.shape
+            def __init__(self, data, S, w, nlam):
+                self.n, self.m = data.n, S.size
 
             def fit(self, r):
                 return np.full(self.m, 1e3), np.zeros(self.n), None
