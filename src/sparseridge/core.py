@@ -490,15 +490,16 @@ def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
 
 
 def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
-    """The lexicographically first size-k support of least ridge value.
+    """A size-k support of least computed ridge value.
 
     P + (j,), j > max P, extends its (k-1)-prefix P (Furnival & Wilson's leaps
     and bounds): with L L^T = G_PP + n*lam*I, G = X^T X, c = X^T y,
     l_j = L^-1 G[P, j] and w = L^-1 c_P, its value is (y^T y - |w|^2 - e_j^2/d_j)/n,
     d_j = G_jj + n*lam - |l_j|^2, e_j = c_j - l_j . w.  Prefixes go in lexicographic
     blocks within the element budget (no p x p object when p > n); the argmin is
-    row-major and a later block must be strictly better, so ties go to the first
-    support.  A non-finite pivot or value raises NumericalError."""
+    row-major and a later block must be strictly better, so equal computed values
+    go to the first support; a tie in exact arithmetic is decided by rounding.
+    A non-finite pivot or value raises NumericalError."""
     eq, n, p, s = spec.data.normal, spec.n, spec.p, spec.k - 1
     nlam = n * spec.lam
     g = eq.sq + nlam

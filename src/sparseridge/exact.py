@@ -48,8 +48,8 @@ RELAX_MAX_ITER = 20000
 
 
 def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimator:
-    """Globally optimal estimator: the first best size-k support in
-    lexicographic order (``core._best_support``), refit by
+    """Globally optimal estimator: a size-k support of least computed value, the
+    lexicographically first of equal ones (``core._best_support``), refit by
     ``restricted_estimator``.  Requires C(p, k) <= cap."""
     cap = _check_count("cap", cap)
     count = math.comb(spec.p, spec.k)

@@ -12,9 +12,10 @@ draw distinct streams and any single trial can be reproduced in isolation,
 on any platform, from the key stored on its outcome.
 
 Draws are scored together, not fit one by one: each distinct support of a
-cardinality once, in the stacked solves of ``core._ridge_scores``.  Only the
-winners are refit exactly, so reported values are exact fits; the stacked
-values that pick them agree to rounding only.
+cardinality once (a dict keyed on its index bytes finds it, with no sort), in
+the stacked solves of ``core._ridge_scores``.  Only the winners are refit
+exactly, so reported values are exact fits; the stacked values that pick them
+agree to rounding only.
 """
 
 from __future__ import annotations
@@ -168,11 +169,12 @@ def randomized_solve(
         if not group:
             continue
         rows = np.array([kept[t] for t in group], dtype=np.intp).reshape(len(group), s)
-        # each distinct support is scored once
-        U, inverse = np.unique(rows, axis=0, return_inverse=True)
-        _, b, values = (np.concatenate(a) for a in zip(*_ridge_scores(spec, s, U)))
-        inverse = inverse.ravel()  # numpy 2.0.0 returns it 2-D for axis=0
-        b, values = b[inverse], values[inverse]
+        first = {}  # each distinct support is scored once, at the first row holding it
+        holder = [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
+        distinct = list(first.values())  # ascending
+        _, b, values = (np.concatenate(a) for a in zip(*_ridge_scores(spec, s, rows[distinct])))
+        at = np.searchsorted(distinct, holder)
+        b, values = b[at], values[at]
         raw[drawn] = values[:len(drawn)]
         repaired[group] = values
         if repair and s > k:

@@ -40,9 +40,10 @@ once the gap is at most tol*(1 + |value|).
 The capped-simplex projection, water-filling and v1's weighted-L1-box
 projection each need the threshold t at which the budget
 sum(clip(a + s*t, lo, 1)) reaches k.  That sum is piecewise linear and
-nondecreasing in t, so one exact search serves all three: sort the 2p
-breakpoints, accumulate the budget across them and interpolate the crossing
-on its linear piece (O(p log p)).
+nondecreasing in t, so one exact search, ``_fill_budget``, serves all three:
+sort the 2p breakpoints, accumulate the budget across them and interpolate
+the crossing on its linear piece (O(p log p)).  Its slopes are positive
+(water-filling keeps beta_i = 0 out) and a scalar slope or bound broadcasts.
 
 A conditional-value-at-risk style convex surrogate of the cardinality
 constraint is deliberately not offered: for this constraint it admits only
@@ -68,6 +69,7 @@ NONMONOTONE_MEMORY = 10  # Armijo tests compare with the max of this many last v
 # v3's beta-step releases a clamped coordinate whose inward gradient exceeds
 # this share of M_i, the size of its penalty term's gradient (scaled by 1/(2 lam)).
 _RELEASE_TOL = 1e-12
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -116,30 +118,29 @@ class BigMVector:
         object.__setattr__(self, "M", M)
 
 
-def _fill_budget(a: np.ndarray, s: np.ndarray, lo: np.ndarray, k: float) -> np.ndarray:
-    """z = clip(a + s*t, lo, 1) at the threshold t where sum(z) == k; slopes s >= 0.
+def _fill_budget(a: np.ndarray, s, lo, k: float) -> np.ndarray:
+    """z = clip(a + s*t, lo, 1) at the threshold t where sum(z) == k; slopes s > 0.
 
-    Coordinate i moves between the breakpoints (lo_i - a_i)/s_i and
-    (1 - a_i)/s_i (never if s_i == 0).  The caller guarantees that k lies
-    strictly between sum(lo) and sum(1) over the moving coordinates.
+    Coordinate i moves between (lo_i - a_i)/s_i and (1 - a_i)/s_i; s and lo are
+    scalars or arrays like ``a``, and the caller guarantees sum(lo) < k < a.size.
     """
-    moving = s > 0.0
-    am, sm, lo_m = a[moving], s[moving], lo[moving]
-    bps = np.concatenate([(lo_m - am) / sm, (1.0 - am) / sm])
+    bps = np.concatenate([(lo - a) / s, (1.0 - a) / s])
     order = bps.argsort(kind="stable")
     bps = bps[order]
-    slope = np.concatenate([sm, -sm])[order].cumsum()  # on [bps[j], bps[j+1]]
-    budget = np.concatenate([[0.0], (slope[:-1] * (bps[1:] - bps[:-1])).cumsum()])
-    budget += lo_m.sum() + a[~moving].clip(lo[~moving], 1.0).sum()
-    # budget[j] < k <= budget[j+1]; the clamps keep rounding in the sums from
-    # leaving the crossing piece.
-    j = min(max(int(budget.searchsorted(k)) - 1, 0), bps.size - 2)
-    t = bps[j] + (k - budget[j]) / slope[j] if slope[j] > 0.0 else bps[j]
+    steps = np.where(order < a.size, s, -s) if np.isscalar(s) else np.concatenate([s, -s])[order]
+    slope = steps.cumsum()  # on [bps[j], bps[j+1]]: s_i from i's first breakpoint to its second
+    start = lo * a.size if np.isscalar(lo) else lo.sum()  # the budget at bps[0]
+    budget = (slope[:-1] * (bps[1:] - bps[:-1])).cumsum() + start  # at bps[1:]
+    # the budget is below k at bps[j] and reaches it by bps[j+1]; the clamps
+    # keep rounding in the sums from leaving the crossing piece.
+    j = min(int(budget.searchsorted(k)), bps.size - 2)
+    below = budget[j - 1] if j else start  # the budget at bps[j]
+    t = bps[j] + (k - below) / slope[j] if slope[j] > 0.0 else bps[j]
     return (a + s * min(max(t, bps[j]), bps[j + 1])).clip(lo, 1.0)
 
 
 def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
-    """Euclidean projection onto {z in [0,1]^p : sum(z) <= k}.
+    """Euclidean projection of a finite 1-D ``v`` onto {z in [0,1]^p : sum(z) <= k}.
 
     If the clipped point already fits the budget it is returned unchanged;
     otherwise z = clip(v - tau, 0, 1) with the unique shift tau > 0 that
@@ -148,10 +149,12 @@ def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
     if not k > 0:
         raise InvalidArgumentError(f"budget k must be positive, got {k}")
     v = np.asarray(v, dtype=float)
-    clipped = np.clip(v, 0.0, 1.0)
+    if v.ndim != 1 or not np.isfinite(v).all():
+        raise InvalidArgumentError("v must be a finite 1-D vector")
+    clipped = v.clip(0.0, 1.0)
     if clipped.sum() <= k:
         return clipped
-    return _fill_budget(v, np.ones(v.shape), np.zeros(v.shape), k)
+    return _fill_budget(v, 1.0, 0.0, k)
 
 
 def waterfill_z(
@@ -181,10 +184,12 @@ def waterfill_z(
     if lower.sum() >= k - 1e-12:
         return lower.copy()  # bounds alone exhaust the budget
     absb = np.abs(beta)
-    capped = np.where(absb > 0.0, 1.0, lower)
-    if capped.sum() <= k:
-        return capped
-    return _fill_budget(np.zeros(p), absb, lower, k)
+    moving = absb > 0.0  # the others stay at their lower bound
+    z = np.where(moving, 1.0, lower)
+    if z.sum() > k:
+        z[moving] = _fill_budget(np.zeros(moving.sum()), absb[moving], lower[moving],
+                                 k - z[~moving].sum())
+    return z
 
 
 def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
@@ -238,7 +243,7 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     none does.  Raises NumericalError when the pass cap is reached.
     """
     X, y, nlam = spec.X, spec.y, spec.n * spec.lam
-    active = z > nlam / np.finfo(float).max
+    active = z > nlam / _FLOAT_MAX
     if M is None:
         S, b = np.flatnonzero(active), np.zeros(spec.p)
         b[S], u, val = RidgeSystem(spec.data, S, z[S], nlam).fit(y)
@@ -347,11 +352,11 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
                 x_new = x
                 break
             x_new = x + t * d
+        s = d if t == 1.0 else x_new - x
         state = (hash(x_new.tobytes()), step)
-        if np.array_equal(x_new, x) or state in seen:
+        if not s.any() or state in seen:
             return x, val, iters, g, False  # stationary to rounding, gap > tol
         seen.add(state)
-        s = x_new - x
         sy = float(s @ (grad_new - grad))
         step = min(float(s @ s) / sy if sy > 0.0 else step * 2.0, 1e12)
         x, val, grad = x_new, val_new, grad_new
@@ -418,7 +423,8 @@ def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zer
     else:
         zf = np.full(free.size, budget / free.size)
     zf, val, iters, gap, converged = _projected_gradient(
-        fval_grad, lambda v: project_capped_simplex(v, budget),
+        value_grad if free.size == spec.p else fval_grad,  # nothing fixed: the loop runs on z
+        lambda v: project_capped_simplex(v, budget),
         lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
     )
     z[free] = zf
@@ -455,8 +461,9 @@ def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
 
 
 def _positive_bounds(M: BigMVector) -> np.ndarray:
-    if np.any(M.M <= 0):
-        raise InvalidArgumentError("all big-M entries must be positive")
+    # v1 searches with slopes 1/M_i**2, which must stay positive and finite
+    if not np.all((M.M >= 1e-150) & (M.M <= 1e150)):
+        raise InvalidArgumentError("all big-M entries must lie in [1e-150, 1e150]")
     return M.M
 
 
@@ -469,7 +476,7 @@ def _project_weighted_l1_box(v: np.ndarray, M: np.ndarray, k: float) -> np.ndarr
     b = np.clip(v, -M, M)
     if float(np.sum(np.abs(b) / M)) <= k + 1e-15:
         return b
-    return np.sign(v) * M * _fill_budget(np.abs(v) / M, 1.0 / M**2, np.zeros_like(M), k)
+    return np.sign(v) * M * _fill_budget(np.abs(v) / M, 1.0 / M**2, 0.0, k)
 
 
 def solve_v1(

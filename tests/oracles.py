@@ -109,6 +109,30 @@ def weighted_l1_box_projection_bisection(v, M, k, iters=200):
     return shrink(hi)
 
 
+def waterfill_bisection(beta, k, lower, iters=200):
+    """Water-filling by plain bisection on the level t: z_i = clip(|beta_i|*t,
+    lower_i, 1) where beta_i != 0 and z_i = lower_i elsewhere, with sum(z) == k
+    when the budget binds."""
+    absb = np.abs(np.asarray(beta, dtype=float))
+    lower = np.asarray(lower, dtype=float)
+    nz = absb > 0
+
+    def fill(t):
+        return np.where(nz, np.clip(absb * t, lower, 1.0), lower)
+
+    full = np.where(nz, 1.0, lower)
+    if full.sum() <= k:
+        return full
+    lo, hi = 0.0, 1.0 / absb[nz].min()
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if fill(mid).sum() > k:
+            hi = mid
+        else:
+            lo = mid
+    return fill(hi)
+
+
 def waterfill_objective_grid(beta, k, lower=None, levels=200001):
     """Best sum(beta_i^2/z_i) over a fine grid of water levels nu."""
     beta = np.asarray(beta, dtype=float)

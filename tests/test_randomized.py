@@ -16,7 +16,7 @@ from sparseridge import (
     randomized_round,
     randomized_solve,
 )
-from sparseridge.randomized import _keyed_uniforms
+from sparseridge.randomized import _keyed_uniforms, _trial_key
 
 # Reproducible property runs that leave no example database behind.
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -227,6 +227,22 @@ class TestBatchedScoring:
                                            12, seed)
             assert res.best_repaired.support == ref["repaired"]["support"]
             assert res.best_repaired_raw_value == ref["repaired"]["raw_value"]
+
+    def test_duplicate_draws_go_to_the_first_trial_that_drew_them(self, rng):
+        # Two coordinates at zhat = 0.5 allow four supports, so 40 trials must
+        # repeat draws: each distinct support is scored once, and the best
+        # outcome carries the key of the first trial that drew its support.
+        spec = random_spec(rng, 8, 5, 2, 0.1)
+        zhat = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+        for seed in range(6):
+            res = randomized_solve(spec, zhat, trials=40, seed=seed)
+            ref = randomized_trials_oracle(spec.X, spec.y, 0.1, 2, zhat, 40, seed)
+            keys = [_trial_key(seed, t) for t in range(40)]
+            drawn = [tuple(randomized_round(zhat, key)[0].tolist()) for key in keys]
+            assert res.best.support == ref["best"]["support"]
+            assert res.best.seed == ref["best"]["seed"] == keys[drawn.index(res.best.support)]
+            assert res.best.value == pytest.approx(ref["best"]["value"], rel=1e-12)
+            assert res.best_repaired.support == ref["repaired"]["support"]
 
     def test_memory_does_not_grow_with_trials_times_p(self, rng):
         spec = random_spec(rng, 30, 2000, 5, 0.1)

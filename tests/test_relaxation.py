@@ -19,6 +19,7 @@ from oracles import (
     projected_objective_exact,
     projection_tau_bisection,
     subset_value_oracle,
+    waterfill_bisection,
     waterfill_objective_grid,
     weighted_l1_box_projection_bisection,
 )
@@ -49,6 +50,15 @@ from sparseridge import relaxation
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 # Nonzero entries stay away from underflow so every breakpoint is finite.
 SIGNED = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+# Entries that stress the breakpoint search: few distinct values (ties and
+# duplicate breakpoints), exact 0s and 1s, and the values between.
+EDGE = st.one_of(st.sampled_from([0.0, 1.0, 0.5, -1.0, 2.0]), st.floats(-3.0, 3.0))
+# p = 1, all-equal vectors and vectors drawn from EDGE
+EDGE_VECTORS = st.one_of(
+    arrays(float, st.integers(1, 25), elements=EDGE),
+    st.builds(np.full, st.integers(1, 25), EDGE),
+    arrays(float, 1, elements=EDGE),
+)
 
 
 class TestCappedSimplexProjection:
@@ -84,6 +94,13 @@ class TestCappedSimplexProjection:
     def test_bad_budget_rejected(self, k):
         with pytest.raises(InvalidArgumentError, match="budget"):
             project_capped_simplex(np.array([0.5, 0.2]), k)
+
+    @pytest.mark.parametrize("v", [[np.nan, 0.5, 0.7], [np.inf, 0.5, 0.7], [0.5, -np.inf, 0.7],
+                                   [[0.9, 0.8], [0.5, 0.7]], 0.5],
+                             ids=["nan", "inf", "-inf", "2-D", "0-D"])
+    def test_bad_vector_rejected(self, v):
+        with pytest.raises(InvalidArgumentError, match="finite 1-D"):
+            project_capped_simplex(np.array(v), 1.0)
 
 
 class TestWaterfill:
@@ -463,6 +480,14 @@ class TestBigMSolver:
         with pytest.raises(InvalidArgumentError):
             solve_v1(spec, BigMVector(M=np.array([1.0, 0.0, 1.0]), v_upper=1.0, rho=1.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200, 1e-200])
+    @pytest.mark.parametrize("solve", [solve_v1, solve_v3], ids=["v1", "v3"])
+    def test_rejects_bounds_outside_float_range(self, rng, solve, bad):
+        # 1/M_i**2 would be 0 or inf (a NaN projection in v1), or M_i is not a number
+        spec = random_spec(rng, 8, 3, 1, 0.1)
+        with pytest.raises(InvalidArgumentError, match="big-M"):
+            solve(spec, BigMVector(M=np.array([1.0, bad, 1.0]), v_upper=1.0, rho=1.0))
+
 
 @pytest.mark.parametrize("tol", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
 @pytest.mark.parametrize("which", ["v1", "v3", "v4"])
@@ -789,13 +814,16 @@ class TestBudgetSearchProperties:
     """The three callers of the shared exact threshold search."""
 
     @PROPERTY
-    @given(v=arrays(float, st.integers(1, 25), elements=st.floats(-3.0, 3.0)),
-           k=st.floats(0.05, 12.0))
+    @given(v=EDGE_VECTORS, k=st.floats(0.05, 12.0))
     def test_projection_matches_bisection(self, v, k):
         z = project_capped_simplex(v, k)
         assert z == pytest.approx(projection_tau_bisection(v, k), abs=1e-10)
         assert z.sum() <= k + 1e-9
         assert np.all(z >= 0.0) and np.all(z <= 1.0)
+        # equal entries get equal values, and entries at or below 0 stay at 0
+        for x in np.unique(v):
+            assert np.ptp(z[v == x]) == 0.0
+        assert np.all(z[v <= 0.0] == 0.0)
 
     @settings(PROPERTY, max_examples=25)
     @given(data=st.data())
@@ -817,11 +845,46 @@ class TestBudgetSearchProperties:
         assert achieved <= best + 1e-9 * (1.0 + best)
 
     @PROPERTY
+    @given(v=EDGE_VECTORS, data=st.data())
+    def test_scalar_arguments_broadcast(self, v, data):
+        # A scalar slope or bound searches exactly as its full vector does.
+        p = v.size
+        s = data.draw(arrays(float, p, elements=st.floats(0.1, 4.0)))
+        lo = data.draw(st.sampled_from([0.0, 0.25]))
+        k = data.draw(st.floats(lo * p, float(p), exclude_min=True, exclude_max=True))
+        full = np.full(p, lo)
+        assert np.array_equal(relaxation._fill_budget(v, 1.0, lo, k),
+                              relaxation._fill_budget(v, np.ones(p), full, k))
+        assert np.array_equal(relaxation._fill_budget(v, s, lo, k),
+                              relaxation._fill_budget(v, s, full, k))
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_waterfill_zero_beta_coordinates(self, data):
+        # beta_i == 0 coordinates stay at their lower bound, outside the search,
+        # and the others match a bisection on the level.
+        p = data.draw(st.integers(1, 12))
+        beta = data.draw(arrays(float, p, elements=st.one_of(
+            st.sampled_from([0.0, 1.0, -1.0, 0.5]), SIGNED)))
+        k = data.draw(st.floats(0.1, float(p)))
+        raw = data.draw(arrays(float, p, elements=st.one_of(
+            st.sampled_from([0.0, 1.0]), st.floats(1e-3, 1.0))))
+        share = data.draw(st.floats(0.0, 0.95))
+        lower = raw * min(1.0, share * k / raw.sum()) if raw.sum() > 0 else raw
+        z = waterfill_z(beta, k, lower=lower)
+        zero = beta == 0.0
+        assert np.array_equal(z[zero], lower[zero])
+        assert np.all(z >= lower) and np.all(z <= 1.0)
+        assert z.sum() <= k + 1e-9
+        assert z == pytest.approx(waterfill_bisection(beta, k, lower), abs=1e-10)
+
+    @PROPERTY
     @given(data=st.data())
     def test_weighted_l1_box_matches_bisection(self, data):
         p = data.draw(st.integers(1, 20))
-        v = data.draw(arrays(float, p, elements=st.floats(-5.0, 5.0)))
-        M = data.draw(arrays(float, p, elements=st.floats(0.1, 5.0)))
+        v = data.draw(arrays(float, p, elements=st.one_of(EDGE, st.floats(-5.0, 5.0))))
+        M = data.draw(arrays(float, p, elements=st.one_of(
+            st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.1, 5.0))))
         k = data.draw(st.floats(0.1, float(p)))
         b = relaxation._project_weighted_l1_box(v, M, k)
         assert np.sum(np.abs(b) / M) <= k + 1e-9
