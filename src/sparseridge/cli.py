@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: fit, relax, tune, precision, gen, bench.  Exit codes:
-0 success, 2 invalid arguments, 3 solver non-convergence or enumeration
-cap, 4 I/O error.  Every JSON output embeds the resolved configuration so
+0 success, 2 invalid arguments, 3 solver non-convergence, numerical fault
+or enumeration cap, 4 I/O error.  Every JSON output embeds the resolved configuration so
 results are reproducible from the output file alone.
 """
 

@@ -21,6 +21,12 @@ that reads it many times asks for it (the stacked scorers and ``big_m``).
 Gram entries come from its one block accessor: slices of X^T X once it is
 formed, products of the gathered columns otherwise, so a one-off support
 fit costs what its own columns do.
+
+Every walk over subsets (theta, underline_theta, brute force) passes one cap
+check, ``_check_enumeration``, and takes its subsets from ``_subset_blocks``
+in blocks sized by the floats each of its own subsets holds.  Every Cholesky
+goes through :func:`cholesky`, which raises NumericalError for a system that
+is not finite or not positive definite.
 """
 
 from __future__ import annotations
@@ -219,9 +225,16 @@ class SpectralStats:
     mode: str = "exact"
 
 
+def _check_real(name: str, value) -> float:
+    """``value`` as a float; raises unless it is a real number (True and "0.5" fail)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _check_positive(name: str, value) -> float:
-    """``value`` as a float; raises unless it is positive and finite (NaN fails)."""
-    value = float(value)
+    """``value`` as a float; raises unless it is a positive, finite real (NaN fails)."""
+    value = _check_real(name, value)
     if not (math.isfinite(value) and value > 0.0):
         raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
     return value
@@ -297,17 +310,15 @@ def cholesky(K: np.ndarray) -> np.ndarray:
     """Upper Cholesky factor of the symmetric matrix K, read from its upper triangle.
 
     LAPACK ``potrf`` called directly, with the checks of scipy's
-    ``cho_factor``: a non-finite K raises ``ValueError`` and one that is not
-    positive definite raises ``np.linalg.LinAlgError``.  The strict lower
-    triangle of the result is left as scratch (0 x 0 is allowed).
+    ``cho_factor``: a K that is not finite or not positive definite raises
+    NumericalError.  The strict lower triangle of the result is left as
+    scratch (0 x 0 is allowed).
     """
     if not np.isfinite(K).all():
-        raise ValueError("matrix to factor must be finite")
+        raise NumericalError("matrix to factor must be finite")
     c, info = dpotrf(K, lower=0, clean=0)
     if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the matrix is not positive definite"
-        )
+        raise NumericalError(f"{info}-th leading minor of the matrix is not positive definite")
     return c
 
 
@@ -315,10 +326,10 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """x with (c^T c) x = b for a factor from :func:`cholesky` (LAPACK ``potrs``).
 
     ``b`` is a vector or a matrix of right sides; a non-finite b raises
-    ``ValueError``.
+    NumericalError.
     """
     if not np.isfinite(b).all():
-        raise ValueError("right side must be finite")
+        raise NumericalError("right side must be finite")
     if b.size == 0:
         return np.empty(b.shape)  # potrs rejects an empty right side
     return dpotrs(c, b, lower=0)[0]
@@ -438,12 +449,18 @@ def _block_rows(elements: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, elements))
 
 
-def _subset_blocks(p: int, s: int, elements: int | None = None):
-    """Every size-s subset of range(p), in ``itertools.combinations`` order,
-    as (m, s) int arrays; m = _block_rows(elements), for a working set of
-    ``elements`` floats per subset (s * s by default).  s = 0 gives one (1, 0)
-    block, the empty subset."""
-    m = _block_rows(s * s if elements is None else elements)
+def _check_enumeration(p: int, s: int, cap: int) -> None:
+    """Raises EnumerationCapError when the C(p, s) size-s subsets exceed ``cap``."""
+    count = math.comb(p, s)
+    if count > cap:
+        raise EnumerationCapError(f"C({p}, {s}) = {count} exceeds the enumeration cap {cap}")
+
+
+def _subset_blocks(p: int, s: int, elements: int):
+    """Every size-s subset of range(p), in ``itertools.combinations`` order, as
+    (m, s) int arrays, m = _block_rows(elements) for a working set of ``elements``
+    floats per subset; s = 0 gives one (1, 0) block, the empty subset."""
+    m = _block_rows(elements)
     combos = itertools.combinations(range(p), s)
     while rows := list(itertools.islice(combos, m)):
         yield np.fromiter(itertools.chain.from_iterable(rows), np.intp,
@@ -472,21 +489,21 @@ def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
 
 
 def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
-    """(S, b, values) for blocks S of the supports ``rows`` (m, s): b_i is the
-    ridge fit on S_i and values_i its objective (y^T y - (X^T y)_S . b_i)/n,
-    from one stacked solve per block of ``_gram_stacks``.  A row wider than n
-    is fit alone on the n x n side of ``RidgeSystem``."""
+    """(b, values) for the supports ``rows`` (m, s): b[i] (m, s) is the ridge fit
+    on rows[i] and values[i] its objective (y^T y - (X^T y)_S . b[i])/n, from one
+    stacked solve per block of ``_gram_stacks``.  Rows wider than n are fit
+    one by one on the n x n side of ``RidgeSystem``."""
     if s > spec.n:
-        for S in rows:
-            beta, value = _support_fit(spec, S)
-            yield S[None], beta[S][None], np.array([value])
-        return
-    eq = spec.data.normal
+        fits = [_support_fit(spec, S) for S in rows]
+        return (np.array([beta[S] for S, (beta, _) in zip(rows, fits)]),
+                np.array([value for _, value in fits]))
+    eq, b, values = spec.data.normal, [], []
     for S, K in _gram_stacks(spec, s, rows, spec.n * spec.lam):
         cS = eq.c[S]
         # the explicit trailing axis: a 2-D right side would be read as one matrix
-        b = np.linalg.solve(K, cS[..., None])[..., 0]
-        yield S, b, (eq.yy - np.einsum("ij,ij->i", cS, b)) / spec.n
+        b.append(np.linalg.solve(K, cS[..., None])[..., 0])
+        values.append((eq.yy - np.einsum("ij,ij->i", cS, b[-1])) / spec.n)
+    return np.concatenate(b), np.concatenate(values)
 
 
 def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
@@ -559,12 +576,7 @@ def theta(
         return float(np.sort(spec.data.normal.sq)[-s:].sum())
     if mode != "exact":
         raise InvalidArgumentError(f"unknown mode {mode!r}")
-    count = math.comb(spec.p, s)
-    if count > cap:
-        raise EnumerationCapError(
-            f"C({spec.p}, {s}) = {count} exceeds the cap {cap}; "
-            "use mode='upper_bound'"
-        )
+    _check_enumeration(spec.p, s, cap)
     best = 0.0
     for _, K in _gram_stacks(spec, s):
         best = max(best, float(np.linalg.eigvalsh(K)[:, -1].max()))
@@ -586,14 +598,10 @@ def underline_theta(spec: ProblemSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> fl
     t = p - k + 1
     if t < n:
         return 0.0
-    total = math.comb(p, t)
-    if total > cap:
-        raise EnumerationCapError(
-            f"enumerating {total} subsets of size {t} exceeds the cap {cap}"
-        )
+    _check_enumeration(p, t, cap)
     best = math.inf
     Xt = spec.X.T
-    for T in _subset_blocks(p, t):
+    for T in _subset_blocks(p, t, t * n + n * n):  # X_T and X_T X_T^T per subset
         XT = Xt[T]  # (m, t, n): rows are the columns of X_T
         low = float(np.linalg.eigvalsh(XT.transpose(0, 2, 1) @ XT)[:, 0].min())
         best = min(best, max(0.0, low))

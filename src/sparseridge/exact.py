@@ -32,10 +32,11 @@ from .core import (
     SparseEstimator,
     _best_support,
     _check_count,
+    _check_enumeration,
     mic_value,
     restricted_estimator,
 )
-from .errors import EnumerationCapError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .greedy import greedy_select
 from .relaxation import solve_v4
 
@@ -51,12 +52,7 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
     """Globally optimal estimator: a size-k support of least computed value, the
     lexicographically first of equal ones (``core._best_support``), refit by
     ``restricted_estimator``.  Requires C(p, k) <= cap."""
-    cap = _check_count("cap", cap)
-    count = math.comb(spec.p, spec.k)
-    if count > cap:
-        raise EnumerationCapError(
-            f"C({spec.p}, {spec.k}) = {count} exceeds the enumeration cap {cap}"
-        )
+    _check_enumeration(spec.p, spec.k, _check_count("cap", cap))
     return restricted_estimator(spec, _best_support(spec))
 
 

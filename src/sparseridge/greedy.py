@@ -151,8 +151,8 @@ def _run_greedy(
         gains = state.gains()
         gains[~allowed] = np.inf
         best = float(gains.min())
-        if not np.isfinite(best):
-            break
+        if not np.isfinite(best):  # an allowed feature is always left: only overflow gets here
+            raise NumericalError(f"greedy step {it} met a non-finite gain {best}")
         j = int(np.flatnonzero(gains <= best + tie)[0])  # lowest index among ties
         state.select(j)
         allowed[j] = False

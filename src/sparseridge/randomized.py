@@ -172,7 +172,7 @@ def randomized_solve(
         first = {}  # each distinct support is scored once, at the first row holding it
         holder = [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
         distinct = list(first.values())  # ascending
-        _, b, values = (np.concatenate(a) for a in zip(*_ridge_scores(spec, s, rows[distinct])))
+        b, values = _ridge_scores(spec, s, rows[distinct])
         at = np.searchsorted(distinct, holder)
         b, values = b[at], values[at]
         raw[drawn] = values[:len(drawn)]

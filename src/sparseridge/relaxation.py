@@ -34,8 +34,10 @@ v2 == v4, g(z) as a partial minimum of a jointly convex function), so at any
 feasible point x the supporting hyperplane gives value - gap <= the
 relaxation value, where the gap grad^T x - min over the feasible set of
 grad^T w is the Frank-Wolfe duality gap (Jaggi, ICML 2013).  ``lower_bound``
-is value - gap and ``kkt_residual`` is value - lower_bound; the loop stops
-once the gap is at most tol*(1 + |value|).
+is value - gap and ``kkt_residual`` is value - lower_bound, both formed by one
+constructor, ``_certified``; the loop stops once the gap is at most
+tol*(1 + |value|), and raises NumericalError if the value or gap is not
+finite (an overflow, as at a tiny lam).
 
 The capped-simplex projection, water-filling and v1's weighted-L1-box
 projection each need the threshold t at which the budget
@@ -52,6 +54,7 @@ beta = 0 as a feasible point, so it can never return anything useful.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 
@@ -102,6 +105,15 @@ class RelaxationSolution:
             "converged": self.converged,
             "lower_bound": self.lower_bound,
         }
+
+
+def _certified(z, value, iterations, gap, converged, beta=None) -> RelaxationSolution:
+    """The record of a solve that stops at ``value`` with certified ``gap``:
+    lower_bound = value - gap and kkt_residual = value - lower_bound."""
+    lower_bound = value - gap
+    return RelaxationSolution(z=z, value=value, iterations=iterations,
+                              kkt_residual=value - lower_bound, converged=converged,
+                              beta=beta, lower_bound=lower_bound)
 
 
 @dataclass(frozen=True)
@@ -205,6 +217,9 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     p > n, X^T X is singular and sigma_min = 0 without forming it.
     """
     eq, n = spec.data.normal, spec.n
+    if not (math.isfinite(eq.yy) and np.isfinite(eq.c).all()
+            and (eq.G is None or np.isfinite(eq.G).all())):
+        raise NumericalError("big-M bounds need finite y^T y, X^T y and X^T X")
     sig_min = 0.0
     if eq.G is not None:
         sig_min = max(0.0, float(eigvalsh(eq.G, subset_by_index=[0, 0])[0]))
@@ -330,7 +345,8 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
     tol*(1 + |value|); as fault guards, also when no step makes progress or
     when the state (x, step) repeats (zero-decrease steps can cycle at the
     rounding floor).  Returns (x, value, iterations, gap, converged), value
-    and gap at the returned x.
+    and gap at the returned x; a value or gap that is not finite raises
+    NumericalError.
     """
     val, grad = fval_grad(x)
     recent = deque([val], maxlen=NONMONOTONE_MEMORY)
@@ -338,6 +354,8 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
     step = 2.0
     for iters in range(1, max_iter + 1):
         g = gap(x, grad)
+        if not (math.isfinite(val) and math.isfinite(g)):
+            raise NumericalError(f"projected gradient met a non-finite value {val} or gap {g}")
         if g <= tol * (1.0 + abs(val)):
             return x, val, iters, g, True
         x_new = project(x - step * grad)
@@ -407,11 +425,7 @@ def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zer
     if free.size == 0 or budget <= 0 or budget >= free.size:
         if budget > 0:
             z[free] = 1.0  # g decreases in every coordinate: saturate the box
-        val = value_grad(z)[0]
-        return RelaxationSolution(
-            z=z, value=val, iterations=0, kkt_residual=0.0, converged=True,
-            lower_bound=val,
-        )
+        return _certified(z, value_grad(z)[0], 0, 0.0, True)
 
     def fval_grad(zf):
         z[free] = zf
@@ -428,11 +442,7 @@ def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zer
         lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
     )
     z[free] = zf
-    lower_bound = val - gap
-    return RelaxationSolution(
-        z=z, value=val, iterations=iters, kkt_residual=val - lower_bound,
-        converged=converged, lower_bound=lower_bound,
-    )
+    return _certified(z, val, iters, gap, converged)
 
 
 def solve_v4(
@@ -509,11 +519,7 @@ def solve_v1(
     beta, val, iters, gap_val, converged = _projected_gradient(
         fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), gap, beta0, tol, max_iter
     )
-    lower_bound = val - gap_val
-    return RelaxationSolution(
-        z=np.abs(beta) / Mv, value=val, iterations=iters, kkt_residual=val - lower_bound,
-        converged=converged, beta=beta, lower_bound=lower_bound,
-    )
+    return _certified(np.abs(beta) / Mv, val, iters, gap_val, converged, beta)
 
 
 def solve_v3(

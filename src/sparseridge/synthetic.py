@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _check_integer, _check_positive
+from .core import Dataset, _check_integer, _check_positive, _check_real
 from .errors import InvalidArgumentError
 
 
@@ -45,6 +45,8 @@ class SyntheticConfig:
             raise InvalidArgumentError(f"k_true must lie in [1, p], got {self.k_true}")
         if self.seed < 0:
             raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        for name in ("rho", "coef_low", "coef_high", "min_signal"):
+            _check_real(name, getattr(self, name))
         if not -1.0 < self.rho < 1.0:
             raise InvalidArgumentError(f"rho must lie in (-1, 1), got {self.rho}")
         _check_positive("snr", self.snr)

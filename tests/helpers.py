@@ -23,6 +23,16 @@ def random_spec(rng, n, p, k, lam, signal=True):
     return ProblemSpec(data=Dataset(X=X, y=y), lam=lam, k=k)
 
 
+def overflow_data(scale=1.0):
+    """The 30 x 8 standard-normal design of default_rng(0) (X, then y) with
+    column 0 times ``scale``.  At lam = 1e-200 products such as X^T y/(n*lam)
+    overflow; at scale 1e160 its Gram entry x_0^T x_0 does."""
+    rng = np.random.default_rng(0)
+    X, y = rng.standard_normal((30, 8)), rng.standard_normal(30)
+    X[:, 0] *= scale
+    return Dataset(X=X, y=y)
+
+
 KINDS = ["open", "no_free", "all_ones", "saturated"]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sparseridge.methods as methods
-from helpers import random_spec
+from helpers import overflow_data, random_spec
 from sparseridge import (
     ConvergenceError,
     Dataset,
@@ -332,6 +332,26 @@ class TestExitCodes:
                 "fit", "--input", str(path), "--lambda", "0.1", "--k", "2",
                 "--method", "brute", "--out", str(tmp_path / "x.json"),
             ]) == 3
+
+    @pytest.mark.parametrize("lam, k, scale", [("1e-200", "3", 1.0), ("0.1", "2", 1e160)],
+                             ids=["tiny_lambda", "huge_column"])
+    def test_numerical_faults_exit_3(self, tmp_path, lam, k, scale):
+        # Overflow is a numerical fault (exit 3): never a traceback (1), an
+        # argument error (2) or a short support (0).  At lam = 1e-200 brute
+        # force, the heuristic and v1/v3 still finish.
+        path = tmp_path / "data.csv"
+        save_dataset_csv(overflow_data(scale), str(path))
+        finish = {"brute", "heuristic", "v1", "v3"} if scale == 1.0 else set()
+        for name in sorted(methods.METHODS) + ["v1", "v2", "v3", "v4"]:
+            out = tmp_path / f"{name}.json"
+            command = ["fit", "--method"] if name in methods.METHODS else ["relax", "--which"]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                code = main(command + [name, "--input", str(path), "--lambda", lam,
+                                       "--k", k, "--out", str(out)])
+            assert code == (0 if name in finish else 3), name
+            assert out.exists() == (code == 0), name
+            if name in ("brute", "heuristic") and code == 0:
+                assert json.loads(out.read_text())["support"] == [3, 6, 7]
 
     def test_bad_response_column(self, tmp_path, data_csv):
         assert main([

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -22,6 +23,7 @@ from sparseridge import (
     Dataset,
     EnumerationCapError,
     InvalidArgumentError,
+    NumericalError,
     ProblemSpec,
     SyntheticConfig,
     brute_force,
@@ -65,6 +67,7 @@ class TestDatasetValidation:
 
     @pytest.mark.parametrize("lam,k", [(0.0, 1), (-1.0, 1), (0.1, 0), (0.1, 3),
                                        (np.nan, 1), (0.1, 1.5), (0.1, np.nan), (0.1, True),
+                                       (True, 1), ("0.08", 1),
                                        pytest.param(0.1, 10**400, id="0.1-k10**400")])
     def test_spec_invariants(self, lam, k):
         with pytest.raises(InvalidArgumentError):
@@ -305,16 +308,16 @@ class TestRidgeSystem:
     def test_nonfinite_system_or_right_side_raises_value_error(self, m):
         Xs = np.random.default_rng(0).standard_normal((4, m))
         system = self.system(Xs, np.ones(m), 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             system.solve(np.full(m, np.nan))
         # a dataset is finite, so a non-finite system comes from its weights
         w = np.ones(m)
         w[1] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             self.system(Xs, w, 1.0)
 
     def test_indefinite_system_raises_linalg_error(self):
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(NumericalError):
             self.system(np.eye(3)[:, :2], np.array([1.0, -1.0]), 2.0)
 
     def test_empty_support(self):
@@ -389,6 +392,20 @@ class TestNormalEquations:
             G = spec.data.normal.G  # formed now, and read by later blocks
             assert np.array_equal(spec.data.normal.block(S, S), G[S[:, :, None], S[:, None, :]])
 
+    @pytest.mark.parametrize("n, p, s", [(8, 6, 3), (5, 12, 4), (4, 12, 6)])
+    def test_ridge_scores_match_support_fits(self, rng, monkeypatch, n, p, s):
+        # (4, 12, 6) fits each row alone on the n x n side; a small budget
+        # splits the stacked solves into blocks
+        spec = random_spec(rng, n, p, min(n, p), 0.1)
+        rows = np.array([np.sort(rng.choice(p, s, replace=False)) for _ in range(7)])
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 50)
+        b, values = core._ridge_scores(spec, s, rows)
+        assert b.shape == rows.shape and values.shape == (len(rows),)
+        for S, got_b, got_value in zip(rows, b, values):
+            want_b, _, want_value = RidgeSystem(spec.data, S, np.ones(s), n * 0.1).fit(spec.y)
+            assert np.abs(got_b - want_b).max() <= 1e-12 * (1.0 + np.abs(want_b).max())
+            assert abs(got_value - want_value) <= 1e-12 * (1.0 + want_value)
+
     def test_gram_stack_shift_leaves_the_view_unchanged(self, rng):
         spec = random_spec(rng, 8, 5, 2, 0.1)
         G = spec.data.normal.G.copy()
@@ -459,6 +476,16 @@ class TestSpectral:
         with pytest.raises(EnumerationCapError):
             theta(spec, 3, mode="exact", cap=10)
 
+    def test_one_cap_check_for_every_enumeration(self, rng):
+        # theta and brute force enumerate C(10, 3) supports, underline_theta C(10, 8)
+        spec = random_spec(rng, 6, 10, 3, 0.1)
+        for call, s in [(lambda: theta(spec, 3, cap=44), 3),
+                        (lambda: underline_theta(spec, cap=44), 8),
+                        (lambda: brute_force(spec, cap=44), 3)]:
+            message = f"C(10, {s}) = {math.comb(10, s)} exceeds the enumeration cap 44"
+            with pytest.raises(EnumerationCapError, match=f"^{re.escape(message)}$"):
+                call()
+
     @pytest.mark.parametrize("cap", [math.nan, 2.5, -1], ids=["nan", "fraction", "negative"])
     @pytest.mark.parametrize("quantity", ["theta", "underline_theta", "spectral_stats"])
     def test_invalid_cap_rejected(self, rng, quantity, cap):
@@ -498,6 +525,23 @@ class TestSpectral:
             min_large_subset_eig_oracle(spec.X, 3), rel=1e-9, abs=1e-12
         )
 
+    def test_underline_blocks_hold_their_working_set(self, rng, monkeypatch):
+        # t = n = 4: a subset holds X_T (t x n) and X_T X_T^T (n x n), 32 floats,
+        # so blocks sized by t^2 = 16 would take twice the budget
+        spec = random_spec(rng, 4, 7, 4, 0.1, signal=False)
+        whole = underline_theta(spec)
+        sizes, blocks = [], core._subset_blocks
+
+        def recorded(p, s, elements):
+            for T in blocks(p, s, elements):
+                sizes.append(T.shape[0] * (4 * 4 + 4 * 4))
+                yield T
+
+        monkeypatch.setattr(core, "_subset_blocks", recorded)
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 64)
+        assert underline_theta(spec) == pytest.approx(whole, rel=1e-12, abs=1e-14)
+        assert sum(sizes) == 32 * math.comb(7, 4) and max(sizes) <= 64
+
     def test_underline_zero_fast_path(self, rng):
         # p - k + 1 < n forces rank deficiency
         spec = random_spec(rng, 6, 6, 2, 0.1, signal=False)
@@ -521,7 +565,7 @@ class TestSubsetBlocks:
     def test_combinations_order(self, monkeypatch, p, s, budget):
         # budget 1 is smaller than one subset (s^2 elements) once s > 1
         monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
-        blocks = list(_subset_blocks(p, s))
+        blocks = list(_subset_blocks(p, s, s * s))
         m = max(1, budget // (s * s))
         assert all(b.dtype == np.intp and b.ndim == 2 and b.shape[1] == s for b in blocks)
         assert all(1 <= b.shape[0] <= m for b in blocks)
@@ -532,7 +576,7 @@ class TestSubsetBlocks:
     @pytest.mark.parametrize("p", [0, 1, 5])
     def test_empty_subset_is_one_block(self, p):
         # C(p, 0) = 1: the empty subset, as one (1, 0) block
-        blocks = list(_subset_blocks(p, 0))
+        blocks = list(_subset_blocks(p, 0, 0))
         assert len(blocks) == 1
         assert blocks[0].shape == (1, 0) and blocks[0].dtype == np.intp
 

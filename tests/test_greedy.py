@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_pair_spec, random_spec
+from helpers import identity_pair_spec, overflow_data, random_spec
 from oracles import greedy_dense_steps
 from sparseridge import (
     Dataset,
     InvalidArgumentError,
+    NumericalError,
     ProblemSpec,
     SpectralStats,
     SyntheticConfig,
@@ -122,6 +123,16 @@ class TestGreedySelect:
         est_c, _ = greedy_select(scaled)
         assert est_c.support == est.support
         assert est_c.objective == pytest.approx(c * c * est.objective, rel=1e-9)
+
+
+    @pytest.mark.parametrize("lam, scale", [(1e-200, 1.0), (0.1, 1e160)],
+                             ids=["tiny_lambda", "huge_column"])
+    def test_overflowed_gain_raises(self, lam, scale):
+        # a non-finite gain must not end the run quietly with fewer than k features
+        spec = ProblemSpec(data=overflow_data(scale), lam=lam, k=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite gain"):
+                greedy_select(spec)
 
 
 class TestIncrementalState:

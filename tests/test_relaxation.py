@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import identity_pair_spec, masked_nodes, random_spec
+from helpers import identity_pair_spec, masked_nodes, overflow_data, random_spec
 from oracles import (
     box_weighted_ridge_cd,
     finite_difference_gradient,
@@ -50,6 +50,16 @@ from sparseridge import relaxation
 PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
 # Nonzero entries stay away from underflow so every breakpoint is finite.
 SIGNED = st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(-3.0, -1e-3))
+
+
+@st.composite
+def waterfill_cases(draw):
+    """(beta, k, raw, share): raw, scaled to sum at most share * k, is the lower bound."""
+    p = draw(st.integers(1, 10))
+    return (draw(arrays(float, p, elements=SIGNED)), draw(st.floats(0.1, float(p))),
+            draw(arrays(float, p, elements=st.floats(0.0, 1.0))), draw(st.floats(0.0, 0.95)))
+
+
 # Entries that stress the breakpoint search: few distinct values (ties and
 # duplicate breakpoints), exact 0s and 1s, and the values between.
 EDGE = st.one_of(st.sampled_from([0.0, 1.0, 0.5, -1.0, 2.0]), st.floats(-3.0, 3.0))
@@ -191,6 +201,29 @@ class TestBigM:
         # bounds too tight to be valid
         with pytest.raises(InvalidArgumentError):
             big_m(identity_pair_spec(lam=0.1, k=1), v_upper=level)
+
+
+class TestNumericalFaults:
+    def test_overflowed_gradient_raises(self):
+        # v4's gradient -lam*(X^T u)^2 overflows at lam = 1e-200: a numerical
+        # fault, caught before the projection would call it an argument error
+        spec = ProblemSpec(data=overflow_data(), lam=1e-200, k=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite"):
+                solve_v4(spec)
+
+    @pytest.mark.parametrize("value, gap", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan)])
+    def test_projected_gradient_refuses_non_finite_iterates(self, value, gap):
+        with pytest.raises(NumericalError, match="non-finite"):
+            relaxation._projected_gradient(
+                lambda x: (value, -np.ones_like(x)), lambda v: v.clip(0.0, 1.0),
+                lambda x, g: gap, np.full(3, 0.5), 1e-8, 10)
+
+    def test_big_m_refuses_overflowed_normal_equations(self):
+        spec = ProblemSpec(data=overflow_data(1e160), lam=0.1, k=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="big-M"):
+                big_m(spec)
 
 
 class TestGradient:
@@ -826,14 +859,12 @@ class TestBudgetSearchProperties:
         assert np.all(z[v <= 0.0] == 0.0)
 
     @settings(PROPERTY, max_examples=25)
-    @given(data=st.data())
-    def test_waterfill_no_worse_than_grid(self, data):
-        p = data.draw(st.integers(1, 10))
-        beta = data.draw(arrays(float, p, elements=SIGNED))
-        k = data.draw(st.floats(0.1, float(p)))
-        raw = data.draw(arrays(float, p, elements=st.floats(0.0, 1.0)))
-        share = data.draw(st.floats(0.0, 0.95))
-        lower = raw * min(1.0, share * k / raw.sum()) if raw.sum() > 0 else raw
+    @given(case=waterfill_cases())
+    # subnormal raw: share * k / raw.sum() would overflow
+    @example(case=(np.array([1.0, -2.0]), 1.5, np.array([5e-324, 1e-320]), 0.5))
+    def test_waterfill_no_worse_than_grid(self, case):
+        beta, k, raw, share = case
+        lower = raw * (share * k / raw.sum()) if raw.sum() > share * k else raw
         z = waterfill_z(beta, k, lower=lower)
         assert np.all(z >= lower) and np.all(z <= 1.0)
         assert z.sum() <= k + 1e-9

@@ -84,6 +84,12 @@ class TestGenerator:
         ("min_signal", float("nan"), "finite"),
         ("coef_low", float("-inf"), "finite"),
         ("coef_high", float("inf"), "finite"),
+        ("snr", "9", "snr must be a real number"),
+        ("snr", True, "snr must be a real number"),
+        ("rho", "0.5", "rho must be a real number"),
+        ("coef_low", True, "coef_low must be a real number"),
+        ("coef_high", "3", "coef_high must be a real number"),
+        ("min_signal", "0.1", "min_signal must be a real number"),
     ])
     def test_bad_field_rejected(self, field, value, match):
         with pytest.raises(InvalidArgumentError, match=match):
@@ -128,6 +134,10 @@ class TestFalseAlarm:
 
 
 class TestBenchmark:
+    def test_text_rho_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="rho must be a real number"):
+            run_benchmark([{"n": 10, "p": 5, "k": 2}], ["greedy"], reps=1, rho="0.5")
+
     def test_harness_transparency(self):
         cells = [{"n": 30, "p": 10, "k": 3}]
         report = run_benchmark(cells, ["greedy"], reps=1, seed=5, lam=0.1)
