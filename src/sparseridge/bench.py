@@ -15,14 +15,13 @@ import csv
 import dataclasses
 import itertools
 import math
-import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemSpec, _check_count
+from .core import ProblemSpec, _check_integer, _check_real
 from .errors import InvalidArgumentError, SparseRidgeError
 from .methods import check_options, fit
 from .synthetic import SyntheticConfig, false_alarm_rate, generate_synthetic
@@ -124,9 +123,8 @@ def run_benchmark(
         )
     for method in sorted(set(methods) | set(options)):
         check_options(method, options.get(method, {}))
-    seed, reps = _check_count("seed", seed), _check_count("reps", reps)
-    if time_budget is not None and not (
-            isinstance(time_budget, numbers.Real) and 0 <= time_budget < math.inf):
+    seed, reps = _check_integer("seed", seed, 0), _check_integer("reps", reps, 0)
+    if time_budget is not None and not 0 <= _check_real("time_budget", time_budget) < math.inf:
         raise InvalidArgumentError(
             f"time_budget must be None or a finite number >= 0, got {time_budget!r}"
         )

@@ -27,6 +27,12 @@ check, ``_check_enumeration``, and takes its subsets from ``_subset_blocks``
 in blocks sized by the floats each of its own subsets holds.  Every Cholesky
 goes through :func:`cholesky`, which raises NumericalError for a system that
 is not finite or not positive definite.
+
+Caller input is checked by one helper per kind, used by every module:
+``_check_integer`` for a count or a single feature index (type and range in
+one call), ``_check_real`` and ``_check_positive`` for real scalars (True and
+text fail), and ``_clean_support`` for a set of feature indices.  Frozen
+records copy and write-protect their arrays with ``_freeze``.
 """
 
 from __future__ import annotations
@@ -82,10 +88,8 @@ class Dataset:
                 raise InvalidArgumentError(
                     f"feature_names has length {len(names)}, expected {p}"
                 )
-        X.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "X", _frozen(X))
+        object.__setattr__(self, "y", _frozen(y))
         object.__setattr__(self, "feature_names", names)
 
     @property
@@ -105,6 +109,14 @@ class Dataset:
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
+
+
+def _freeze(record, *names: str) -> None:
+    """Set each named field of a frozen dataclass to a read-only float copy of
+    its value; a field holding None stays None."""
+    for name in names:
+        if (a := getattr(record, name)) is not None:
+            object.__setattr__(record, name, _frozen(np.array(a, dtype=float)))
 
 
 class NormalEquations:
@@ -150,12 +162,7 @@ class ProblemSpec:
 
     def __post_init__(self) -> None:
         lam = _check_positive("lam", self.lam)
-        k = _check_integer("k", self.k)
-        if not 1 <= k <= min(self.data.n, self.data.p):
-            raise InvalidArgumentError(
-                f"k must satisfy 1 <= k <= min(n, p) = "
-                f"{min(self.data.n, self.data.p)}, got {k}"
-            )
+        k = _check_integer("k", self.k, 1, min(self.data.n, self.data.p))
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "k", k)
 
@@ -189,10 +196,8 @@ class SparseEstimator:
     objective: float
 
     def __post_init__(self) -> None:
-        beta = np.array(self.beta, dtype=float)
-        beta.setflags(write=False)
+        _freeze(self, "beta")
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "objective", float(self.objective))
 
     @property
@@ -227,7 +232,9 @@ class SpectralStats:
 
 def _check_real(name: str, value) -> float:
     """``value`` as a float; raises unless it is a real number (True and "0.5" fail)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # an exact int or float skips the abstract-class test, slow enough to show in loops
+    if type(value) not in (int, float) and (
+            isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
     return float(value)
 
@@ -240,21 +247,19 @@ def _check_positive(name: str, value) -> float:
     return value
 
 
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; 2, 2.0 and np.int64(2) pass, and 2.5, NaN, "2" or True raise."""
-    # an int is checked as an int: converting one beyond float range would overflow
-    if isinstance(value, bool) or not (
+def _check_integer(name: str, value, low, high=math.inf) -> int:
+    """``value`` as an int in [low, high]; 2, 2.0 and np.int64(2) pass, and 2.5, NaN,
+    "2" or True raise, as does an integer outside the range."""
+    # an exact int skips the abstract-class tests; any other int is checked as an
+    # int, since converting one beyond float range would overflow
+    if type(value) is not int and (isinstance(value, bool) or not (
             isinstance(value, numbers.Integral)
-            or isinstance(value, numbers.Real) and float(value).is_integer()):
+            or isinstance(value, numbers.Real) and float(value).is_integer())):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _check_count(name: str, value) -> int:
-    """``value`` as an int; raises unless it is an integer >= 0 (see _check_integer)."""
-    value = _check_integer(name, value)
-    if value < 0:
-        raise InvalidArgumentError(f"{name} must be >= 0, got {value}")
+    value = int(value)
+    if not low <= value <= high:
+        raise InvalidArgumentError(f"{name} must be >= {low}, got {value}" if high == math.inf
+                                   else f"{name} must lie in [{low}, {high}], got {value}")
     return value
 
 
@@ -271,24 +276,23 @@ def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
     return float(r @ r / spec.n + spec.lam * (beta @ beta))
 
 
-def _unique_indices(values) -> np.ndarray:
-    """Sorted distinct feature indices as an int array; 2, 2.0 and
-    np.int64(2) are all index 2, and a non-integral value raises."""
-    arr = np.fromiter(values, dtype=float)
+def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
+    """The distinct feature indices in the collection S, sorted, as an int array;
+    2, 2.0 and np.int64(2) are all index 2, and a flag such as True, text, a
+    non-integral value or an index outside [0, p) raises."""
+    items = list(S)
+    arr = np.asarray(items)
+    # each item's type is looked at, since numpy reads a flag among numbers as 0 or 1
+    if (arr.ndim != 1 or arr.dtype.kind not in "iuf"
+            or not {bool, np.bool_}.isdisjoint(map(type, items))):
+        raise InvalidArgumentError(f"feature indices must be integers, got {S!r}")
     whole = np.isfinite(arr) & (arr == np.round(arr))
     if not whole.all():
-        raise InvalidArgumentError(
-            f"feature indices must be integers, got {arr[~whole][0]}"
-        )
-    return np.unique(arr.astype(np.intp))
-
-
-def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
-    """Validate and sort a support set; returns an int array."""
-    idx = _unique_indices(S)
+        raise InvalidArgumentError(f"feature indices must be integers, got {arr[~whole][0]}")
+    idx = np.unique(arr.astype(np.intp))
     if idx.size and (idx[0] < 0 or idx[-1] >= spec.p):
         raise InvalidArgumentError(
-            f"support indices must lie in [0, {spec.p}), got {idx.tolist()}"
+            f"feature indices must lie in [0, {spec.p - 1}], got {idx.tolist()}"
         )
     return idx
 
@@ -568,10 +572,8 @@ def theta(
     ``upper_bound`` mode returns the sum of the ``s`` largest squared column
     norms, which dominates the exact value.
     """
-    s = _check_integer("s", s)
-    cap = _check_count("cap", cap)
-    if not 1 <= s <= spec.p:
-        raise InvalidArgumentError(f"s must lie in [1, {spec.p}], got {s}")
+    s = _check_integer("s", s, 1, spec.p)
+    cap = _check_integer("cap", cap, 0)
     if mode == "upper_bound":
         return float(np.sort(spec.data.normal.sq)[-s:].sum())
     if mode != "exact":
@@ -579,7 +581,10 @@ def theta(
     _check_enumeration(spec.p, s, cap)
     best = 0.0
     for _, K in _gram_stacks(spec, s):
-        best = max(best, float(np.linalg.eigvalsh(K)[:, -1].max()))
+        top = np.linalg.eigvalsh(K)[:, -1]
+        if not np.isfinite(top).all():  # NaN would lose every max and leave theta too small
+            raise NumericalError("theta met a non-finite eigenvalue")
+        best = max(best, float(top.max()))
     return best
 
 
@@ -594,7 +599,7 @@ def underline_theta(spec: ProblemSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> fl
     matrices.
     """
     n, p, k = spec.n, spec.p, spec.k
-    cap = _check_count("cap", cap)
+    cap = _check_integer("cap", cap, 0)
     t = p - k + 1
     if t < n:
         return 0.0
@@ -614,7 +619,7 @@ def spectral_stats(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> SpectralStats:
     """theta_s for s = 0..k plus underline_theta, as one bundle."""
-    cap = _check_count("cap", cap)
+    cap = _check_integer("cap", cap, 0)
     thetas = {0: 0.0}
     for s in range(1, spec.k + 1):
         thetas[s] = theta(spec, s, mode=mode, cap=cap)

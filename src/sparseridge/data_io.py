@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, _check_integer
 from .errors import InvalidArgumentError
 
 
@@ -55,10 +55,7 @@ def _resolve_response(response, width: int, names) -> int:
             raise InvalidArgumentError(
                 f"response column {response!r} not found (no matching header name)"
             )
-    col = int(response)
-    if not -width <= col < width:
-        raise InvalidArgumentError(f"response column {col} out of range")
-    return col % width
+    return _check_integer("response column", response, -width, width - 1) % width
 
 
 def load_dataset_csv(

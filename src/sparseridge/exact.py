@@ -31,8 +31,9 @@ from .core import (
     ProblemSpec,
     SparseEstimator,
     _best_support,
-    _check_count,
     _check_enumeration,
+    _check_integer,
+    _check_real,
     mic_value,
     restricted_estimator,
 )
@@ -52,7 +53,7 @@ def brute_force(spec: ProblemSpec, cap: int = BRUTE_FORCE_CAP) -> SparseEstimato
     """Globally optimal estimator: a size-k support of least computed value, the
     lexicographically first of equal ones (``core._best_support``), refit by
     ``restricted_estimator``.  Requires C(p, k) <= cap."""
-    _check_enumeration(spec.p, spec.k, _check_count("cap", cap))
+    _check_enumeration(spec.p, spec.k, _check_integer("cap", cap, 0))
     return restricted_estimator(spec, _best_support(spec))
 
 
@@ -87,10 +88,10 @@ def branch_and_bound(
     index).  Hitting ``node_cap`` returns the incumbent with the remaining
     gap flagged (``optimal=False``).
     """
-    gap_tol = float(gap_tol)
+    gap_tol = _check_real("gap_tol", gap_tol)
     if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
         raise InvalidArgumentError(f"gap_tol must be finite and >= 0, got {gap_tol}")
-    node_cap = _check_count("node_cap", node_cap)
+    node_cap = _check_integer("node_cap", node_cap, 0)
     incumbent, _ = greedy_select(spec)
     inc_val, inc_support = incumbent.objective, incumbent.support
 

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _check_positive, _clean_support,
+    Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _check_integer, _check_positive,
+    _clean_support, _freeze,
 )
-from .errors import DegenerateHatError, InvalidArgumentError, SparseRidgeError
+from .errors import DegenerateHatError, InvalidArgumentError, NumericalError, SparseRidgeError
 from .methods import check_options, fit
 
 
@@ -66,9 +67,7 @@ class PrecisionMapping:
     scale: int
 
     def __post_init__(self) -> None:
-        s = np.array(self.sigma_hat, dtype=float)
-        s.setflags(write=False)
-        object.__setattr__(self, "sigma_hat", s)
+        _freeze(self, "sigma_hat")
 
     def matrix_objective(self, omega: np.ndarray) -> float:
         """||I - Sigma_hat @ Omega||_F^2 + lam * ||Omega||_F^2 at the user lam."""
@@ -104,8 +103,10 @@ def gcv_select(
 
     Grid points where the solver fails are excluded with a warning; score
     ties break toward the smallest weight.  An empty grid, a weight that is
-    not positive and finite, or an unknown method or option raises
-    InvalidArgumentError before any fit.
+    not positive and finite, a budget k outside [1, min(n, p)], or an unknown
+    method or option raises InvalidArgumentError before any fit, and an
+    InvalidArgumentError from a fit is raised, not excluded.  When no point
+    is left, the error is a NumericalError if every fit failed with one.
     """
     grid = tuple(_check_positive("grid weight", g) for g in grid)
     if not grid:
@@ -113,23 +114,29 @@ def gcv_select(
     check_options(method, method_options)
     scores: list[float] = []
     valid: list[tuple[float, float, SparseEstimator]] = []  # (score, lam, fit)
+    failures: list[SparseRidgeError] = []
     for lam in grid:
         try:
             spec = ProblemSpec(data=data, lam=lam, k=k)
             est = fit(spec, method, **method_options)
             score = gcv_score(spec, est.support, lam)
+        except InvalidArgumentError:
+            raise  # the caller's input is at fault, not this grid point
         except SparseRidgeError as exc:
             warnings.warn(
                 f"solver failed at lam={lam:g} ({exc}); grid point excluded",
                 stacklevel=2,
             )
+            failures.append(exc)
             score = math.nan
         else:
             if math.isfinite(score):
                 valid.append((score, lam, est))
         scores.append(score)
     if not valid:
-        raise SparseRidgeError("every grid point failed")
+        numerical = len(failures) == len(grid) and all(
+            isinstance(exc, NumericalError) for exc in failures)
+        raise (NumericalError if numerical else SparseRidgeError)("every grid point failed")
     _, best_lam, best = min(valid, key=lambda v: (v[0], v[1]))
     return GcvReport(
         grid=grid,
@@ -155,15 +162,13 @@ def precision_to_regression(
         raise InvalidArgumentError("sigma_hat must be finite")
     if float(np.abs(sigma - sigma.T).max()) > 1e-10:
         raise InvalidArgumentError("sigma_hat must be symmetric (tol 1e-10)")
-    if lam <= 0:
-        raise InvalidArgumentError(f"lam must be positive, got {lam}")
+    lam = _check_positive("lam", lam)
     t = sigma.shape[0]
-    if not 1 <= k <= t * t:
-        raise InvalidArgumentError(f"k must lie in [1, t^2={t*t}], got {k}")
+    k = _check_integer("k", k, 1, t * t)
     X = np.kron(np.eye(t), sigma)
     y = np.eye(t).flatten(order="F")
     spec = ProblemSpec(data=Dataset(X=X, y=y), lam=lam / (t * t), k=k)
-    return PrecisionMapping(t=t, sigma_hat=sigma, spec=spec, lam=float(lam), scale=t * t)
+    return PrecisionMapping(t=t, sigma_hat=sigma, spec=spec, lam=lam, scale=t * t)
 
 
 def encode_omega(omega: np.ndarray) -> np.ndarray:

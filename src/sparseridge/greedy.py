@@ -30,6 +30,7 @@ from .core import (
     ProblemSpec,
     SparseEstimator,
     SpectralStats,
+    _check_integer,
     _check_positive,
     _check_zhat,
     restricted_estimator,
@@ -106,11 +107,9 @@ class GreedyState:
 
 
 def _check_candidate(state: GreedyState, j: int) -> int:
-    j = int(j)
+    j = _check_integer("feature index", j, 0, state.spec.p - 1)
     if j in state.selected:
         raise InvalidArgumentError(f"feature {j} is already selected")
-    if not 0 <= j < state.spec.p:
-        raise InvalidArgumentError(f"feature index {j} out of range")
     return j
 
 

@@ -33,6 +33,7 @@ from .core import (
     RidgeSystem,
     SparseEstimator,
     _check_positive,
+    _check_real,
     mic_value,
     restricted_estimator,
 )
@@ -79,7 +80,7 @@ def elastic_net_cd(
     soft(x_i^T r_{-i} / n, gamma/2) / (||x_i||^2/n + lam); sweeps stop when
     the largest coordinate change in a sweep is at most ``tol``.
     """
-    if not gamma >= 0:
+    if not _check_real("gamma", gamma) >= 0:
         raise InvalidArgumentError(f"gamma must be nonnegative, got {gamma}")
     X, y, n, lam, p = spec.X, spec.y, spec.n, spec.lam, spec.p
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
@@ -206,7 +207,7 @@ def min_l1_given_level(spec: ProblemSpec, v_upper: float) -> np.ndarray:
     unconstrained ridge minimum, and :class:`InvalidArgumentError` when it
     is NaN.
     """
-    if math.isnan(v_upper):
+    if math.isnan(v_upper := _check_real("v_upper", v_upper)):
         raise InvalidArgumentError("level v_upper must not be NaN")
     ridge_min = mic_value(spec, np.ones(spec.p))
     if v_upper < ridge_min - 1e-10 * (1.0 + abs(ridge_min)):

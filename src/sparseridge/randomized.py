@@ -28,9 +28,10 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
-    _check_count,
     _check_integer,
+    _check_real,
     _check_zhat,
+    _freeze,
     _ridge_scores,
     _support_fit,
     restricted_estimator,
@@ -50,9 +51,7 @@ class RoundingOutcome:
     seed: int
 
     def __post_init__(self) -> None:
-        z = np.array(self.z_tilde, dtype=float)
-        z.setflags(write=False)
-        object.__setattr__(self, "z_tilde", z)
+        _freeze(self, "z_tilde")
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,7 @@ def randomized_round(zhat: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarra
     Deterministic given the seed.
     """
     zhat = _check_zhat(zhat)
-    key = _check_count("seed", seed)
-    if key >> 128:
-        raise InvalidArgumentError(f"seed must be below 2**128, got {seed}")
+    key = _check_integer("seed", seed, 0, 2**128 - 1)
     gen = np.random.Generator(np.random.Philox(0))
     z_tilde = (_keyed_uniforms(gen, key, zhat.size) <= zhat).astype(float)
     return np.flatnonzero(z_tilde), z_tilde
@@ -118,10 +115,9 @@ def randomized_round(zhat: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarra
 
 def cardinality_bound(k: int, alpha: float) -> float:
     """Level-alpha bound on the rounded cardinality: (1 + sqrt(3*log(2/alpha)/k))*k."""
-    if not 0.0 < alpha < 1.0:
+    if not 0.0 < _check_real("alpha", alpha) < 1.0:
         raise InvalidArgumentError(f"alpha must lie in (0, 1), got {alpha}")
-    if _check_integer("k", k) < 1:
-        raise InvalidArgumentError(f"k must be >= 1, got {k}")
+    k = _check_integer("k", k, 1)
     return (1.0 + math.sqrt(3.0 * math.log(2.0 / alpha) / k)) * k
 
 
@@ -148,11 +144,9 @@ def randomized_solve(
     (``restricted_estimator``): reported values are exact fits, but the
     choice rests on stacked values, equal to rounding only.
     """
-    trials = _check_integer("trials", trials)
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
+    trials = _check_integer("trials", trials, 1)
     zhat = _check_zhat(zhat, spec.p)
-    seed = _check_count("seed", seed)
+    seed = _check_integer("seed", seed, 0)
     bound = cardinality_bound(spec.k, alpha)
     k = spec.k
 

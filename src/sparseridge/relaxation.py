@@ -63,7 +63,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import (
-    ProblemSpec, RidgeSystem, _check_integer, _check_positive, _support_fit, _unique_indices,
+    ProblemSpec, RidgeSystem, _check_integer, _check_positive, _check_real, _clean_support,
+    _freeze, _support_fit,
 )
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
@@ -88,13 +89,7 @@ class RelaxationSolution:
     lower_bound: float | None = None  # certified value - gap
 
     def __post_init__(self) -> None:
-        z = np.array(self.z, dtype=float)
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
-        if self.beta is not None:
-            b = np.array(self.beta, dtype=float)
-            b.setflags(write=False)
-            object.__setattr__(self, "beta", b)
+        _freeze(self, "z", "beta")
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,9 +120,7 @@ class BigMVector:
     rho: float
 
     def __post_init__(self) -> None:
-        M = np.array(self.M, dtype=float)
-        M.setflags(write=False)
-        object.__setattr__(self, "M", M)
+        _freeze(self, "M")
 
 
 def _fill_budget(a: np.ndarray, s, lo, k: float) -> np.ndarray:
@@ -158,8 +151,7 @@ def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
     otherwise z = clip(v - tau, 0, 1) with the unique shift tau > 0 that
     makes sum(z) == k, found exactly on the sorted breakpoints v_i, v_i - 1.
     """
-    if not k > 0:
-        raise InvalidArgumentError(f"budget k must be positive, got {k}")
+    _check_positive("budget k", k)
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or not np.isfinite(v).all():
         raise InvalidArgumentError("v must be a finite 1-D vector")
@@ -179,6 +171,7 @@ def waterfill_z(
     lower_i, 1) with the level nu that spends the budget exactly, found on
     the sorted breakpoints lower_i/|beta_i| and 1/|beta_i| of 1/nu.
     """
+    _check_real("budget k", k)
     beta = np.asarray(beta, dtype=float)
     p = beta.shape[0]
     if lower is None:
@@ -216,6 +209,8 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     X^T X, y^T y and X^T y are read from the dataset's normal equations; when
     p > n, X^T X is singular and sigma_min = 0 without forming it.
     """
+    if v_upper is not None and not math.isfinite(v_upper := _check_real("v_upper", v_upper)):
+        raise InvalidArgumentError(f"v_upper must be finite, got {v_upper}")
     eq, n = spec.data.normal, spec.n
     if not (math.isfinite(eq.yy) and np.isfinite(eq.c).all()
             and (eq.G is None or np.isfinite(eq.G).all())):
@@ -225,9 +220,7 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
         sig_min = max(0.0, float(eigvalsh(eq.G, subset_by_index=[0, 0])[0]))
     rho = sig_min / n + spec.lam
     yy, c = eq.yy, eq.c
-    v_up = yy / n if v_upper is None else float(v_upper)
-    if not np.isfinite(v_up):
-        raise InvalidArgumentError(f"v_upper must be finite, got {v_up}")
+    v_up = yy / n if v_upper is None else v_upper
     a = c / (n * rho)
     disc = float(c @ c) / (n * rho) ** 2 + v_up / rho - yy / (n * rho)
     if disc < -1e-12 * max(1.0, yy):
@@ -320,16 +313,6 @@ def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
     return float(g @ z) - float(np.partition(g, budget - 1)[:budget].sum())
 
 
-def _check_stop(tol, max_iter) -> int:
-    """``max_iter`` as an int; raises unless ``tol`` is positive and finite and
-    ``max_iter`` is an integer of at least 1."""
-    _check_positive("tol", tol)
-    max_iter = _check_integer("max_iter", max_iter)
-    if max_iter < 1:
-        raise InvalidArgumentError(f"max_iter must be at least 1, got {max_iter}")
-    return max_iter
-
-
 def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
     """Nonmonotone spectral projected gradient (SPG2) from ``x``.
 
@@ -385,17 +368,13 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
 def _masked_sets(spec, fixed_one, fixed_zero):
     """Sorted fixed-one indices and the free ones; the sets must be disjoint,
     in range and hold at most k ones."""
-    one, zero = _unique_indices(fixed_one), _unique_indices(fixed_zero)
+    one, zero = _clean_support(spec, fixed_one), _clean_support(spec, fixed_zero)
     if np.intersect1d(one, zero).size:
         raise InvalidArgumentError("fixed_one and fixed_zero must be disjoint")
-    fixed = np.concatenate([one, zero])
-    bad = fixed[(fixed < 0) | (fixed >= spec.p)]
-    if bad.size:
-        raise InvalidArgumentError(f"fixed index {bad[0]} out of range")
     if one.size > spec.k:
         raise InvalidArgumentError("more fixed-one indices than the budget k")
     free = np.ones(spec.p, dtype=bool)
-    free[fixed] = False
+    free[one] = free[zero] = False
     return one, np.flatnonzero(free)
 
 
@@ -413,7 +392,8 @@ def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zer
     ``z0`` must be a finite length-p vector; its free entries are projected
     onto the box.
     """
-    max_iter = _check_stop(tol, max_iter)
+    _check_positive("tol", tol)
+    max_iter = _check_integer("max_iter", max_iter, 1)
     if z0 is not None:
         z0 = np.asarray(z0, dtype=float)
         if z0.shape != (spec.p,) or not np.isfinite(z0).all():
@@ -504,7 +484,8 @@ def solve_v1(
     of grad_i on the k largest |grad_i|*M_i.
     """
     Mv = _positive_bounds(M)
-    max_iter = _check_stop(tol, max_iter)
+    _check_positive("tol", tol)
+    max_iter = _check_integer("max_iter", max_iter, 1)
     X, y, n, lam, k = spec.X, spec.y, spec.n, spec.lam, spec.k
 
     def fval_grad(b):

@@ -37,14 +37,9 @@ class SyntheticConfig:
     resample_small: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("n", "p", "k_true", "seed"):
-            object.__setattr__(self, name, _check_integer(name, getattr(self, name)))
-        if self.n < 1 or self.p < 1:
-            raise InvalidArgumentError("n and p must be >= 1")
-        if not 1 <= self.k_true <= self.p:
-            raise InvalidArgumentError(f"k_true must lie in [1, p], got {self.k_true}")
-        if self.seed < 0:
-            raise InvalidArgumentError(f"seed must be >= 0, got {self.seed}")
+        for name, low in (("n", 1), ("p", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
+        object.__setattr__(self, "k_true", _check_integer("k_true", self.k_true, 1, self.p))
         for name in ("rho", "coef_low", "coef_high", "min_signal"):
             _check_real(name, getattr(self, name))
         if not -1.0 < self.rho < 1.0:
@@ -110,7 +105,6 @@ def generate_synthetic(
 
 def false_alarm_rate(estimated, truth, k: int) -> float:
     """Percentage of selected features outside the true support, over k."""
-    if k < 1:
-        raise InvalidArgumentError(f"k must be >= 1, got {k}")
+    k = _check_integer("k", k, 1)
     extra = set(int(i) for i in estimated) - set(int(i) for i in truth)
     return 100.0 * len(extra) / k

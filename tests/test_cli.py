@@ -250,6 +250,18 @@ def test_malformed_bench_config_exits_2(tmp_path, capsys, monkeypatch, config, m
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_tune_numerical_failure_exits_3(tmp_path):
+    # every grid point overflows in greedy: a numerical fault, not an argument error
+    path = tmp_path / "huge.csv"
+    save_dataset_csv(overflow_data(1e160), str(path))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.warns(UserWarning, match="excluded"):
+            code = main(["tune", "--input", str(path), "--k", "2", "--grid", "0.1,0.2",
+                         "--out", str(tmp_path / "gcv.json")])
+    assert code == 3
+    assert not (tmp_path / "gcv.json").exists()
+
+
 def test_tune_bad_grid_value_exits_2(tmp_path, capsys, data_csv):
     assert main([
         "tune", "--input", str(data_csv), "--k", "3",

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import identity_pair_spec, random_spec
+from helpers import identity_pair_spec, overflow_data, random_spec
 from oracles import (
     gauss_solve,
     max_subset_eig_oracle,
@@ -43,8 +43,8 @@ from sparseridge import (
 from sparseridge import core
 from sparseridge.core import RidgeSystem, _subset_blocks
 
-# Reproducible property runs that leave no example database behind.
-PROPERTY = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+# Examples per property test; tests/conftest.py makes every run reproducible.
+PROPERTY = settings(max_examples=50)
 
 
 class TestDatasetValidation:
@@ -475,6 +475,15 @@ class TestSpectral:
         spec = random_spec(rng, 6, 10, 3, 0.1)
         with pytest.raises(EnumerationCapError):
             theta(spec, 3, mode="exact", cap=10)
+
+    def test_overflowed_gram_raises(self):
+        # x_0^T x_0 overflows, so eigvalsh gives NaN for every support holding
+        # column 0; a theta that skipped them would be too small to bound greedy.
+        spec = ProblemSpec(data=overflow_data(1e160), lam=0.1, k=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="non-finite eigenvalue"):
+                theta(spec, 2)
+        assert theta(spec, 2, mode="upper_bound") == math.inf
 
     def test_one_cap_check_for_every_enumeration(self, rng):
         # theta and brute force enumerate C(10, 3) supports, underline_theta C(10, 8)

@@ -25,8 +25,8 @@ from sparseridge import (
     solve_v4,
 )
 
-# Reproducible property runs that leave no example database behind.
-PROPERTY = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+# Examples per property test; tests/conftest.py makes every run reproducible.
+PROPERTY = settings(max_examples=15)
 
 
 class TestBruteForce:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sparseridge import (
     Dataset,
     DegenerateHatError,
     InvalidArgumentError,
+    NumericalError,
     ProblemSpec,
     SparseRidgeError,
     decode_omega,
@@ -118,6 +121,44 @@ class TestGcvSelect:
         with pytest.raises(InvalidArgumentError, match="grid weight"):
             gcv_select(spec.data, k=2, grid=[0.1, bad])
         assert fits == []
+
+    def test_invalid_budget_raised_before_any_fit(self, rng, monkeypatch):
+        # k = 50 > min(n, p) is the caller's error, not a failed grid point
+        spec = random_spec(rng, 30, 8, 2, 0.1)
+        fits = []
+        monkeypatch.setattr(ext, "fit", lambda *a, **kw: fits.append(a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="k must lie in"):
+                gcv_select(spec.data, k=50, grid=[0.1, 0.2])
+        assert fits == []
+
+    def test_invalid_argument_from_a_fit_is_raised(self, rng, monkeypatch):
+        spec = random_spec(rng, 20, 6, 2, 0.1)
+
+        def bad_option_fit(s, method, **kw):
+            raise InvalidArgumentError("delta must be positive and finite")
+
+        monkeypatch.setattr(ext, "fit", bad_option_fit)
+        with pytest.raises(InvalidArgumentError, match="delta"):
+            gcv_select(spec.data, k=2, grid=[0.1, 0.2])
+
+    @pytest.mark.parametrize("errors, raised", [
+        ((NumericalError, NumericalError), NumericalError),
+        ((NumericalError, SparseRidgeError), SparseRidgeError),
+    ], ids=["all_numerical", "mixed"])
+    def test_all_points_failing_error_kind(self, rng, monkeypatch, errors, raised):
+        spec = random_spec(rng, 10, 4, 2, 0.1)
+        queue = list(errors)
+
+        def failing_fit(s, method, **kw):
+            raise queue.pop(0)("nope")
+
+        monkeypatch.setattr(ext, "fit", failing_fit)
+        with pytest.warns(UserWarning, match="excluded"):
+            with pytest.raises(SparseRidgeError) as info:
+                gcv_select(spec.data, k=2, grid=[0.1, 0.2])
+        assert type(info.value) is raised
 
     def test_all_points_failing_raises(self, rng, monkeypatch):
         spec = random_spec(rng, 10, 4, 2, 0.1)

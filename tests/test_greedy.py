@@ -29,8 +29,8 @@ from sparseridge import (
 )
 from sparseridge.greedy import GreedyState
 
-# Reproducible property runs that leave no example database behind.
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+# Examples per property test; tests/conftest.py makes every run reproducible.
+PROPERTY = settings(max_examples=150)
 
 
 class TestMarginalGain:

@@ -28,7 +28,7 @@ from sparseridge import (
 )
 from sparseridge.heuristic import _ElasticNetPath
 
-PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=40)
 
 
 class TestElasticNetCd:
