@@ -138,19 +138,15 @@ def run_benchmark(
         for method in methods:
             t0 = time.perf_counter()
             try:
-                est = fit(spec, method, **options.get(method, {}))
-                seconds = time.perf_counter() - t0
-                report.records.append(BenchRecord(
-                    method=method, n=n, p=p, k=k, rep=rep, seed=ds_seed,
-                    objective=est.objective, seconds=seconds,
-                    false_alarm=false_alarm_rate(est.support, truth, k),
-                    timed_out=time_budget is not None and seconds > time_budget,
-                ))
+                est, error = fit(spec, method, **options.get(method, {})), None
             except SparseRidgeError as exc:
-                seconds = time.perf_counter() - t0
-                report.records.append(BenchRecord(
-                    method=method, n=n, p=p, k=k, rep=rep, seed=ds_seed,
-                    objective=float("nan"), seconds=seconds,
-                    false_alarm=float("nan"), timed_out=False, error=str(exc),
-                ))
+                est, error = None, str(exc)
+            seconds = time.perf_counter() - t0
+            report.records.append(BenchRecord(
+                method=method, n=n, p=p, k=k, rep=rep, seed=ds_seed,
+                objective=math.nan if est is None else est.objective, seconds=seconds,
+                false_alarm=math.nan if est is None else false_alarm_rate(est.support, truth, k),
+                timed_out=est is not None and time_budget is not None and seconds > time_budget,
+                error=error,
+            ))
     return report

@@ -261,13 +261,10 @@ def main(argv=None) -> int:
     except (EnumerationCapError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except (InvalidArgumentError, SparseRidgeError) as exc:
+    except SparseRidgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except json.JSONDecodeError as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -160,8 +160,8 @@ def precision_to_regression(
         raise InvalidArgumentError(f"sigma_hat must be square, got {sigma.shape}")
     if not np.isfinite(sigma).all():
         raise InvalidArgumentError("sigma_hat must be finite")
-    if float(np.abs(sigma - sigma.T).max()) > 1e-10:
-        raise InvalidArgumentError("sigma_hat must be symmetric (tol 1e-10)")
+    if float(np.abs(sigma - sigma.T).max()) > 1e-10 * float(np.abs(sigma).max()):
+        raise InvalidArgumentError("sigma_hat must be symmetric (tol 1e-10 of max |sigma_hat|)")
     lam = _check_positive("lam", lam)
     t = sigma.shape[0]
     k = _check_integer("k", k, 1, t * t)

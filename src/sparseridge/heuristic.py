@@ -32,6 +32,7 @@ from .core import (
     ProblemSpec,
     RidgeSystem,
     SparseEstimator,
+    _check_integer,
     _check_positive,
     _check_real,
     mic_value,
@@ -39,7 +40,6 @@ from .core import (
 )
 from .errors import InfeasibleLevelError, InvalidArgumentError, NumericalError
 
-ZERO_REL_TOL = 1e-8
 # Correlations within this fraction of gamma_max of the boundary count as
 # tied, so features that reach it together enter together.
 TIE_REL_TOL = 1e-11
@@ -78,10 +78,12 @@ def elastic_net_cd(
 
     Each coordinate update is the exact scalar minimizer
     soft(x_i^T r_{-i} / n, gamma/2) / (||x_i||^2/n + lam); sweeps stop when
-    the largest coordinate change in a sweep is at most ``tol``.
+    the largest coordinate change in a sweep is at most ``tol``, an absolute
+    width the caller sets.
     """
     if not _check_real("gamma", gamma) >= 0:
         raise InvalidArgumentError(f"gamma must be nonnegative, got {gamma}")
+    tol, max_sweeps = _check_positive("tol", tol), _check_integer("max_sweeps", max_sweeps, 1)
     X, y, n, lam, p = spec.X, spec.y, spec.n, spec.lam, spec.p
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
     r = y - X @ beta
@@ -182,7 +184,14 @@ class _ElasticNetPath:
 
     def at_level(self, q: float) -> np.ndarray:
         """The path point with the largest gamma whose ridge objective is at
-        most ``q``; the gamma = 0 end when no path point reaches ``q``."""
+        most ``q``; the gamma = 0 end when no path point reaches ``q``.
+
+        Its nonzeros are its support on the path, with no threshold: at a
+        breakpoint that breakpoint's own, and inside a segment the union of
+        its ends' supports (a feature that enters at the upper end or leaves
+        at the lower one is nonzero strictly inside, and the others keep
+        their sign along the segment).
+        """
         while self.levels[-1] > q and not self.done:
             self._extend()
         j = next((i for i, r in enumerate(self.levels) if r <= q), None)
@@ -210,17 +219,11 @@ def min_l1_given_level(spec: ProblemSpec, v_upper: float) -> np.ndarray:
     if math.isnan(v_upper := _check_real("v_upper", v_upper)):
         raise InvalidArgumentError("level v_upper must not be NaN")
     ridge_min = mic_value(spec, np.ones(spec.p))
-    if v_upper < ridge_min - 1e-10 * (1.0 + abs(ridge_min)):
+    if v_upper < ridge_min * (1.0 - 1e-10):
         raise InfeasibleLevelError(
             f"level {v_upper:.6g} is below the ridge minimum {ridge_min:.6g}"
         )
     return _ElasticNetPath(spec).at_level(v_upper)
-
-
-def _support(beta: np.ndarray) -> np.ndarray:
-    """Indices of the coefficients above ZERO_REL_TOL relative to max(1, max |beta_i|)."""
-    scale = max(1.0, float(np.abs(beta).max()))
-    return np.flatnonzero(np.abs(beta) > ZERO_REL_TOL * scale)
 
 
 def heuristic_bisection(
@@ -252,7 +255,7 @@ def heuristic_bisection(
             l1_norm, zeros, attained = math.inf, 0, False
         else:
             beta_hat = path.at_level(q)
-            support = _support(beta_hat)
+            support = np.flatnonzero(beta_hat)
             l1_norm, zeros = float(np.abs(beta_hat).sum()), p - support.size
             attained = support.size <= k
         if attained:

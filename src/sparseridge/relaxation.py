@@ -36,8 +36,8 @@ relaxation value, where the gap grad^T x - min over the feasible set of
 grad^T w is the Frank-Wolfe duality gap (Jaggi, ICML 2013).  ``lower_bound``
 is value - gap and ``kkt_residual`` is value - lower_bound, both formed by one
 constructor, ``_certified``; the loop stops once the gap is at most
-tol*(1 + |value|), and raises NumericalError if the value or gap is not
-finite (an overflow, as at a tiny lam).
+tol*|value|, a relative gap in any units of y, and raises NumericalError if
+the value or gap is not finite (an overflow, as at a tiny lam).
 
 The capped-simplex projection, water-filling and v1's weighted-L1-box
 projection each need the threshold t at which the budget
@@ -222,8 +222,9 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     yy, c = eq.yy, eq.c
     v_up = yy / n if v_upper is None else v_upper
     a = c / (n * rho)
-    disc = float(c @ c) / (n * rho) ** 2 + v_up / rho - yy / (n * rho)
-    if disc < -1e-12 * max(1.0, yy):
+    positive = float(c @ c) / (n * rho) ** 2 + v_up / rho
+    disc = positive - yy / (n * rho)
+    if disc < -1e-12 * positive:  # rounding, relative to the terms that cancel
         raise NumericalDomainError(
             f"negative discriminant {disc:.3g}: v_upper={v_up:.6g} is below "
             "the attainable minimum; raise it"
@@ -324,10 +325,10 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
     NONMONOTONE_MEMORY values passes (Birgin, Martinez & Raydan, SIAM J.
     Optim. 2000, Alg. 2.2; Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal.
     1986); t = 1 takes the projected point itself, so exact 0s and 1s stay.
-    Stops when the certified gap ``gap(x, grad)`` is at most
-    tol*(1 + |value|); as fault guards, also when no step makes progress or
-    when the state (x, step) repeats (zero-decrease steps can cycle at the
-    rounding floor).  Returns (x, value, iterations, gap, converged), value
+    Stops when the certified gap ``gap(x, grad)`` is at most tol*|value|
+    (every value it serves is positive when y != 0); as fault guards, also
+    when no step makes progress or when the state (x, step) repeats
+    (zero-decrease steps can cycle at the rounding floor).  Returns (x, value, iterations, gap, converged), value
     and gap at the returned x; a value or gap that is not finite raises
     NumericalError.
     """
@@ -339,7 +340,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
         g = gap(x, grad)
         if not (math.isfinite(val) and math.isfinite(g)):
             raise NumericalError(f"projected gradient met a non-finite value {val} or gap {g}")
-        if g <= tol * (1.0 + abs(val)):
+        if g <= tol * abs(val):
             return x, val, iters, g, True
         x_new = project(x - step * grad)
         d, t, ref = x_new - x, 1.0, max(recent)

@@ -214,6 +214,15 @@ class TestPrecisionMapping:
         with pytest.raises(InvalidArgumentError):
             precision_to_regression(np.array([[1.0, 0.5], [0.2, 1.0]]), 0.1, 2)
 
+    def test_symmetry_is_relative_to_sigma(self):
+        # an absolute bound passed this one in 1e-12 units ...
+        with pytest.raises(InvalidArgumentError):
+            precision_to_regression(np.array([[1.0, 0.5], [0.1, 1.0]]) * 1e-12, 0.1, 2)
+        # ... and refused this one in 1e8 units, one ulp from symmetric
+        sigma = np.array([[1.0, 0.3], [0.3, 2.0]]) * 1e8
+        sigma[0, 1] = np.nextafter(sigma[0, 1], np.inf)
+        assert precision_to_regression(sigma, 0.1, 2).t == 2
+
     def test_round_trip_exact(self, rng):
         mapping = precision_to_regression(np.eye(4), lam=0.1, k=16)
         omega = rng.standard_normal((4, 4))

@@ -256,6 +256,22 @@ class TestElasticNetPathProperties:
 
     @PROPERTY
     @given(spec=path_specs())
+    def test_level_points_are_zero_exactly_off_their_path_support(self, spec):
+        # a breakpoint's own support at an end, the union of the ends' inside
+        path = _full_path(spec)
+        for j in range(1, len(path.levels)):
+            upper, lower = path.levels[j - 1], path.levels[j]
+            if not upper > lower:
+                continue
+            own = set(path.supports[j].tolist())
+            assert set(np.flatnonzero(path.at_level(lower)).tolist()) == own
+            inside = 0.5 * (upper + lower)
+            if upper > inside > lower:
+                union = own | set(path.supports[j - 1].tolist())
+                assert set(np.flatnonzero(path.at_level(inside)).tolist()) == union
+
+    @PROPERTY
+    @given(spec=path_specs())
     def test_objective_nonincreasing(self, spec):
         levels = np.array(_full_path(spec).levels)
         assert np.all(np.diff(levels) <= 1e-12 * levels[0])

@@ -7,6 +7,8 @@ raised before a factorization, an eigenvalue call, a rounding draw, a greedy
 run or a dataset draw.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,7 @@ CASES = {
     "randomized_solve alpha": (lambda s, v: randomized_solve(s, zhat(), alpha=v), REAL),
     "min_l1_given_level v_upper": (lambda s, v: min_l1_given_level(s, v), REAL),
     "elastic_net_cd gamma": (lambda s, v: elastic_net_cd(s, v), REAL),
+    "elastic_net_cd tol": (lambda s, v: elastic_net_cd(s, 0.1, tol=v), (*REAL, -1.0, math.nan)),
     "project_capped_simplex k": (lambda s, v: project_capped_simplex(zhat(), v), REAL),
     "waterfill_z k": (lambda s, v: waterfill_z(np.ones(P), v), REAL),
     "run_benchmark time_budget": (
@@ -80,6 +83,7 @@ CASES = {
     "branch_and_bound node_cap": (lambda s, v: branch_and_bound(s, node_cap=v), count(-1)),
     "solve_v4 max_iter": (lambda s, v: solve_v4(s, max_iter=v), count(0)),
     "solve_v1 max_iter": (lambda s, v: solve_v1(s, BOUNDS, max_iter=v), count(0)),
+    "elastic_net_cd max_sweeps": (lambda s, v: elastic_net_cd(s, 0.1, max_sweeps=v), count(0, -3)),
     "randomized_round seed": (lambda s, v: randomized_round(zhat(), v), count(-1, 2**128)),
     "cardinality_bound k": (lambda s, v: cardinality_bound(v, 0.1), count(0)),
     "randomized_solve trials": (lambda s, v: randomized_solve(s, zhat(), trials=v), count(0)),
