@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ProblemSpec, _check_integer, _check_real
+from .core import ProblemSpec, _check_integer, _check_positive, _check_real
 from .errors import InvalidArgumentError, SparseRidgeError
 from .methods import check_options, fit
 from .synthetic import SyntheticConfig, false_alarm_rate, generate_synthetic
@@ -108,9 +108,10 @@ def run_benchmark(
     ``k`` doubles as the generator's true support size.  A malformed cell
     (integer n, p and k with 1 <= k <= min(n, p) required), a negative seed
     or rep count, a string ``methods``, a ``time_budget`` that is not None
-    or a finite number >= 0, a ``method_options`` that does not map each name
-    to a mapping, or an unknown method or option there raises
-    InvalidArgumentError before any fit.
+    or a finite number >= 0, a ``lam`` that is not positive and finite, a
+    ``method_options`` that does not map each name to a mapping, or an
+    unknown method or option there raises InvalidArgumentError before any
+    fit.
     """
     configs = [_cell_config(cell, rho, snr) for cell in cells]
     if isinstance(methods, str):
@@ -124,6 +125,7 @@ def run_benchmark(
     for method in sorted(set(methods) | set(options)):
         check_options(method, options.get(method, {}))
     seed, reps = _check_integer("seed", seed, 0), _check_integer("reps", reps, 0)
+    lam = _check_positive("lam", lam)
     if time_budget is not None and not 0 <= _check_real("time_budget", time_budget) < math.inf:
         raise InvalidArgumentError(
             f"time_budget must be None or a finite number >= 0, got {time_budget!r}"

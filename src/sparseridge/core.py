@@ -52,15 +52,22 @@ DEFAULT_ENUMERATION_CAP = 10**6
 # Floats in the working set of one enumeration block: 512 KB, so a block's
 # memory is bounded whatever C(p, s) is.
 _BLOCK_ELEMENTS = 2**16
+# The least columns in a block of RidgeSystem's n x n side: a thinner rank update
+# starves the matrix product (one v4 start at (1000, 2000) took 2.3x the unblocked
+# time in blocks of 32 columns, 1.1x in blocks of 256).
+_MIN_BLOCK_COLUMNS = 256
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Design matrix ``X`` (n x p), response ``y`` (n,) and optional names.
 
-    Arrays are copied and frozen at construction, so instances are safe to
-    share across threads; two threads that first read :attr:`normal` together
-    may both form it, and either copy serves.
+    The constructor copies the arrays it is given and freezes the copies, so
+    instances are safe to share across threads; two threads that first read
+    :attr:`normal` together may both form it, and either copy serves.  Arrays
+    the library has just made itself (a generated design, rescaled columns)
+    are adopted by ``Dataset._adopt`` instead, with the same checks and
+    freezing but no copy of X.
     """
 
     X: np.ndarray
@@ -68,7 +75,21 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        X = np.array(self.X, dtype=float)
+        self._settle(np.array(self.X, dtype=float))
+
+    @classmethod
+    def _adopt(cls, X: np.ndarray, y, feature_names=None) -> Dataset:
+        """A dataset holding ``X`` itself, frozen in place: X must be a fresh
+        array that nothing else holds (it is copied only when it is not float64
+        and C-contiguous)."""
+        data = cls.__new__(cls)
+        object.__setattr__(data, "y", y)
+        object.__setattr__(data, "feature_names", feature_names)
+        data._settle(np.asarray(X, dtype=float, order="C"))
+        return data
+
+    def _settle(self, X: np.ndarray) -> None:
+        """Check X (owned by this dataset), a copy of y and the names, and freeze them."""
         y = np.array(self.y, dtype=float).ravel()
         if X.ndim != 2:
             raise InvalidArgumentError(f"X must be 2-D, got ndim={X.ndim}")
@@ -79,7 +100,8 @@ class Dataset:
             raise InvalidArgumentError(
                 f"y has length {y.shape[0]}, expected {n} (rows of X)"
             )
-        if not np.isfinite(X).all() or not np.isfinite(y).all():
+        # min and max carry any NaN or inf, with no temporary the size of X
+        if not (math.isfinite(X.min()) and math.isfinite(X.max()) and np.isfinite(y).all()):
             raise InvalidArgumentError("X and y must be finite")
         names = self.feature_names
         if names is not None:
@@ -339,27 +361,75 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=0)[0]
 
 
+def _sum_blocks(parts):
+    """The sum of the fresh arrays ``parts`` yields (at least one), in place in the
+    first, so one part alone is returned as it is."""
+    parts = iter(parts)
+    total = next(parts)
+    for part in parts:
+        total += part
+        del part  # not held while the next one forms
+    return total
+
+
 class RidgeSystem:
     """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r on the
     support S (m indices) of ``data``, with positive weights w, factored once.
 
     The m x m matrix, a block of the dataset's normal equations, is factored
-    when m <= n; otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is, and
-    solves go through it.  m = 0 is allowed (the 0 x 0 side).
+    when m <= n, from the gathered columns X_S (X itself when S is every
+    column in order).  Otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is,
+    and solves go through it; that side holds no copy of X_S wider than one
+    block: A and every product with X_S are summed over blocks of columns,
+    each gathered (a slice of X when S is every column) with its weighted
+    copy within _BLOCK_ELEMENTS floats, or _MIN_BLOCK_COLUMNS columns when n
+    is large.  When one block covers X_S it is kept, so the products are the
+    unblocked ones.  m = 0 is allowed (the 0 x 0 side).
     """
 
     def __init__(self, data: Dataset, S: np.ndarray, w: np.ndarray, nlam: float):
-        self.Xs, self.w, self.nlam = data.X[:, S], w, nlam
-        n, m = self.Xs.shape
-        self.wide = m > n
+        X = data.X
+        n, m = X.shape[0], S.size
+        self.w, self.nlam, self.wide = w, nlam, m > n
+        every = m == X.shape[1] and bool((S == np.arange(m)).all())
         # K is a fresh contiguous array: ravel() is a view, [::size + 1] its diagonal.
         if self.wide:
-            K = (self.Xs * w) @ self.Xs.T
+            # blocks of a gathered block and its weighted copy per column; X_S in one
+            # block is held (self._Xs), and more are gathered again on each use
+            self._X, self._S = X, None if every else S
+            self._width = max(_block_rows(2 * n), _MIN_BLOCK_COLUMNS)
+            self._Xs = None if m > self._width else X if every else X[:, S]
+            K = _sum_blocks((Xb * w[pos]) @ Xb.T for pos, Xb in self._blocks())
             K.ravel()[:: n + 1] += nlam
         else:
-            K = data.normal.block(S, S, self.Xs)
+            self._Xs = X if every else X[:, S]
+            K = data.normal.block(S, S, self._Xs)
             K.ravel()[:: m + 1] += nlam * (1.0 / w)
         self._chol = cholesky(K)
+
+    def _blocks(self):
+        """(pos, X_b) over the columns of X_S: the held X_S, or consecutive slices
+        ``pos`` of _width positions in S, each gathered when it is used (a slice of
+        X, with no copy, when S is every column)."""
+        if self._Xs is not None:
+            yield slice(None), self._Xs
+            return
+        X, S = self._X, self._S
+        for lo in range(0, self.w.size, self._width):
+            pos = slice(lo, lo + self._width)
+            yield pos, X[:, pos] if S is None else X[:, S[pos]]
+
+    def matvec(self, b: np.ndarray) -> np.ndarray:
+        """X_S @ b for b of length m (or m x c)."""
+        if self._Xs is not None:
+            return self._Xs @ b
+        return _sum_blocks(Xb @ b[pos] for pos, Xb in self._blocks())
+
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """X_S^T @ v for v of length n (or n x c)."""
+        if self._Xs is not None:
+            return self._Xs.T @ v
+        return np.concatenate([Xb.T @ v for _, Xb in self._blocks()])
 
     def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """b for the right side X_S^T y, u = A^-1 y and the value of the fit.
@@ -371,11 +441,11 @@ class RidgeSystem:
         """
         if self.wide:
             u = cholesky_solve(self._chol, y)
-            b = self.w * (self.Xs.T @ u)
-            r = y - self.Xs @ b
+            b = self.w * self.rmatvec(u)
+            r = y - self.matvec(b)
         else:
-            b = cholesky_solve(self._chol, self.Xs.T @ y)
-            r = y - self.Xs @ b
+            b = cholesky_solve(self._chol, self._Xs.T @ y)
+            r = y - self._Xs @ b
             u = r / self.nlam
         return b, u, float(r @ r + self.nlam * (b @ (b / self.w))) / y.size
 
@@ -385,8 +455,16 @@ class RidgeSystem:
             return cholesky_solve(self._chol, r)
         w = self.w if r.ndim == 1 else self.w[:, None]
         wr = w * r
-        v = cholesky_solve(self._chol, self.Xs @ wr)
-        return (wr - w * (self.Xs.T @ v)) / self.nlam
+        v = cholesky_solve(self._chol, self.matvec(wr))
+        return (wr - w * self.rmatvec(v)) / self.nlam
+
+    def hat_diagonal(self) -> np.ndarray:
+        """diag(H), H = X_S (X_S^T X_S + nlam*diag(1/w))^-1 X_S^T: row by row on the
+        m x m side, and as I - nlam*A^-1, which H equals, on the n x n side."""
+        if self.wide:
+            n = self._X.shape[0]
+            return 1.0 - self.nlam * np.diag(cholesky_solve(self._chol, np.eye(n)))
+        return np.sum(self._Xs * cholesky_solve(self._chol, self._Xs.T).T, axis=1)
 
 
 def _support_fit(spec: ProblemSpec, idx: np.ndarray) -> tuple[np.ndarray, float]:
@@ -633,7 +711,8 @@ def spectral_stats(
 def normalize_columns(data: Dataset) -> Dataset:
     """Rescale every column of X to squared norm n (zero columns untouched)."""
     X = data.X.copy()
-    norms = np.linalg.norm(X, axis=0)
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     nz = norms > 0
-    X[:, nz] *= math.sqrt(data.n) / norms[nz]
-    return Dataset(X=X, y=data.y, feature_names=data.feature_names)
+    # one factor per column, 1 on zero columns, so the scaling gathers no columns
+    X *= np.divide(math.sqrt(data.n), norms, out=np.ones_like(norms), where=nz)
+    return Dataset._adopt(X, data.y, data.feature_names)

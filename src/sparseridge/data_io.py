@@ -40,6 +40,10 @@ def _parse_rows(path: str, header: bool):
     if data.shape[0] == 0:
         what = "header but no data rows" if header else "empty file"
         raise InvalidArgumentError(f"{path}: {what}")
+    if names is not None and len(names) != data.shape[1]:
+        raise InvalidArgumentError(
+            f"{path}: the header has {len(names)} fields but the rows have {data.shape[1]}"
+        )
     return data, names
 
 
@@ -87,8 +91,9 @@ def save_dataset_csv(data: Dataset, path: str, header: bool = False) -> None:
                 f"x{i}" for i in range(data.p)
             )
             csv.writer(fh).writerow(list(names) + ["y"])
-        for row in np.column_stack([data.X, data.y]):
-            fh.write(",".join(map(repr, row.tolist())) + "\r\n")
+        # row by row, the response after the features, with no stacked copy of X
+        for row, response in zip(data.X, data.y.tolist()):
+            fh.write(",".join(map(repr, row.tolist())) + f",{response!r}\r\n")
 
 
 def load_matrix_csv(path: str) -> np.ndarray:

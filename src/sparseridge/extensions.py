@@ -80,11 +80,8 @@ def gcv_score(spec: ProblemSpec, S, lam: float) -> float:
     _check_positive("lam", lam)
     idx = _clean_support(spec, S)
     system = RidgeSystem(spec.data, idx, np.ones(idx.size), spec.n * lam)
-    Xs = system.Xs
-    yhat = Xs @ system.fit(spec.y)[0]
-    # diag(H) via H_ii = row_i K^{-1} row_i^T
-    hdiag = np.sum(Xs * system.solve(Xs.T).T, axis=1)
-    denom = 1.0 - hdiag
+    yhat = system.matvec(system.fit(spec.y)[0])
+    denom = 1.0 - system.hat_diagonal()
     if np.any(denom <= 1e-12):
         raise DegenerateHatError(
             "a hat-matrix diagonal entry is within 1e-12 of 1"
@@ -167,7 +164,7 @@ def precision_to_regression(
     k = _check_integer("k", k, 1, t * t)
     X = np.kron(np.eye(t), sigma)
     y = np.eye(t).flatten(order="F")
-    spec = ProblemSpec(data=Dataset(X=X, y=y), lam=lam / (t * t), k=k)
+    spec = ProblemSpec(data=Dataset._adopt(X, y), lam=lam / (t * t), k=k)
     return PrecisionMapping(t=t, sigma_hat=sigma, spec=spec, lam=lam, scale=t * t)
 
 

@@ -160,7 +160,7 @@ class _ElasticNetPath:
                 break
             new = np.delete(new, int(np.argmin(grow)))
         # On the segment b_A(g) = u - g*w and, off A, c(g) = e + g*f; c(gamma) = rho.
-        XA, Xw = system.Xs, system.Xs @ w
+        Xw = system.matvec(w)
         f = (2.0 / n) * (X.T @ Xw)
         e = c - gamma * f
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -174,7 +174,7 @@ class _ElasticNetPath:
         b1 = u - g1 * w
         keep = exits < g1 - self._tie
         cand, signs, b1 = cand[keep], signs[keep], b1[keep]
-        r = y - XA @ u + g1 * Xw
+        r = y - system.matvec(u) + g1 * Xw
         self.gammas.append(g1)
         self.supports.append(cand)
         self.values.append(b1)

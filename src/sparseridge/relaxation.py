@@ -73,6 +73,13 @@ NONMONOTONE_MEMORY = 10  # Armijo tests compare with the max of this many last v
 # v3's beta-step releases a clamped coordinate whose inward gradient exceeds
 # this share of M_i, the size of its penalty term's gradient (scaled by 1/(2 lam)).
 _RELEASE_TOL = 1e-12
+# The spectral step's move step*||grad|| is at most this many widths of the
+# feasible set (1 for z, the largest big-M bound for v1's beta): a bound in x's
+# own units, so it means the same in any units of y.  It keeps x - step*grad
+# finite and within 1e6 widths, where the threshold search still resolves the
+# budget (a first step of 2 moved z by 2e16 at y*1e8 and left the projection
+# over budget).
+_MAX_MOVE = 1e6
 _FLOAT_MAX = np.finfo(float).max
 
 
@@ -133,7 +140,9 @@ def _fill_budget(a: np.ndarray, s, lo, k: float) -> np.ndarray:
     order = bps.argsort(kind="stable")
     bps = bps[order]
     steps = np.where(order < a.size, s, -s) if np.isscalar(s) else np.concatenate([s, -s])[order]
+    del order  # freed before the budget's temporaries, so at most four arrays of 2p floats live
     slope = steps.cumsum()  # on [bps[j], bps[j+1]]: s_i from i's first breakpoint to its second
+    del steps
     start = lo * a.size if np.isscalar(lo) else lo.sum()  # the budget at bps[0]
     budget = (slope[:-1] * (bps[1:] - bps[:-1])).cumsum() + start  # at bps[1:]
     # the budget is below k at bps[j] and reaches it by bps[j+1]; the clamps
@@ -263,7 +272,9 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     # Random starts 1000x outside the box took at most 2.2(p + 1) passes.
     for _ in range(4 * spec.p + 4):
         free, held = np.flatnonzero(active & ~clamped), np.flatnonzero(clamped)
-        fit, u, val = RidgeSystem(spec.data, free, z[free], nlam).fit(y - X[:, held] @ b[held])
+        # the held coordinates' share of X b, with no gather of their columns
+        rhs = y - X @ np.where(clamped, b, 0.0)
+        fit, u, val = RidgeSystem(spec.data, free, z[free], nlam).fit(rhs)
         out = np.abs(fit) > bound[free]
         if out.any():
             cross = free[out]
@@ -314,17 +325,19 @@ def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
     return float(g @ z) - float(np.partition(g, budget - 1)[:budget].sum())
 
 
-def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
+def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0):
     """Nonmonotone spectral projected gradient (SPG2) from ``x``.
 
     Each iteration projects once, d = P(x - step*grad) - x, with ``step`` the
     Barzilai-Borwein step s^T s / s^T y of the last move (s and y the changes
     in x and in the gradient; 2 at first, the last step doubled when
-    s^T y <= 0), capped at 1e12.  It halves t along x + t*d, with no further
-    projection, until an Armijo test against the largest of the last
-    NONMONOTONE_MEMORY values passes (Birgin, Martinez & Raydan, SIAM J.
-    Optim. 2000, Alg. 2.2; Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal.
-    1986); t = 1 takes the projected point itself, so exact 0s and 1s stay.
+    s^T y <= 0), cut where its move step*||grad|| would pass _MAX_MOVE times
+    ``width``, the largest extent of a coordinate of the feasible set.  It
+    halves t along x + t*d, with no further projection, until an Armijo test
+    against the largest of the last NONMONOTONE_MEMORY values passes
+    (Birgin, Martinez & Raydan, SIAM J. Optim. 2000, Alg. 2.2; Grippo,
+    Lampariello & Lucidi, SIAM J. Numer. Anal. 1986); t = 1 takes the
+    projected point itself, so exact 0s and 1s stay.
     Stops when the certified gap ``gap(x, grad)`` is at most tol*|value|
     (every value it serves is positive when y != 0); as fault guards, also
     when no step makes progress or when the state (x, step) repeats
@@ -342,6 +355,9 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
             raise NumericalError(f"projected gradient met a non-finite value {val} or gap {g}")
         if g <= tol * abs(val):
             return x, val, iters, g, True
+        gg, reach = float(grad @ grad), _MAX_MOVE * width  # gg > 0, as g > 0
+        if step * step * gg > reach * reach:  # the first step too
+            step = reach / math.sqrt(gg)
         x_new = project(x - step * grad)
         d, t, ref = x_new - x, 1.0, max(recent)
         slope = ARMIJO_C * float(grad @ d)
@@ -360,7 +376,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter):
             return x, val, iters, g, False  # stationary to rounding, gap > tol
         seen.add(state)
         sy = float(s @ (grad_new - grad))
-        step = min(float(s @ s) / sy if sy > 0.0 else step * 2.0, 1e12)
+        step = float(s @ s) / sy if sy > 0.0 else step * 2.0
         x, val, grad = x_new, val_new, grad_new
         recent.append(val)
     return x, val, max_iter, gap(x, grad), False
@@ -499,7 +515,8 @@ def solve_v1(
 
     beta0 = _project_weighted_l1_box(_support_fit(spec, np.arange(spec.p))[0], Mv, k)
     beta, val, iters, gap_val, converged = _projected_gradient(
-        fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), gap, beta0, tol, max_iter
+        fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), gap, beta0, tol, max_iter,
+        float(Mv.max()),
     )
     return _certified(np.abs(beta) / Mv, val, iters, gap_val, converged, beta)
 

@@ -75,12 +75,11 @@ def generate_synthetic(
     rho = config.rho
     rng = np.random.default_rng(config.seed)
 
-    Z = rng.standard_normal((n, p))
-    X = np.empty((n, p))
-    X[:, 0] = Z[:, 0]
+    # the AR(1) recursion runs in place on the draw: column j still holds z_j when it is read
+    X = rng.standard_normal((n, p))
     scale = math.sqrt(1.0 - rho * rho)
     for j in range(1, p):
-        X[:, j] = rho * X[:, j - 1] + scale * Z[:, j]
+        X[:, j] = rho * X[:, j - 1] + scale * X[:, j]
 
     coefs = rng.uniform(config.coef_low, config.coef_high, size=k)
     if config.resample_small:
@@ -100,7 +99,7 @@ def generate_synthetic(
 
     eps = rng.normal(0.0, math.sqrt(sigma_sq), size=n)
     y = X @ beta0 + eps
-    return Dataset(X=X, y=y), beta0, tuple(range(k)), sigma_sq
+    return Dataset._adopt(X, y), beta0, tuple(range(k)), sigma_sq
 
 
 def false_alarm_rate(estimated, truth, k: int) -> float:

@@ -206,10 +206,12 @@ def projected_objective_exact(X, y, lam, z):
         return float(value), np.array([float(g) for g in grad])
 
 
-def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, armijo_c=1e-4):
+def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0,
+                                armijo_c=1e-4):
     """The package's former projected-gradient loop, kept as a reference.
 
-    Same interface, Barzilai-Borwein steps, gap stop and fault guards as
+    Same interface (``width``, which bounds the package's moves, goes unused),
+    Barzilai-Borwein steps, gap stop and fault guards as
     ``sparseridge.relaxation._projected_gradient``, but monotone: every
     rejected trial halves the step and projects again, until the value
     falls by the Armijo amount below the current one.

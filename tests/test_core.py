@@ -65,6 +65,20 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             data.X[0, 0] = 5.0
 
+    def test_constructor_copies_and_adoption_does_not(self):
+        X = np.eye(3)
+        data = Dataset(X=X, y=np.ones(3))
+        X[0, 0] = 5.0
+        assert data.X[0, 0] == 1.0 and X.flags.writeable
+        adopted = Dataset._adopt(X, np.ones(3))
+        assert adopted.X is X and not X.flags.writeable
+
+    @pytest.mark.parametrize("X", [np.array([[1.0, np.nan]]), np.array([[np.inf, 1.0]]),
+                                   np.array([[1.0, -np.inf]])])
+    def test_adoption_checks_as_the_constructor_does(self, X):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            Dataset._adopt(X, np.ones(1))
+
     @pytest.mark.parametrize("lam,k", [(0.0, 1), (-1.0, 1), (0.1, 0), (0.1, 3),
                                        (np.nan, 1), (0.1, 1.5), (0.1, np.nan), (0.1, True),
                                        (True, 1), ("0.08", 1),
@@ -303,6 +317,28 @@ class TestRidgeSystem:
                 1.0 + np.abs(want).max(initial=0.0)
             )
 
+
+    @pytest.mark.parametrize("every", [False, True])
+    def test_column_blocks_match_a_dense_solve(self, every):
+        # n = 130 gives blocks of 256 columns, so 600 columns take three
+        n, m, nlam = 130, 600, 13.0
+        rng = np.random.default_rng(8)
+        data = Dataset(X=rng.standard_normal((n, m + (not every))), y=rng.standard_normal(n))
+        S = np.arange(m) if every else np.sort(rng.choice(m + 1, m, replace=False))
+        w = rng.uniform(0.01, 1.0, m)
+        Xs = data.X[:, S]
+        system = RidgeSystem(data, S, w, nlam)
+        assert system.wide
+        b, u, value = system.fit(data.y)
+        u_want = gauss_solve(nlam * np.eye(n) + (Xs * w) @ Xs.T, data.y)
+        assert np.abs(u - u_want).max() <= 1e-12 * np.abs(u_want).max()
+        assert np.abs(b - w * (Xs.T @ u_want)).max() <= 1e-12 * np.abs(b).max()
+        assert value == pytest.approx(nlam / n * float(data.y @ u_want), rel=1e-12)
+        R = rng.standard_normal((m, 2))
+        want = np.linalg.solve(Xs.T @ Xs + nlam * np.diag(1.0 / w), R)
+        assert np.abs(system.solve(R) - want).max() <= 1e-9 * np.abs(want).max()
+        for got, want in [(system.matvec(R), Xs @ R), (system.rmatvec(data.y), Xs.T @ data.y)]:
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("m", [2, 7])
     def test_nonfinite_system_or_right_side_raises_value_error(self, m):

@@ -107,6 +107,8 @@ REJECTED = {
     "blank_only": ("\n\n", False),
     "empty_with_header": ("", True),
     "header_only": ("a,b,y\n\n", True),
+    "header_too_short": ("a,b\n1,2,3\n4,5,6\n", True),
+    "header_too_long": ("a,b,c,d\n1,2,3\n4,5,6\n", True),
 }
 
 

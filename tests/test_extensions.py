@@ -43,6 +43,14 @@ class TestGcvScore:
         expected = float(np.mean(((spec.y - yhat) / (1 - hdiag)) ** 2))
         assert gcv_score(spec, S, lam=0.1) == pytest.approx(expected, rel=1e-10)
 
+    def test_support_wider_than_n_matches_explicit_hat_matrix(self, rng):
+        # |S| > n: the hat diagonal is read off I - n*lam*A^-1 on the n x n side
+        spec = random_spec(rng, 8, 14, 3, 0.1)
+        S = list(range(12))
+        hdiag, yhat = hat_diagonal_oracle(spec.X, spec.y, 0.1, S)
+        expected = float(np.mean(((spec.y - yhat) / (1 - hdiag)) ** 2))
+        assert gcv_score(spec, S, lam=0.1) == pytest.approx(expected, rel=1e-9)
+
     def test_hat_diagonal_in_unit_interval(self, rng):
         spec = random_spec(rng, 12, 6, 3, 0.05)
         hdiag, _ = hat_diagonal_oracle(spec.X, spec.y, 0.05, [0, 1, 5])

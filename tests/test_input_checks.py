@@ -71,6 +71,9 @@ CASES = {
     "run_benchmark time_budget": (
         lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], ["greedy"], reps=1,
                                    time_budget=v), REAL),
+    "run_benchmark lam": (
+        lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], ["greedy"], reps=1, lam=v),
+        (*REAL, -1.0, 0.0, math.nan, math.inf)),
     "solve_v4 tol": (lambda s, v: solve_v4(s, tol=v), REAL),
     "solve_v1 tol": (lambda s, v: solve_v1(s, BOUNDS, tol=v), REAL),
     # counts

@@ -39,6 +39,22 @@ class TestGenerator:
         assert np.array_equal(a[1], b[1])
         assert a[3] == b[3]
 
+    @pytest.mark.parametrize("n, p, k", [(300, 1500, 15), (60, 120, 6), (50, 30, 4)])
+    def test_draw_matches_the_two_array_recursion(self, n, p, k):
+        # The recursion runs in place on the draw; it must give, bit for bit, the
+        # design of drawing Z and then filling a second array.
+        config = SyntheticConfig(n=n, p=p, k_true=k, seed=3)
+        data, beta0, _, sigma_sq = generate_synthetic(config)
+        rng = np.random.default_rng(config.seed)
+        Z = rng.standard_normal((n, p))
+        X = np.empty((n, p))
+        X[:, 0] = Z[:, 0]
+        scale = np.sqrt(1.0 - config.rho**2)
+        for j in range(1, p):
+            X[:, j] = config.rho * X[:, j - 1] + scale * Z[:, j]
+        assert data.X.tobytes() == X.tobytes()
+        assert not data.X.flags.writeable
+
     def test_banded_correlation_structure(self):
         config = SyntheticConfig(n=20000, p=5, k_true=2, rho=0.5, seed=9)
         data, _, _, _ = generate_synthetic(config)

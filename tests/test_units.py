@@ -99,3 +99,29 @@ def test_heuristic_keeps_a_tiny_coefficient():
     # absolute floor dropped it and returned the empty fit, objective 0.99605.
     est, _ = heuristic_bisection(ProblemSpec(data=overflow_data(1e20), lam=0.1, k=3), 1e-6)
     assert est.support and est.objective < 0.99605
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e8])
+def test_spectral_step_has_no_units(c):
+    # A step cap of 1e12, in units of 1/gradient, bound at y*1e-8: v4 ran to
+    # max_iter unconverged and restricted and randomized raised ConvergenceError.
+    base, scaled = synthetic_spec(1.0), synthetic_spec(c)
+    sol, ref = solve_v4(scaled), solve_v4(base)
+    assert sol.converged and sol.kkt_residual <= 1e-7 * sol.value
+    assert abs(sol.value / (c * c) - ref.value) <= sol.kkt_residual / (c * c) + ref.kkt_residual
+    for m in ("restricted", "randomized"):
+        est, got = fit(base, m), fit(scaled, m)
+        assert got.support == est.support, m
+        assert got.objective / (c * c) == pytest.approx(est.objective, rel=1e-9), m
+
+
+@pytest.mark.parametrize("seed", [4, 5, 11])
+def test_branch_and_bound_stays_in_budget_at_large_y(seed):
+    # A first step of 2 moved z by about 2e16 at y*1e8; the projection could not
+    # resolve the budget at that scale, and a node's z came back integral with
+    # more than k ones, which the search then offered as an incumbent.
+    spec = random_spec(np.random.default_rng(seed), 4, 12, 3, 0.1)
+    scaled, factor = rescaled(spec, 1e8, "y")
+    est, got = fit(spec, "bnb"), fit(scaled, "bnb")
+    assert got.support == est.support
+    assert got.objective / factor == pytest.approx(est.objective, rel=1e-9)
