@@ -372,6 +372,23 @@ def _sum_blocks(parts):
     return total
 
 
+def _column_blocks(X: np.ndarray, S, width: int):
+    """(pos, X_b) over the columns X[:, S] (every column when S is None):
+    consecutive slices ``pos`` of ``width`` positions in S, each gathered when it
+    is used (a slice of X, with no copy, when S is None)."""
+    for lo in range(0, X.shape[1] if S is None else S.size, width):
+        pos = slice(lo, lo + width)
+        yield pos, X[:, pos] if S is None else X[:, S[pos]]
+
+
+def _columns_matvec(X: np.ndarray, S: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X[:, S] @ b for b of length |S|, with no gathered block of X wider than
+    max(_block_rows(n), _MIN_BLOCK_COLUMNS) columns; within one block it is the
+    plain product."""
+    width = max(_block_rows(X.shape[0]), _MIN_BLOCK_COLUMNS)
+    return _sum_blocks(Xb @ b[pos] for pos, Xb in _column_blocks(X, S, width))
+
+
 class RidgeSystem:
     """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r on the
     support S (m indices) of ``data``, with positive weights w, factored once.
@@ -408,28 +425,20 @@ class RidgeSystem:
         self._chol = cholesky(K)
 
     def _blocks(self):
-        """(pos, X_b) over the columns of X_S: the held X_S, or consecutive slices
-        ``pos`` of _width positions in S, each gathered when it is used (a slice of
-        X, with no copy, when S is every column)."""
+        """(pos, X_b) over the columns of X_S: the held X_S as one block, or
+        _column_blocks of _width columns."""
         if self._Xs is not None:
-            yield slice(None), self._Xs
-            return
-        X, S = self._X, self._S
-        for lo in range(0, self.w.size, self._width):
-            pos = slice(lo, lo + self._width)
-            yield pos, X[:, pos] if S is None else X[:, S[pos]]
+            return iter([(slice(None), self._Xs)])
+        return _column_blocks(self._X, self._S, self._width)
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """X_S @ b for b of length m (or m x c)."""
-        if self._Xs is not None:
-            return self._Xs @ b
         return _sum_blocks(Xb @ b[pos] for pos, Xb in self._blocks())
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """X_S^T @ v for v of length n (or n x c)."""
-        if self._Xs is not None:
-            return self._Xs.T @ v
-        return np.concatenate([Xb.T @ v for _, Xb in self._blocks()])
+        parts = [Xb.T @ v for _, Xb in self._blocks()]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """b for the right side X_S^T y, u = A^-1 y and the value of the fit.

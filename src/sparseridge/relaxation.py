@@ -64,7 +64,7 @@ from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import (
     ProblemSpec, RidgeSystem, _check_integer, _check_positive, _check_real, _clean_support,
-    _freeze, _support_fit,
+    _columns_matvec, _freeze, _support_fit,
 )
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
@@ -272,8 +272,8 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     # Random starts 1000x outside the box took at most 2.2(p + 1) passes.
     for _ in range(4 * spec.p + 4):
         free, held = np.flatnonzero(active & ~clamped), np.flatnonzero(clamped)
-        # the held coordinates' share of X b, with no gather of their columns
-        rhs = y - X @ np.where(clamped, b, 0.0)
+        # the held coordinates' share of X b, gathered a block of columns at a time
+        rhs = y - _columns_matvec(X, held, b[held]) if held.size else y
         fit, u, val = RidgeSystem(spec.data, free, z[free], nlam).fit(rhs)
         out = np.abs(fit) > bound[free]
         if out.any():

@@ -340,6 +340,17 @@ class TestRidgeSystem:
         for got, want in [(system.matvec(R), Xs @ R), (system.rmatvec(data.y), Xs.T @ data.y)]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("m", [40, 600])
+    def test_columns_matvec_matches_the_gathered_product(self, m):
+        # n = 130 gives blocks of 504 columns: 40 is one block, 600 two
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((130, 700))
+        S, b = np.sort(rng.choice(700, m, replace=False)), rng.standard_normal(m)
+        got, want = core._columns_matvec(X, S, b), X[:, S] @ b
+        if m == 40:
+            assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     @pytest.mark.parametrize("m", [2, 7])
     def test_nonfinite_system_or_right_side_raises_value_error(self, m):
         Xs = np.random.default_rng(0).standard_normal((4, m))
