@@ -17,7 +17,8 @@ extremal subset singular values used by the a-priori quality bounds.
 Solvers see X through the normal equations.  Each dataset forms them once,
 in :class:`NormalEquations` (``Dataset.normal``): X^T y, y^T y and the
 squared column norms on first use, X^T X only when p <= n and a consumer
-that reads it many times asks for it (the stacked scorers and ``big_m``).
+that reads it many times asks for it (the stacked scorers, ``big_m`` and
+v4's projected-gradient loop).
 Gram entries come from its one block accessor: slices of X^T X once it is
 formed, products of the gathered columns otherwise, so a one-off support
 fit costs what its own columns do.
@@ -145,8 +146,11 @@ class NormalEquations:
     """What solvers read of a dataset: ``c`` = X^T y, ``yy`` = y^T y, ``sq`` the
     squared column norms and ``G`` = X^T X, formed on first read of ``G`` and
     only when p <= n (no p x p object on a wide design).  Only consumers that
-    use G many times read it (the stacked scorers, ``big_m``); a one-off fit
-    takes :meth:`block`, which never forms it.  Arrays are read-only."""
+    use G many times read it: the stacked scorers, ``big_m`` and v4's
+    projected-gradient loop, which evaluates f and its gradient on G dozens of
+    times per solve.  A one-off fit or evaluation uses G only if it is already
+    formed (:meth:`formed_gram`, and :meth:`block` for Gram entries), since
+    forming it costs n*p^2 against the fit's n*|S|^2.  Arrays are read-only."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
         self.X = X
@@ -160,12 +164,16 @@ class NormalEquations:
         n, p = self.X.shape
         return _frozen(self.X.T @ self.X) if p <= n else None
 
+    def formed_gram(self) -> np.ndarray | None:
+        """G if it is already formed, else None; never forms it."""
+        return self.__dict__.get("G")
+
     def block(self, rows: np.ndarray, cols, Xr: np.ndarray | None = None) -> np.ndarray:
         """x_i^T x_j for i in ``rows`` (..., a) and j in ``cols`` (a slice, or (..., b)
         broadcasting with ``rows``) as a fresh (..., a, b) array: entries of G once
         it is formed, otherwise products of the gathered columns.  ``Xr``, the columns X_rows (n x a) when the caller holds them,
         spares gathering them again."""
-        G, Xt = self.__dict__.get("G"), self.X.T
+        G, Xt = self.formed_gram(), self.X.T
         if G is None:
             A = Xt[rows] if Xr is None else Xr.T  # the rows of A are the columns of X_rows
             return A @ (A if cols is rows else Xt[cols]).swapaxes(-1, -2)

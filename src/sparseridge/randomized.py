@@ -9,7 +9,8 @@ over-budget draws by dropping their smallest-magnitude coefficients.
 Randomness comes from the counter-based Philox generator with one stream
 per trial, keyed by ``SeedSequence([seed, trial_index])``, so distinct seeds
 draw distinct streams and any single trial can be reproduced in isolation,
-on any platform, from the key stored on its outcome.
+on any platform, from the key stored on its outcome.  The keys of all trials
+come from one vectorized pass that replays SeedSequence's mixing bit for bit.
 
 Draws are scored together, not fit one by one: each distinct support of a
 cardinality once (a dict keyed on its index bytes finds it, with no sort), in
@@ -81,9 +82,65 @@ class RandomizedResult:
         return out
 
 
-def _trial_key(seed: int, trial: int) -> int:
-    """Philox key of one trial of a multi-trial run."""
-    return int(np.random.SeedSequence([seed, trial]).generate_state(1, np.uint64)[0])
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): pool hashing,
+# output hashing and the mix of two pool words.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_MASK32 = 2**32 - 1
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's hash of uint32 words ``value`` under the running hash
+    constant ``const``; returns the hashed words and the next constant."""
+    value = value ^ np.uint32(const)
+    const = const * mult & _MASK32
+    value = value * np.uint32(const)
+    return value ^ (value >> np.uint32(16)), const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _trial_keys(seed: int, trials: np.ndarray) -> np.ndarray:
+    """Philox keys of the given trial indices (< 2**64) of a multi-trial run:
+    ``SeedSequence([seed, t]).generate_state(1, np.uint64)[0]`` for each t, as
+    uint64, computed for all trials at once by SeedSequence's own uint32 pool
+    mixing (array arithmetic wraps modulo 2**32 as its C code does).  The
+    entropy is seed's little-endian 32-bit words, then t's: one word for
+    t < 2**32 and two above, so trials are mixed in two groups by length."""
+    t = np.asarray(trials, dtype=np.uint64)
+    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    keys = np.empty(t.size, np.uint64)
+    high = (t >> np.uint64(32)).astype(np.uint32)
+    for wide in (False, True):
+        at = np.flatnonzero((high > 0) == wide)
+        if not at.size:
+            continue
+        words = [np.full(at.size, w, np.uint32) for w in seed_words]
+        words += [t[at].astype(np.uint32)] + ([high[at]] if wide else [])
+        const, pool = _INIT_A, []
+        for i in range(_POOL):
+            value, const = _hashmix(words[i] if i < len(words) else np.zeros(at.size, np.uint32),
+                                    const)
+            pool.append(value)
+        for src in range(_POOL):
+            for dst in range(_POOL):
+                if src != dst:
+                    value, const = _hashmix(pool[src], const)
+                    pool[dst] = _mix(pool[dst], value)
+        for src in range(_POOL, len(words)):
+            for dst in range(_POOL):
+                value, const = _hashmix(words[src], const)
+                pool[dst] = _mix(pool[dst], value)
+        # generate_state(1, np.uint64): the low and high words hash pool[0] and pool[1]
+        low, const = _hashmix(pool[0], _INIT_B, _MULT_B)
+        high_word = _hashmix(pool[1], const, _MULT_B)[0]
+        keys[at] = low.astype(np.uint64) | high_word.astype(np.uint64) << np.uint64(32)
+    return keys
 
 
 def _keyed_uniforms(gen: np.random.Generator, key: int, size: int) -> np.ndarray:
@@ -151,7 +208,7 @@ def randomized_solve(
     k = spec.k
 
     gen = np.random.Generator(np.random.Philox(0))
-    keys = [_trial_key(seed, t) for t in range(trials)]
+    keys = _trial_keys(seed, np.arange(trials)).tolist()
     draws = [np.flatnonzero(_keyed_uniforms(gen, key, spec.p) <= zhat) for key in keys]
     cards = np.array([d.size for d in draws])
     kept = list(draws)  # the repaired support of each draw

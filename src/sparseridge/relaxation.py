@@ -21,6 +21,24 @@ supp z gives f(z), its gradient and v2's beta.  The perspective constraint
 set is the convex hull of its mixed-binary counterpart, so v2 cannot be
 improved by adding valid inequalities in the same variables; tightening
 requires outside information such as the big-M bounds (v3).
+
+v4's f and gradient take one of two routes.  The X route is that ridge fit
+on S = supp z: it gathers X_S and forms X^T u.  The Gram route reads no row
+of X, only a column view of the normal equations, here every column:
+G = X^T X, c = X^T y and y^T y.  With K = G_SS + n*lam*diag(1/z_S) and
+b_S = K^-1 c_S, f = (y^T y - c . b)/n and the gradient is
+-lam*((c - G b)/(n*lam))^2.  That value cancels as f falls below y^T y/n:
+its rounding is of order eps*y^T y/n, where the X route's value, stationary
+in b, rounds at eps*f.  So the Gram route is taken only where
+f >= _GRAM_FLOOR*y^T y/n (1e-3), which bounds its relative error by about
+eps/_GRAM_FLOOR, 2e-13, times the growth of the dot products behind G and c.
+A projected-gradient loop forms G (p <= n) and decides once per solve, from
+f(1), the full-support ridge minimum, which bounds every f(z) in the box
+below; so the route never changes within a solve.  A one-off evaluation
+(``value_and_gradient``, v2's beta, a closed-form solve) uses G only if it
+is already formed, and tests its own f(z).  The X route stays for p > n,
+for values below the floor and for v3's bounded passes.
+
 All solvers are first order, with one loop: nonmonotone spectral projected
 gradient, which projects once per iteration at the Barzilai-Borwein step of
 the last move and halves along that direction until an Armijo test
@@ -64,7 +82,7 @@ from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import (
     ProblemSpec, RidgeSystem, _check_integer, _check_positive, _check_real, _clean_support,
-    _columns_matvec, _freeze, _support_fit,
+    _columns_matvec, _freeze, _support_fit, cholesky, cholesky_solve,
 )
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
@@ -81,6 +99,10 @@ _RELEASE_TOL = 1e-12
 # over budget).
 _MAX_MOVE = 1e6
 _FLOAT_MAX = np.finfo(float).max
+# v4's Gram route serves only values f >= this share of y^T y/n, where its
+# cancelling y^T y - c . b stays within about eps/_GRAM_FLOOR of f (module docstring).
+# The floor must keep a noise-free fit at lam = 1e-5 on the X route: 1e-6 did not.
+_GRAM_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -245,7 +267,7 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
 def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     """g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i,
     its gradient in z and the minimizer b; ``M=None`` drops the bound, giving
-    v4's f(z) = lam*y^T A(z)^-1 y.
+    v4's f(z) = lam*y^T A(z)^-1 y on its X route.
 
     z_i counts when n*lam/z_i is finite; b_i = 0 elsewhere.  Every fit is a
     RidgeSystem on the free support whose u gives the residual y - X b =
@@ -302,9 +324,49 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     raise NumericalError("box-constrained beta-step reached its pass cap")
 
 
-def _value_grad(spec: ProblemSpec, w: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(w) and its gradient -lam*(x_i^T A(w)^-1 y)^2."""
-    return _perspective_fit(spec, w)[:2]
+def _gram_fit(G: np.ndarray, c: np.ndarray, yy: float, n: int, lam: float, z: np.ndarray):
+    """v4's f(z), its gradient and the minimizer b over a column view W of the
+    design, from its normal equations G = X_W^T X_W, c = X_W^T y and y^T y
+    alone (the Gram route; no row of X is read).
+
+    On S = supp z (z_i with n*lam/z_i finite), b_S solves
+    (G_SS + n*lam*diag(1/z_S)) b_S = c_S and b is 0 elsewhere; then
+    f = (y^T y - c . b)/n and the gradient is -lam*a^2 with a = (c - G b)/(n*lam),
+    which is X_W^T u for the X route's u.
+    """
+    nlam = n * lam
+    S = np.flatnonzero(z > nlam / _FLOAT_MAX)
+    K = G[S[:, None], S]
+    K.ravel()[:: S.size + 1] += nlam / z[S]
+    b = np.zeros(c.size)
+    b[S] = cholesky_solve(cholesky(K), c[S])
+    a = (c - G @ b) / nlam
+    return (yy - float(c @ b)) / n, -lam * a**2, b  # a**2 overflows as the X route's does
+
+
+def _above_floor(spec: ProblemSpec, value: float) -> bool:
+    """Whether the Gram route may serve a value: value >= _GRAM_FLOOR * y^T y/n."""
+    return value >= _GRAM_FLOOR * spec.data.normal.yy / spec.n
+
+
+def _value_grad(spec: ProblemSpec, w: np.ndarray, G: np.ndarray | None = None):
+    """f(w) and its gradient -lam*(x_i^T A(w)^-1 y)^2: on the Gram route when
+    G = X^T X is given, else on X."""
+    if G is None:
+        return _perspective_fit(spec, w)[:2]
+    eq = spec.data.normal
+    return _gram_fit(G, eq.c, eq.yy, spec.n, spec.lam, w)[:2]
+
+
+def _one_off_fit(spec: ProblemSpec, z: np.ndarray):
+    """f(z), its gradient and b for a single evaluation: on the Gram route when
+    X^T X is already formed and f(z) passes the floor, else on X."""
+    eq = spec.data.normal
+    if (G := eq.formed_gram()) is not None:
+        fit = _gram_fit(G, eq.c, eq.yy, spec.n, spec.lam, z)
+        if _above_floor(spec, fit[0]):
+            return fit
+    return _perspective_fit(spec, z)
 
 
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -314,7 +376,7 @@ def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndar
         raise InvalidArgumentError(f"z has shape {z.shape}, expected ({spec.p},)")
     if np.any(z < -1e-12) or not np.isfinite(z).all():
         raise InvalidArgumentError("z must be finite and nonnegative")
-    return _value_grad(spec, np.maximum(z, 0.0))
+    return _one_off_fit(spec, np.maximum(z, 0.0))[:2]
 
 
 def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
@@ -395,10 +457,14 @@ def _masked_sets(spec, fixed_one, fixed_zero):
     return one, np.flatnonzero(free)
 
 
-def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None):
+def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None,
+                        loop_value_grad=None):
     """Minimize a convex g(z), nonincreasing in z, over the capped box by
     nonmonotone spectral projected gradient; ``value_grad(z)`` returns g(z)
-    and its gradient at a length-p z.
+    and its gradient at a length-p z.  ``loop_value_grad``, when given, is
+    called once the loop is sure to run and returns the evaluator the loop
+    uses instead (v4's route for the solve); the closed-form cases evaluate
+    once, with ``value_grad``.
 
     ``fixed_one`` / ``fixed_zero`` pin coordinates of z at 1 / 0 (used by
     the exact solver's tree search); the remaining coordinates are
@@ -423,6 +489,9 @@ def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zer
         if budget > 0:
             z[free] = 1.0  # g decreases in every coordinate: saturate the box
         return _certified(z, value_grad(z)[0], 0, 0.0, True)
+
+    if loop_value_grad is not None:
+        value_grad = loop_value_grad()
 
     def fval_grad(zf):
         z[free] = zf
@@ -450,9 +519,19 @@ def solve_v4(
     fixed_zero=(),
     z0: np.ndarray | None = None,
 ) -> RelaxationSolution:
-    """f(z) minimized over the capped box by :func:`_capped_box_minimum`."""
-    return _capped_box_minimum(spec, lambda z: _value_grad(spec, z), tol, max_iter,
-                               fixed_one, fixed_zero, z0)
+    """f(z) minimized over the capped box by :func:`_capped_box_minimum`.  The
+    loop takes the Gram route for the whole solve, forming X^T X, when p <= n
+    and f(1), the full-support ridge minimum, passes the floor: f is
+    nonincreasing in z, so every f(z) in the box does too."""
+
+    def loop_value_grad():
+        G = spec.data.normal.G
+        if G is not None and not _above_floor(spec, _value_grad(spec, np.ones(spec.p), G)[0]):
+            G = None
+        return lambda z: _value_grad(spec, z, G)
+
+    return _capped_box_minimum(spec, lambda z: _one_off_fit(spec, z)[:2], tol, max_iter,
+                               fixed_one, fixed_zero, z0, loop_value_grad)
 
 
 def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
@@ -464,7 +543,7 @@ def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
     the perspective minimizer at that z, the fit on supp z.
     """
     sol = solve_v4(spec)
-    return replace(sol, beta=_perspective_fit(spec, sol.z)[2])
+    return replace(sol, beta=_one_off_fit(spec, sol.z)[2])
 
 
 def _positive_bounds(M: BigMVector) -> np.ndarray:

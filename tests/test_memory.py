@@ -7,6 +7,13 @@ vectors a solver holds (the capped-simplex projection alone holds about nine).
 At n = 20 the same vectors already reach 0.36 x X in greedy and GCV, so a
 smaller n would measure them instead.  Iteration and node caps keep the cost
 down where a capped run takes the same path as a full one.
+
+On a tall cell, (4000, 300), the relaxation-backed entry points run v4's loop
+on X^T X (formed first, as the dataset keeps it), and must stay within the
+same bound: gathering X_S on each evaluation took them to 0.27 x X (branch
+and bound 0.31), where K and its factor, two |S| x |S| arrays, take 0.15.
+``solve_v3`` and ``gcv_score`` still gather X_S on such a cell and are not
+held to it.
 """
 
 import tracemalloc
@@ -73,6 +80,29 @@ ENTRY_POINTS = {
 def test_peak_beyond_x_is_a_fraction_of_x(spec, tmp_path, name):
     peak = traced_peak(lambda: ENTRY_POINTS[name](spec, tmp_path))
     assert peak <= BOUND * spec.X.nbytes, f"{name}: {peak / spec.X.nbytes:.3f} x X"
+
+
+TALL_CONFIG = SyntheticConfig(n=4000, p=300, k_true=10, seed=1)
+TALL_ENTRY_POINTS = {
+    "solve_v4": solve_v4,
+    "solve_v2_perspective": solve_v2_perspective,
+    "fit restricted": lambda s: fit(s, "restricted"),
+    "fit randomized": lambda s: fit(s, "randomized"),
+    "branch_and_bound": lambda s: branch_and_bound(s, node_cap=3),
+}
+
+
+@pytest.fixture(scope="module")
+def tall_spec():
+    data = generate_synthetic(TALL_CONFIG)[0]
+    data.normal.G  # X^T X, formed once per dataset and kept
+    return ProblemSpec(data=data, lam=0.08, k=TALL_CONFIG.k_true)
+
+
+@pytest.mark.parametrize("name", list(TALL_ENTRY_POINTS))
+def test_tall_peak_beyond_x_is_a_fraction_of_x(tall_spec, name):
+    peak = traced_peak(lambda: TALL_ENTRY_POINTS[name](tall_spec))
+    assert peak <= BOUND * tall_spec.X.nbytes, f"{name}: {peak / tall_spec.X.nbytes:.3f} x X"
 
 
 def test_csv_writer_holds_no_copy_of_x(spec, tmp_path):

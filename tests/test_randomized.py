@@ -16,7 +16,7 @@ from sparseridge import (
     randomized_round,
     randomized_solve,
 )
-from sparseridge.randomized import _keyed_uniforms, _trial_key
+from sparseridge.randomized import _keyed_uniforms, _trial_keys
 
 # Examples per property test; tests/conftest.py makes every run reproducible.
 PROPERTY = settings(max_examples=60)
@@ -54,6 +54,18 @@ class TestRounding:
     def test_nan_rejected(self):
         with pytest.raises(InvalidArgumentError, match="finite"):
             randomized_round(np.array([0.5, np.nan]), 0)
+
+
+class TestTrialKeys:
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 11])
+    def test_match_seed_sequence(self, seed):
+        # seeds of one to five 32-bit words, and trial indices of one word and
+        # of two (t >= 2**32), which SeedSequence mixes as longer entropy
+        trials = [*range(300), 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
+        keys = _trial_keys(seed, np.array(trials, dtype=np.uint64))
+        want = [int(np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0])
+                for t in trials]
+        assert keys.dtype == np.uint64 and keys.tolist() == want
 
 
 class TestCardinalityBound:
@@ -237,7 +249,7 @@ class TestBatchedScoring:
         for seed in range(6):
             res = randomized_solve(spec, zhat, trials=40, seed=seed)
             ref = randomized_trials_oracle(spec.X, spec.y, 0.1, 2, zhat, 40, seed)
-            keys = [_trial_key(seed, t) for t in range(40)]
+            keys = _trial_keys(seed, np.arange(40)).tolist()
             drawn = [tuple(randomized_round(zhat, key)[0].tolist()) for key in keys]
             assert res.best.support == ref["best"]["support"]
             assert res.best.seed == ref["best"]["seed"] == keys[drawn.index(res.best.support)]

@@ -685,6 +685,87 @@ class TestPerspectiveFit:
         assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
 
 
+@st.composite
+def tall_cases(draw):
+    """(spec, z) on a tall design with X^T X formed: columns scaled by 1e-3..1e3,
+    y in the span of X with noise 0, 1e-4 or 1, lam from 1e-9 to 10, and some
+    z_i exactly 0, so both routes of a one-off evaluation are drawn."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(1, n))
+    lam = 10.0 ** draw(st.floats(-9.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    noise = draw(st.sampled_from([0.0, 1e-4, 1.0]))
+    y = X @ rng.standard_normal(p) + noise * rng.standard_normal(n)
+    spec = ProblemSpec(data=Dataset(X=X, y=y), lam=lam, k=1)
+    spec.data.normal.G  # formed, as after a v4 loop
+    z = rng.uniform(0.05, 1.0, p)
+    z[rng.permutation(p)[:draw(st.integers(0, p))]] = 0.0
+    return spec, z
+
+
+class TestGramRoute:
+    """v4's f and gradient from the normal equations, against the X route."""
+
+    @PROPERTY
+    @given(case=tall_cases())
+    def test_route_taken_matches_the_x_route(self, case):
+        spec, z = case
+        value, grad, b = relaxation._one_off_fit(spec, z)
+        want_value, want_grad, want_b = relaxation._perspective_fit(spec, z)
+        assert abs(value - want_value) <= 1e-12 * want_value
+        assert np.abs(b - want_b).max() <= 1e-12 * max(np.abs(want_b).max(), 1e-300)
+        # The gradient's a_i = x_i^T u cancels in either route when u is nearly
+        # orthogonal to x_i (every column in S at a tiny lam), so it is held to
+        # 1e-12 of its Cauchy-Schwarz bound lam*max|x_i|^2*|u|^2.
+        u = (spec.y - spec.X @ want_b) / (spec.n * spec.lam)
+        scale = spec.lam * float(spec.data.normal.sq.max() * (u @ u))
+        assert np.abs(grad - want_grad).max() <= 1e-12 * scale
+
+    def test_one_off_evaluation_forms_no_gram(self):
+        data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        want = relaxation._perspective_fit(spec, np.full(60, 0.1))
+        got = value_and_gradient(spec, np.full(60, 0.1))
+        assert spec.data.normal.formed_gram() is None
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+
+    def test_loop_decides_its_route_once_from_the_ridge_minimum(self, monkeypatch):
+        data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        routes = []
+        value_grad = relaxation._value_grad
+
+        def counted(spec, w, G=None):
+            routes.append(G is not None)
+            return value_grad(spec, w, G)
+
+        monkeypatch.setattr(relaxation, "_value_grad", counted)
+        sol = solve_v4(spec)
+        gram = relaxation._gram_fit(spec.data.normal.G, spec.data.normal.c, spec.data.normal.yy,
+                                    spec.n, spec.lam, sol.z)
+        assert routes[0] and all(routes)  # the first is f(1), the floor's test
+        assert abs(gram[0] - sol.value) <= 1e-12 * sol.value
+        # a noise-free fit at a small lam: f(1) is below the floor, and every
+        # evaluation of the loop stays on X
+        X = np.random.default_rng(0).standard_normal((40, 10))
+        spec = ProblemSpec(data=Dataset(X=X, y=X @ np.arange(1.0, 11.0)), lam=1e-5, k=3)
+        routes.clear()
+        sol = solve_v4(spec)
+        assert sol.converged and routes[0] and not any(routes[1:])
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-8])
+    def test_one_off_keeps_its_digits_on_a_noise_free_fit(self, lam):
+        # the Gram route's y^T y - c . b would cancel here; the floor sends it to X
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 10))
+        spec = ProblemSpec(data=Dataset(X=X, y=X @ rng.uniform(-2.0, 2.0, 10)), lam=lam, k=3)
+        spec.data.normal.G
+        z = np.full(10, 0.5)
+        value, _, b = relaxation._one_off_fit(spec, z)
+        assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
+
+
 class TestBoxConstrainedStep:
     """v3's active-set beta-step against the coordinate-descent reference."""
 
