@@ -39,13 +39,29 @@ below; so the route never changes within a solve.  A one-off evaluation
 is already formed, and tests its own f(z).  The X route stays for p > n,
 for values below the floor and for v3's bounded passes.
 
-All solvers are first order, with one loop: nonmonotone spectral projected
-gradient, which projects once per iteration at the Barzilai-Borwein step of
-the last move and halves along that direction until an Armijo test
+All solvers run one loop: nonmonotone spectral projected gradient, which
+projects once per iteration at the Barzilai-Borwein step of the last move (at
+first the longest move it allows, _MAX_MOVE widths of the feasible set, in
+any units of y) and halves along that direction until an Armijo test
 (constant 1e-4) against the largest of the last 10 values passes (Birgin,
 Martinez & Raydan, SIAM J. Optim. 2000; Grippo, Lampariello & Lucidi, SIAM
 J. Numer. Anal. 1986).  v1 runs it on beta; v2/v4 on f(z) and v3 on g(z),
 the box-constrained perspective minimum over beta, through one driver.
+
+v4 adds second-order steps on a settled face.  Once the face of the iterate
+(which z_i are 0, fractional or 1) equals the previous iterate's, the loop is
+offered the Newton point of f over the fractional set F, the other
+coordinates held and the move bordered to sum 0 when sum(z) is at the budget,
+projected onto the box.  The Hessian block is
+H_FF = 2*lam*(a_F a_F^T) o X_F^T A(z)^-1 X_F with a_F = b_F/z_F, read from the
+factor of K the evaluation already built (on the Gram route, or on the X
+route's |S| <= n side; no proposal when |S| > n).  The point is taken only if
+it moves, descends (grad^T (x_N - x) < 0) and passes the Armijo test against
+f(x) itself, strictly, not the nonmonotone reference; otherwise the
+iteration takes its spectral step.  On a fixed face projected-Newton steps
+converge quadratically where the spectral steps refine z at a linear rate
+(Bertsekas, SIAM J. Control Optim. 1982); switching only once the active set
+stops moving follows Hager & Zhang (SIAM J. Optim. 2006).
 
 All four carry one certificate.  Their objectives are convex (f(z) since
 v2 == v4, g(z) as a partial minimum of a jointly convex function), so at any
@@ -96,7 +112,9 @@ _RELEASE_TOL = 1e-12
 # own units, so it means the same in any units of y.  It keeps x - step*grad
 # finite and within 1e6 widths, where the threshold search still resolves the
 # budget (a first step of 2 moved z by 2e16 at y*1e8 and left the projection
-# over budget).
+# over budget).  The first step takes this whole move: a step of 2 moved z by
+# 2e-18 at y*1e-8, below its rounding, and a first move of one width kept z
+# dense for four iterations at (1000, 2000, 20), where 2 had moved 158 widths.
 _MAX_MOVE = 1e6
 _FLOAT_MAX = np.finfo(float).max
 # v4's Gram route serves only values f >= this share of y^T y/n, where its
@@ -282,12 +300,10 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     coordinate whose gradient points most strongly inward is released, until
     none does.  Raises NumericalError when the pass cap is reached.
     """
+    if M is None:
+        return _x_fit(spec, z)[:3]
     X, y, nlam = spec.X, spec.y, spec.n * spec.lam
     active = z > nlam / _FLOAT_MAX
-    if M is None:
-        S, b = np.flatnonzero(active), np.zeros(spec.p)
-        b[S], u, val = RidgeSystem(spec.data, S, z[S], nlam).fit(y)
-        return val, -spec.lam * (X.T @ u) ** 2, b
     bound = np.where(active, M * z, 0.0)
     b = np.clip(beta0, -bound, bound)
     clamped = active & (np.abs(b) >= bound)
@@ -324,24 +340,59 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     raise NumericalError("box-constrained beta-step reached its pass cap")
 
 
-def _gram_fit(G: np.ndarray, c: np.ndarray, yy: float, n: int, lam: float, z: np.ndarray):
-    """v4's f(z), its gradient and the minimizer b over a column view W of the
-    design, from its normal equations G = X_W^T X_W, c = X_W^T y and y^T y
-    alone (the Gram route; no row of X is read).
+def _x_fit(spec: ProblemSpec, z: np.ndarray):
+    """v4's f(z), its gradient, the minimizer b and ``inner`` on the X route:
+    one RidgeSystem on S = supp z (z_i with n*lam/z_i finite), whose u gives
+    the gradient -lam*(X^T u)^2.  ``inner`` is as :func:`_gram_fit`'s, with
+    K^-1 applied through the system's factor and G_SF = X_S^T X_F; it is None
+    on the n x n side (|S| > n), which holds no factor of K.
+    """
+    X, nlam = spec.X, spec.n * spec.lam
+    S, b = np.flatnonzero(z > nlam / _FLOAT_MAX), np.zeros(spec.p)
+    zS = z[S]
+    system = RidgeSystem(spec.data, S, zS, nlam)
+    b[S], u, val = system.fit(spec.y)
 
-    On S = supp z (z_i with n*lam/z_i finite), b_S solves
-    (G_SS + n*lam*diag(1/z_S)) b_S = c_S and b is 0 elsewhere; then
+    def inner(F):
+        pos = np.searchsorted(S, F)
+        block = system.solve(system.rmatvec(X[:, F]))[pos]
+        block /= zS[pos, None]
+        return block
+
+    return val, -spec.lam * (X.T @ u) ** 2, b, None if system.wide else inner
+
+
+def _gram_fit(G: np.ndarray, c: np.ndarray, yy: float, n: int, lam: float, z: np.ndarray):
+    """v4's f(z), its gradient, the minimizer b and ``inner`` over a column
+    view W of the design, from its normal equations G = X_W^T X_W, c = X_W^T y
+    and y^T y alone (the Gram route; no row of X is read).
+
+    On S = supp z (z_i with n*lam/z_i finite), b_S solves K b_S = c_S with
+    K = G_SS + n*lam*diag(1/z_S), and b is 0 elsewhere; then
     f = (y^T y - c . b)/n and the gradient is -lam*a^2 with a = (c - G b)/(n*lam),
     which is X_W^T u for the X route's u.
+
+    ``inner(F)``, for sorted indices F within S, is X_F^T A(z)^-1 X_F =
+    (G_FF - G_SF^T K^-1 G_SF)/(n*lam) = diag(1/z_F) (K^-1 G_SF)_F, from K's own
+    factor: the last form (G - G K^-1 G = D K^-1 G with D = K - G_SS) has no
+    cancelling difference and holds one |S| x |F| block at a time.
     """
     nlam = n * lam
     S = np.flatnonzero(z > nlam / _FLOAT_MAX)
+    zS = z[S]
     K = G[S[:, None], S]
-    K.ravel()[:: S.size + 1] += nlam / z[S]
-    b = np.zeros(c.size)
-    b[S] = cholesky_solve(cholesky(K), c[S])
+    K.ravel()[:: S.size + 1] += nlam / zS
+    R, b = cholesky(K), np.zeros(c.size)
+    b[S] = cholesky_solve(R, c[S])
     a = (c - G @ b) / nlam
-    return (yy - float(c @ b)) / n, -lam * a**2, b  # a**2 overflows as the X route's does
+
+    def inner(F):
+        pos = np.searchsorted(S, F)
+        block = cholesky_solve(R, G[F[:, None], S].T)[pos]
+        block /= zS[pos, None]
+        return block
+
+    return (yy - float(c @ b)) / n, -lam * a**2, b, inner  # a**2 overflows as the X route's does
 
 
 def _above_floor(spec: ProblemSpec, value: float) -> bool:
@@ -350,12 +401,32 @@ def _above_floor(spec: ProblemSpec, value: float) -> bool:
 
 
 def _value_grad(spec: ProblemSpec, w: np.ndarray, G: np.ndarray | None = None):
-    """f(w) and its gradient -lam*(x_i^T A(w)^-1 y)^2: on the Gram route when
-    G = X^T X is given, else on X."""
-    if G is None:
-        return _perspective_fit(spec, w)[:2]
+    """f(w), its gradient -lam*(x_i^T A(w)^-1 y)^2 and its Hessian on a face:
+    on the Gram route when G = X^T X is given, else on X.
+
+    The Hessian maps a sorted index array F to
+    H_FF = 2*lam*(a_F a_F^T) o X_F^T A(w)^-1 X_F, with a_F = b_F/w_F read from
+    the fit's own b (where x_i^T u would cancel), or to None where some a_i is
+    0; it is None itself when |supp w| > n.
+    """
     eq = spec.data.normal
-    return _gram_fit(G, eq.c, eq.yy, spec.n, spec.lam, w)[:2]
+    val, grad, b, inner = (_x_fit(spec, w) if G is None
+                           else _gram_fit(G, eq.c, eq.yy, spec.n, spec.lam, w))
+    if inner is None:
+        return val, grad, None
+
+    a = np.divide(b, w, out=np.zeros(b.size), where=b != 0.0)  # b_i != 0 only on supp w
+
+    def hessian(F):
+        aF = a[F]
+        if not aF.all():
+            return None  # a zero row: H_FF is singular (and F may leave supp w)
+        H = inner(F)
+        H *= aF[:, None]
+        H *= (2.0 * spec.lam) * aF
+        return H
+
+    return val, grad, hessian
 
 
 def _one_off_fit(spec: ProblemSpec, z: np.ndarray):
@@ -365,7 +436,7 @@ def _one_off_fit(spec: ProblemSpec, z: np.ndarray):
     if (G := eq.formed_gram()) is not None:
         fit = _gram_fit(G, eq.c, eq.yy, spec.n, spec.lam, z)
         if _above_floor(spec, fit[0]):
-            return fit
+            return fit[:3]
     return _perspective_fit(spec, z)
 
 
@@ -387,52 +458,78 @@ def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
     return float(g @ z) - float(np.partition(g, budget - 1)[:budget].sum())
 
 
-def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0):
+def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, propose=None):
     """Nonmonotone spectral projected gradient (SPG2) from ``x``.
 
     Each iteration projects once, d = P(x - step*grad) - x, with ``step`` the
     Barzilai-Borwein step s^T s / s^T y of the last move (s and y the changes
-    in x and in the gradient; 2 at first, the last step doubled when
-    s^T y <= 0), cut where its move step*||grad|| would pass _MAX_MOVE times
-    ``width``, the largest extent of a coordinate of the feasible set.  It
-    halves t along x + t*d, with no further projection, until an Armijo test
-    against the largest of the last NONMONOTONE_MEMORY values passes
-    (Birgin, Martinez & Raydan, SIAM J. Optim. 2000, Alg. 2.2; Grippo,
+    in x and in the gradient; the last step doubled when s^T y <= 0), cut
+    where its move step*||grad|| would pass _MAX_MOVE times ``width``, the
+    largest extent of a coordinate of the feasible set.  The first step is
+    that cut itself, a move of _MAX_MOVE widths whatever the units of the
+    gradient.  It halves t along x + t*d, with no further projection, until
+    an Armijo test against the largest of the last NONMONOTONE_MEMORY values
+    passes (Birgin, Martinez & Raydan, SIAM J. Optim. 2000, Alg. 2.2; Grippo,
     Lampariello & Lucidi, SIAM J. Numer. Anal. 1986); t = 1 takes the
     projected point itself, so exact 0s and 1s stay.
+
+    ``propose(x, grad)``, when given, is asked first on every iteration and
+    may offer a feasible point x_N: v4's capped-box driver offers the Newton
+    point of f on x's face once that face equals the previous iterate's (see
+    :func:`_capped_box_minimum`), and None otherwise.  The iteration moves to
+    x_N instead of taking its spectral step only if x_N descends,
+    grad^T (x_N - x) < 0, and passes the monotone Armijo test
+    f(x_N) < f(x) + ARMIJO_C * grad^T (x_N - x) against f(x) itself, not the
+    nonmonotone reference, strictly: on the minimizer of a face that is not
+    optimal, Newton moves below the rounding of f would otherwise pass at
+    y*1e8 and keep the loop from the spectral step that leaves the face.  The
+    step is then updated from that move as from any other.  A rejected x_N
+    costs its evaluation and changes nothing else.
+
     Stops when the certified gap ``gap(x, grad)`` is at most tol*|value|
     (every value it serves is positive when y != 0); as fault guards, also
     when no step makes progress or when the state (x, step) repeats
-    (zero-decrease steps can cycle at the rounding floor).  Returns (x, value, iterations, gap, converged), value
-    and gap at the returned x; a value or gap that is not finite raises
-    NumericalError.
+    (zero-decrease steps can cycle at the rounding floor).  Returns (x, value,
+    iterations, gap, converged), value and gap at the returned x; a value or
+    gap that is not finite raises NumericalError.
     """
     val, grad = fval_grad(x)
     recent = deque([val], maxlen=NONMONOTONE_MEMORY)
     seen = set()  # hashed (x, step) states after each move
-    step = 2.0
+    gg = float(grad @ grad)
+    step = _MAX_MOVE * width / math.sqrt(gg) if gg > 0.0 else width
     for iters in range(1, max_iter + 1):
         g = gap(x, grad)
         if not (math.isfinite(val) and math.isfinite(g)):
             raise NumericalError(f"projected gradient met a non-finite value {val} or gap {g}")
         if g <= tol * abs(val):
             return x, val, iters, g, True
-        gg, reach = float(grad @ grad), _MAX_MOVE * width  # gg > 0, as g > 0
-        if step * step * gg > reach * reach:  # the first step too
-            step = reach / math.sqrt(gg)
-        x_new = project(x - step * grad)
-        d, t, ref = x_new - x, 1.0, max(recent)
-        slope = ARMIJO_C * float(grad @ d)
-        while True:
-            val_new, grad_new = fval_grad(x_new)
-            if val_new <= ref + t * slope:
-                break
-            t *= 0.5
-            if t < 1e-18:
-                x_new = x
-                break
-            x_new = x + t * d
-        s = d if t == 1.0 else x_new - x
+        x_new = None if propose is None else propose(x, grad)
+        if x_new is not None:
+            s = x_new - x
+            descent = float(grad @ s)
+            if descent < 0.0:
+                val_new, grad_new = fval_grad(x_new)
+            # strict: a move whose decrease is below the rounding of f is not taken
+            if not (descent < 0.0 and val_new < val + ARMIJO_C * descent):
+                x_new = s = grad_new = None  # rejected: none of it is held
+        if x_new is None:
+            gg, reach = float(grad @ grad), _MAX_MOVE * width  # gg > 0, as g > 0
+            if step * step * gg > reach * reach:
+                step = reach / math.sqrt(gg)
+            x_new = project(x - step * grad)
+            d, t, ref = x_new - x, 1.0, max(recent)
+            slope = ARMIJO_C * float(grad @ d)
+            while True:
+                val_new, grad_new = fval_grad(x_new)
+                if val_new <= ref + t * slope:
+                    break
+                t *= 0.5
+                if t < 1e-18:
+                    x_new = x
+                    break
+                x_new = x + t * d
+            s = d if t == 1.0 else x_new - x
         state = (hash(x_new.tobytes()), step)
         if not s.any() or state in seen:
             return x, val, iters, g, False  # stationary to rounding, gap > tol
@@ -457,14 +554,14 @@ def _masked_sets(spec, fixed_one, fixed_zero):
     return one, np.flatnonzero(free)
 
 
-def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None,
-                        loop_value_grad=None):
+def _capped_box_minimum(spec, value, evaluator, tol, max_iter, fixed_one=(), fixed_zero=(),
+                        z0=None):
     """Minimize a convex g(z), nonincreasing in z, over the capped box by
-    nonmonotone spectral projected gradient; ``value_grad(z)`` returns g(z)
-    and its gradient at a length-p z.  ``loop_value_grad``, when given, is
-    called once the loop is sure to run and returns the evaluator the loop
-    uses instead (v4's route for the solve); the closed-form cases evaluate
-    once, with ``value_grad``.
+    nonmonotone spectral projected gradient.  ``value(z)`` returns g(z) at a
+    length-p z, for the closed-form cases; ``evaluator()`` is called once the
+    loop is sure to run and returns the loop's evaluator, z -> (g(z), its
+    gradient, its Hessian on a face or None), where the Hessian maps an index
+    array F to the block H_FF at z.
 
     ``fixed_one`` / ``fixed_zero`` pin coordinates of z at 1 / 0 (used by
     the exact solver's tree search); the remaining coordinates are
@@ -474,6 +571,14 @@ def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zer
     entries); it is the value itself in the closed-form cases.  A warm start
     ``z0`` must be a finite length-p vector; its free entries are projected
     onto the box.
+
+    Where the evaluator gives a Hessian, the loop is offered a face-Newton
+    point once the face has settled: when the iterate's face (which free z_i
+    are 0, fractional or 1) equals the previous iterate's, the Newton point of
+    g over the fractional set F, with the other coordinates held and, when
+    sum(z) is at the budget, bordered by the budget row (sum of the move 0),
+    projected onto the box.  :func:`_projected_gradient` takes it only if it
+    descends.
     """
     _check_positive("tol", tol)
     max_iter = _check_integer("max_iter", max_iter, 1)
@@ -488,24 +593,62 @@ def _capped_box_minimum(spec, value_grad, tol, max_iter, fixed_one=(), fixed_zer
     if free.size == 0 or budget <= 0 or budget >= free.size:
         if budget > 0:
             z[free] = 1.0  # g decreases in every coordinate: saturate the box
-        return _certified(z, value_grad(z)[0], 0, 0.0, True)
+        return _certified(z, value(z), 0, 0.0, True)
 
-    if loop_value_grad is not None:
-        value_grad = loop_value_grad()
+    evaluate = evaluator()
+    # g's Hessian at the loop's last evaluation, which is always at the iterate
+    # that the next proposal starts from
+    hessian = None
 
     def fval_grad(zf):
+        nonlocal hessian
+        hessian = None  # the last fit's factor goes before the next one is built
         z[free] = zf
-        val, grad = value_grad(z)
+        val, grad, hessian = evaluate(z)
         return val, grad[free]
 
+    def project(v):
+        return project_capped_simplex(v, budget)
+
+    face = None  # the last iterate's face: which coordinates are above 0, which at 1
+
+    def propose(x, grad):
+        nonlocal face, hessian
+        above, at_one = x > 0.0, x >= 1.0
+        code = above.tobytes() + at_one.tobytes()
+        settled, face = code == face, code
+        # taken, so the fit's factor is freed once H_FF is formed
+        face_hessian, hessian = hessian, None
+        if not settled or face_hessian is None:
+            return None
+        F = np.flatnonzero(above & ~at_one)
+        bordered = x.sum() >= budget * (1.0 - 1e-9)  # sum(z) at the budget, to rounding
+        if F.size <= bordered:
+            return None  # nothing to move
+        H = face_hessian(free[F])
+        del face_hessian
+        if H is None:
+            return None
+        try:
+            R = cholesky(H)
+            del H
+            sol = cholesky_solve(R, np.column_stack([grad[F], np.ones(F.size)]))
+        except NumericalError:
+            return None  # H_FF singular or not finite: no Newton point
+        d = -sol[:, 0]
+        if bordered:
+            d += (sol[:, 0].sum() / sol[:, 1].sum()) * sol[:, 1]  # so that sum(d) = 0
+        v = x.copy()
+        v[F] += d
+        return project(v) if np.isfinite(v).all() else None
+
     if z0 is not None:
-        zf = project_capped_simplex(z0[free], budget)
+        zf = project(z0[free])
     else:
         zf = np.full(free.size, budget / free.size)
     zf, val, iters, gap, converged = _projected_gradient(
-        value_grad if free.size == spec.p else fval_grad,  # nothing fixed: the loop runs on z
-        lambda v: project_capped_simplex(v, budget),
-        lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
+        fval_grad, project, lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
+        propose=propose,
     )
     z[free] = zf
     return _certified(z, val, iters, gap, converged)
@@ -519,19 +662,19 @@ def solve_v4(
     fixed_zero=(),
     z0: np.ndarray | None = None,
 ) -> RelaxationSolution:
-    """f(z) minimized over the capped box by :func:`_capped_box_minimum`.  The
-    loop takes the Gram route for the whole solve, forming X^T X, when p <= n
-    and f(1), the full-support ridge minimum, passes the floor: f is
-    nonincreasing in z, so every f(z) in the box does too."""
+    """f(z) minimized over the capped box by :func:`_capped_box_minimum`, with
+    face-Newton proposals.  The loop takes the Gram route for the whole solve,
+    forming X^T X, when p <= n and f(1), the full-support ridge minimum, passes
+    the floor: f is nonincreasing in z, so every f(z) in the box does too."""
 
-    def loop_value_grad():
+    def evaluator():
         G = spec.data.normal.G
         if G is not None and not _above_floor(spec, _value_grad(spec, np.ones(spec.p), G)[0]):
             G = None
         return lambda z: _value_grad(spec, z, G)
 
-    return _capped_box_minimum(spec, lambda z: _one_off_fit(spec, z)[:2], tol, max_iter,
-                               fixed_one, fixed_zero, z0, loop_value_grad)
+    return _capped_box_minimum(spec, lambda z: _one_off_fit(spec, z)[0], evaluator, tol,
+                               max_iter, fixed_one, fixed_zero, z0)
 
 
 def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
@@ -615,7 +758,8 @@ def solve_v3(
 
     def value_grad(z):
         val, grad, beta[:] = _perspective_fit(spec, z, Mv, beta)
-        return val, grad
+        return val, grad, None  # no face-Newton proposal
 
-    sol = _capped_box_minimum(spec, value_grad, tol, max_iter)
+    sol = _capped_box_minimum(spec, lambda z: value_grad(z)[0], lambda: value_grad, tol,
+                              max_iter)
     return replace(sol, beta=_perspective_fit(spec, sol.z, Mv, beta)[2])

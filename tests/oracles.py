@@ -207,10 +207,11 @@ def projected_objective_exact(X, y, lam, z):
 
 
 def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0,
-                                armijo_c=1e-4):
+                                propose=None, armijo_c=1e-4):
     """The package's former projected-gradient loop, kept as a reference.
 
-    Same interface (``width``, which bounds the package's moves, goes unused),
+    Same interface (``width``, which bounds the package's moves, and
+    ``propose``, the package's face-Newton proposal, go unused),
     Barzilai-Borwein steps, gap stop and fault guards as
     ``sparseridge.relaxation._projected_gradient``, but monotone: every
     rejected trial halves the step and projects again, until the value

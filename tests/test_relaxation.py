@@ -345,9 +345,10 @@ class TestProjectedValueSolver:
         assert not converged and resid == 1.0 and iters < 100
 
     def test_backtracks_along_one_projection(self):
-        # f(x) = x^2 on [-10, 10] from x = 1: the first trial x - 2*grad = -3
-        # fails the Armijo test, and so does t = 1/2 (x = -1, no decrease);
-        # t = 1/4 reaches the minimizer.  One projection serves all three.
+        # f(x) = x^2 on [-10, 10] from x = 1 with width 4e-6: the first step
+        # _MAX_MOVE*width/|grad| = 2 gives the trial x - 2*grad = -3, which fails
+        # the Armijo test, and so does t = 1/2 (x = -1, no decrease); t = 1/4
+        # reaches the minimizer.  One projection serves all three.
         trials, projections = [], []
 
         def fval_grad(x):
@@ -362,7 +363,7 @@ class TestProjectedValueSolver:
             return float(grad[0] * x[0] + 10.0 * abs(grad[0]))
 
         x, val, iters, resid, converged = relaxation._projected_gradient(
-            fval_grad, clip, gap, np.ones(1), 1e-9, 100
+            fval_grad, clip, gap, np.ones(1), 1e-9, 100, 4e-6
         )
         assert converged and x[0] == 0.0 and val == 0.0
         assert trials == [1.0, -3.0, -1.0, 0.0] and len(projections) == 1
@@ -387,6 +388,8 @@ class TestProjectedValueSolver:
     def test_one_projection_per_move(self, monkeypatch):
         # The nonmonotone search projects once per move and backtracks along
         # the projected direction; on this instance it almost never backtracks.
+        # A face-Newton proposal projects once too: a taken one is the move,
+        # and a rejected one costs a projection on top of the move's.
         data, _, _, _ = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))
         spec = ProblemSpec(data=data, lam=0.08, k=6)
         calls = {"project_capped_simplex": 0, "_value_grad": 0}
@@ -396,11 +399,30 @@ class TestProjectedValueSolver:
                 return _fn(*args)
 
             monkeypatch.setattr(relaxation, name, counted)
+        iterates, made = [], []  # the iterate at each offer; (offer, point) per proposal
+        loop = relaxation._projected_gradient
+
+        def traced(*args, propose, **kwargs):
+            def recorded(x, grad):
+                iterates.append(x)
+                point = propose(x, grad)
+                if point is not None:
+                    made.append((len(iterates) - 1, point))
+                return point
+
+            result = loop(*args, propose=recorded, **kwargs)
+            iterates.append(result[0])
+            return result
+
+        monkeypatch.setattr(relaxation, "_projected_gradient", traced)
         sol = solve_v4(spec)
         assert sol.converged
+        # A proposal was taken when the next iterate is the proposed point itself.
+        rejected = sum(iterates[j + 1] is not point for j, point in made)
+        assert rejected < len(made)
         # The last iteration certifies the gap and makes no move.
-        assert calls["project_capped_simplex"] == sol.iterations - 1
-        assert calls["_value_grad"] <= 1.1 * sol.iterations
+        assert calls["project_capped_simplex"] == sol.iterations - 1 + rejected
+        assert calls["_value_grad"] <= 1.1 * sol.iterations + rejected
 
     def test_masked_solve_respects_fixing(self, rng):
         spec = random_spec(rng, 10, 6, 3, 0.2)
@@ -453,6 +475,80 @@ class TestProjectedValueSolver:
         payload = json.loads(json.dumps(solve_v4(spec).to_json_dict()))
         assert set(payload) == {"value", "z", "iterations", "kkt_residual", "converged",
                                 "lower_bound"}
+
+
+def _face_point(rng, p, fractional, ones):
+    """z with ``fractional`` coordinates in (0.2, 0.8), ``ones`` at 1 and the rest 0,
+    and the fractional index set F."""
+    order = rng.permutation(p)
+    F = np.sort(order[:fractional])
+    z = np.zeros(p)
+    z[F] = rng.uniform(0.2, 0.8, fractional)
+    z[order[fractional:fractional + ones]] = 1.0
+    return z, F
+
+
+class TestFaceNewton:
+    """v4's Hessian on a face and the loop's face-Newton proposals."""
+
+    @pytest.mark.parametrize("n, p, gram", [(40, 12, True), (40, 12, False), (12, 40, False)],
+                             ids=["gram", "x_tall", "x_wide_small_support"])
+    def test_hessian_matches_central_differences(self, n, p, gram):
+        rng = np.random.default_rng(7)
+        spec = random_spec(rng, n, p, 3, 0.1)
+        G = spec.data.normal.G if gram else None
+        # |supp z| = 7 <= n: the X route's |S| <= n side on the wide design too
+        z, F = _face_point(rng, p, 5, 2)
+        hessian = relaxation._value_grad(spec, z, G)[2]
+        h = 1e-5
+        fd = np.empty((F.size, F.size))
+        for col, j in enumerate(F):
+            zp, zm = z.copy(), z.copy()
+            zp[j] += h
+            zm[j] -= h
+            diff = relaxation._value_grad(spec, zp, G)[1] - relaxation._value_grad(spec, zm, G)[1]
+            fd[:, col] = diff[F] / (2.0 * h)
+        assert np.abs(hessian(F) - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_no_hessian_when_the_support_is_wider_than_n(self):
+        rng = np.random.default_rng(7)
+        spec = random_spec(rng, 12, 40, 3, 0.1)
+        z, _ = _face_point(rng, 40, 10, 5)
+        assert relaxation._value_grad(spec, z)[2] is None
+
+    @pytest.mark.parametrize("stub", ["itself", "ascent"])
+    def test_rejected_proposals_leave_the_loop_where_it_ends(self, stub):
+        # A proposal that does not move or does not descend is dropped: the
+        # loop takes the same spectral steps to the same end.
+        data = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+
+        def fval_grad(z):
+            return relaxation._value_grad(spec, z)[:2]
+
+        def project(v):
+            return project_capped_simplex(v, 6)
+
+        offered = []
+
+        def propose(x, grad):
+            offered.append(1)
+            return x.copy() if stub == "itself" else project(x + grad)
+
+        def run(**kwargs):
+            return relaxation._projected_gradient(
+                fval_grad, project, lambda x, g: relaxation._capped_box_gap(x, g, 6),
+                np.full(120, 0.05), 1e-7, 5000, **kwargs)
+
+        want, got = run(), run(propose=propose)
+        assert want[0].tobytes() == got[0].tobytes() and want[1:] == got[1:]
+        assert want[4] and len(offered) == got[2] - 1
+
+    def test_settled_face_halves_the_iterations(self):
+        # The parent, with spectral steps alone and a first step of 2, took 47.
+        data = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))[0]
+        sol = solve_v4(ProblemSpec(data=data, lam=0.08, k=6))
+        assert sol.converged and sol.iterations <= 35
 
 
 class TestPerspectiveSolver:

@@ -125,3 +125,17 @@ def test_branch_and_bound_stays_in_budget_at_large_y(seed):
     est, got = fit(spec, "bnb"), fit(scaled, "bnb")
     assert got.support == est.support
     assert got.objective / factor == pytest.approx(est.objective, rel=1e-9)
+
+
+def test_first_step_has_no_units():
+    # At y*1e-8 a first step of 2 moved z by about 2e-18: v4 stopped after one
+    # iteration unconverged (gap 2.3e-18), and restricted and randomized raised
+    # ConvergenceError.  The first move is now _MAX_MOVE widths in any units of y.
+    spec = random_spec(np.random.default_rng(3), 8, 4, 3, 0.01)
+    scaled, factor = rescaled(spec, 1e-8, "y")
+    sol = solve_v4(scaled)
+    assert sol.converged and sol.kkt_residual <= 1e-7 * sol.value
+    for m in ("restricted", "randomized"):
+        est, got = fit(spec, m), fit(scaled, m)
+        assert got.support == est.support, m
+        assert got.objective / factor == pytest.approx(est.objective, rel=1e-9), m
