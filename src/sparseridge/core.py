@@ -402,8 +402,10 @@ class RidgeSystem:
     support S (m indices) of ``data``, with positive weights w, factored once.
 
     The m x m matrix, a block of the dataset's normal equations, is factored
-    when m <= n, from the gathered columns X_S (X itself when S is every
-    column in order).  Otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is,
+    when m <= n: entries of X^T X once it is formed, else products of the
+    gathered columns X_S (X itself when S is every column in order).  X_S is
+    gathered on first use, so a system on a formed X^T X that only solves
+    reads no row of X.  Otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is,
     and solves go through it; that side holds no copy of X_S wider than one
     block: A and every product with X_S are summed over blocks of columns,
     each gathered (a slice of X when S is every column) with its weighted
@@ -417,25 +419,29 @@ class RidgeSystem:
         n, m = X.shape[0], S.size
         self.w, self.nlam, self.wide = w, nlam, m > n
         every = m == X.shape[1] and bool((S == np.arange(m)).all())
+        self._X, self._S = X, None if every else S
+        # blocks of a gathered block and its weighted copy per column; the m x m
+        # side holds X_S as its one block
+        self._width = max(_block_rows(2 * n), _MIN_BLOCK_COLUMNS) if self.wide else m
         # K is a fresh contiguous array: ravel() is a view, [::size + 1] its diagonal.
         if self.wide:
-            # blocks of a gathered block and its weighted copy per column; X_S in one
-            # block is held (self._Xs), and more are gathered again on each use
-            self._X, self._S = X, None if every else S
-            self._width = max(_block_rows(2 * n), _MIN_BLOCK_COLUMNS)
-            self._Xs = None if m > self._width else X if every else X[:, S]
             K = _sum_blocks((Xb * w[pos]) @ Xb.T for pos, Xb in self._blocks())
             K.ravel()[:: n + 1] += nlam
         else:
-            self._Xs = X if every else X[:, S]
-            K = data.normal.block(S, S, self._Xs)
+            eq = data.normal
+            K = eq.block(S, S, self._Xs if eq.formed_gram() is None else None)
             K.ravel()[:: m + 1] += nlam * (1.0 / w)
         self._chol = cholesky(K)
 
+    @cached_property
+    def _Xs(self) -> np.ndarray:
+        """X_S, gathered on first use (X itself when S is every column in order)."""
+        return self._X if self._S is None else self._X[:, self._S]
+
     def _blocks(self):
-        """(pos, X_b) over the columns of X_S: the held X_S as one block, or
-        _column_blocks of _width columns."""
-        if self._Xs is not None:
+        """(pos, X_b) over the columns of X_S: X_S as one block when one covers
+        it, else _column_blocks of _width columns, each gathered again on use."""
+        if self.w.size <= self._width:
             return iter([(slice(None), self._Xs)])
         return _column_blocks(self._X, self._S, self._width)
 
@@ -481,7 +487,7 @@ class RidgeSystem:
         if self.wide:
             n = self._X.shape[0]
             return 1.0 - self.nlam * np.diag(cholesky_solve(self._chol, np.eye(n)))
-        return np.sum(self._Xs * cholesky_solve(self._chol, self._Xs.T).T, axis=1)
+        return np.einsum("ij,ji->i", self._Xs, cholesky_solve(self._chol, self._Xs.T))
 
 
 def _support_fit(spec: ProblemSpec, idx: np.ndarray) -> tuple[np.ndarray, float]:

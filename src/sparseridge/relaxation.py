@@ -16,18 +16,19 @@ formulation they relax:
 so v2 is computed by v4's solver; the test suite checks the two against an
 independent alternating-minimization reference.  One kernel evaluates
 v3's g(z), the perspective minimum over beta with |beta_i| <= M_i z_i, with
-its gradient and minimizer; without the bound g is f, and one ridge fit on
-supp z gives f(z), its gradient and v2's beta.  The perspective constraint
+its gradient and minimizer; without the bound g is f, and one evaluation,
+``_value_grad``, gives f(z), its gradient, v2's beta and f's Hessian on a
+face from one RidgeSystem on supp z.  The perspective constraint
 set is the convex hull of its mixed-binary counterpart, so v2 cannot be
 improved by adding valid inequalities in the same variables; tightening
 requires outside information such as the big-M bounds (v3).
 
-v4's f and gradient take one of two routes.  The X route is that ridge fit
-on S = supp z: it gathers X_S and forms X^T u.  The Gram route reads no row
-of X, only a column view of the normal equations, here every column:
-G = X^T X, c = X^T y and y^T y.  With K = G_SS + n*lam*diag(1/z_S) and
-b_S = K^-1 c_S, f = (y^T y - c . b)/n and the gradient is
--lam*((c - G b)/(n*lam))^2.  That value cancels as f falls below y^T y/n:
+That evaluation takes one of two routes on the system on S = supp z.  The X
+route fits y: it gathers X_S and forms X^T u.  The Gram route reads no row of
+X, only the normal equations G = X^T X, c = X^T y and y^T y: the system's
+K = G_SS + n*lam*diag(1/z_S) is a block of G, b_S = K^-1 c_S,
+f = (y^T y - c . b)/n and the gradient is -lam*((c - G b)/(n*lam))^2, and
+the system gathers no X_S.  That value cancels as f falls below y^T y/n:
 its rounding is of order eps*y^T y/n, where the X route's value, stationary
 in b, rounds at eps*f.  So the Gram route is taken only where
 f >= _GRAM_FLOOR*y^T y/n (1e-3), which bounds its relative error by about
@@ -54,8 +55,8 @@ offered the Newton point of f over the fractional set F, the other
 coordinates held and the move bordered to sum 0 when sum(z) is at the budget,
 projected onto the box.  The Hessian block is
 H_FF = 2*lam*(a_F a_F^T) o X_F^T A(z)^-1 X_F with a_F = b_F/z_F, read from the
-factor of K the evaluation already built (on the Gram route, or on the X
-route's |S| <= n side; no proposal when |S| > n).  The point is taken only if
+factor of K the evaluation's system already holds (on either route when
+|S| <= n; no proposal when |S| > n).  The point is taken only if
 it moves, descends (grad^T (x_N - x) < 0) and passes the Armijo test against
 f(x) itself, strictly, not the nonmonotone reference; otherwise the
 iteration takes its spectral step.  On a fixed face projected-Newton steps
@@ -282,26 +283,23 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     return BigMVector(M=np.abs(a) + s, v_upper=v_up, rho=rho)
 
 
-def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
-    """g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i,
-    its gradient in z and the minimizer b; ``M=None`` drops the bound, giving
-    v4's f(z) = lam*y^T A(z)^-1 y on its X route.
+def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.ndarray):
+    """v3's g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i,
+    its gradient in z and the minimizer b; without the bound g is v4's f
+    (:func:`_value_grad`).
 
     z_i counts when n*lam/z_i is finite; b_i = 0 elsewhere.  Every fit is a
     RidgeSystem on the free support whose u gives the residual y - X b =
     n*lam*u, so with a = X^T u the gradient -lam*(b_i/z_i)^2 - M_i*mu_i (mu_i
     the bound's multiplier) is -lam*a_i^2 where |a_i| <= M_i and
-    lam*M_i*(M_i - 2|a_i|) where the bound binds.  Without a bound one fit
-    on supp z is the answer.  With one, bounded-variable least squares
-    (Lawson & Hanson; Stark & Parker) runs from clip(beta0), kept feasible:
-    each pass holds the clamped coordinates at +-M_i z_i and fits the free
-    ones.  An infeasible fit is followed up to the first bound it crosses,
-    which clamps that coordinate; after a feasible one the clamped
+    lam*M_i*(M_i - 2|a_i|) where the bound binds.  Bounded-variable least
+    squares (Lawson & Hanson; Stark & Parker) runs from clip(beta0), kept
+    feasible: each pass holds the clamped coordinates at +-M_i z_i and fits
+    the free ones.  An infeasible fit is followed up to the first bound it
+    crosses, which clamps that coordinate; after a feasible one the clamped
     coordinate whose gradient points most strongly inward is released, until
     none does.  Raises NumericalError when the pass cap is reached.
     """
-    if M is None:
-        return _x_fit(spec, z)[:3]
     X, y, nlam = spec.X, spec.y, spec.n * spec.lam
     active = z > nlam / _FLOAT_MAX
     bound = np.where(active, M * z, 0.0)
@@ -340,104 +338,66 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M=None, beta0=None):
     raise NumericalError("box-constrained beta-step reached its pass cap")
 
 
-def _x_fit(spec: ProblemSpec, z: np.ndarray):
-    """v4's f(z), its gradient, the minimizer b and ``inner`` on the X route:
-    one RidgeSystem on S = supp z (z_i with n*lam/z_i finite), whose u gives
-    the gradient -lam*(X^T u)^2.  ``inner`` is as :func:`_gram_fit`'s, with
-    K^-1 applied through the system's factor and G_SF = X_S^T X_F; it is None
-    on the n x n side (|S| > n), which holds no factor of K.
-    """
-    X, nlam = spec.X, spec.n * spec.lam
-    S, b = np.flatnonzero(z > nlam / _FLOAT_MAX), np.zeros(spec.p)
-    zS = z[S]
-    system = RidgeSystem(spec.data, S, zS, nlam)
-    b[S], u, val = system.fit(spec.y)
-
-    def inner(F):
-        pos = np.searchsorted(S, F)
-        block = system.solve(system.rmatvec(X[:, F]))[pos]
-        block /= zS[pos, None]
-        return block
-
-    return val, -spec.lam * (X.T @ u) ** 2, b, None if system.wide else inner
-
-
-def _gram_fit(G: np.ndarray, c: np.ndarray, yy: float, n: int, lam: float, z: np.ndarray):
-    """v4's f(z), its gradient, the minimizer b and ``inner`` over a column
-    view W of the design, from its normal equations G = X_W^T X_W, c = X_W^T y
-    and y^T y alone (the Gram route; no row of X is read).
-
-    On S = supp z (z_i with n*lam/z_i finite), b_S solves K b_S = c_S with
-    K = G_SS + n*lam*diag(1/z_S), and b is 0 elsewhere; then
-    f = (y^T y - c . b)/n and the gradient is -lam*a^2 with a = (c - G b)/(n*lam),
-    which is X_W^T u for the X route's u.
-
-    ``inner(F)``, for sorted indices F within S, is X_F^T A(z)^-1 X_F =
-    (G_FF - G_SF^T K^-1 G_SF)/(n*lam) = diag(1/z_F) (K^-1 G_SF)_F, from K's own
-    factor: the last form (G - G K^-1 G = D K^-1 G with D = K - G_SS) has no
-    cancelling difference and holds one |S| x |F| block at a time.
-    """
-    nlam = n * lam
-    S = np.flatnonzero(z > nlam / _FLOAT_MAX)
-    zS = z[S]
-    K = G[S[:, None], S]
-    K.ravel()[:: S.size + 1] += nlam / zS
-    R, b = cholesky(K), np.zeros(c.size)
-    b[S] = cholesky_solve(R, c[S])
-    a = (c - G @ b) / nlam
-
-    def inner(F):
-        pos = np.searchsorted(S, F)
-        block = cholesky_solve(R, G[F[:, None], S].T)[pos]
-        block /= zS[pos, None]
-        return block
-
-    return (yy - float(c @ b)) / n, -lam * a**2, b, inner  # a**2 overflows as the X route's does
-
-
 def _above_floor(spec: ProblemSpec, value: float) -> bool:
     """Whether the Gram route may serve a value: value >= _GRAM_FLOOR * y^T y/n."""
     return value >= _GRAM_FLOOR * spec.data.normal.yy / spec.n
 
 
-def _value_grad(spec: ProblemSpec, w: np.ndarray, G: np.ndarray | None = None):
-    """f(w), its gradient -lam*(x_i^T A(w)^-1 y)^2 and its Hessian on a face:
-    on the Gram route when G = X^T X is given, else on X.
+def _value_grad(spec: ProblemSpec, z: np.ndarray, G: np.ndarray | None = None):
+    """v4's f(z), its gradient -lam*(x_i^T A(z)^-1 y)^2, the minimizer b and
+    the Hessian on a face, from one RidgeSystem on S = supp z (z_i with
+    n*lam/z_i finite; b is 0 elsewhere).
 
-    The Hessian maps a sorted index array F to
-    H_FF = 2*lam*(a_F a_F^T) o X_F^T A(w)^-1 X_F, with a_F = b_F/w_F read from
-    the fit's own b (where x_i^T u would cancel), or to None where some a_i is
-    0; it is None itself when |supp w| > n.
+    On the Gram route, when G = X^T X is given, b_S solves K b_S = c_S with
+    K = G_SS + n*lam*diag(1/z_S), f = (y^T y - c . b)/n and the gradient is
+    -lam*a^2 with a = (c - G b)/(n*lam): no row of X is read.  On the X route
+    the system fits y, and its u gives f and a = X^T u.
+
+    The Hessian maps sorted indices F to H_FF = 2*lam*(q_F q_F^T) o
+    X_F^T A(z)^-1 X_F, with q_F = b_F/z_F (a_F in exact arithmetic) read from
+    b, where x_i^T u would cancel, and X_F^T A(z)^-1 X_F = diag(1/z_F) (K^-1 G_SF)_F
+    from K's own factor: that form (G - G K^-1 G = D K^-1 G with D = K - G_SS)
+    has no cancelling difference and holds one |S| x |F| block at a time.
+    G_SF is a block of the normal equations on the Gram route and
+    X_S^T X_F on X.  The Hessian gives None where some q_i is 0, and is None
+    itself when |S| > n, where the system holds no factor of K.
     """
-    eq = spec.data.normal
-    val, grad, b, inner = (_x_fit(spec, w) if G is None
-                           else _gram_fit(G, eq.c, eq.yy, spec.n, spec.lam, w))
-    if inner is None:
-        return val, grad, None
-
-    a = np.divide(b, w, out=np.zeros(b.size), where=b != 0.0)  # b_i != 0 only on supp w
+    eq, nlam = spec.data.normal, spec.n * spec.lam
+    S, b = (z > nlam / _FLOAT_MAX).nonzero()[0], np.zeros(spec.p)
+    zS = z[S]
+    system = RidgeSystem(spec.data, S, zS, nlam)
+    if G is None:
+        b[S], u, val = system.fit(spec.y)
+        a = spec.X.T @ u
+    else:
+        b[S] = system.solve(eq.c[S])
+        val, a = (eq.yy - float(eq.c @ b)) / spec.n, (eq.c - G @ b) / nlam
+    grad = -spec.lam * a**2  # a**2 overflows on both routes alike, as at a tiny lam
+    if system.wide:
+        return val, grad, b, None
 
     def hessian(F):
-        aF = a[F]
-        if not aF.all():
-            return None  # a zero row: H_FF is singular (and F may leave supp w)
-        H = inner(F)
-        H *= aF[:, None]
-        H *= (2.0 * spec.lam) * aF
+        if not b[F].all():
+            return None  # a zero row: H_FF is singular (and F may leave S)
+        pos = np.searchsorted(S, F)  # b_i != 0 only on S
+        qF = b[F] / zS[pos]
+        H = system.solve(eq.block(S, F) if G is not None else system.rmatvec(spec.X[:, F]))[pos]
+        H /= zS[pos, None]
+        H *= qF[:, None]
+        H *= (2.0 * spec.lam) * qF
         return H
 
-    return val, grad, hessian
+    return val, grad, b, hessian
 
 
 def _one_off_fit(spec: ProblemSpec, z: np.ndarray):
     """f(z), its gradient and b for a single evaluation: on the Gram route when
     X^T X is already formed and f(z) passes the floor, else on X."""
-    eq = spec.data.normal
-    if (G := eq.formed_gram()) is not None:
-        fit = _gram_fit(G, eq.c, eq.yy, spec.n, spec.lam, z)
+    if (G := spec.data.normal.formed_gram()) is not None:
+        fit = _value_grad(spec, z, G)
         if _above_floor(spec, fit[0]):
             return fit[:3]
-    return _perspective_fit(spec, z)
+    return _value_grad(spec, z)[:3]
 
 
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -560,8 +520,9 @@ def _capped_box_minimum(spec, value, evaluator, tol, max_iter, fixed_one=(), fix
     nonmonotone spectral projected gradient.  ``value(z)`` returns g(z) at a
     length-p z, for the closed-form cases; ``evaluator()`` is called once the
     loop is sure to run and returns the loop's evaluator, z -> (g(z), its
-    gradient, its Hessian on a face or None), where the Hessian maps an index
-    array F to the block H_FF at z.
+    gradient, its minimizer b, its Hessian on a face or None) as
+    :func:`_value_grad` returns them for f, where the Hessian maps an index
+    array F to the block H_FF at z; the loop reads no b.
 
     ``fixed_one`` / ``fixed_zero`` pin coordinates of z at 1 / 0 (used by
     the exact solver's tree search); the remaining coordinates are
@@ -604,7 +565,7 @@ def _capped_box_minimum(spec, value, evaluator, tol, max_iter, fixed_one=(), fix
         nonlocal hessian
         hessian = None  # the last fit's factor goes before the next one is built
         z[free] = zf
-        val, grad, hessian = evaluate(z)
+        val, grad, _, hessian = evaluate(z)
         return val, grad[free]
 
     def project(v):
@@ -758,7 +719,7 @@ def solve_v3(
 
     def value_grad(z):
         val, grad, beta[:] = _perspective_fit(spec, z, Mv, beta)
-        return val, grad, None  # no face-Newton proposal
+        return val, grad, beta, None  # no face-Newton proposal
 
     sol = _capped_box_minimum(spec, lambda z: value_grad(z)[0], lambda: value_grad, tol,
                               max_iter)

@@ -340,6 +340,31 @@ class TestRidgeSystem:
         for got, want in [(system.matvec(R), Xs @ R), (system.rmatvec(data.y), Xs.T @ data.y)]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_solve_on_a_formed_gram_gathers_no_columns(self):
+        # With X^T X formed, K is a block of it and X_S is gathered on first use:
+        # a system that only solves holds K and its factor (0.03 x X here), where
+        # X_S on 150 of the 300 columns would take 0.5 x X.
+        rng = np.random.default_rng(11)
+        data = Dataset(X=rng.standard_normal((4000, 300)), y=rng.standard_normal(4000))
+        data.normal.G
+        S, w, nlam = np.sort(rng.choice(300, 150, replace=False)), rng.uniform(0.1, 1.0, 150), 320.0
+        tracemalloc.start()
+        try:
+            system = RidgeSystem(data, S, w, nlam)
+            b = system.solve(data.normal.c[S])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.05 * data.X.nbytes, f"{peak / data.X.nbytes:.3f} x X"
+        # the fit gathers X_S then, and matches a system on a dataset with no X^T X
+        fresh = Dataset(X=data.X, y=data.y)
+        got, want = system.fit(data.y), RidgeSystem(fresh, S, w, nlam).fit(data.y)
+        assert fresh.normal.formed_gram() is None
+        for g, v in zip(got[:2], want[:2]):
+            assert np.abs(g - v).max() <= 1e-12 * np.abs(v).max()
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
+        assert np.abs(b - want[0]).max() <= 1e-12 * np.abs(want[0]).max()
+
     @pytest.mark.parametrize("m", [40, 600])
     def test_columns_matvec_matches_the_gathered_product(self, m):
         # n = 130 gives blocks of 504 columns: 40 is one block, 600 two

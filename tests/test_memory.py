@@ -12,8 +12,10 @@ On a tall cell, (4000, 300), the relaxation-backed entry points run v4's loop
 on X^T X (formed first, as the dataset keeps it), and must stay within the
 same bound: gathering X_S on each evaluation took them to 0.27 x X (branch
 and bound 0.31), where K and its factor, two |S| x |S| arrays, take 0.15.
-``solve_v3`` and ``gcv_score`` still gather X_S on such a cell and are not
-held to it.
+``solve_v3`` still gathers X_S on such a cell and is not held to it.
+``gcv_score`` needs X_S and its hat matrix's K^-1 X_S^T, two arrays the size
+of X when S holds nearly every column; on 299 of the 300 it is held to
+2.25 x X, which a third product of that size (3.08 x X) would break.
 """
 
 import tracemalloc
@@ -28,6 +30,7 @@ from sparseridge import (
     big_m,
     branch_and_bound,
     fit,
+    gcv_score,
     gcv_select,
     generate_synthetic,
     solve_v1,
@@ -103,6 +106,11 @@ def tall_spec():
 def test_tall_peak_beyond_x_is_a_fraction_of_x(tall_spec, name):
     peak = traced_peak(lambda: TALL_ENTRY_POINTS[name](tall_spec))
     assert peak <= BOUND * tall_spec.X.nbytes, f"{name}: {peak / tall_spec.X.nbytes:.3f} x X"
+
+
+def test_gcv_score_holds_two_products_the_size_of_x(tall_spec):
+    peak = traced_peak(lambda: gcv_score(tall_spec, range(299), 0.08))
+    assert peak <= 2.25 * tall_spec.X.nbytes, f"{peak / tall_spec.X.nbytes:.3f} x X"
 
 
 def test_csv_writer_holds_no_copy_of_x(spec, tmp_path):

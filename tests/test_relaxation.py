@@ -499,7 +499,7 @@ class TestFaceNewton:
         G = spec.data.normal.G if gram else None
         # |supp z| = 7 <= n: the X route's |S| <= n side on the wide design too
         z, F = _face_point(rng, p, 5, 2)
-        hessian = relaxation._value_grad(spec, z, G)[2]
+        hessian = relaxation._value_grad(spec, z, G)[3]
         h = 1e-5
         fd = np.empty((F.size, F.size))
         for col, j in enumerate(F):
@@ -514,7 +514,7 @@ class TestFaceNewton:
         rng = np.random.default_rng(7)
         spec = random_spec(rng, 12, 40, 3, 0.1)
         z, _ = _face_point(rng, 40, 10, 5)
-        assert relaxation._value_grad(spec, z)[2] is None
+        assert relaxation._value_grad(spec, z)[3] is None
 
     @pytest.mark.parametrize("stub", ["itself", "ascent"])
     def test_rejected_proposals_leave_the_loop_where_it_ends(self, stub):
@@ -753,7 +753,7 @@ class TestPerspectiveFit:
     @given(case=perspective_cases())
     def test_matches_explicit_formulas(self, case):
         spec, z = case
-        value, grad, b = relaxation._perspective_fit(spec, z)
+        value, grad, b = relaxation._value_grad(spec, z)[:3]
         # A = n*lam*I + X_S diag(z_S) X_S^T, u = A^-1 y: f = lam*y^T u, its
         # gradient -lam*(X^T u)^2 and b = diag(z) X^T u (0 off the support)
         S = z > 0.0
@@ -777,7 +777,7 @@ class TestPerspectiveFit:
         X = rng.standard_normal((40, 10))
         spec = ProblemSpec(data=Dataset(X=X, y=X @ rng.uniform(-2.0, 2.0, 10)), lam=lam, k=3)
         z = np.full(10, 0.5)
-        value, _, b = relaxation._perspective_fit(spec, z)
+        value, _, b = relaxation._value_grad(spec, z)[:3]
         assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
 
 
@@ -808,7 +808,7 @@ class TestGramRoute:
     def test_route_taken_matches_the_x_route(self, case):
         spec, z = case
         value, grad, b = relaxation._one_off_fit(spec, z)
-        want_value, want_grad, want_b = relaxation._perspective_fit(spec, z)
+        want_value, want_grad, want_b = relaxation._value_grad(spec, z)[:3]
         assert abs(value - want_value) <= 1e-12 * want_value
         assert np.abs(b - want_b).max() <= 1e-12 * max(np.abs(want_b).max(), 1e-300)
         # The gradient's a_i = x_i^T u cancels in either route when u is nearly
@@ -817,11 +817,18 @@ class TestGramRoute:
         u = (spec.y - spec.X @ want_b) / (spec.n * spec.lam)
         scale = spec.lam * float(spec.data.normal.sq.max() * (u @ u))
         assert np.abs(grad - want_grad).max() <= 1e-12 * scale
+        # On the fractional set both routes give no H_FF (a zero b_i) or the same one.
+        F = np.flatnonzero((z > 0.0) & (z < 1.0))
+        gram = relaxation._value_grad(spec, z, spec.data.normal.G)[3](F)
+        want = relaxation._value_grad(spec, z)[3](F)
+        assert (gram is None) == (want is None)
+        if want is not None:
+            assert np.abs(gram - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
 
     def test_one_off_evaluation_forms_no_gram(self):
         data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]
         spec = ProblemSpec(data=data, lam=0.08, k=6)
-        want = relaxation._perspective_fit(spec, np.full(60, 0.1))
+        want = relaxation._value_grad(spec, np.full(60, 0.1))
         got = value_and_gradient(spec, np.full(60, 0.1))
         assert spec.data.normal.formed_gram() is None
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
@@ -838,8 +845,7 @@ class TestGramRoute:
 
         monkeypatch.setattr(relaxation, "_value_grad", counted)
         sol = solve_v4(spec)
-        gram = relaxation._gram_fit(spec.data.normal.G, spec.data.normal.c, spec.data.normal.yy,
-                                    spec.n, spec.lam, sol.z)
+        gram = value_grad(spec, sol.z, spec.data.normal.G)  # not counted as a route
         assert routes[0] and all(routes)  # the first is f(1), the floor's test
         assert abs(gram[0] - sol.value) <= 1e-12 * sol.value
         # a noise-free fit at a small lam: f(1) is below the floor, and every
@@ -895,7 +901,7 @@ class TestBoxConstrainedStep:
         # are v4's f, its gradient and v2's b at the same z.
         spec, z, _, beta0 = case
         M = big_m(spec).M * 1e6
-        free = relaxation._perspective_fit(spec, z)
+        free = relaxation._value_grad(spec, z)[:3]
         boxed = relaxation._perspective_fit(spec, z, M, beta0)
         assert np.all(np.abs(free[2]) <= M * z)
         assert abs(boxed[0] - free[0]) <= 1e-12 * abs(free[0])
