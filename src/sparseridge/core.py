@@ -32,8 +32,10 @@ is not finite or not positive definite.
 Caller input is checked by one helper per kind, used by every module:
 ``_check_integer`` for a count or a single feature index (type and range in
 one call), ``_check_real`` and ``_check_positive`` for real scalars (True and
-text fail), and ``_clean_support`` for a set of feature indices.  Frozen
-records copy and write-protect their arrays with ``_freeze``.
+text fail), and ``_clean_support`` for a set of feature indices.  Input is
+checked once, at the public entry point: index arrays the library builds
+itself pass ``_clean_support`` by their dtype, with no scan of their items.
+Frozen records copy and write-protect their arrays with ``_freeze``.
 """
 
 from __future__ import annotations
@@ -309,16 +311,23 @@ def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
 def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
     """The distinct feature indices in the collection S, sorted, as an int array;
     2, 2.0 and np.int64(2) are all index 2, and a flag such as True, text, a
-    non-integral value or an index outside [0, p) raises."""
-    items = list(S)
-    arr = np.asarray(items)
-    # each item's type is looked at, since numpy reads a flag among numbers as 0 or 1
-    if (arr.ndim != 1 or arr.dtype.kind not in "iuf"
-            or not {bool, np.bool_}.isdisjoint(map(type, items))):
+    non-integral value or an index outside [0, p) raises.  A numeric ndarray
+    (how the library hands on the supports it picks) is checked by its dtype,
+    with no scan of its items."""
+    if isinstance(S, np.ndarray) and S.dtype != object:
+        arr = S  # its items share its dtype, and a bool array fails the dtype test
+        flagged = False
+    else:
+        items = list(S)
+        arr = np.asarray(items)
+        # each item's type is looked at, since numpy reads a flag among numbers as 0 or 1
+        flagged = not {bool, np.bool_}.isdisjoint(map(type, items))
+    if arr.ndim != 1 or arr.dtype.kind not in "iuf" or flagged:
         raise InvalidArgumentError(f"feature indices must be integers, got {S!r}")
-    whole = np.isfinite(arr) & (arr == np.round(arr))
-    if not whole.all():
-        raise InvalidArgumentError(f"feature indices must be integers, got {arr[~whole][0]}")
+    if arr.dtype.kind == "f":  # an integer dtype holds whole numbers only
+        whole = np.isfinite(arr) & (arr == np.round(arr))
+        if not whole.all():
+            raise InvalidArgumentError(f"feature indices must be integers, got {arr[~whole][0]}")
     idx = np.unique(arr.astype(np.intp))
     if idx.size and (idx[0] < 0 or idx[-1] >= spec.p):
         raise InvalidArgumentError(
@@ -565,11 +574,13 @@ def _subset_blocks(p: int, s: int, elements: int):
     """Every size-s subset of range(p), in ``itertools.combinations`` order, as
     (m, s) int arrays, m = _block_rows(elements) for a working set of ``elements``
     floats per subset; s = 0 gives one (1, 0) block, the empty subset."""
-    m = _block_rows(elements)
+    m, left = _block_rows(elements), math.comb(p, s)
     combos = itertools.combinations(range(p), s)
-    while rows := list(itertools.islice(combos, m)):
-        yield np.fromiter(itertools.chain.from_iterable(rows), np.intp,
-                          len(rows) * s).reshape(len(rows), s)
+    while left:
+        rows = min(m, left)
+        left -= rows
+        yield np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, rows)),
+                          np.intp, rows * s).reshape(rows, s)
 
 
 def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
@@ -611,8 +622,8 @@ def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
     return np.concatenate(b), np.concatenate(values)
 
 
-def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
-    """A size-k support of least computed ridge value.
+def _best_support(spec: ProblemSpec) -> np.ndarray:
+    """A size-k support of least computed ridge value, as a sorted int array.
 
     P + (j,), j > max P, extends its (k-1)-prefix P (Furnival & Wilson's leaps
     and bounds): with L L^T = G_PP + n*lam*I, G = X^T X, c = X^T y,
@@ -627,7 +638,7 @@ def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
     g = eq.sq + nlam
     # per prefix: s Gram rows (s columns of X too when p > n) and six score rows
     elements = (s + 6) * p + (s * n if eq.G is None else 0)
-    best_val, best = math.inf, None
+    best_val, best, after = math.inf, None, np.arange(p)
     for P in _subset_blocks(p - 1, s, elements):
         lo = int(P[0, 0]) if s else 0  # the block's smallest feature
         at, cols = np.arange(len(P)), P - lo
@@ -636,9 +647,10 @@ def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
         # rows of L^-1 G[P, lo:] and w = L^-1 c_P in place; n*lam enters only the
         # pivots, as the entries it would shift (columns j in P) feed no valid value
         for i in range(s):
-            Li = R[at, :i, cols[:, i]]  # L[i, :i] of each prefix
-            R[:, i] -= np.einsum("ah,ahw->aw", Li, R[:, :i])
-            w[:, i] -= np.einsum("ah,ah->a", Li, w[:, :i])
+            if i:  # row 0 has no earlier row to eliminate
+                Li = R[at, :i, cols[:, i]]  # L[i, :i] of each prefix
+                R[:, i] -= np.einsum("ah,ahw->aw", Li, R[:, :i])
+                w[:, i] -= np.einsum("ah,ah->a", Li, w[:, :i])
             pivot = R[at, i, cols[:, i]] + nlam
             if not 0 < pivot.min() <= pivot.max() < math.inf:  # NaN fails too
                 raise NumericalError("brute force met a non-finite or non-positive pivot")
@@ -647,7 +659,8 @@ def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
             w[:, i] /= root
         d = g[lo:] - np.einsum("asw,asw->aw", R, R)
         e = eq.c[lo:] - np.einsum("as,asw->aw", w, R)
-        valid = np.arange(lo, p) > P.max(axis=1, initial=-1)[:, None]
+        # a prefix's largest feature is its last one; the empty prefix's is -1
+        valid = after[lo:] > (P[:, -1:] if s else np.full((1, 1), -1))
         drop = np.full(d.shape, -math.inf)  # so that invalid extensions score +inf
         np.divide(e * e, d, out=drop, where=valid)
         values = (eq.yy - np.einsum("as,as->a", w, w))[:, None] - drop
@@ -655,7 +668,7 @@ def _best_support(spec: ProblemSpec) -> tuple[int, ...]:
             raise NumericalError("brute force met a non-finite support value")
         a, j = divmod(int(np.argmin(values)), values.shape[1])
         if values[a, j] < best_val:
-            best_val, best = values[a, j], (*P[a].tolist(), lo + j)
+            best_val, best = values[a, j], np.append(P[a], lo + j)
     return best
 
 

@@ -86,7 +86,11 @@ class GreedyState:
 
     def select(self, j: int) -> None:
         """Add feature j: one product X^T w plus O(p + n|S|) updates."""
-        j = _check_candidate(self, j)
+        self._step(_check_candidate(self, j))
+
+    def _step(self, j: int) -> None:
+        """:meth:`select` for an index j the caller knows is an int in range and
+        not yet selected (greedy's own argmin), with no check."""
         denom = 1.0 + self.quad_terms[j]
         if denom < DENOMINATOR_GUARD:
             raise NumericalError(
@@ -152,8 +156,8 @@ def _run_greedy(
         best = float(gains.min())
         if not np.isfinite(best):  # an allowed feature is always left: only overflow gets here
             raise NumericalError(f"greedy step {it} met a non-finite gain {best}")
-        j = int(np.flatnonzero(gains <= best + tie)[0])  # lowest index among ties
-        state.select(j)
+        j = int(np.argmax(gains <= best + tie))  # the first True: lowest index among ties
+        state._step(j)
         allowed[j] = False
         trace.steps.append(
             GreedyStep(
@@ -161,7 +165,7 @@ def _run_greedy(
                 value=state.current_value, zero_gain=abs(best) <= tie,
             )
         )
-    est = restricted_estimator(spec, state.selected)
+    est = restricted_estimator(spec, np.array(state.selected, dtype=np.intp))
     return est, trace
 
 

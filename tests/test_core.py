@@ -182,6 +182,35 @@ class TestRestrictedEstimator:
             assert est.beta.tobytes() == ref.beta.tobytes()
             assert mic_value(spec, set(S)) == ref.objective
 
+    @pytest.mark.parametrize("n, p", [(14, 7), (5, 12)], ids=["tall", "wide"])
+    def test_integer_arrays_refit_as_lists_do(self, rng, n, p):
+        # an integer array is checked by its dtype, with no scan of its items; its
+        # indices, unsorted and repeated, give the refit they give as a list
+        spec = random_spec(rng, n, p, 3, 0.2)
+        S = [5, 0, 2, 5]
+        ref = restricted_estimator(spec, S)
+        assert ref.support == (0, 2, 5)
+        for form in (tuple(S), *(np.array(S, dtype=t) for t in (np.int32, np.int64, np.uint64))):
+            est = restricted_estimator(spec, form)
+            assert est.support == ref.support
+            assert est.beta.tobytes() == ref.beta.tobytes()
+            assert est.objective == ref.objective
+
+    @pytest.mark.parametrize("S, message", [
+        (np.array([True, False, True]), None),
+        (np.array([[1, 2]]), None),
+        (np.array([1.0, 2.5]), "feature indices must be integers, got 2.5"),
+        (np.array([2, -1]), "feature indices must lie in [0, 5], got [-1, 2]"),
+        (np.array([-3, 1], dtype=np.int32), "feature indices must lie in [0, 5], got [-3, 1]"),
+        (np.array([6, 2, 6]), "feature indices must lie in [0, 5], got [2, 6]"),
+        (np.array([6, 2], dtype=np.uint64), "feature indices must lie in [0, 5], got [2, 6]"),
+    ], ids=["bool", "2-D", "fraction", "negative", "negative-int32", "index-p", "index-p-uint64"])
+    def test_refused_arrays_keep_their_messages(self, rng, S, message):
+        spec = random_spec(rng, 10, 6, 2, 0.1)
+        with pytest.raises(InvalidArgumentError) as info:
+            restricted_estimator(spec, S)
+        assert str(info.value) == (message or f"feature indices must be integers, got {S!r}")
+
     def test_objective_field_consistent(self, rng):
         for n, p in [(14, 7), (5, 12)]:  # p < n and p > n
             spec = random_spec(rng, n, p, 3, 0.2)

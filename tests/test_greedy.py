@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from sparseridge import (
     restricted_greedy,
     spectral_stats,
 )
-from sparseridge.greedy import GreedyState
+from sparseridge.greedy import TIE_TOL, GreedyState, GreedyStep
 
 # Examples per property test; tests/conftest.py makes every run reproducible.
 PROPERTY = settings(max_examples=150)
@@ -230,6 +231,62 @@ class TestMatchesDenseUpdate:
             est, trace = restricted_greedy(spec, zhat)
         assert len(trace.steps) == min(spec.k, len(keep))
         self._assert_matches(spec, est, trace, np.array(keep))
+
+
+def public_select_run(spec, candidates, steps):
+    """Greedy through the public, checked ``GreedyState.select``: each step takes the
+    least gain among ``candidates``, ties within TIE_TOL * f(0) to the lowest
+    index.  Returns the state, the refit of its picks as a list and the steps."""
+    state = GreedyState.initial(spec)
+    allowed = np.zeros(spec.p, dtype=bool)
+    allowed[candidates] = True
+    tie = TIE_TOL * state.current_value
+    steps_taken = []
+    for it in range(1, steps + 1):
+        gains = state.gains()
+        gains[~allowed] = np.inf
+        best = float(gains.min())
+        j = int(np.flatnonzero(gains <= best + tie)[0])
+        state.select(j)
+        allowed[j] = False
+        assert state.factor.shape == (spec.n, it)
+        steps_taken.append(GreedyStep(iteration=it, chosen=j, gain=best,
+                                      value=state.current_value, zero_gain=abs(best) <= tie))
+    return state, restricted_estimator(spec, state.selected), steps_taken
+
+
+class TestInternalStep:
+    """Greedy's own picks skip select's check; the run is the checked one, bit for bit."""
+
+    @PROPERTY
+    @given(spec=greedy_specs(), data=st.data())
+    def test_matches_public_select(self, spec, data):
+        zhat = np.ones(spec.p)  # greedy_select's candidates: every feature
+        if data.draw(st.booleans()):
+            zhat[data.draw(st.lists(st.integers(0, spec.p - 1), max_size=spec.p - 1))] = 0.0
+        candidates = np.flatnonzero(zhat)
+        shapes, step = [], GreedyState._step
+
+        def recorded(state, j):
+            step(state, j)
+            shapes.append(state.factor.shape)
+
+        with mock.patch.object(GreedyState, "_step", recorded), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # fewer than k kept
+            est, trace = (restricted_greedy(spec, zhat) if candidates.size < spec.p
+                          else greedy_select(spec))
+        taken = len(trace.steps)
+        assert taken == min(spec.k, candidates.size)
+        assert shapes == [(spec.n, m) for m in range(1, taken + 1)]
+        state, ref, ref_steps = public_select_run(spec, candidates, taken)
+        assert trace.steps == ref_steps
+        assert est.support == ref.support
+        assert est.beta.tobytes() == ref.beta.tobytes()
+        assert est.objective == ref.objective
+        with pytest.raises(InvalidArgumentError, match="already selected"):
+            state.select(state.selected[0])
+        with pytest.raises(InvalidArgumentError, match="must lie in"):
+            state.select(spec.p)
 
 
 def test_greedy_keeps_no_dense_block_at_large_p():
