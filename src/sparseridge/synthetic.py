@@ -10,6 +10,16 @@ snr = var(x^T beta) / var(eps), i.e. sigma^2 = beta^T Sigma beta / snr.
 
 Draw order (fixed, so results are reproducible given the seed): the n x p
 standard-normal block for X, then the coefficient values, then the noise.
+
+The recursion runs in place on the draw, with one length-n scratch vector and
+no temporary the size of X: the columns 1..p-1 are first scaled by
+sqrt(1 - rho^2) in one multiply, then each column, in order, gets
+rho * (the finished previous column) added through the scratch vector.
+Every element still takes the same two IEEE products and one sum as the
+two-array loop x_j = rho * x_{j-1} + sqrt(1 - rho^2) * z_j, and separate
+multiply and add ufuncs cannot fuse them, so X matches that loop bit for bit
+on every CPU.  (A banded triangular solve such as LAPACK's dtbtrs fuses the
+multiply-add in OpenBLAS, so its last bits would change with the CPU.)
 """
 
 from __future__ import annotations
@@ -50,6 +60,10 @@ class SyntheticConfig:
             raise InvalidArgumentError("coef_low, coef_high and min_signal must be finite")
         if lo >= hi:
             raise InvalidArgumentError("coef_low must be < coef_high")
+        if not math.isfinite(float(hi) - float(lo)):  # Python floats: no overflow warning
+            raise InvalidArgumentError(
+                f"coef_high - coef_low must be finite, got [{lo}, {hi}]"
+            )
         # Resampling draws until |coef| >= min_signal, which never happens
         # when the whole range lies within [-min_signal, min_signal].
         if self.resample_small and -floor <= lo and hi <= floor:
@@ -75,11 +89,14 @@ def generate_synthetic(
     rho = config.rho
     rng = np.random.default_rng(config.seed)
 
-    # the AR(1) recursion runs in place on the draw: column j still holds z_j when it is read
+    # the AR(1) recursion, in place on the draw (see the module docstring)
     X = rng.standard_normal((n, p))
-    scale = math.sqrt(1.0 - rho * rho)
-    for j in range(1, p):
-        X[:, j] = rho * X[:, j - 1] + scale * X[:, j]
+    cols = X.T
+    cols[1:] *= math.sqrt(1.0 - rho * rho)
+    step = np.empty(n)
+    for prev, col in zip(cols, cols[1:]):
+        np.multiply(prev, rho, out=step)
+        np.add(col, step, out=col)
 
     coefs = rng.uniform(config.coef_low, config.coef_high, size=k)
     if config.resample_small:
@@ -95,7 +112,14 @@ def generate_synthetic(
     # signal variance beta^T Sigma beta over the nonzero block only
     ii = np.arange(k)
     sigma_block = rho ** np.abs(ii[:, None] - ii[None, :])
-    sigma_sq = float(coefs @ sigma_block @ coefs) / config.snr
+    # a huge range or a tiny snr overflows; refuse it here rather than draw infinite noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma_sq = float(coefs @ sigma_block @ coefs) / config.snr
+    if not math.isfinite(sigma_sq):
+        raise InvalidArgumentError(
+            f"the noise variance beta^T Sigma beta / snr is not finite with snr = "
+            f"{config.snr} and [coef_low, coef_high] = [{config.coef_low}, {config.coef_high}]"
+        )
 
     eps = rng.normal(0.0, math.sqrt(sigma_sq), size=n)
     y = X @ beta0 + eps
@@ -105,5 +129,6 @@ def generate_synthetic(
 def false_alarm_rate(estimated, truth, k: int) -> float:
     """Percentage of selected features outside the true support, over k."""
     k = _check_integer("k", k, 1)
-    extra = set(int(i) for i in estimated) - set(int(i) for i in truth)
+    extra = ({_check_integer("feature index", i, 0) for i in estimated}
+             - {_check_integer("feature index", i, 0) for i in truth})
     return 100.0 * len(extra) / k

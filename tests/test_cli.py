@@ -211,6 +211,18 @@ def test_gen_negative_seed_exits_2(tmp_path):
     assert not (tmp_path / "d.csv").exists()
 
 
+def test_gen_infinite_noise_variance_exits_2(tmp_path, capsys):
+    # X is finite; the refusal names snr and the coefficient range, not X and y
+    assert main([
+        "gen", "--n", "20", "--p", "4", "--ktrue", "2",
+        "--snr", "1e-320", "--out", str(tmp_path / "d.csv"),
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "snr = 1e-320" in err and "[coef_low, coef_high]" in err
+    assert "X and y" not in err
+    assert not (tmp_path / "d.csv").exists()
+
+
 @pytest.mark.parametrize("config, match", [
     ({"methods": ["greedy"]}, '"cells"'),
     ({"cells": [{"n": 20, "p": 6, "k": 2}]}, '"methods"'),

@@ -76,6 +76,10 @@ CASES = {
         (*REAL, -1.0, 0.0, math.nan, math.inf)),
     "solve_v4 tol": (lambda s, v: solve_v4(s, tol=v), REAL),
     "solve_v1 tol": (lambda s, v: solve_v1(s, BOUNDS, tol=v), REAL),
+    # a coefficient range wider than float range, which the draw cannot take
+    "SyntheticConfig coef_high": (
+        lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, coef_low=-1e308, coef_high=v),
+        (*REAL, 1e308, np.finfo(float).max)),
     # counts
     "ProblemSpec k": (lambda s, v: ProblemSpec(data=s.data, lam=0.1, k=v), count(0, N + 1)),
     "theta s": (lambda s, v: theta(s, v), count(0, P + 1)),
@@ -98,6 +102,8 @@ CASES = {
     "SyntheticConfig seed": (lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, seed=v),
                              count(-1)),
     "false_alarm_rate k": (lambda s, v: false_alarm_rate([0], [0], v), count(0)),
+    "false_alarm_rate estimated": (lambda s, v: false_alarm_rate([0, v], [0], K), count(-1)),
+    "false_alarm_rate truth": (lambda s, v: false_alarm_rate([0], (v, 1), K), count(-1)),
     "run_benchmark seed": (
         lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], ["greedy"], seed=v), count(-1)),
     "run_benchmark reps": (

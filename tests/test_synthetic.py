@@ -39,21 +39,38 @@ class TestGenerator:
         assert np.array_equal(a[1], b[1])
         assert a[3] == b[3]
 
-    @pytest.mark.parametrize("n, p, k", [(300, 1500, 15), (60, 120, 6), (50, 30, 4)])
+    @pytest.mark.parametrize("n, p, k", [(300, 1500, 15), (60, 120, 6), (50, 30, 4),
+                                         (1, 4, 2), (5, 1, 1)])
     def test_draw_matches_the_two_array_recursion(self, n, p, k):
         # The recursion runs in place on the draw; it must give, bit for bit, the
-        # design of drawing Z and then filling a second array.
-        config = SyntheticConfig(n=n, p=p, k_true=k, seed=3)
-        data, beta0, _, sigma_sq = generate_synthetic(config)
-        rng = np.random.default_rng(config.seed)
-        Z = rng.standard_normal((n, p))
-        X = np.empty((n, p))
-        X[:, 0] = Z[:, 0]
-        scale = np.sqrt(1.0 - config.rho**2)
-        for j in range(1, p):
-            X[:, j] = config.rho * X[:, j - 1] + scale * Z[:, j]
-        assert data.X.tobytes() == X.tobytes()
-        assert not data.X.flags.writeable
+        # dataset of drawing Z and then filling a second array.  Products with
+        # rho = 0.5 are exact, so only the other rhos would expose a fused or
+        # reordered multiply-add.
+        for rho in (0.5, 0.0, -0.7, 0.95):
+            config = SyntheticConfig(n=n, p=p, k_true=k, rho=rho, seed=3)
+            data, beta0, _, sigma_sq = generate_synthetic(config)
+            rng = np.random.default_rng(config.seed)
+            Z = rng.standard_normal((n, p))
+            X = np.empty((n, p))
+            X[:, 0] = Z[:, 0]
+            scale = np.sqrt(1.0 - config.rho**2)
+            for j in range(1, p):
+                X[:, j] = config.rho * X[:, j - 1] + scale * Z[:, j]
+            assert data.X.tobytes() == X.tobytes(), rho
+            assert not data.X.flags.writeable
+            # the later draws follow X's, so y, beta and sigma^2 must match too
+            coefs = rng.uniform(config.coef_low, config.coef_high, size=k)
+            while (small := np.abs(coefs) < config.min_signal).any():
+                coefs[small] = rng.uniform(config.coef_low, config.coef_high,
+                                           size=int(small.sum()))
+            ii = np.arange(k)
+            ref_sigma_sq = float(coefs @ rho ** np.abs(ii[:, None] - ii) @ coefs) / config.snr
+            ref_beta = np.zeros(p)
+            ref_beta[:k] = coefs
+            ref_y = X @ ref_beta + rng.normal(0.0, np.sqrt(ref_sigma_sq), size=n)
+            assert beta0.tobytes() == ref_beta.tobytes(), rho
+            assert sigma_sq == ref_sigma_sq, rho
+            assert data.y.tobytes() == ref_y.tobytes(), rho
 
     def test_banded_correlation_structure(self):
         config = SyntheticConfig(n=20000, p=5, k_true=2, rho=0.5, seed=9)
@@ -125,6 +142,14 @@ class TestGenerator:
         _, beta0, _, _ = generate_synthetic(SyntheticConfig(**kw, resample_small=False))
         assert np.all((low <= beta0[:2]) & (beta0[:2] < high))
 
+    @pytest.mark.parametrize("low, high, snr", [(-1e200, 1e200, 9.0), (-3.0, 3.0, 1e-320)])
+    def test_infinite_noise_variance_refused(self, low, high, snr):
+        # beta^T Sigma beta / snr overflows; refused before the noise draw, with no
+        # RuntimeWarning (the test configuration turns one into an error)
+        config = SyntheticConfig(n=5, p=4, k_true=2, coef_low=low, coef_high=high, snr=snr)
+        with pytest.raises(InvalidArgumentError, match=r"snr = .*\[coef_low, coef_high\]"):
+            generate_synthetic(config)
+
     def test_range_reaching_past_min_signal_accepted(self):
         config = SyntheticConfig(n=5, p=4, k_true=2, coef_low=-1.0, coef_high=2.5,
                                  min_signal=2.0, seed=1)
@@ -147,6 +172,9 @@ class TestFalseAlarm:
     def test_requires_positive_budget(self):
         with pytest.raises(InvalidArgumentError):
             false_alarm_rate({0}, {0}, 0)
+
+    def test_numpy_indices_accepted(self):
+        assert false_alarm_rate(np.array([0, 3]), (np.int64(0), 1.0), 2) == 50.0
 
 
 class TestBenchmark:
