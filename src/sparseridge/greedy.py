@@ -33,6 +33,7 @@ from .core import (
     _check_integer,
     _check_positive,
     _check_zhat,
+    _clean_support,
     restricted_estimator,
 )
 from .errors import InvalidArgumentError, NumericalError
@@ -248,10 +249,10 @@ def greedy_distance_bound(
     support difference, and the smallest Gram eigenvalue on the union
     support.
     """
-    s_g = set(greedy_est.support)
-    s_star = set(optimal_est.support)
-    diff = len(s_g - s_star)
-    union = np.array(sorted(s_g | s_star), dtype=np.intp)
+    s_g = _clean_support(spec, greedy_est.support)
+    s_star = _clean_support(spec, optimal_est.support)
+    diff = np.setdiff1d(s_g, s_star).size
+    union = np.union1d(s_g, s_star)
     if not union.size:
         return 0.0
     if diff not in stats.theta:

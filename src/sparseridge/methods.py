@@ -31,8 +31,8 @@ def _fit_greedy(spec: ProblemSpec) -> SparseEstimator:
 
 
 def _relax_z(spec: ProblemSpec):
-    """The v2 relaxation's z, which is v4's, from one v4 solve (v2's fit of beta
-    would go unread); raises ConvergenceError if that solve did not converge."""
+    """The v2 relaxation's z from one v4 solve, whose record is v2's (its beta
+    goes unread); raises ConvergenceError if that solve did not converge."""
     sol = solve_v4(spec)
     if not sol.converged:
         raise ConvergenceError(

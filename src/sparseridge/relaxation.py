@@ -13,13 +13,13 @@ formulation they relax:
   capped box.
 
 ``v2`` and ``v4`` coincide (one is an exact reformulation of the other),
-so v2 is computed by v4's solver; the test suite checks the two against an
-independent alternating-minimization reference.  One kernel evaluates
+so v2 is v4's record, beta included; the test suite checks the two against
+an independent alternating-minimization reference.  One kernel evaluates
 v3's g(z), the perspective minimum over beta with |beta_i| <= M_i z_i, with
 its gradient and minimizer; without the bound g is f, and one evaluation,
-``_value_grad``, gives f(z), its gradient, v2's beta and f's Hessian on a
-face from one RidgeSystem on supp z.  The perspective constraint
-set is the convex hull of its mixed-binary counterpart, so v2 cannot be
+``_value_grad``, gives f(z), its gradient, its minimizer (v2's and v4's
+beta) and f's Hessian on a face from one RidgeSystem on supp z.  The
+perspective constraint set is the convex hull of its mixed-binary counterpart, so v2 cannot be
 improved by adding valid inequalities in the same variables; tightening
 requires outside information such as the big-M bounds (v3).
 
@@ -33,12 +33,12 @@ its rounding is of order eps*y^T y/n, where the X route's value, stationary
 in b, rounds at eps*f.  So the Gram route is taken only where
 f >= _GRAM_FLOOR*y^T y/n (1e-3), which bounds its relative error by about
 eps/_GRAM_FLOOR, 2e-13, times the growth of the dot products behind G and c.
-A projected-gradient loop forms G (p <= n) and decides once per solve, from
-f(1), the full-support ridge minimum, which bounds every f(z) in the box
-below; so the route never changes within a solve.  A one-off evaluation
-(``value_and_gradient``, v2's beta, a closed-form solve) uses G only if it
-is already formed, and tests its own f(z).  The X route stays for p > n,
-for values below the floor and for v3's bounded passes.
+A solve forms G (p <= n) and decides once, from f(1), the full-support
+ridge minimum, which bounds every f(z) in the box below; so the route never
+changes within a solve, closed-form cases included.  A one-off evaluation
+(``value_and_gradient``) uses G only if it is already formed, and tests its
+own f(z).  The X route stays for p > n, for values below the floor and for
+v3's bounded passes.
 
 All solvers run one loop: nonmonotone spectral projected gradient, which
 projects once per iteration at the Barzilai-Borwein step of the last move (at
@@ -91,7 +91,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 # cho_factor/cho_solve are unused: perfbench's tracer looks them up (ROADMAP item 4(a)).
@@ -390,24 +390,20 @@ def _value_grad(spec: ProblemSpec, z: np.ndarray, G: np.ndarray | None = None):
     return val, grad, b, hessian
 
 
-def _one_off_fit(spec: ProblemSpec, z: np.ndarray):
-    """f(z), its gradient and b for a single evaluation: on the Gram route when
-    X^T X is already formed and f(z) passes the floor, else on X."""
-    if (G := spec.data.normal.formed_gram()) is not None:
-        fit = _value_grad(spec, z, G)
-        if _above_floor(spec, fit[0]):
-            return fit[:3]
-    return _value_grad(spec, z)[:3]
-
-
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(z) = lam*y^T A(z)^{-1} y and its gradient -lam*(x_i^T A(z)^{-1} y)^2."""
+    """f(z) = lam*y^T A(z)^{-1} y and its gradient -lam*(x_i^T A(z)^{-1} y)^2, on
+    the Gram route if X^T X is formed and f(z) passes the floor, else on X."""
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.p,):
         raise InvalidArgumentError(f"z has shape {z.shape}, expected ({spec.p},)")
     if np.any(z < -1e-12) or not np.isfinite(z).all():
         raise InvalidArgumentError("z must be finite and nonnegative")
-    return _one_off_fit(spec, np.maximum(z, 0.0))[:2]
+    z = np.maximum(z, 0.0)
+    if (G := spec.data.normal.formed_gram()) is not None:
+        val, grad = _value_grad(spec, z, G)[:2]
+        if _above_floor(spec, val):
+            return val, grad
+    return _value_grad(spec, z)[:2]
 
 
 def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
@@ -450,10 +446,12 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
     (every value it serves is positive when y != 0); as fault guards, also
     when no step makes progress or when the state (x, step) repeats
     (zero-decrease steps can cycle at the rounding floor).  Returns (x, value,
-    iterations, gap, converged), value and gap at the returned x; a value or
-    gap that is not finite raises NumericalError.
+    minimizer, iterations, gap, converged) at the returned x, the minimizer
+    being what ``fval_grad(x)`` -> (value, gradient, minimizer) solved for
+    (v4's b, v3's beta, x itself for v1); a value or gap that is not finite
+    raises NumericalError.
     """
-    val, grad = fval_grad(x)
+    val, grad, mini = fval_grad(x)
     recent = deque([val], maxlen=NONMONOTONE_MEMORY)
     seen = set()  # hashed (x, step) states after each move
     gg = float(grad @ grad)
@@ -463,16 +461,16 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
         if not (math.isfinite(val) and math.isfinite(g)):
             raise NumericalError(f"projected gradient met a non-finite value {val} or gap {g}")
         if g <= tol * abs(val):
-            return x, val, iters, g, True
+            return x, val, mini, iters, g, True
         x_new = None if propose is None else propose(x, grad)
         if x_new is not None:
             s = x_new - x
             descent = float(grad @ s)
             if descent < 0.0:
-                val_new, grad_new = fval_grad(x_new)
+                val_new, grad_new, mini_new = fval_grad(x_new)
             # strict: a move whose decrease is below the rounding of f is not taken
             if not (descent < 0.0 and val_new < val + ARMIJO_C * descent):
-                x_new = s = grad_new = None  # rejected: none of it is held
+                x_new = s = grad_new = mini_new = None  # rejected: none of it is held
         if x_new is None:
             gg, reach = float(grad @ grad), _MAX_MOVE * width  # gg > 0, as g > 0
             if step * step * gg > reach * reach:
@@ -481,7 +479,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
             d, t, ref = x_new - x, 1.0, max(recent)
             slope = ARMIJO_C * float(grad @ d)
             while True:
-                val_new, grad_new = fval_grad(x_new)
+                val_new, grad_new, mini_new = fval_grad(x_new)
                 if val_new <= ref + t * slope:
                     break
                 t *= 0.5
@@ -492,13 +490,13 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
             s = d if t == 1.0 else x_new - x
         state = (hash(x_new.tobytes()), step)
         if not s.any() or state in seen:
-            return x, val, iters, g, False  # stationary to rounding, gap > tol
+            return x, val, mini, iters, g, False  # stationary to rounding, gap > tol
         seen.add(state)
         sy = float(s @ (grad_new - grad))
         step = float(s @ s) / sy if sy > 0.0 else step * 2.0
-        x, val, grad = x_new, val_new, grad_new
+        x, val, grad, mini = x_new, val_new, grad_new, mini_new
         recent.append(val)
-    return x, val, max_iter, gap(x, grad), False
+    return x, val, mini, max_iter, gap(x, grad), False
 
 
 def _masked_sets(spec, fixed_one, fixed_zero):
@@ -514,15 +512,14 @@ def _masked_sets(spec, fixed_one, fixed_zero):
     return one, np.flatnonzero(free)
 
 
-def _capped_box_minimum(spec, value, evaluator, tol, max_iter, fixed_one=(), fixed_zero=(),
-                        z0=None):
+def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None):
     """Minimize a convex g(z), nonincreasing in z, over the capped box by
-    nonmonotone spectral projected gradient.  ``value(z)`` returns g(z) at a
-    length-p z, for the closed-form cases; ``evaluator()`` is called once the
-    loop is sure to run and returns the loop's evaluator, z -> (g(z), its
-    gradient, its minimizer b, its Hessian on a face or None) as
-    :func:`_value_grad` returns them for f, where the Hessian maps an index
-    array F to the block H_FF at z; the loop reads no b.
+    nonmonotone spectral projected gradient.  ``evaluator()`` is called once
+    the arguments pass their checks and returns the solve's one evaluator,
+    z -> (g(z), its gradient, its minimizer b, its Hessian on a face or None)
+    as :func:`_value_grad` returns them for f, where the Hessian maps an index
+    array F to the block H_FF at z.  The closed-form cases evaluate with it
+    too, and every record's ``beta`` is the b of the evaluation at its z.
 
     ``fixed_one`` / ``fixed_zero`` pin coordinates of z at 1 / 0 (used by
     the exact solver's tree search); the remaining coordinates are
@@ -551,12 +548,13 @@ def _capped_box_minimum(spec, value, evaluator, tol, max_iter, fixed_one=(), fix
     budget = spec.k - one.size
     z = np.zeros(spec.p)
     z[one] = 1.0
+    evaluate = evaluator()
     if free.size == 0 or budget <= 0 or budget >= free.size:
         if budget > 0:
             z[free] = 1.0  # g decreases in every coordinate: saturate the box
-        return _certified(z, value(z), 0, 0.0, True)
+        val, _, b, _ = evaluate(z)
+        return _certified(z, val, 0, 0.0, True, b)
 
-    evaluate = evaluator()
     # g's Hessian at the loop's last evaluation, which is always at the iterate
     # that the next proposal starts from
     hessian = None
@@ -565,8 +563,8 @@ def _capped_box_minimum(spec, value, evaluator, tol, max_iter, fixed_one=(), fix
         nonlocal hessian
         hessian = None  # the last fit's factor goes before the next one is built
         z[free] = zf
-        val, grad, _, hessian = evaluate(z)
-        return val, grad[free]
+        val, grad, b, hessian = evaluate(z)
+        return val, grad[free], b
 
     def project(v):
         return project_capped_simplex(v, budget)
@@ -607,12 +605,12 @@ def _capped_box_minimum(spec, value, evaluator, tol, max_iter, fixed_one=(), fix
         zf = project(z0[free])
     else:
         zf = np.full(free.size, budget / free.size)
-    zf, val, iters, gap, converged = _projected_gradient(
+    zf, val, b, iters, gap, converged = _projected_gradient(
         fval_grad, project, lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
         propose=propose,
     )
     z[free] = zf
-    return _certified(z, val, iters, gap, converged)
+    return _certified(z, val, iters, gap, converged, b)
 
 
 def solve_v4(
@@ -634,23 +632,22 @@ def solve_v4(
             G = None
         return lambda z: _value_grad(spec, z, G)
 
-    return _capped_box_minimum(spec, lambda z: _one_off_fit(spec, z)[0], evaluator, tol,
-                               max_iter, fixed_one, fixed_zero, z0)
+    return _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one, fixed_zero, z0)
 
 
 def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
-    """Perspective relaxation value, solved as v4 (the two coincide).
+    """Perspective relaxation value: :func:`solve_v4`'s record, beta included.
 
-    With the auxiliary bound mu_i eliminated (mu_i = beta_i^2 / z_i at any
-    optimum), v2 is f(z) minimized over the capped box, which is v4.  The
-    value, z, certificate and convergence are :func:`solve_v4`'s; ``beta`` is
-    the perspective minimizer at that z, the fit on supp z.
+    With mu_i = beta_i^2 / z_i eliminated at any optimum, v2 is f(z) minimized
+    over the capped box, which is v4.  A function, not an alias, so that a
+    tracer that wraps public names tells the two apart.
     """
-    sol = solve_v4(spec)
-    return replace(sol, beta=_one_off_fit(spec, sol.z)[2])
+    return solve_v4(spec)
 
 
-def _positive_bounds(M: BigMVector) -> np.ndarray:
+def _positive_bounds(spec: ProblemSpec, M: BigMVector) -> np.ndarray:
+    if M.M.shape != (spec.p,):  # numpy would broadcast a length-1 M silently
+        raise InvalidArgumentError(f"big-M bounds must have shape ({spec.p},), got {M.M.shape}")
     # v1 searches with slopes 1/M_i**2, which must stay positive and finite
     if not np.all((M.M >= 1e-150) & (M.M <= 1e150)):
         raise InvalidArgumentError("all big-M entries must lie in [1e-150, 1e150]")
@@ -683,21 +680,21 @@ def solve_v1(
     gap's minimum of grad^T w over that set puts |w_i| = M_i against the sign
     of grad_i on the k largest |grad_i|*M_i.
     """
-    Mv = _positive_bounds(M)
+    Mv = _positive_bounds(spec, M)
     _check_positive("tol", tol)
     max_iter = _check_integer("max_iter", max_iter, 1)
     X, y, n, lam, k = spec.X, spec.y, spec.n, spec.lam, spec.k
 
     def fval_grad(b):
         r = y - X @ b
-        return float(r @ r / n + lam * (b @ b)), 2.0 * (lam * b - X.T @ r / n)
+        return float(r @ r / n + lam * (b @ b)), 2.0 * (lam * b - X.T @ r / n), b
 
     def gap(b, g):
         top = np.partition(np.abs(g) * Mv, spec.p - k)[spec.p - k:]
         return float(g @ b) + float(top.sum())
 
     beta0 = _project_weighted_l1_box(_support_fit(spec, np.arange(spec.p))[0], Mv, k)
-    beta, val, iters, gap_val, converged = _projected_gradient(
+    beta, val, _, iters, gap_val, converged = _projected_gradient(
         fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), gap, beta0, tol, max_iter,
         float(Mv.max()),
     )
@@ -715,12 +712,12 @@ def solve_v3(
     with its certificate.  Each beta-step is warm-started from the last one;
     ``beta`` is the minimizer at the returned z.
     """
-    Mv, beta = _positive_bounds(M), np.zeros(spec.p)
+    Mv, beta = _positive_bounds(spec, M), np.zeros(spec.p)
 
     def value_grad(z):
-        val, grad, beta[:] = _perspective_fit(spec, z, Mv, beta)
+        nonlocal beta
+        # a new array per fit, warm-started from the last: the loop keeps the accepted one
+        val, grad, beta = _perspective_fit(spec, z, Mv, beta)
         return val, grad, beta, None  # no face-Newton proposal
 
-    sol = _capped_box_minimum(spec, lambda z: value_grad(z)[0], lambda: value_grad, tol,
-                              max_iter)
-    return replace(sol, beta=_perspective_fit(spec, sol.z, Mv, beta)[2])
+    return _capped_box_minimum(spec, lambda: value_grad, tol, max_iter)

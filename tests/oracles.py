@@ -210,23 +210,25 @@ def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, width
                                 propose=None, armijo_c=1e-4):
     """The package's former projected-gradient loop, kept as a reference.
 
-    Same interface (``width``, which bounds the package's moves, and
-    ``propose``, the package's face-Newton proposal, go unused),
+    Same interface (``fval_grad`` returns (value, gradient, minimizer), the
+    minimizer of the accepted iterate is returned, and ``width``, which bounds
+    the package's moves, and ``propose``, the package's face-Newton proposal,
+    go unused),
     Barzilai-Borwein steps, gap stop and fault guards as
     ``sparseridge.relaxation._projected_gradient``, but monotone: every
     rejected trial halves the step and projects again, until the value
     falls by the Armijo amount below the current one.
     """
-    val, grad = fval_grad(x)
+    val, grad, mini = fval_grad(x)
     seen = set()
     step = 2.0
     for iters in range(1, max_iter + 1):
         g = gap(x, grad)
         if g <= tol * (1.0 + abs(val)):
-            return x, val, iters, g, True
+            return x, val, mini, iters, g, True
         while True:
             x_new = project(x - step * grad)
-            val_new, grad_new = fval_grad(x_new)
+            val_new, grad_new, mini_new = fval_grad(x_new)
             if val_new <= val + armijo_c * float(grad @ (x_new - x)):
                 break
             step *= 0.5
@@ -235,13 +237,13 @@ def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, width
                 break
         state = (hash(x_new.tobytes()), step)
         if np.array_equal(x_new, x) or state in seen:
-            return x, val, iters, g, False
+            return x, val, mini, iters, g, False
         seen.add(state)
         s = x_new - x
         sy = float(s @ (grad_new - grad))
         step = min(float(s @ s) / sy if sy > 0.0 else step * 2.0, 1e12)
-        x, val, grad = x_new, val_new, grad_new
-    return x, val, max_iter, gap(x, grad), False
+        x, val, grad, mini = x_new, val_new, grad_new, mini_new
+    return x, val, mini, max_iter, gap(x, grad), False
 
 
 # The weight at or below which these references drop a coordinate.

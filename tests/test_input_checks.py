@@ -17,6 +17,8 @@ from sparseridge import (
     BigMVector,
     InvalidArgumentError,
     ProblemSpec,
+    SparseEstimator,
+    SpectralStats,
     SyntheticConfig,
     big_m,
     branch_and_bound,
@@ -24,6 +26,7 @@ from sparseridge import (
     cardinality_bound,
     elastic_net_cd,
     false_alarm_rate,
+    greedy_distance_bound,
     min_l1_given_level,
     precision_to_regression,
     project_capped_simplex,
@@ -32,6 +35,7 @@ from sparseridge import (
     restricted_estimator,
     run_benchmark,
     solve_v1,
+    solve_v3,
     solve_v4,
     spectral_stats,
     theta,
@@ -54,6 +58,13 @@ def zhat():
 
 
 BOUNDS = BigMVector(M=np.full(P, 10.0), v_upper=10.0, rho=1.0)
+# big-M vectors of the wrong length: length 1 would broadcast
+SHORT_OR_LONG = (np.full(1, 10.0), np.full(3, 10.0), np.full(P + 1, 10.0))
+STATS = SpectralStats(theta={0: 0.0, 1: 1.0, 2: 2.0})
+
+
+def estimator(*support):
+    return SparseEstimator(support, np.zeros(P), 1.0)
 
 
 CASES = {
@@ -90,6 +101,11 @@ CASES = {
     "branch_and_bound node_cap": (lambda s, v: branch_and_bound(s, node_cap=v), count(-1)),
     "solve_v4 max_iter": (lambda s, v: solve_v4(s, max_iter=v), count(0)),
     "solve_v1 max_iter": (lambda s, v: solve_v1(s, BOUNDS, max_iter=v), count(0)),
+    # big-M bounds, one per feature
+    "solve_v1 M": (lambda s, v: solve_v1(s, BigMVector(M=v, v_upper=10.0, rho=1.0)),
+                   SHORT_OR_LONG),
+    "solve_v3 M": (lambda s, v: solve_v3(s, BigMVector(M=v, v_upper=10.0, rho=1.0)),
+                   SHORT_OR_LONG),
     "elastic_net_cd max_sweeps": (lambda s, v: elastic_net_cd(s, 0.1, max_sweeps=v), count(0, -3)),
     "randomized_round seed": (lambda s, v: randomized_round(zhat(), v), count(-1, 2**128)),
     "cardinality_bound k": (lambda s, v: cardinality_bound(v, 0.1), count(0)),
@@ -116,6 +132,11 @@ CASES = {
     "solve_v4 fixed_one": (lambda s, v: solve_v4(s, fixed_one=(v,)), count(-1, P)),
     "solve_v4 fixed_zero": (lambda s, v: solve_v4(s, fixed_zero=(0, v)), count(-1, P)),
     "restricted_estimator S": (lambda s, v: restricted_estimator(s, [v]), count(-1, P)),
+    # an estimator's support is ints already, so only the range is left to refuse
+    "greedy_distance_bound greedy_est": (
+        lambda s, v: greedy_distance_bound(s, STATS, estimator(0, v), estimator(0)), (-1, P)),
+    "greedy_distance_bound optimal_est": (
+        lambda s, v: greedy_distance_bound(s, STATS, estimator(0), estimator(0, v)), (-1, P)),
     # a digit string is how the command line names a column, so no text here
     "response column": (lambda s, v: _resolve_response(v, 3, None), (True, 2.5, -4, 3)),
 }

@@ -216,7 +216,7 @@ class TestNumericalFaults:
     def test_projected_gradient_refuses_non_finite_iterates(self, value, gap):
         with pytest.raises(NumericalError, match="non-finite"):
             relaxation._projected_gradient(
-                lambda x: (value, -np.ones_like(x)), lambda v: v.clip(0.0, 1.0),
+                lambda x: (value, -np.ones_like(x), x), lambda v: v.clip(0.0, 1.0),
                 lambda x, g: gap, np.full(3, 0.5), 1e-8, 10)
 
     def test_big_m_refuses_overflowed_normal_equations(self):
@@ -331,7 +331,7 @@ class TestProjectedValueSolver:
         # accepted with zero decrease, so once the step saturates the loop
         # state (x, step) repeats and would cycle until max_iter.
         def fval_grad(x):
-            return 0.0, np.array([1.0, 0.0])
+            return 0.0, np.array([1.0, 0.0]), x
 
         def swap(v):
             return np.array([0.0, 1.0 - v[1]])
@@ -339,7 +339,7 @@ class TestProjectedValueSolver:
         def gap(x, grad):
             return 1.0  # never certified, so only the cycle stop can end the loop
 
-        x, val, iters, resid, converged = relaxation._projected_gradient(
+        x, val, _, iters, resid, converged = relaxation._projected_gradient(
             fval_grad, swap, gap, np.zeros(2), 1e-9, 10000
         )
         assert not converged and resid == 1.0 and iters < 100
@@ -353,7 +353,7 @@ class TestProjectedValueSolver:
 
         def fval_grad(x):
             trials.append(float(x[0]))
-            return float(x[0] ** 2), 2.0 * x
+            return float(x[0] ** 2), 2.0 * x, x
 
         def clip(v):
             projections.append(v)
@@ -362,7 +362,7 @@ class TestProjectedValueSolver:
         def gap(x, grad):  # grad*x minus its minimum over the box
             return float(grad[0] * x[0] + 10.0 * abs(grad[0]))
 
-        x, val, iters, resid, converged = relaxation._projected_gradient(
+        x, val, _, iters, resid, converged = relaxation._projected_gradient(
             fval_grad, clip, gap, np.ones(1), 1e-9, 100, 4e-6
         )
         assert converged and x[0] == 0.0 and val == 0.0
@@ -524,7 +524,7 @@ class TestFaceNewton:
         spec = ProblemSpec(data=data, lam=0.08, k=6)
 
         def fval_grad(z):
-            return relaxation._value_grad(spec, z)[:2]
+            return relaxation._value_grad(spec, z)[:3]
 
         def project(v):
             return project_capped_simplex(v, 6)
@@ -541,8 +541,9 @@ class TestFaceNewton:
                 np.full(120, 0.05), 1e-7, 5000, **kwargs)
 
         want, got = run(), run(propose=propose)
-        assert want[0].tobytes() == got[0].tobytes() and want[1:] == got[1:]
-        assert want[4] and len(offered) == got[2] - 1
+        assert want[0].tobytes() == got[0].tobytes() and want[1] == got[1]
+        assert want[2].tobytes() == got[2].tobytes() and want[3:] == got[3:]
+        assert want[5] and len(offered) == got[3] - 1
 
     def test_settled_face_halves_the_iterations(self):
         # The parent, with spectral steps alone and a first step of 2, took 47.
@@ -807,10 +808,9 @@ class TestGramRoute:
     @given(case=tall_cases())
     def test_route_taken_matches_the_x_route(self, case):
         spec, z = case
-        value, grad, b = relaxation._one_off_fit(spec, z)
+        value, grad = value_and_gradient(spec, z)
         want_value, want_grad, want_b = relaxation._value_grad(spec, z)[:3]
         assert abs(value - want_value) <= 1e-12 * want_value
-        assert np.abs(b - want_b).max() <= 1e-12 * max(np.abs(want_b).max(), 1e-300)
         # The gradient's a_i = x_i^T u cancels in either route when u is nearly
         # orthogonal to x_i (every column in S at a tiny lam), so it is held to
         # 1e-12 of its Cauchy-Schwarz bound lam*max|x_i|^2*|u|^2.
@@ -864,8 +864,57 @@ class TestGramRoute:
         spec = ProblemSpec(data=Dataset(X=X, y=X @ rng.uniform(-2.0, 2.0, 10)), lam=lam, k=3)
         spec.data.normal.G
         z = np.full(10, 0.5)
-        value, _, b = relaxation._one_off_fit(spec, z)
+        value = value_and_gradient(spec, z)[0]
+        b = relaxation._value_grad(spec, z)[2]  # the X route's
         assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
+
+
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
+
+
+class TestRecordedMinimizer:
+    """Each record's beta is the minimizer its solve evaluated at the returned z."""
+
+    @pytest.mark.parametrize("n, p", [(120, 60), (60, 120)], ids=["tall", "wide"])
+    def test_v2_is_v4s_record(self, n, p):
+        data = generate_synthetic(SyntheticConfig(n=n, p=p, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        v2, v4 = solve_v2_perspective(spec), solve_v4(spec)
+        assert v2.z.tobytes() == v4.z.tobytes() and v2.beta.tobytes() == v4.beta.tobytes()
+        for field in ("value", "iterations", "lower_bound", "kkt_residual", "converged"):
+            assert getattr(v2, field) == getattr(v4, field), field
+
+    def test_gram_route_beta_matches_the_x_route(self):
+        data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        sol = solve_v4(spec)
+        G = spec.data.normal.formed_gram()
+        assert G is not None  # formed by the loop, which took the Gram route
+        assert relaxation._above_floor(spec, relaxation._value_grad(spec, np.ones(60), G)[0])
+        assert _relative_gap(sol.beta, relaxation._value_grad(spec, sol.z)[2]) <= 1e-12
+
+    @pytest.mark.parametrize("n, k, fixed_one, fixed_zero", [
+        (20, 6, (), ()),  # k = p <= n
+        (20, 3, (1,), (0, 2, 4)), (4, 3, (1,), (0, 2, 4)),  # budget 2, two free
+        (4, 3, (0, 1, 5), ()),  # the ones spend the budget
+    ], ids=["k_equals_p", "budget_covers_free_tall", "budget_covers_free_wide",
+            "ones_fill_budget"])
+    def test_closed_form_beta_is_the_fit_on_the_support(self, rng, n, k, fixed_one, fixed_zero):
+        spec = random_spec(rng, n, 6, k, 0.2)
+        sol = solve_v4(spec, fixed_one=fixed_one, fixed_zero=fixed_zero)
+        assert sol.iterations == 0 and sol.converged
+        fit = restricted_estimator(spec, np.flatnonzero(sol.z))
+        assert _relative_gap(sol.beta, fit.beta) <= 1e-12
+        assert sol.value == pytest.approx(fit.objective, rel=1e-12)
+
+    @pytest.mark.parametrize("n, p", [(13, 6), (6, 13)], ids=["tall", "wide"])
+    def test_v3_beta_is_the_fit_at_its_z(self, n, p):
+        spec = random_spec(np.random.default_rng(5), n, p, 2, 0.05)
+        M = big_m(spec, v_upper=greedy_select(spec)[0].objective)
+        sol = solve_v3(spec, M)
+        want = relaxation._perspective_fit(spec, sol.z, M.M, np.zeros(p))[2]
+        assert _relative_gap(sol.beta, want) <= 1e-10
 
 
 class TestBoxConstrainedStep:
