@@ -32,7 +32,8 @@ is not finite or not positive definite.
 Caller input is checked by one helper per kind, used by every module:
 ``_check_integer`` for a count or a single feature index (type and range in
 one call), ``_check_real`` and ``_check_positive`` for real scalars (True and
-text fail), and ``_clean_support`` for a set of feature indices.  Input is
+text fail), ``_check_flag`` for a boolean option (only bool and np.bool_ pass),
+and ``_clean_support`` for a set of feature indices.  Input is
 checked once, at the public entry point: index arrays the library builds
 itself pass ``_clean_support`` by their dtype, with no scan of their items.
 Frozen records copy and write-protect their arrays with ``_freeze``.
@@ -293,6 +294,13 @@ def _check_integer(name: str, value, low, high=math.inf) -> int:
         raise InvalidArgumentError(f"{name} must be >= {low}, got {value}" if high == math.inf
                                    else f"{name} must lie in [{low}, {high}], got {value}")
     return value
+
+
+def _check_flag(name: str, value) -> bool:
+    """``value`` as a bool; raises unless it is a bool or np.bool_ (1, "no" and None fail)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise InvalidArgumentError(f"{name} must be True or False, got {value!r}")
+    return bool(value)
 
 
 def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
@@ -588,8 +596,10 @@ def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
     """(S, K) for blocks S of size-s supports, with K the (m, s, s) stack of
     X_S^T X_S + shift*I over the rows of S, from the normal equations'
     blocks.  The supports are the rows of ``rows`` (m, s), or every size-s
-    subset in ``_subset_blocks`` order.  Gathered columns (s x n per support
-    when p > n) count in the element budget."""
+    subset in ``_subset_blocks`` order.  An entry -1 in a row is padding:
+    its row and column of K are decoupled, 0 but for shift on the diagonal.
+    Gathered columns (s x n per support when p > n) count in the element
+    budget."""
     eq = spec.data.normal
     width = s if eq.G is not None else max(s, spec.n)
     if rows is None:
@@ -599,27 +609,38 @@ def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
         blocks = (rows[lo:lo + m] for lo in range(0, len(rows), m))
     d = np.arange(s)
     for S in blocks:
-        K = eq.block(S, S)
+        K = eq.block(S, S)  # padding gathers feature p - 1, then is cleared
+        pad = S < 0
+        K[pad] = 0.0
+        K.swapaxes(1, 2)[pad] = 0.0
         K[:, d, d] += shift
         yield S, K
 
 
 def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
-    """(b, values) for the supports ``rows`` (m, s): b[i] (m, s) is the ridge fit
-    on rows[i] and values[i] its objective (y^T y - (X^T y)_S . b[i])/n, from one
-    stacked solve per block of ``_gram_stacks``.  Rows wider than n are fit
-    one by one on the n x n side of ``RidgeSystem``."""
-    if s > spec.n:
-        fits = [_support_fit(spec, S) for S in rows]
-        return (np.array([beta[S] for S, (beta, _) in zip(rows, fits)]),
-                np.array([value for _, value in fits]))
-    eq, b, values = spec.data.normal, [], []
-    for S, K in _gram_stacks(spec, s, rows, spec.n * spec.lam):
-        cS = eq.c[S]
+    """(b, values) for the supports ``rows`` (m, s), each a row of feature
+    indices padded at its end with -1: b[i] (m, s) is the ridge fit on the
+    features of rows[i], exactly 0 at its padding, and values[i] its objective
+    (y^T y - (X^T y)_S . b[i])/n.  Supports of at most n features take one
+    stacked solve per block of ``_gram_stacks`` at width min(s, n), where
+    padding is decoupled with right side 0; wider ones are fit one by one on
+    the n x n side of ``RidgeSystem``."""
+    eq, sizes = spec.data.normal, (rows >= 0).sum(axis=1)
+    b, values = np.zeros(rows.shape), np.empty(len(rows))
+    for i in np.flatnonzero(sizes > spec.n):
+        S = rows[i, :sizes[i]]
+        beta, values[i] = _support_fit(spec, S)
+        b[i, :S.size] = beta[S]
+    narrow = np.flatnonzero(sizes <= spec.n)
+    w, lo = min(s, spec.n), 0  # a narrow row's features are its first min(s, n) entries
+    for S, K in _gram_stacks(spec, w, rows[narrow, :w], spec.n * spec.lam):
+        cS = np.where(S < 0, 0.0, eq.c[S])
+        at, lo = narrow[lo:lo + len(S)], lo + len(S)
         # the explicit trailing axis: a 2-D right side would be read as one matrix
-        b.append(np.linalg.solve(K, cS[..., None])[..., 0])
-        values.append((eq.yy - np.einsum("ij,ij->i", cS, b[-1])) / spec.n)
-    return np.concatenate(b), np.concatenate(values)
+        bS = np.linalg.solve(K, cS[..., None])[..., 0]
+        b[at, :w] = bS
+        values[at] = (eq.yy - np.einsum("ij,ij->i", cS, bS)) / spec.n
+    return b, values
 
 
 def _best_support(spec: ProblemSpec) -> np.ndarray:

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from .core import Dataset, _check_integer
+from .core import Dataset, _check_flag, _check_integer
 from .errors import InvalidArgumentError
 
 
@@ -66,7 +66,7 @@ def load_dataset_csv(
     path: str, response="last", header: bool = False
 ) -> Dataset:
     """Read a dataset; all columns but the response become features in file order."""
-    data, names = _parse_rows(path, header)
+    data, names = _parse_rows(path, _check_flag("header", header))
     col = _resolve_response(response, data.shape[1], names)
     if data.shape[1] < 2:
         raise InvalidArgumentError(f"{path}: need at least one feature column")
@@ -85,6 +85,7 @@ def save_dataset_csv(data: Dataset, path: str, header: bool = False) -> None:
     Each cell is ``repr`` of its float, the shortest text that reads back to
     the same double; rows end in CRLF, as ``csv.writer`` writes them.
     """
+    header = _check_flag("header", header)
     with open(path, "w", newline="") as fh:
         if header:
             names = data.feature_names or tuple(

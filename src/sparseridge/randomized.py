@@ -6,17 +6,23 @@ draws may exceed the budget; a concentration bound quantifies by how much.
 The multi-trial driver keeps the best draw and, optionally, repairs
 over-budget draws by dropping their smallest-magnitude coefficients.
 
-Randomness comes from the counter-based Philox generator with one stream
-per trial, keyed by ``SeedSequence([seed, trial_index])``, so distinct seeds
-draw distinct streams and any single trial can be reproduced in isolation,
-on any platform, from the key stored on its outcome.  The keys of all trials
-come from one vectorized pass that replays SeedSequence's mixing bit for bit.
+Randomness comes from one counter-based Philox stream per run, keyed by
+``SeedSequence(seed).generate_state(2, np.uint64)``.  Trial t takes the
+ceil(p/4) counter blocks (four doubles each) that follow counter
+t*ceil(p/4), which is what ``Generator(Philox(key, counter=t*ceil(p/4)))``
+draws first, so trials are consecutive, non-overlapping blocks of one
+stream, independent by the design of counter-based generators (Salmon,
+Moraes, Dror & Shaw, SC 2011).  All trials are drawn by one ``Generator.random`` call per row block
+within ``core._BLOCK_ELEMENTS`` floats, and any single trial replays in
+isolation, on any platform, through :func:`randomized_round` from the key and
+counter stored on its outcome; distinct seeds draw distinct streams.
 
-Draws are scored together, not fit one by one: each distinct support of a
-cardinality once (a dict keyed on its index bytes finds it, with no sort), in
-the stacked solves of ``core._ridge_scores``.  Only the winners are refit
-exactly, so reported values are exact fits; the stacked values that pick them
-agree to rounding only.
+Draws are scored together, not fit one by one: every distinct draw once,
+padded with decoupled entries to the widest draw, in one stacked pass of
+``core._ridge_scores``; the distinct trimmed supports of over-budget draws
+that no trial drew take a second pass at the same width.  Only the winners
+are refit exactly, so reported values are exact fits; the stacked values
+that pick them agree to rounding only.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import numpy as np
 from .core import (
     ProblemSpec,
     SparseEstimator,
+    _block_rows,
+    _check_flag,
     _check_integer,
     _check_real,
     _check_zhat,
@@ -42,14 +50,16 @@ from .errors import InvalidArgumentError
 
 @dataclass(frozen=True)
 class RoundingOutcome:
-    """One rounding draw: support, indicator vector, its value and the
-    Philox key that replays it through :func:`randomized_round`."""
+    """One rounding draw: support, indicator vector and its value, with the
+    Philox key (``seed``) and counter block (``counter``) that replay it:
+    ``randomized_round(zhat, seed, counter)`` draws the same support."""
 
     support: tuple[int, ...]
     z_tilde: np.ndarray
     cardinality: int
     value: float
     seed: int
+    counter: int = 0
 
     def __post_init__(self) -> None:
         _freeze(self, "z_tilde")
@@ -82,92 +92,43 @@ class RandomizedResult:
         return out
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): pool hashing,
-# output hashing and the mix of two pool words.
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-_MASK32 = 2**32 - 1
+def _draw(philox: np.random.Philox, zhat: np.ndarray, trials: int) -> np.ndarray:
+    """Flat indices t*p + i, ascending, of every feature i that trial t of
+    ``trials`` consecutive trials keeps: trial t is the next ceil(p/4) counter
+    blocks of ``philox`` (4*ceil(p/4) doubles, of which the first p are
+    compared with zhat), so from a stream at counter c it draws what
+    ``Philox(key, counter=c + t*ceil(p/4))`` draws first.  Rows of trials go
+    in blocks within _BLOCK_ELEMENTS floats."""
+    gen, p = np.random.Generator(philox), zhat.size
+    width = 4 * -(-p // 4)
+    m = _block_rows(width)
+    return np.concatenate([
+        lo * p + np.flatnonzero(gen.random((min(m, trials - lo), width))[:, :p] <= zhat)
+        for lo in range(0, trials, m)])
 
 
-def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
-    """SeedSequence's hash of uint32 words ``value`` under the running hash
-    constant ``const``; returns the hashed words and the next constant."""
-    value = value ^ np.uint32(const)
-    const = const * mult & _MASK32
-    value = value * np.uint32(const)
-    return value ^ (value >> np.uint32(16)), const
+def _indicator(p: int, support: np.ndarray) -> np.ndarray:
+    """The length-p 0/1 vector of ``support``."""
+    z = np.zeros(p)
+    z[support] = 1.0
+    return z
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words ``x`` with hashed words ``y``."""
-    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-    return r ^ (r >> np.uint32(16))
-
-
-def _trial_keys(seed: int, trials: np.ndarray) -> np.ndarray:
-    """Philox keys of the given trial indices (< 2**64) of a multi-trial run:
-    ``SeedSequence([seed, t]).generate_state(1, np.uint64)[0]`` for each t, as
-    uint64, computed for all trials at once by SeedSequence's own uint32 pool
-    mixing (array arithmetic wraps modulo 2**32 as its C code does).  The
-    entropy is seed's little-endian 32-bit words, then t's: one word for
-    t < 2**32 and two above, so trials are mixed in two groups by length."""
-    t = np.asarray(trials, dtype=np.uint64)
-    seed_words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    keys = np.empty(t.size, np.uint64)
-    high = (t >> np.uint64(32)).astype(np.uint32)
-    for wide in (False, True):
-        at = np.flatnonzero((high > 0) == wide)
-        if not at.size:
-            continue
-        words = [np.full(at.size, w, np.uint32) for w in seed_words]
-        words += [t[at].astype(np.uint32)] + ([high[at]] if wide else [])
-        const, pool = _INIT_A, []
-        for i in range(_POOL):
-            value, const = _hashmix(words[i] if i < len(words) else np.zeros(at.size, np.uint32),
-                                    const)
-            pool.append(value)
-        for src in range(_POOL):
-            for dst in range(_POOL):
-                if src != dst:
-                    value, const = _hashmix(pool[src], const)
-                    pool[dst] = _mix(pool[dst], value)
-        for src in range(_POOL, len(words)):
-            for dst in range(_POOL):
-                value, const = _hashmix(words[src], const)
-                pool[dst] = _mix(pool[dst], value)
-        # generate_state(1, np.uint64): the low and high words hash pool[0] and pool[1]
-        low, const = _hashmix(pool[0], _INIT_B, _MULT_B)
-        high_word = _hashmix(pool[1], const, _MULT_B)[0]
-        keys[at] = low.astype(np.uint64) | high_word.astype(np.uint64) << np.uint64(32)
-    return keys
-
-
-def _keyed_uniforms(gen: np.random.Generator, key: int, size: int) -> np.ndarray:
-    """``size`` uniforms of the Philox stream keyed by ``key`` (0 <= key < 2**128):
-    ``gen``'s Philox is rewound to counter 0 and that key, so the draw equals
-    ``Generator(Philox(key=key)).random(size)`` without building a generator."""
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([key & (2**64 - 1), key >> 64], np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return gen.random(size)
-
-
-def randomized_round(zhat: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def randomized_round(zhat: np.ndarray, seed: int, counter: int = 0
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """One independent-rounding draw; returns (support, z_tilde).
 
     Feature i is included iff a uniform draw U_i satisfies U_i <= zhat_i,
-    with the U_i drawn from the Philox stream keyed by ``seed`` (< 2**128).
-    Deterministic given the seed.
+    with the U_i drawn from the Philox stream keyed by ``seed`` (< 2**128)
+    after counter block ``counter`` (< 2**256): the stream of
+    ``Generator(Philox(key=seed, counter=counter))``.  Deterministic given
+    the seed and counter.
     """
     zhat = _check_zhat(zhat)
     key = _check_integer("seed", seed, 0, 2**128 - 1)
-    gen = np.random.Generator(np.random.Philox(0))
-    z_tilde = (_keyed_uniforms(gen, key, zhat.size) <= zhat).astype(float)
-    return np.flatnonzero(z_tilde), z_tilde
+    counter = _check_integer("counter", counter, 0, 2**256 - 1)
+    support = _draw(np.random.Philox(key=key, counter=counter), zhat, 1)
+    return support, _indicator(zhat.size, support)
 
 
 def cardinality_bound(k: int, alpha: float) -> float:
@@ -195,57 +156,70 @@ def randomized_solve(
     statistics; ``p_exceed_bound`` is the fraction of draws whose
     cardinality exceeds ``cardinality_bound(k, alpha)``.
 
-    Draws are index arrays, scored per cardinality from the largest, each
-    distinct support once by ``core._ridge_scores``; trimmed supports join
-    the size-k draws.  Only the winners are refit exactly
-    (``restricted_estimator``): reported values are exact fits, but the
+    Draws are rows of feature indices, padded with -1 to the widest draw;
+    each distinct row is scored once by ``core._ridge_scores``, and trimmed
+    rows that no trial drew in a second pass at the same width.  Only the
+    winners are refit exactly (``restricted_estimator`` for the repaired
+    one), and no support twice: reported values are exact fits, but the
     choice rests on stacked values, equal to rounding only.
     """
     trials = _check_integer("trials", trials, 1)
     zhat = _check_zhat(zhat, spec.p)
     seed = _check_integer("seed", seed, 0)
+    repair = _check_flag("repair", repair)
     bound = cardinality_bound(spec.k, alpha)
     k = spec.k
 
-    gen = np.random.Generator(np.random.Philox(0))
-    keys = _trial_keys(seed, np.arange(trials)).tolist()
-    draws = [np.flatnonzero(_keyed_uniforms(gen, key, spec.p) <= zhat) for key in keys]
-    cards = np.array([d.size for d in draws])
-    kept = list(draws)  # the repaired support of each draw
-    raw, repaired = np.empty(trials), np.empty(trials)  # each trial's two values
-    over: list[int] = []  # over-budget trials, trimmed to size k
-    for s in sorted(set(cards.tolist()) | {k}, reverse=True):
-        drawn = np.flatnonzero(cards == s).tolist()
-        group = drawn + (over if repair and s == k else [])
-        if not group:
-            continue
-        rows = np.array([kept[t] for t in group], dtype=np.intp).reshape(len(group), s)
-        first = {}  # each distinct support is scored once, at the first row holding it
-        holder = [first.setdefault(row.tobytes(), i) for i, row in enumerate(rows)]
-        distinct = list(first.values())  # ascending
-        b, values = _ridge_scores(spec, s, rows[distinct])
-        at = np.searchsorted(distinct, holder)
-        b, values = b[at], values[at]
-        raw[drawn] = values[:len(drawn)]
-        repaired[group] = values
-        if repair and s > k:
-            # the k largest |b_i| survive, as a stable sort of |b| ranks them
-            top = np.argsort(np.abs(b), axis=1, kind="stable")[:, s - k:]
-            for t, row in zip(group, np.sort(np.take_along_axis(rows, top, 1), axis=1)):
-                kept[t] = row
-            over += group
+    key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    trial, feature = np.divmod(_draw(np.random.Philox(key=key), zhat, trials), spec.p)
+    cards = np.bincount(trial, minlength=trials)
+    width = int(cards.max())
+    rows = np.full((trials, width), -1, np.intp)
+    rows[trial, np.arange(trial.size) - (np.cumsum(cards) - cards)[trial]] = feature
 
-    t_best = int(np.argmin(raw))  # argmin keeps the first: the lowest trial index
-    support = draws[t_best]
-    best = RoundingOutcome(support=tuple(support.tolist()),
-                           z_tilde=np.isin(np.arange(spec.p), support),
-                           cardinality=int(support.size),
-                           value=_support_fit(spec, support)[1], seed=keys[t_best])
+    # table holds each distinct support once, in the order trials first drew them
+    index: dict[bytes, int] = {}
+    at = np.array([index.setdefault(row.tobytes(), len(index)) for row in rows])
+    table = rows[np.unique(at, return_index=True)[1]]
+    b, values = _ridge_scores(spec, width, table)
+    kept = np.arange(len(table))  # each support's repaired support, a row of table
+    over = np.flatnonzero((table >= 0).sum(axis=1) > k)
+    if repair and over.size:
+        # the k largest |b_i| survive, as a stable sort of |b| ranks them; padding
+        # ranks below every |b_i|
+        long_rows = table[over]
+        top = np.argsort(np.where(long_rows < 0, -1.0, np.abs(b[over])), axis=1,
+                         kind="stable")[:, width - k:]
+        trimmed = np.full((over.size, width), -1, np.intp)
+        trimmed[:, :k] = np.sort(np.take_along_axis(long_rows, top, 1), axis=1)
+        kept[over] = [index.setdefault(row.tobytes(), len(index)) for row in trimmed]
+        ids, first = np.unique(kept[over], return_index=True)
+        fresh = trimmed[first[ids >= len(table)]]
+        table = np.concatenate([table, fresh])
+        values = np.concatenate([values, _ridge_scores(spec, width, fresh)[1]])
+
+    def support(row: int) -> np.ndarray:
+        return table[row, :np.count_nonzero(table[row] >= 0)]
+
+    # argmin keeps the first: the lowest trial index
+    t_best = int(np.argmin(values[at]))
+    drawn = support(at[t_best])
+    best_value = _support_fit(spec, drawn)[1]
+    best = RoundingOutcome(support=tuple(drawn.tolist()),
+                           z_tilde=_indicator(spec.p, drawn),
+                           cardinality=int(drawn.size), value=best_value,
+                           seed=int(key[0]) | int(key[1]) << 64,
+                           counter=t_best * -(-spec.p // 4))
     best_rep = best_rep_raw = None
     if repair:
-        t_rep = int(np.argmin(repaired))
-        best_rep = restricted_estimator(spec, kept[t_rep])
-        best_rep_raw = _support_fit(spec, draws[t_rep])[1]
+        t_rep = int(np.argmin(values[kept[at]]))
+        best_rep = restricted_estimator(spec, support(kept[at[t_rep]]))
+        if at[t_rep] == at[t_best]:
+            best_rep_raw = best_value
+        elif kept[at[t_rep]] == at[t_rep]:
+            best_rep_raw = best_rep.objective
+        else:
+            best_rep_raw = _support_fit(spec, support(at[t_rep]))[1]
     return RandomizedResult(
         best=best,
         best_repaired=best_rep,

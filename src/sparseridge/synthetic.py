@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _check_integer, _check_positive, _check_real
+from .core import Dataset, _check_flag, _check_integer, _check_positive, _check_real
 from .errors import InvalidArgumentError
 
 
@@ -50,6 +50,8 @@ class SyntheticConfig:
         for name, low in (("n", 1), ("p", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_integer(name, getattr(self, name), low))
         object.__setattr__(self, "k_true", _check_integer("k_true", self.k_true, 1, self.p))
+        object.__setattr__(self, "resample_small",
+                           _check_flag("resample_small", self.resample_small))
         for name in ("rho", "coef_low", "coef_high", "min_signal"):
             _check_real(name, getattr(self, name))
         if not -1.0 < self.rho < 1.0:

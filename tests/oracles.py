@@ -509,26 +509,30 @@ def greedy_dense_steps(X, y, lam, steps, candidates=None, tie_tol=1e-12):
 def randomized_trials_oracle(X, y, lam, k, zhat, trials, seed, repair=True, alpha=0.1):
     """Best-of-trials independent rounding, one draw and one exact fit at a time.
 
-    The package's former per-trial loop: draw t keeps feature i iff
-    U_i <= zhat_i, with U from a fresh ``Generator(Philox(key))`` keyed by
-    ``SeedSequence([seed, t])``; every draw is fit on its own support; an
-    over-budget draw is trimmed to its k largest |beta_i| (stable ranking)
-    and refit.  The first of equal values wins.  Returns a dict of the
-    reported fields.
+    A per-trial loop: draw t keeps feature i iff U_i <= zhat_i, with U from
+    its own ``Generator(Philox(key=K, counter=t*ceil(p/4)))``, K the 128-bit
+    key ``SeedSequence(seed).generate_state(2, np.uint64)``; every draw is fit
+    on its own support; an over-budget draw is trimmed to its k largest
+    |beta_i| (stable ranking) and refit.  The first of equal values wins.
+    Returns a dict of the reported fields.
     """
     n, p = X.shape
     zhat = np.clip(np.asarray(zhat, dtype=float), 0.0, 1.0)
+    words = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    key = int(words[0]) | int(words[1]) << 64
     best = rep = None
     cards = []
     for t in range(trials):
-        key = int(np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0])
-        z = (np.random.Generator(np.random.Philox(key=key)).random(p) <= zhat).astype(float)
+        counter = t * -(-p // 4)
+        U = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(p)
+        z = (U <= zhat).astype(float)
         support = np.flatnonzero(z)
         cards.append(support.size)
         beta = subset_fit_oracle(X, y, lam, support)
         value = naive_ridge_objective(X, y, lam, beta)
         if best is None or value < best["value"]:
-            best = {"support": tuple(support.tolist()), "z_tilde": z, "value": value, "seed": key}
+            best = {"support": tuple(support.tolist()), "z_tilde": z, "value": value,
+                    "seed": key, "counter": counter}
         if not repair:
             continue
         kept, kept_value = support, value

@@ -507,6 +507,31 @@ class TestNormalEquations:
             assert np.abs(got_b - want_b).max() <= 1e-12 * (1.0 + np.abs(want_b).max())
             assert abs(got_value - want_value) <= 1e-12 * (1.0 + want_value)
 
+    @pytest.mark.parametrize("n, p", [(8, 6), (5, 12)])
+    def test_padded_rows_score_their_own_features(self, rng, monkeypatch, n, p):
+        # rows of 0 to 6 features padded with -1 to width 6: padding gets b = 0
+        # exactly, and at (5, 12) rows of 6 features are fit alone on the n x n side
+        spec = random_spec(rng, n, p, min(n, p), 0.1)
+        sizes = [0, 1, 6, 3, 6, 2, 5, 4]
+        rows = np.full((len(sizes), 6), -1)
+        for row, size in zip(rows, sizes):
+            row[:size] = np.sort(rng.choice(p, size, replace=False))
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 50)
+        b, values = core._ridge_scores(spec, 6, rows)
+        for row, size, got_b, got_value in zip(rows, sizes, b, values):
+            S = row[:size]
+            want_b, _, want_value = RidgeSystem(spec.data, S, np.ones(size), n * 0.1).fit(spec.y)
+            assert np.all(got_b[size:] == 0.0)
+            assert np.abs(got_b[:size] - want_b).max(initial=0.0) <= 1e-12 * (
+                1.0 + np.abs(want_b).max(initial=0.0))
+            assert abs(got_value - want_value) <= 1e-12 * (1.0 + want_value)
+        # padding is decoupled in the stacks themselves: its row and column are 0
+        # but for the shift on the diagonal
+        for S, K in core._gram_stacks(spec, 6, rows, shift=3.0):
+            at, pos = np.nonzero(S < 0)
+            assert np.array_equal(K[at, pos], 3.0 * np.eye(6)[pos])
+            assert np.array_equal(K, K.swapaxes(1, 2))
+
     def test_gram_stack_shift_leaves_the_view_unchanged(self, rng):
         spec = random_spec(rng, 8, 5, 2, 0.1)
         G = spec.data.normal.G.copy()

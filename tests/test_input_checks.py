@@ -2,12 +2,14 @@
 
 Each row names a public argument and the values it must refuse.  Real-valued
 arguments get True and a numeric string; counts and feature indices also get
-2.5 and values outside their range.  Every refusal is an InvalidArgumentError
+2.5 and values outside their range; boolean options get text, an int, None
+and a float, since only bool and np.bool_ are flags.  Every refusal is an InvalidArgumentError
 raised before a factorization, an eigenvalue call, a rounding draw, a greedy
 run or a dataset draw.
 """
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -42,11 +44,14 @@ from sparseridge import (
     underline_theta,
     waterfill_z,
 )
-from sparseridge.data_io import _resolve_response
+from sparseridge.data_io import _resolve_response, load_dataset_csv, save_dataset_csv
 from sparseridge.greedy import GreedyState, marginal_gain
 
 N, P, K = 12, 6, 2
 REAL = (True, "0.5")
+FLAG = ("no", 2, None, 1.0)
+# a file in a directory that does not exist: opening it for reading or writing fails
+MISSING = os.path.join(os.path.dirname(__file__), "no-such-directory", "data.csv")
 
 
 def count(*out_of_range):
@@ -108,6 +113,8 @@ CASES = {
                    SHORT_OR_LONG),
     "elastic_net_cd max_sweeps": (lambda s, v: elastic_net_cd(s, 0.1, max_sweeps=v), count(0, -3)),
     "randomized_round seed": (lambda s, v: randomized_round(zhat(), v), count(-1, 2**128)),
+    "randomized_round counter": (lambda s, v: randomized_round(zhat(), 0, counter=v),
+                                 (-1, 2**256, 2.5, True)),
     "cardinality_bound k": (lambda s, v: cardinality_bound(v, 0.1), count(0)),
     "randomized_solve trials": (lambda s, v: randomized_solve(s, zhat(), trials=v), count(0)),
     "randomized_solve seed": (lambda s, v: randomized_solve(s, zhat(), seed=v), count(-1)),
@@ -137,6 +144,12 @@ CASES = {
         lambda s, v: greedy_distance_bound(s, STATS, estimator(0, v), estimator(0)), (-1, P)),
     "greedy_distance_bound optimal_est": (
         lambda s, v: greedy_distance_bound(s, STATS, estimator(0), estimator(0, v)), (-1, P)),
+    # boolean options
+    "randomized_solve repair": (lambda s, v: randomized_solve(s, zhat(), repair=v), FLAG),
+    "save_dataset_csv header": (lambda s, v: save_dataset_csv(s.data, MISSING, header=v), FLAG),
+    "load_dataset_csv header": (lambda s, v: load_dataset_csv(MISSING, header=v), FLAG),
+    "SyntheticConfig resample_small": (
+        lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, resample_small=v), FLAG),
     # a digit string is how the command line names a column, so no text here
     "response column": (lambda s, v: _resolve_response(v, 3, None), (True, 2.5, -4, 3)),
 }
@@ -150,7 +163,7 @@ def no_work(monkeypatch):
         raise AssertionError("work began before the input was checked")
 
     for target in ("sparseridge.core.cholesky", "sparseridge.relaxation.eigvalsh",
-                   "sparseridge.randomized._keyed_uniforms", "sparseridge.exact.greedy_select",
+                   "sparseridge.randomized._draw", "sparseridge.exact.greedy_select",
                    "sparseridge.bench.generate_synthetic"):
         monkeypatch.setattr(target, work)
 

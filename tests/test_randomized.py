@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from helpers import identity_pair_spec, random_spec
 from oracles import randomized_trials_oracle
 from sparseridge import (
     InvalidArgumentError,
+    core,
     brute_force,
     cardinality_bound,
     mic_value,
     randomized_round,
     randomized_solve,
 )
-from sparseridge.randomized import _keyed_uniforms, _trial_keys
+from sparseridge.randomized import _draw
 
 # Examples per property test; tests/conftest.py makes every run reproducible.
 PROPERTY = settings(max_examples=60)
@@ -56,16 +58,30 @@ class TestRounding:
             randomized_round(np.array([0.5, np.nan]), 0)
 
 
+def run_key(seed):
+    """The Philox key of a run: SeedSequence(seed)'s first two 64-bit words, low first."""
+    words = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+    return int(words[0]) | int(words[1]) << 64
+
+
 class TestTrialKeys:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 11])
-    def test_match_seed_sequence(self, seed):
-        # seeds of one to five 32-bit words, and trial indices of one word and
-        # of two (t >= 2**32), which SeedSequence mixes as longer entropy
-        trials = [*range(300), 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1]
-        keys = _trial_keys(seed, np.array(trials, dtype=np.uint64))
-        want = [int(np.random.SeedSequence([seed, t]).generate_state(1, np.uint64)[0])
-                for t in trials]
-        assert keys.dtype == np.uint64 and keys.tolist() == want
+    def test_match_seed_sequence(self, rng, seed):
+        # seeds of one to five 32-bit words: the run's key is SeedSequence(seed)'s
+        # first two 64-bit words, and trial t draws what a fresh
+        # Philox(key=K, counter=t*ceil(p/4)) draws first, for each p mod 4
+        key = run_key(seed)
+        for p in (8, 9, 10, 11):
+            blocks = -(-p // 4)
+            spec = random_spec(rng, 12, p, 3, 0.1)
+            zhat = np.full(p, 0.5)
+            res = randomized_solve(spec, zhat, trials=30, seed=seed, repair=False)
+            drawn = [tuple(np.flatnonzero(
+                np.random.Generator(np.random.Philox(key=key, counter=t * blocks)).random(p)
+                <= zhat).tolist()) for t in range(30)]
+            assert res.best.seed == key
+            assert res.best.counter == blocks * drawn.index(res.best.support)
+            assert res.mean_cardinality == np.mean([len(d) for d in drawn])
 
 
 class TestCardinalityBound:
@@ -142,7 +158,7 @@ class TestRandomizedSolve:
         spec = random_spec(rng, 10, 6, 2, 0.3)
         zhat = np.clip(rng.uniform(0, 1, 6), 0, 1)
         res = randomized_solve(spec, zhat, trials=30, seed=11)
-        support, z_tilde = randomized_round(zhat, res.best.seed)
+        support, z_tilde = randomized_round(zhat, res.best.seed, counter=res.best.counter)
         assert tuple(support.tolist()) == res.best.support
         assert np.array_equal(z_tilde, res.best.z_tilde)
 
@@ -154,7 +170,7 @@ class TestRandomizedSolve:
         assert len({r.best.seed for r in runs}) == 4
         assert len({r.best.support for r in runs}) == 4
         for r in runs:
-            support, _ = randomized_round(zhat, r.best.seed)
+            support, _ = randomized_round(zhat, r.best.seed, counter=r.best.counter)
             assert tuple(support.tolist()) == r.best.support
 
     def test_superset_of_optimum_dominates(self, rng):
@@ -182,11 +198,7 @@ class TestRandomizedSolve:
 class TestKeyedStream:
     @pytest.mark.parametrize("key", [0, 5, 2**64 - 1, 2**70 + 5])
     def test_rekeyed_uniforms_equal_a_fresh_philox(self, key):
-        gen = np.random.Generator(np.random.Philox(1))
-        gen.random(3)  # a used generator: nothing of its stream may carry over
         expected = np.random.Generator(np.random.Philox(key=key)).random(11)
-        assert np.array_equal(_keyed_uniforms(gen, key, 11), expected)
-        assert np.array_equal(_keyed_uniforms(gen, key, 11), expected)
         zhat = np.linspace(0.0, 1.0, 11)
         assert np.array_equal(randomized_round(zhat, key)[1], (expected <= zhat).astype(float))
 
@@ -216,6 +228,7 @@ class TestBatchedScoring:
         ref = randomized_trials_oracle(spec.X, spec.y, lam, k, zhat, trials, seed, repair)
         assert res.best.support == ref["best"]["support"]
         assert res.best.seed == ref["best"]["seed"]
+        assert res.best.counter == ref["best"]["counter"]
         assert np.array_equal(res.best.z_tilde, ref["best"]["z_tilde"])
         assert res.best.value == pytest.approx(ref["best"]["value"], rel=1e-12)
         assert res.mean_cardinality == ref["mean_cardinality"]
@@ -243,16 +256,19 @@ class TestBatchedScoring:
     def test_duplicate_draws_go_to_the_first_trial_that_drew_them(self, rng):
         # Two coordinates at zhat = 0.5 allow four supports, so 40 trials must
         # repeat draws: each distinct support is scored once, and the best
-        # outcome carries the key of the first trial that drew its support.
+        # outcome carries the counter of the first trial that drew its support.
         spec = random_spec(rng, 8, 5, 2, 0.1)
         zhat = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
+        blocks = 2  # counter blocks of four doubles per trial at p = 5
         for seed in range(6):
             res = randomized_solve(spec, zhat, trials=40, seed=seed)
             ref = randomized_trials_oracle(spec.X, spec.y, 0.1, 2, zhat, 40, seed)
-            keys = _trial_keys(seed, np.arange(40)).tolist()
-            drawn = [tuple(randomized_round(zhat, key)[0].tolist()) for key in keys]
+            drawn = [tuple(randomized_round(zhat, run_key(seed), t * blocks)[0].tolist())
+                     for t in range(40)]
             assert res.best.support == ref["best"]["support"]
-            assert res.best.seed == ref["best"]["seed"] == keys[drawn.index(res.best.support)]
+            assert res.best.seed == ref["best"]["seed"] == run_key(seed)
+            assert (res.best.counter == ref["best"]["counter"]
+                    == blocks * drawn.index(res.best.support))
             assert res.best.value == pytest.approx(ref["best"]["value"], rel=1e-12)
             assert res.best_repaired.support == ref["repaired"]["support"]
 
@@ -269,3 +285,42 @@ class TestBatchedScoring:
         assert res.trials == 20000 and res.best_repaired.cardinality <= 5
         # one float per trial and feature would take 320 MB, one bool 40 MB
         assert peak < 16 * 2**20
+
+
+class TestOneStream:
+    @settings(max_examples=30)
+    @pytest.mark.parametrize("residue", range(4))
+    @given(data=st.data())
+    def test_draws_replay_whatever_the_block_size(self, residue, data):
+        # p mod 4 takes every value, and a small element budget splits the
+        # draw (and the stacked scoring) into blocks of one to a few trials
+        p = 4 * data.draw(st.integers(1, 3), label="p // 4") + residue
+        n = data.draw(st.integers(2, 8), label="n")
+        k = data.draw(st.integers(1, min(n, p)), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="data seed"))
+        spec = random_spec(rng, n, p, k, 0.1)
+        entry = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.05, 0.95))
+        zhat = np.array(data.draw(st.lists(entry, min_size=p, max_size=p), label="zhat"))
+        trials = data.draw(st.integers(1, 30), label="trials")
+        seed = data.draw(st.integers(0, 2**64), label="seed")
+        width = 4 * -(-p // 4)
+        budget = data.draw(st.integers(1, 4 * width), label="element budget")
+
+        runs = []
+        for elements in (budget, core._BLOCK_ELEMENTS):
+            with mock.patch.object(core, "_BLOCK_ELEMENTS", elements):
+                key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+                drawn = _draw(np.random.Philox(key=key), zhat, trials)
+                res = randomized_solve(spec, zhat, trials=trials, seed=seed)
+            runs.append((drawn, res))
+        (drawn, res), (other_drawn, other) = runs
+        t, i = np.divmod(drawn, p)
+        for trial in range(trials):
+            support, _ = randomized_round(zhat, res.best.seed, trial * width // 4)
+            assert support.tolist() == i[t == trial].tolist()
+        assert np.array_equal(drawn, other_drawn)
+        for field in ("support", "value", "seed", "counter"):
+            assert getattr(res.best, field) == getattr(other.best, field)
+        assert res.best_repaired.support == other.best_repaired.support
+        assert res.best_repaired.objective == other.best_repaired.objective
+        assert res.best_repaired_raw_value == other.best_repaired_raw_value
