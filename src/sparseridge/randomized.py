@@ -18,9 +18,11 @@ isolation, on any platform, through :func:`randomized_round` from the key and
 counter stored on its outcome; distinct seeds draw distinct streams.
 
 Draws are scored together, not fit one by one: every distinct draw once,
-padded with decoupled entries to the widest draw, in one stacked pass of
-``core._ridge_scores``; the distinct trimmed supports of over-budget draws
-that no trial drew take a second pass at the same width.  Only the winners
+padded with decoupled entries, in two stacked passes of
+``core._ridge_scores``.  The over-budget draws go first, at the widest draw's
+width; the in-budget draws and the distinct trimmed supports of over-budget
+draws that no trial drew go second, at width k, so the draws at or under the
+budget (most of them) carry no padding for the widest.  Only the winners
 are refit exactly, so reported values are exact fits; the stacked values
 that pick them agree to rounding only.
 """
@@ -157,8 +159,9 @@ def randomized_solve(
     cardinality exceeds ``cardinality_bound(k, alpha)``.
 
     Draws are rows of feature indices, padded with -1 to the widest draw;
-    each distinct row is scored once by ``core._ridge_scores``, and trimmed
-    rows that no trial drew in a second pass at the same width.  Only the
+    each distinct row is scored once by ``core._ridge_scores``: over-budget
+    rows at that width, then in-budget rows together with the trimmed rows
+    that no trial drew at width min(k, widest).  Only the
     winners are refit exactly (``restricted_estimator`` for the repaired
     one), and no support twice: reported values are exact fits, but the
     choice rests on stacked values, equal to rounding only.
@@ -180,23 +183,31 @@ def randomized_solve(
     # table holds each distinct support once, in the order trials first drew them
     index: dict[bytes, int] = {}
     at = np.array([index.setdefault(row.tobytes(), len(index)) for row in rows])
-    table = rows[np.unique(at, return_index=True)[1]]
-    b, values = _ridge_scores(spec, width, table)
+    first = np.unique(at, return_index=True)[1]
+    table, sizes = rows[first], cards[first]
     kept = np.arange(len(table))  # each support's repaired support, a row of table
-    over = np.flatnonzero((table >= 0).sum(axis=1) > k)
-    if repair and over.size:
-        # the k largest |b_i| survive, as a stable sort of |b| ranks them; padding
-        # ranks below every |b_i|
+    over = np.flatnonzero(sizes > k)
+    values = np.empty(len(table))
+    if over.size:  # over-budget draws, at the widest draw's width
         long_rows = table[over]
-        top = np.argsort(np.where(long_rows < 0, -1.0, np.abs(b[over])), axis=1,
-                         kind="stable")[:, width - k:]
-        trimmed = np.full((over.size, width), -1, np.intp)
-        trimmed[:, :k] = np.sort(np.take_along_axis(long_rows, top, 1), axis=1)
-        kept[over] = [index.setdefault(row.tobytes(), len(index)) for row in trimmed]
-        ids, first = np.unique(kept[over], return_index=True)
-        fresh = trimmed[first[ids >= len(table)]]
-        table = np.concatenate([table, fresh])
-        values = np.concatenate([values, _ridge_scores(spec, width, fresh)[1]])
+        b, values[over] = _ridge_scores(spec, width, long_rows)
+        if repair:
+            # the k largest |b_i| survive, as a stable sort of |b| ranks them;
+            # padding ranks below every |b_i|
+            top = np.argsort(np.where(long_rows < 0, -1.0, np.abs(b)), axis=1,
+                             kind="stable")[:, width - k:]
+            trimmed = np.full((over.size, width), -1, np.intp)
+            trimmed[:, :k] = np.sort(np.take_along_axis(long_rows, top, 1), axis=1)
+            kept[over] = [index.setdefault(row.tobytes(), len(index)) for row in trimmed]
+            ids, pos = np.unique(kept[over], return_index=True)
+            fresh = trimmed[pos[ids >= len(table)]]
+            table = np.concatenate([table, fresh])
+            values = np.concatenate([values, np.empty(len(fresh))])
+    # in-budget draws and the fresh trimmed supports, at width min(k, widest draw)
+    short = np.concatenate([np.flatnonzero(sizes <= k), np.arange(len(sizes), len(table))])
+    if short.size:
+        w = min(k, width)
+        values[short] = _ridge_scores(spec, w, table[short, :w])[1]
 
     def support(row: int) -> np.ndarray:
         return table[row, :np.count_nonzero(table[row] >= 0)]

@@ -16,9 +16,10 @@ formulation they relax:
 so v2 is v4's record, beta included; the test suite checks the two against
 an independent alternating-minimization reference.  One kernel evaluates
 v3's g(z), the perspective minimum over beta with |beta_i| <= M_i z_i, with
-its gradient and minimizer; without the bound g is f, and one evaluation,
-``_value_grad``, gives f(z), its gradient, its minimizer (v2's and v4's
-beta) and f's Hessian on a face from one RidgeSystem on supp z.  The
+its gradient and minimizer; without the bound g is f, and one evaluator,
+``_evaluator``, made once per solve with what it reads of the spec bound,
+gives f(z), its gradient, its minimizer (v2's and v4's beta) and f's Hessian
+on a face from one RidgeSystem on supp z.  The
 perspective constraint set is the convex hull of its mixed-binary counterpart, so v2 cannot be
 improved by adding valid inequalities in the same variables; tightening
 requires outside information such as the big-M bounds (v3).
@@ -35,7 +36,12 @@ f >= _GRAM_FLOOR*y^T y/n (1e-3), which bounds its relative error by about
 eps/_GRAM_FLOOR, 2e-13, times the growth of the dot products behind G and c.
 A solve forms G (p <= n) and decides once, from f(1), the full-support
 ridge minimum, which bounds every f(z) in the box below; so the route never
-changes within a solve, closed-form cases included.  A one-off evaluation
+changes within a solve, closed-form cases included.  It does not evaluate
+f(1) where a bound certifies it: f(1) >= lam*y^T y/(n*lam + ||X||_F^2), and
+||X||_F^2 is the sum of the squared column norms the normal equations hold,
+so n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2) puts f(1) above the floor
+(``solve_v4`` states the rounding argument); only where that test fails is
+f(1) evaluated, on the Gram route, and its value decides.  A one-off evaluation
 (``value_and_gradient``) uses G only if it is already formed, and tests its
 own f(z).  The X route stays for p > n, for values below the floor and for
 v3's bounded passes.
@@ -47,10 +53,21 @@ any units of y) and halves along that direction until an Armijo test
 (constant 1e-4) against the largest of the last 10 values passes (Birgin,
 Martinez & Raydan, SIAM J. Optim. 2000; Grippo, Lampariello & Lucidi, SIAM
 J. Numer. Anal. 1986).  v1 runs it on beta; v2/v4 on f(z) and v3 on g(z),
-the box-constrained perspective minimum over beta, through one driver.
+the box-constrained perspective minimum over beta, through one driver, which
+projects through the budget search itself (``_project``: no checks of the
+vectors it built) and, with no coordinate fixed, evaluates its iterate as z
+with no scatter or gather.  A v4 solve without a warm start starts at the
+vertex with weight 1 on the budget largest |c_i|, c = X^T y, among the free
+coordinates (ties to the lowest index): the point where the move-capped
+first step from z = 0 lands, since grad f(0) = -c^2/(n^2*lam), found with no
+evaluation.  So the first evaluation is on |S| = budget columns, where the
+uniform start k/p made it dense (every column in S, the n x n side when
+p > n).  Ranking by |x_i^T y| follows the correlation screening of L0BnB's
+active sets (Hazimeh, Mazumder & Saab, Math. Program. 2022).  v3 keeps the
+uniform start.
 
-v4 adds second-order steps on a settled face.  Once the face of the iterate
-(which z_i are 0, fractional or 1) equals the previous iterate's, the loop is
+v4 adds second-order steps once the support settles.  Once the support of
+the iterate (which z_i are above 0) equals the previous iterate's, the loop is
 offered the Newton point of f over the fractional set F, the other
 coordinates held and the move bordered to sum 0 when sum(z) is at the budget,
 projected onto the box.  The Hessian block is
@@ -62,7 +79,9 @@ f(x) itself, strictly, not the nonmonotone reference; otherwise the
 iteration takes its spectral step.  On a fixed face projected-Newton steps
 converge quadratically where the spectral steps refine z at a linear rate
 (Bertsekas, SIAM J. Control Optim. 1982); switching only once the active set
-stops moving follows Hager & Zhang (SIAM J. Optim. 2006).
+stops moving follows Hager & Zhang (SIAM J. Optim. 2006).  Which fractional
+coordinates reach 1 is not part of the test: the Newton point is projected
+onto the box, and the strict Armijo test decides.
 
 All four carry one certificate.  Their objectives are convex (f(z) since
 v2 == v4, g(z) as a partial minimum of a jointly convex function), so at any
@@ -180,7 +199,8 @@ def _fill_budget(a: np.ndarray, s, lo, k: float) -> np.ndarray:
     bps = np.concatenate([(lo - a) / s, (1.0 - a) / s])
     order = bps.argsort(kind="stable")
     bps = bps[order]
-    steps = np.where(order < a.size, s, -s) if np.isscalar(s) else np.concatenate([s, -s])[order]
+    # a scalar slope: s from each first breakpoint, -s from each second; 2s - s is s exactly
+    steps = (order < a.size) * (2.0 * s) - s if np.isscalar(s) else np.concatenate([s, -s])[order]
     del order  # freed before the budget's temporaries, so at most four arrays of 2p floats live
     slope = steps.cumsum()  # on [bps[j], bps[j+1]]: s_i from i's first breakpoint to its second
     del steps
@@ -205,6 +225,12 @@ def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or not np.isfinite(v).all():
         raise InvalidArgumentError("v must be a finite 1-D vector")
+    return _project(v, k)
+
+
+def _project(v: np.ndarray, k: float) -> np.ndarray:
+    """:func:`project_capped_simplex` of a finite 1-D float ``v`` and a budget
+    k > 0 that the caller built itself, so neither is checked again."""
     clipped = v.clip(0.0, 1.0)
     if clipped.sum() <= k:
         return clipped
@@ -286,7 +312,7 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
 def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.ndarray):
     """v3's g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i,
     its gradient in z and the minimizer b; without the bound g is v4's f
-    (:func:`_value_grad`).
+    (:func:`_evaluator`).
 
     z_i counts when n*lam/z_i is finite; b_i = 0 elsewhere.  Every fit is a
     RidgeSystem on the free support whose u gives the residual y - X b =
@@ -343,10 +369,12 @@ def _above_floor(spec: ProblemSpec, value: float) -> bool:
     return value >= _GRAM_FLOOR * spec.data.normal.yy / spec.n
 
 
-def _value_grad(spec: ProblemSpec, z: np.ndarray, G: np.ndarray | None = None):
-    """v4's f(z), its gradient -lam*(x_i^T A(z)^-1 y)^2, the minimizer b and
-    the Hessian on a face, from one RidgeSystem on S = supp z (z_i with
-    n*lam/z_i finite; b is 0 elsewhere).
+def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
+    """v4's evaluation z -> (f(z), its gradient -lam*(x_i^T A(z)^-1 y)^2, the
+    minimizer b, the Hessian on a face), from one RidgeSystem on S = supp z
+    (z_i with n*lam/z_i finite; b is 0 elsewhere).  What every evaluation
+    reads of the spec (n, p, lam, n*lam, the support threshold, c, y^T y, G
+    and X) is bound once, so a solve makes one evaluator and calls it.
 
     On the Gram route, when G = X^T X is given, b_S solves K b_S = c_S with
     K = G_SS + n*lam*diag(1/z_S), f = (y^T y - c . b)/n and the gradient is
@@ -362,32 +390,44 @@ def _value_grad(spec: ProblemSpec, z: np.ndarray, G: np.ndarray | None = None):
     X_S^T X_F on X.  The Hessian gives None where some q_i is 0, and is None
     itself when |S| > n, where the system holds no factor of K.
     """
-    eq, nlam = spec.data.normal, spec.n * spec.lam
-    S, b = (z > nlam / _FLOAT_MAX).nonzero()[0], np.zeros(spec.p)
-    zS = z[S]
-    system = RidgeSystem(spec.data, S, zS, nlam)
-    if G is None:
-        b[S], u, val = system.fit(spec.y)
-        a = spec.X.T @ u
-    else:
-        b[S] = system.solve(eq.c[S])
-        val, a = (eq.yy - float(eq.c @ b)) / spec.n, (eq.c - G @ b) / nlam
-    grad = -spec.lam * a**2  # a**2 overflows on both routes alike, as at a tiny lam
-    if system.wide:
-        return val, grad, b, None
+    data, X, y = spec.data, spec.X, spec.y
+    eq, n, p, lam = data.normal, spec.n, spec.p, spec.lam
+    c, yy, nlam = eq.c, eq.yy, n * lam
+    floor = nlam / _FLOAT_MAX  # z_i above it counts: n*lam/z_i is finite
 
-    def hessian(F):
-        if not b[F].all():
-            return None  # a zero row: H_FF is singular (and F may leave S)
-        pos = np.searchsorted(S, F)  # b_i != 0 only on S
-        qF = b[F] / zS[pos]
-        H = system.solve(eq.block(S, F) if G is not None else system.rmatvec(spec.X[:, F]))[pos]
-        H /= zS[pos, None]
-        H *= qF[:, None]
-        H *= (2.0 * spec.lam) * qF
-        return H
+    def evaluate(z):
+        S, b = (z > floor).nonzero()[0], np.zeros(p)
+        zS = z[S]
+        system = RidgeSystem(data, S, zS, nlam)
+        if G is None:
+            b[S], u, val = system.fit(y)
+            a = X.T @ u
+        else:
+            b[S] = system.solve(c[S])
+            val, a = (yy - float(c @ b)) / n, (c - G @ b) / nlam
+        grad = -lam * a**2  # a**2 overflows on both routes alike, as at a tiny lam
+        if system.wide:
+            return val, grad, b, None
 
-    return val, grad, b, hessian
+        def hessian(F):
+            if not b[F].all():
+                return None  # a zero row: H_FF is singular (and F may leave S)
+            pos = np.searchsorted(S, F)  # b_i != 0 only on S
+            qF = b[F] / zS[pos]
+            H = system.solve(eq.block(S, F) if G is not None else system.rmatvec(X[:, F]))[pos]
+            H /= zS[pos, None]
+            H *= qF[:, None]
+            H *= (2.0 * lam) * qF
+            return H
+
+        return val, grad, b, hessian
+
+    return evaluate
+
+
+def _value_grad(spec: ProblemSpec, z: np.ndarray, G: np.ndarray | None = None):
+    """One evaluation by :func:`_evaluator`: (f(z), gradient, b, Hessian on a face)."""
+    return _evaluator(spec, G)(z)
 
 
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
@@ -431,7 +471,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
 
     ``propose(x, grad)``, when given, is asked first on every iteration and
     may offer a feasible point x_N: v4's capped-box driver offers the Newton
-    point of f on x's face once that face equals the previous iterate's (see
+    point of f on x's face once x's support equals the previous iterate's (see
     :func:`_capped_box_minimum`), and None otherwise.  The iteration moves to
     x_N instead of taking its spectral step only if x_N descends,
     grad^T (x_N - x) < 0, and passes the monotone Armijo test
@@ -512,12 +552,13 @@ def _masked_sets(spec, fixed_one, fixed_zero):
     return one, np.flatnonzero(free)
 
 
-def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None):
+def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None,
+                        scores=None):
     """Minimize a convex g(z), nonincreasing in z, over the capped box by
     nonmonotone spectral projected gradient.  ``evaluator()`` is called once
     the arguments pass their checks and returns the solve's one evaluator,
     z -> (g(z), its gradient, its minimizer b, its Hessian on a face or None)
-    as :func:`_value_grad` returns them for f, where the Hessian maps an index
+    as :func:`_evaluator` returns them for f, where the Hessian maps an index
     array F to the block H_FF at z.  The closed-form cases evaluate with it
     too, and every record's ``beta`` is the b of the evaluation at its z.
 
@@ -528,11 +569,14 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
     grad g(z)^T (w - z) (weight 1 on the ``budget`` most negative gradient
     entries); it is the value itself in the closed-form cases.  A warm start
     ``z0`` must be a finite length-p vector; its free entries are projected
-    onto the box.
+    onto the box.  Without one the loop starts, when length-p ``scores`` are
+    given, at the vertex with weight 1 on the ``budget`` free coordinates of
+    largest |score| (a stable sort: ties to the lowest index), else at the
+    uniform point budget/|free|.
 
     Where the evaluator gives a Hessian, the loop is offered a face-Newton
-    point once the face has settled: when the iterate's face (which free z_i
-    are 0, fractional or 1) equals the previous iterate's, the Newton point of
+    point once the support has settled: when the iterate's support (which
+    free z_i are above 0) equals the previous iterate's, the Newton point of
     g over the fractional set F, with the other coordinates held and, when
     sum(z) is at the budget, bordered by the budget row (sum of the move 0),
     projected onto the box.  :func:`_projected_gradient` takes it only if it
@@ -555,6 +599,8 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
         val, _, b, _ = evaluate(z)
         return _certified(z, val, 0, 0.0, True, b)
 
+    # with nothing fixed the loop's x is z itself: no scatter into z, no gather of grad
+    masked = free.size < spec.p
     # g's Hessian at the loop's last evaluation, which is always at the iterate
     # that the next proposal starts from
     hessian = None
@@ -562,29 +608,32 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
     def fval_grad(zf):
         nonlocal hessian
         hessian = None  # the last fit's factor goes before the next one is built
+        if not masked:
+            val, grad, b, hessian = evaluate(zf)
+            return val, grad, b
         z[free] = zf
         val, grad, b, hessian = evaluate(z)
         return val, grad[free], b
 
-    def project(v):
-        return project_capped_simplex(v, budget)
+    def project(v):  # v is the loop's own finite vector: no checks
+        return _project(v, budget)
 
-    face = None  # the last iterate's face: which coordinates are above 0, which at 1
+    support = None  # the last iterate's support: which free coordinates are above 0
 
     def propose(x, grad):
-        nonlocal face, hessian
-        above, at_one = x > 0.0, x >= 1.0
-        code = above.tobytes() + at_one.tobytes()
-        settled, face = code == face, code
+        nonlocal support, hessian
+        above = x > 0.0
+        code = above.tobytes()
+        settled, support = code == support, code
         # taken, so the fit's factor is freed once H_FF is formed
         face_hessian, hessian = hessian, None
         if not settled or face_hessian is None:
             return None
-        F = np.flatnonzero(above & ~at_one)
+        F = np.flatnonzero(above & (x < 1.0))
         bordered = x.sum() >= budget * (1.0 - 1e-9)  # sum(z) at the budget, to rounding
         if F.size <= bordered:
             return None  # nothing to move
-        H = face_hessian(free[F])
+        H = face_hessian(free[F] if masked else F)
         del face_hessian
         if H is None:
             return None
@@ -603,6 +652,9 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
 
     if z0 is not None:
         zf = project(z0[free])
+    elif scores is not None:
+        zf = np.zeros(free.size)
+        zf[np.argsort(-np.abs(scores[free]), kind="stable")[:budget]] = 1.0
     else:
         zf = np.full(free.size, budget / free.size)
     zf, val, b, iters, gap, converged = _projected_gradient(
@@ -622,17 +674,37 @@ def solve_v4(
     z0: np.ndarray | None = None,
 ) -> RelaxationSolution:
     """f(z) minimized over the capped box by :func:`_capped_box_minimum`, with
-    face-Newton proposals.  The loop takes the Gram route for the whole solve,
-    forming X^T X, when p <= n and f(1), the full-support ridge minimum, passes
-    the floor: f is nonincreasing in z, so every f(z) in the box does too."""
+    face-Newton proposals once the support settles.
+
+    Without a warm start ``z0`` the loop starts at the vertex with weight 1 on
+    the ``budget`` free coordinates of largest |c_i|, c = X^T y (ties to the
+    lowest index): the point the first, move-capped step from z = 0 reaches,
+    since grad f(0) = -c^2/(n^2*lam), so it costs no evaluation, and its first
+    evaluation is on the |S| <= k side.
+
+    The loop takes the Gram route for the whole solve, forming X^T X, when
+    p <= n and f(1), the full-support ridge minimum, passes the floor: f is
+    nonincreasing in z, so every f(z) in the box does too.  f(1) is certified
+    without evaluating it when n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2):
+    f(1) = lam*y^T (n*lam*I + X X^T)^-1 y >= lam*y^T y/(n*lam + ||X X^T||_2) and
+    ||X X^T||_2 <= trace(X X^T) = ||X||_F^2 = sum(sq), so the test gives
+    f(1) >= _GRAM_FLOOR*y^T y/n.
+    Both sides are sums of nonnegative terms (sum(sq) of n*p squares), each
+    within (n + p)*eps of its exact value relative, so a test that passes in
+    floating point certifies the floor to a factor 1 - O((n + p)*eps), which
+    moves the Gram route's error bound eps/_GRAM_FLOOR by as little.  Where the
+    test fails f(1) is evaluated on the Gram route and its value decides.
+    """
 
     def evaluator():
-        G = spec.data.normal.G
-        if G is not None and not _above_floor(spec, _value_grad(spec, np.ones(spec.p), G)[0]):
-            G = None
-        return lambda z: _value_grad(spec, z, G)
+        eq, nlam = spec.data.normal, spec.n * spec.lam
+        if (G := eq.G) is None or nlam >= _GRAM_FLOOR * (nlam + float(eq.sq.sum())):
+            return _evaluator(spec, G)
+        gram = _evaluator(spec, G)
+        return gram if _above_floor(spec, gram(np.ones(spec.p))[0]) else _evaluator(spec)
 
-    return _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one, fixed_zero, z0)
+    return _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one, fixed_zero, z0,
+                               spec.data.normal.c)
 
 
 def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:

@@ -71,6 +71,25 @@ EDGE_VECTORS = st.one_of(
 )
 
 
+def _recorded_evaluations(monkeypatch):
+    """Patch relaxation._evaluator so that every v4 evaluation made through it
+    is recorded as (on the Gram route, at z = 1); returns the record."""
+    made = []
+    evaluator = relaxation._evaluator
+
+    def recording(spec, G=None):
+        evaluate = evaluator(spec, G)
+
+        def recorded(z):
+            made.append((G is not None, bool((z == 1.0).all())))
+            return evaluate(z)
+
+        return recorded
+
+    monkeypatch.setattr(relaxation, "_evaluator", recording)
+    return made
+
+
 class TestCappedSimplexProjection:
     def test_water_level_by_hand(self):
         # shift tau = 0.4 balances the budget
@@ -373,14 +392,7 @@ class TestProjectedValueSolver:
         # doubled step backtracks on nearly every one (2.0 evaluations each).
         data, _, _, _ = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))
         spec = ProblemSpec(data=data, lam=0.08, k=6)
-        evaluations = []
-        value_grad = relaxation._value_grad
-
-        def counted(*args):
-            evaluations.append(1)
-            return value_grad(*args)
-
-        monkeypatch.setattr(relaxation, "_value_grad", counted)
+        evaluations = _recorded_evaluations(monkeypatch)
         sol = solve_v4(spec)
         assert sol.converged
         assert len(evaluations) <= 1.5 * sol.iterations
@@ -392,13 +404,14 @@ class TestProjectedValueSolver:
         # and a rejected one costs a projection on top of the move's.
         data, _, _, _ = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))
         spec = ProblemSpec(data=data, lam=0.08, k=6)
-        calls = {"project_capped_simplex": 0, "_value_grad": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(relaxation, name)):
-                calls[_name] += 1
-                return _fn(*args)
+        projections, project = [], relaxation._project
 
-            monkeypatch.setattr(relaxation, name, counted)
+        def counted(*args):
+            projections.append(1)
+            return project(*args)
+
+        monkeypatch.setattr(relaxation, "_project", counted)  # the loop's projection
+        evaluations = _recorded_evaluations(monkeypatch)
         iterates, made = [], []  # the iterate at each offer; (offer, point) per proposal
         loop = relaxation._projected_gradient
 
@@ -421,8 +434,8 @@ class TestProjectedValueSolver:
         rejected = sum(iterates[j + 1] is not point for j, point in made)
         assert rejected < len(made)
         # The last iteration certifies the gap and makes no move.
-        assert calls["project_capped_simplex"] == sol.iterations - 1 + rejected
-        assert calls["_value_grad"] <= 1.1 * sol.iterations + rejected
+        assert len(projections) == sol.iterations - 1 + rejected
+        assert len(evaluations) <= 1.1 * sol.iterations + rejected
 
     def test_masked_solve_respects_fixing(self, rng):
         spec = random_spec(rng, 10, 6, 3, 0.2)
@@ -550,6 +563,81 @@ class TestFaceNewton:
         data = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))[0]
         sol = solve_v4(ProblemSpec(data=data, lam=0.08, k=6))
         assert sol.converged and sol.iterations <= 35
+
+
+def _tied_spec(n):
+    """y = e_0, so c = X^T y is X's first row, set to |c| = (1, 3, 2, 2, 0.5, 2, 3, 1):
+    exact, with ties at 3 (features 1, 6) and at 2 (features 2, 3, 5)."""
+    X = np.random.default_rng(3).standard_normal((n, 8))
+    X[0] = [1.0, 3.0, -2.0, 2.0, 0.5, 2.0, -3.0, 1.0]
+    return ProblemSpec(data=Dataset(X=X, y=np.eye(n)[0]), lam=0.1, k=3)
+
+
+class TestStartVertex:
+    """Without z0, v4's loop starts at the vertex on the budget largest |c_i| = |x_i^T y|
+    among the free coordinates, ties to the lowest index."""
+
+    @staticmethod
+    def _start(monkeypatch, spec, **masks):
+        starts, loop = [], relaxation._projected_gradient
+
+        def traced(fval_grad, project, gap, x, *args, **kwargs):
+            starts.append(x.copy())
+            return loop(fval_grad, project, gap, x, *args, **kwargs)
+
+        monkeypatch.setattr(relaxation, "_projected_gradient", traced)
+        sol = solve_v4(spec, **masks)
+        assert sol.converged and len(starts) == 1
+        return starts[0]
+
+    @staticmethod
+    def _vertex(spec, ones=(), zeros=()):
+        """The expected start on the free coordinates, ranked by (-|c_i|, i) in Python."""
+        c = spec.X.T @ spec.y
+        free = [i for i in range(spec.p) if i not in set(ones) | set(zeros)]
+        top = sorted(free, key=lambda i: (-abs(c[i]), i))[:spec.k - len(ones)]
+        return np.array([1.0 if i in top else 0.0 for i in free])
+
+    @pytest.mark.parametrize("n", [12, 5], ids=["tall", "wide"])
+    @pytest.mark.parametrize("ones, zeros", [((), ()), ((1,), (2,)), ((), (1, 6))],
+                             ids=["root", "one_and_zero_fixed", "zeros_fixed"])
+    def test_start_is_the_top_budget_correlations(self, monkeypatch, n, ones, zeros):
+        spec = _tied_spec(n)
+        start = self._start(monkeypatch, spec, fixed_one=ones, fixed_zero=zeros)
+        want = self._vertex(spec, ones, zeros)
+        assert np.array_equal(start, want)
+        # the ties resolve to the lowest index: {1, 6, 2} at the root
+        if not ones and not zeros:
+            assert np.flatnonzero(start).tolist() == [1, 2, 6]
+
+    def test_start_on_random_specs(self, monkeypatch, rng):
+        for n, p in [(30, 12), (12, 30)]:
+            spec = random_spec(rng, n, p, 4, 0.1, signal=False)
+            assert np.array_equal(self._start(monkeypatch, spec), self._vertex(spec))
+
+    def test_start_is_where_the_first_step_from_zero_lands(self):
+        # grad f(0) = -c^2/(n^2 lam): the move-capped step of _MAX_MOVE widths from
+        # z = 0, projected, is the vertex itself, with no evaluation needed for it
+        spec = random_spec(np.random.default_rng(2), 40, 15, 4, 0.1)
+        c = spec.X.T @ spec.y
+        grad = value_and_gradient(spec, np.zeros(15))[1]
+        assert grad == pytest.approx(-c**2 / (spec.n**2 * spec.lam), rel=1e-12)
+        step = relaxation._MAX_MOVE / np.linalg.norm(grad)
+        assert np.array_equal(project_capped_simplex(-step * grad, 4), self._vertex(spec))
+
+    @settings(PROPERTY, max_examples=60)
+    @given(node=st.sampled_from(["root", "open"]).flatmap(masked_nodes))
+    def test_certified_and_equal_to_a_uniform_start(self, node):
+        # the start changes the path, not the answer: the certified bound stays
+        # below the optimum, and the value is a uniform start's within tol*value
+        spec, ones, free, zeros = node
+        tol = 1e-7
+        sol = solve_v4(spec, tol=tol, fixed_one=ones, fixed_zero=zeros)
+        uniform = solve_v4(spec, tol=tol, fixed_one=ones, fixed_zero=zeros,
+                           z0=np.full(spec.p, spec.k / spec.p))
+        assert sol.converged and uniform.converged
+        assert sol.lower_bound <= _node_optimum(spec, ones, free) * (1.0 + 1e-10)
+        assert abs(sol.value - uniform.value) <= tol * max(sol.value, uniform.value)
 
 
 class TestPerspectiveSolver:
@@ -836,25 +924,48 @@ class TestGramRoute:
     def test_loop_decides_its_route_once_from_the_ridge_minimum(self, monkeypatch):
         data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]
         spec = ProblemSpec(data=data, lam=0.08, k=6)
-        routes = []
-        value_grad = relaxation._value_grad
-
-        def counted(spec, w, G=None):
-            routes.append(G is not None)
-            return value_grad(spec, w, G)
-
-        monkeypatch.setattr(relaxation, "_value_grad", counted)
+        routes = _recorded_evaluations(monkeypatch)
         sol = solve_v4(spec)
-        gram = value_grad(spec, sol.z, spec.data.normal.G)  # not counted as a route
-        assert routes[0] and all(routes)  # the first is f(1), the floor's test
+        # n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2) certifies f(1) unevaluated, and
+        # every evaluation of the loop takes the Gram route
+        assert routes and all(gram and not at_one for gram, at_one in routes)
+        gram = relaxation._value_grad(spec, sol.z, spec.data.normal.G)
         assert abs(gram[0] - sol.value) <= 1e-12 * sol.value
-        # a noise-free fit at a small lam: f(1) is below the floor, and every
-        # evaluation of the loop stays on X
+        # a noise-free fit at a small lam: the bound fails, so f(1) is evaluated
+        # first, on the Gram route; it is below the floor, and every evaluation
+        # of the loop stays on X
         X = np.random.default_rng(0).standard_normal((40, 10))
         spec = ProblemSpec(data=Dataset(X=X, y=X @ np.arange(1.0, 11.0)), lam=1e-5, k=3)
         routes.clear()
         sol = solve_v4(spec)
-        assert sol.converged and routes[0] and not any(routes[1:])
+        assert sol.converged and routes[0] == (True, True)
+        assert not any(gram or at_one for gram, at_one in routes[1:])
+
+    def test_failed_bound_leaves_the_route_to_f1(self, monkeypatch):
+        # lam = 1e-5 on noisy y: n*lam = 4e-4 is below _GRAM_FLOOR*||X||_F^2, so the
+        # bound cannot certify the floor; f(1), well above it, is evaluated and
+        # sends the loop to the Gram route
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 10))
+        spec = ProblemSpec(data=Dataset(X=X, y=X @ np.arange(1.0, 11.0)
+                                        + rng.standard_normal(40)), lam=1e-5, k=3)
+        nlam = spec.n * spec.lam
+        assert nlam < relaxation._GRAM_FLOOR * (nlam + spec.data.normal.sq.sum())
+        routes = _recorded_evaluations(monkeypatch)
+        sol = solve_v4(spec)
+        assert sol.converged and routes[0] == (True, True)
+        assert len(routes) > 1 and all(gram and not at_one for gram, at_one in routes[1:])
+
+    @PROPERTY
+    @given(case=tall_cases())
+    def test_bound_certifies_the_floor(self, case):
+        # where n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2), f(1) on the X route
+        # passes the floor (to rounding), so skipping its evaluation is safe
+        spec = case[0]
+        nlam, eq = spec.n * spec.lam, spec.data.normal
+        if nlam >= relaxation._GRAM_FLOOR * (nlam + eq.sq.sum()):
+            f1 = relaxation._value_grad(spec, np.ones(spec.p))[0]
+            assert f1 >= relaxation._GRAM_FLOOR * eq.yy / spec.n * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("lam", [1e-5, 1e-8])
     def test_one_off_keeps_its_digits_on_a_noise_free_fit(self, lam):
