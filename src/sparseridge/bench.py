@@ -91,6 +91,18 @@ def _cell_config(cell, rho: float, snr: float) -> SyntheticConfig:
     return config
 
 
+def _listed(name: str, items) -> list:
+    """``items`` as a list: any iterable but a string or a mapping."""
+    if isinstance(items, str):
+        raise InvalidArgumentError(f"{name} must be a list, not the string {items!r}")
+    if isinstance(items, Mapping):
+        raise InvalidArgumentError(f"{name} must be a list, not the mapping {items!r}")
+    try:
+        return list(items)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be a list, got {items!r}") from None
+
+
 def run_benchmark(
     cells,
     methods,
@@ -104,19 +116,21 @@ def run_benchmark(
 ) -> BenchReport:
     """Run every method on ``reps`` fresh datasets per (n, p, k) cell.
 
-    ``cells`` is an iterable of {"n": ..., "p": ..., "k": ...} mappings.
-    ``k`` doubles as the generator's true support size.  A malformed cell
-    (integer n, p and k with 1 <= k <= min(n, p) required), a negative seed
-    or rep count, a string ``methods``, a ``time_budget`` that is not None
-    or a finite number >= 0, a ``lam`` that is not positive and finite, a
+    ``cells`` is an iterable of {"n": ..., "p": ..., "k": ...} mappings and
+    ``methods`` an iterable of method names; neither may be a string or a
+    mapping.  ``k`` doubles as the generator's true support size.  Cells or
+    methods that are not such a list, a malformed cell (integer n, p and k
+    with 1 <= k <= min(n, p) required), a method name that is not a string,
+    a negative seed or rep count, a ``time_budget`` that is not None or a
+    finite number >= 0, a ``lam`` that is not positive and finite, a
     ``method_options`` that does not map each name to a mapping, or an
     unknown method or option there raises InvalidArgumentError before any
     fit.
     """
-    configs = [_cell_config(cell, rho, snr) for cell in cells]
-    if isinstance(methods, str):
-        raise InvalidArgumentError(f"methods must be a list of names, not the string {methods!r}")
-    methods = list(methods)
+    configs = [_cell_config(cell, rho, snr) for cell in _listed("cells", cells)]
+    methods = _listed("methods", methods)
+    if not all(isinstance(method, str) for method in methods):
+        raise InvalidArgumentError(f"method names must be strings, got {methods!r}")
     options = {} if method_options is None else method_options
     if not (isinstance(options, Mapping) and all(isinstance(o, Mapping) for o in options.values())):
         raise InvalidArgumentError(

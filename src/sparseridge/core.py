@@ -25,7 +25,9 @@ fit costs what its own columns do.
 
 Every walk over subsets (theta, underline_theta, brute force) passes one cap
 check, ``_check_enumeration``, and takes its subsets from ``_subset_blocks``
-in blocks sized by the floats each of its own subsets holds.  Every Cholesky
+in blocks sized by the floats each of its own subsets holds.  Brute force
+(``_best_support``) holds a block's prefix rows step-major, so each
+elimination step updates one contiguous slab of every prefix.  Every Cholesky
 goes through :func:`cholesky`, which raises NumericalError for a system that
 is not finite or not positive definite.
 
@@ -35,8 +37,10 @@ one call), ``_check_real`` and ``_check_positive`` for real scalars (True and
 text fail), ``_check_flag`` for a boolean option (only bool and np.bool_ pass),
 and ``_clean_support`` for a set of feature indices.  Input is
 checked once, at the public entry point: index arrays the library builds
-itself pass ``_clean_support`` by their dtype, with no scan of their items.
-Frozen records copy and write-protect their arrays with ``_freeze``.
+itself pass ``_clean_support`` by their dtype, with no scan of their items
+(and, sorted and distinct already, with no sort).  Frozen records copy and
+write-protect their arrays with ``_freeze``; the exact refit hands its own
+fresh beta to ``SparseEstimator._adopt``, which freezes it in place.
 """
 
 from __future__ import annotations
@@ -174,14 +178,15 @@ class NormalEquations:
     def block(self, rows: np.ndarray, cols, Xr: np.ndarray | None = None) -> np.ndarray:
         """x_i^T x_j for i in ``rows`` (..., a) and j in ``cols`` (a slice, or (..., b)
         broadcasting with ``rows``) as a fresh (..., a, b) array: entries of G once
-        it is formed, otherwise products of the gathered columns.  ``Xr``, the columns X_rows (n x a) when the caller holds them,
-        spares gathering them again."""
+        it is formed (for a slice, a view of the whole rows, gathered fresh),
+        otherwise products of the gathered columns.  ``Xr``, the columns X_rows
+        (n x a) when the caller holds them, spares gathering them again."""
         G, Xt = self.formed_gram(), self.X.T
         if G is None:
             A = Xt[rows] if Xr is None else Xr.T  # the rows of A are the columns of X_rows
             return A @ (A if cols is rows else Xt[cols]).swapaxes(-1, -2)
         if isinstance(cols, slice):
-            return G[rows, cols]
+            return G.take(rows, 0)[..., cols]  # faster than one gather of the slice
         return G[rows[..., :, None], cols[..., None, :]]
 
 
@@ -232,6 +237,17 @@ class SparseEstimator:
         _freeze(self, "beta")
         object.__setattr__(self, "support", tuple(int(i) for i in self.support))
         object.__setattr__(self, "objective", float(self.objective))
+
+    @classmethod
+    def _adopt(cls, support: tuple[int, ...], beta: np.ndarray, objective: float):
+        """An estimator holding ``beta`` itself, frozen in place: the library's own
+        refit, whose beta is a fresh float array, support a tuple of ints and
+        objective a float, so nothing is copied or converted."""
+        est = cls.__new__(cls)
+        object.__setattr__(est, "support", support)
+        object.__setattr__(est, "beta", _frozen(beta))
+        object.__setattr__(est, "objective", objective)
+        return est
 
     @property
     def cardinality(self) -> int:
@@ -336,7 +352,9 @@ def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
         whole = np.isfinite(arr) & (arr == np.round(arr))
         if not whole.all():
             raise InvalidArgumentError(f"feature indices must be integers, got {arr[~whole][0]}")
-    idx = np.unique(arr.astype(np.intp))
+    idx = arr.astype(np.intp, copy=False)
+    if idx.size > 1 and not (idx[1:] > idx[:-1]).all():  # sorted and distinct as it is
+        idx = np.unique(idx)
     if idx.size and (idx[0] < 0 or idx[-1] >= spec.p):
         raise InvalidArgumentError(
             f"feature indices must lie in [0, {spec.p - 1}], got {idx.tolist()}"
@@ -416,27 +434,32 @@ def _columns_matvec(X: np.ndarray, S: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class RidgeSystem:
     """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r on the
-    support S (m indices) of ``data``, with positive weights w, factored once.
+    support S (m indices) of ``data``, with positive weights w (None for unit
+    weights, which the m x m side never builds), factored once.
 
     The m x m matrix, a block of the dataset's normal equations, is factored
     when m <= n: entries of X^T X once it is formed, else products of the
     gathered columns X_S (X itself when S is every column in order).  X_S is
-    gathered on first use, so a system on a formed X^T X that only solves
-    reads no row of X.  Otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is,
-    and solves go through it; that side holds no copy of X_S wider than one
-    block: A and every product with X_S are summed over blocks of columns,
-    each gathered (a slice of X when S is every column) with its weighted
-    copy within _BLOCK_ELEMENTS floats, or _MIN_BLOCK_COLUMNS columns when n
-    is large.  When one block covers X_S it is kept, so the products are the
-    unblocked ones.  m = 0 is allowed (the 0 x 0 side).
+    gathered on first use and then held, so a system on a formed X^T X that
+    only solves reads no row of X.  Otherwise A = nlam*I + X_S diag(w) X_S^T
+    (n x n) is, and solves go through it; that side holds no copy of X_S wider
+    than one block: A and every product with X_S are summed over blocks of
+    columns, each gathered (a slice of X when S is every column) with its
+    weighted copy within _BLOCK_ELEMENTS floats, or _MIN_BLOCK_COLUMNS columns
+    when n is large.  When one block covers X_S it is kept, so the products are
+    the unblocked ones.  m = 0 is allowed (the 0 x 0 side).
     """
 
-    def __init__(self, data: Dataset, S: np.ndarray, w: np.ndarray, nlam: float):
+    def __init__(self, data: Dataset, S: np.ndarray, w: np.ndarray | None, nlam: float):
         X = data.X
         n, m = X.shape[0], S.size
-        self.w, self.nlam, self.wide = w, nlam, m > n
+        self.wide = m > n
+        if self.wide and w is None:
+            w = np.ones(m)  # the n x n side sums weighted blocks
+        self.w, self.nlam = w, nlam
         every = m == X.shape[1] and bool((S == np.arange(m)).all())
         self._X, self._S = X, None if every else S
+        self._Xs = X if every else None  # X_S once gathered (_columns)
         # blocks of a gathered block and its weighted copy per column; the m x m
         # side holds X_S as its one block
         self._width = max(_block_rows(2 * n), _MIN_BLOCK_COLUMNS) if self.wide else m
@@ -446,20 +469,21 @@ class RidgeSystem:
             K.ravel()[:: n + 1] += nlam
         else:
             eq = data.normal
-            K = eq.block(S, S, self._Xs if eq.formed_gram() is None else None)
-            K.ravel()[:: m + 1] += nlam * (1.0 / w)
+            K = eq.block(S, S, self._columns() if eq.formed_gram() is None else None)
+            K.ravel()[:: m + 1] += nlam if w is None else nlam * (1.0 / w)
         self._chol = cholesky(K)
 
-    @cached_property
-    def _Xs(self) -> np.ndarray:
+    def _columns(self) -> np.ndarray:
         """X_S, gathered on first use (X itself when S is every column in order)."""
-        return self._X if self._S is None else self._X[:, self._S]
+        if self._Xs is None:
+            self._Xs = self._X[:, self._S]
+        return self._Xs
 
     def _blocks(self):
         """(pos, X_b) over the columns of X_S: X_S as one block when one covers
         it, else _column_blocks of _width columns, each gathered again on use."""
-        if self.w.size <= self._width:
-            return iter([(slice(None), self._Xs)])
+        if not self.wide or self.w.size <= self._width:
+            return iter([(slice(None), self._columns())])
         return _column_blocks(self._X, self._S, self._width)
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
@@ -483,11 +507,14 @@ class RidgeSystem:
             u = cholesky_solve(self._chol, y)
             b = self.w * self.rmatvec(u)
             r = y - self.matvec(b)
+            penalty = b @ (b / self.w)
         else:
-            b = cholesky_solve(self._chol, self._Xs.T @ y)
-            r = y - self._Xs @ b
+            Xs = self._columns()
+            b = cholesky_solve(self._chol, Xs.T @ y)
+            r = y - Xs @ b
             u = r / self.nlam
-        return b, u, float(r @ r + self.nlam * (b @ (b / self.w))) / y.size
+            penalty = b @ b if self.w is None else b @ (b / self.w)
+        return b, u, float(r @ r + self.nlam * penalty) / y.size
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """b for any right side r (m or m x c); Woodbury on the n x n side."""
@@ -504,13 +531,14 @@ class RidgeSystem:
         if self.wide:
             n = self._X.shape[0]
             return 1.0 - self.nlam * np.diag(cholesky_solve(self._chol, np.eye(n)))
-        return np.einsum("ij,ji->i", self._Xs, cholesky_solve(self._chol, self._Xs.T))
+        Xs = self._columns()
+        return np.einsum("ij,ji->i", Xs, cholesky_solve(self._chol, Xs.T))
 
 
 def _support_fit(spec: ProblemSpec, idx: np.ndarray) -> tuple[np.ndarray, float]:
     """Length-p ridge solution restricted to ``idx`` (no budget check) and its
     ridge objective."""
-    system = RidgeSystem(spec.data, idx, np.ones(idx.size), spec.n * spec.lam)
+    system = RidgeSystem(spec.data, idx, None, spec.n * spec.lam)
     b, _, value = system.fit(spec.y)
     beta = np.zeros(spec.p)
     beta[idx] = b
@@ -530,7 +558,7 @@ def restricted_estimator(spec: ProblemSpec, S) -> SparseEstimator:
             f"support of size {idx.size} exceeds the budget k={spec.k}"
         )
     beta, value = _support_fit(spec, idx)
-    return SparseEstimator(support=tuple(idx.tolist()), beta=beta, objective=value)
+    return SparseEstimator._adopt(tuple(idx.tolist()), beta, value)
 
 
 def _support_from_z(spec: ProblemSpec, z) -> np.ndarray:
@@ -650,10 +678,16 @@ def _best_support(spec: ProblemSpec) -> np.ndarray:
     and bounds): with L L^T = G_PP + n*lam*I, G = X^T X, c = X^T y,
     l_j = L^-1 G[P, j] and w = L^-1 c_P, its value is (y^T y - |w|^2 - e_j^2/d_j)/n,
     d_j = G_jj + n*lam - |l_j|^2, e_j = c_j - l_j . w.  Prefixes go in lexicographic
-    blocks within the element budget (no p x p object when p > n); the argmin is
-    row-major and a later block must be strictly better, so equal computed values
-    go to the first support; a tie in exact arithmetic is decided by rounding.
-    A non-finite pivot or value raises NumericalError."""
+    blocks within the element budget (no p x p object when p > n).  A block's rows
+    are held step-major, (s, a, W) for a prefixes of s = k-1 features and the W
+    columns from its smallest feature on: elimination step i updates one (a, W)
+    slab of every prefix at once, and the sums over earlier steps are einsums
+    over the leading axis.  Every column is scored and the extensions out of
+    order (j <= max P) are then set to +inf, which is cheaper at this size than
+    gathering the ones in order.  The argmin is row-major and a later block
+    must be strictly better, so equal computed values go to the first support;
+    a tie in exact arithmetic is decided by rounding.  A non-finite pivot or
+    value raises NumericalError."""
     eq, n, p, s = spec.data.normal, spec.n, spec.p, spec.k - 1
     nlam = n * spec.lam
     g = eq.sq + nlam
@@ -662,32 +696,37 @@ def _best_support(spec: ProblemSpec) -> np.ndarray:
     best_val, best, after = math.inf, None, np.arange(p)
     for P in _subset_blocks(p - 1, s, elements):
         lo = int(P[0, 0]) if s else 0  # the block's smallest feature
-        at, cols = np.arange(len(P)), P - lo
-        R = eq.block(P, slice(lo, None))
-        w = eq.c[P]
+        Pt = P.T  # (s, a): step i's feature of every prefix is one row
+        at, cols = np.arange(len(P)), Pt - lo
+        R = eq.block(Pt, slice(lo, None))  # (s, a, W), step-major
+        w = eq.c[Pt]
         # rows of L^-1 G[P, lo:] and w = L^-1 c_P in place; n*lam enters only the
         # pivots, as the entries it would shift (columns j in P) feed no valid value
         for i in range(s):
+            Ri, wi = R[i], w[i]
             if i:  # row 0 has no earlier row to eliminate
-                Li = R[at, :i, cols[:, i]]  # L[i, :i] of each prefix
-                R[:, i] -= np.einsum("ah,ahw->aw", Li, R[:, :i])
-                w[:, i] -= np.einsum("ah,ah->a", Li, w[:, :i])
-            pivot = R[at, i, cols[:, i]] + nlam
+                Li = R[:i, at, cols[i]]  # L[i, :i] of each prefix, (i, a)
+                Ri -= np.einsum("ha,haw->aw", Li, R[:i])
+                wi -= np.einsum("ha,ha->a", Li, w[:i])
+            pivot = Ri[at, cols[i]] + nlam
             if not 0 < pivot.min() <= pivot.max() < math.inf:  # NaN fails too
                 raise NumericalError("brute force met a non-finite or non-positive pivot")
             root = np.sqrt(pivot)
-            R[:, i] /= root[:, None]
-            w[:, i] /= root
-        d = g[lo:] - np.einsum("asw,asw->aw", R, R)
-        e = eq.c[lo:] - np.einsum("as,asw->aw", w, R)
-        # a prefix's largest feature is its last one; the empty prefix's is -1
-        valid = after[lo:] > (P[:, -1:] if s else np.full((1, 1), -1))
-        drop = np.full(d.shape, -math.inf)  # so that invalid extensions score +inf
-        np.divide(e * e, d, out=drop, where=valid)
-        values = (eq.yy - np.einsum("as,as->a", w, w))[:, None] - drop
-        if not np.isfinite(values[valid]).all():
+            Ri /= root[:, None]
+            wi /= root
+        d = g[lo:] - np.einsum("saw,saw->aw", R, R)
+        e = eq.c[lo:] - np.einsum("sa,saw->aw", w, R)
+        # a prefix's largest feature is its last one (the empty prefix's is -1):
+        # extensions by j <= it are out of order and score +inf.  Their d has no
+        # use, and may round to 0 where n*lam is tiny against G_jj.
+        out = after[lo:] <= (P[:, -1:] if s else np.full((1, 1), -1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = (eq.yy - np.einsum("sa,sa->a", w, w))[:, None] - e * e / d
+        np.putmask(values, out, math.inf)
+        # entries out of order are never finite, so each in order must be
+        if np.count_nonzero(np.isfinite(values)) + np.count_nonzero(out) < values.size:
             raise NumericalError("brute force met a non-finite support value")
-        a, j = divmod(int(np.argmin(values)), values.shape[1])
+        a, j = divmod(int(values.argmin()), values.shape[1])
         if values[a, j] < best_val:
             best_val, best = values[a, j], np.append(P[a], lo + j)
     return best

@@ -79,7 +79,7 @@ def gcv_score(spec: ProblemSpec, S, lam: float) -> float:
     """Generalized cross-validation score of support S at ridge weight lam."""
     _check_positive("lam", lam)
     idx = _clean_support(spec, S)
-    system = RidgeSystem(spec.data, idx, np.ones(idx.size), spec.n * lam)
+    system = RidgeSystem(spec.data, idx, None, spec.n * lam)
     yhat = system.matvec(system.fit(spec.y)[0])
     denom = 1.0 - system.hat_diagonal()
     if np.any(denom <= 1e-12):

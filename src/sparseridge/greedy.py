@@ -47,7 +47,9 @@ class GreedyState:
     """Incrementally maintained products of A_S^{-1} with the data.
 
     A_S^{-1} is kept factored as I/(n*lam) - ``factor`` ``factor``^T, where
-    ``factor`` is n x |S| with one column per selected feature.
+    ``factor`` is n x |S| with one column per selected feature: the first |S|
+    columns of a buffer with room for k, made once (a wider one is made if a
+    caller selects past it or sets ``factor`` by hand).
     ``quad_terms[j]`` is x_j^T A_S^{-1} x_j, ``cross_terms[j]`` is
     y^T A_S^{-1} x_j and ``inv_y`` is A_S^{-1} y; ``inv_products`` forms
     the n x p block A_S^{-1} X on request only.  ``current_value`` is
@@ -61,19 +63,23 @@ class GreedyState:
     inv_y: np.ndarray
     selected: list[int]
     current_value: float
+    _room: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def initial(cls, spec: ProblemSpec) -> "GreedyState":
         nl, eq = spec.n * spec.lam, spec.data.normal
-        return cls(
+        room = np.zeros((spec.n, spec.k))
+        state = cls(
             spec=spec,
-            factor=np.empty((spec.n, 0)),
+            factor=room[:, :0],
             quad_terms=eq.sq / nl,
             cross_terms=eq.c / nl,
             inv_y=spec.y / nl,
             selected=[],
             current_value=eq.yy / spec.n,
         )
+        state._room = room
+        return state
 
     @property
     def inv_products(self) -> np.ndarray:
@@ -98,16 +104,26 @@ class GreedyState:
                 f"rank-one update denominator {denom:.3g} < {DENOMINATOR_GUARD}; "
                 "the tracked inverse has lost positive definiteness"
             )
-        gain = -self.spec.lam * self.cross_terms[j] ** 2 / denom
-        x = self.spec.X[:, j]
-        U = self.factor
-        w = x / (self.spec.n * self.spec.lam) - U @ (U.T @ x)  # A^{-1} x_j
-        c = self.spec.X.T @ w  # x_i^T A^{-1} x_j for all i
-        self.inv_y = self.inv_y - w * (self.cross_terms[j] / denom)
-        self.factor = np.column_stack([U, w / math.sqrt(denom)])
+        spec, m = self.spec, self.factor.shape[1]
+        lam, X = spec.lam, spec.X
+        cross = self.cross_terms[j]
+        w = X[:, j] / (spec.n * lam)  # A^{-1} x_j: I/(n*lam) until a feature is in
+        if m:
+            U = self.factor
+            w -= U @ (U.T @ X[:, j])
+        c = X.T @ w  # x_i^T A^{-1} x_j for all i
+        self.inv_y = self.inv_y - w * (cross / denom)
+        room = self._room
+        if room is None or self.factor.base is not room or room.shape[1] == m:
+            # full, or a factor not held in it (a state built or set by hand)
+            room = np.zeros((X.shape[0], 2 * m + 1))
+            room[:, :m] = self.factor
+            self._room = room
+        room[:, m] = w / math.sqrt(denom)
+        self.factor = room[:, :m + 1]
         self.quad_terms = self.quad_terms - c**2 / denom
-        self.cross_terms = self.cross_terms - self.cross_terms[j] * c / denom
-        self.current_value += gain
+        self.cross_terms = self.cross_terms - cross * c / denom
+        self.current_value += -lam * cross**2 / denom
         self.selected.append(j)
 
 
@@ -148,25 +164,25 @@ def _run_greedy(
 ) -> tuple[SparseEstimator, GreedyTrace]:
     state = GreedyState.initial(spec)
     trace = GreedyTrace()
-    allowed = np.zeros(spec.p, dtype=bool)
-    allowed[candidates] = True
+    blocked = np.ones(spec.p, dtype=bool)
+    blocked[candidates] = False
     tie = TIE_TOL * state.current_value  # relative to f(0) = y^T y / n, which bounds |gain|
     for it in range(1, steps + 1):
         gains = state.gains()
-        gains[~allowed] = np.inf
+        gains[blocked] = np.inf
         best = float(gains.min())
-        if not np.isfinite(best):  # an allowed feature is always left: only overflow gets here
+        if not math.isfinite(best):  # an allowed feature is always left: only overflow gets here
             raise NumericalError(f"greedy step {it} met a non-finite gain {best}")
-        j = int(np.argmax(gains <= best + tie))  # the first True: lowest index among ties
+        j = int((gains <= best + tie).argmax())  # the first True: lowest index among ties
         state._step(j)
-        allowed[j] = False
+        blocked[j] = True
         trace.steps.append(
             GreedyStep(
                 iteration=it, chosen=j, gain=best,
                 value=state.current_value, zero_gain=abs(best) <= tie,
             )
         )
-    est = restricted_estimator(spec, np.array(state.selected, dtype=np.intp))
+    est = restricted_estimator(spec, np.array(sorted(state.selected), dtype=np.intp))
     return est, trace
 
 

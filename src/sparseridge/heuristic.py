@@ -152,7 +152,7 @@ class _ElasticNetPath:
             cand = np.concatenate([active, new])
             signs = np.concatenate([self._signs, np.sign(c[new])])
             # (X_A^T X_A + n*lam*I) [u, w] = [X_A^T y, n*s/2]
-            system = RidgeSystem(self.spec.data, cand, np.ones(cand.size), n * lam)
+            system = RidgeSystem(self.spec.data, cand, None, n * lam)
             rhs = np.column_stack([self.spec.data.normal.c[cand], 0.5 * n * signs])
             u, w = system.solve(rhs).T
             grow = (signs * w)[active.size:]

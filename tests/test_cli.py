@@ -249,6 +249,10 @@ def test_gen_infinite_noise_variance_exits_2(tmp_path, capsys):
     ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "seed": 1.5}, '"seed"'),
     ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "reps": True}, '"reps"'),
     ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": ["greedy"], "rho": "0.5"}, '"rho"'),
+    ({"cells": 5, "methods": ["greedy"]}, "cells must be a list, got 5"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": 7}, "methods must be a list, got 7"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": [["greedy"]]}, "method names must be strings"),
+    ({"cells": [{"n": 20, "p": 6, "k": 2}], "methods": [{"a": 1}]}, "method names must be strings"),
 ])
 def test_malformed_bench_config_exits_2(tmp_path, capsys, monkeypatch, config, match):
     def no_fit(*args, **kwargs):

@@ -417,6 +417,25 @@ class TestRidgeSystem:
         with pytest.raises(NumericalError):
             self.system(Xs, w, 1.0)
 
+    @pytest.mark.parametrize("m", [3, 5, 9])
+    @pytest.mark.parametrize("gram", [False, True])
+    def test_unit_weights_as_none_match_ones_bit_for_bit(self, m, gram):
+        # None builds no weight vector on the m x m side (m <= n = 5); the n x n side
+        # (m = 9) sums weighted blocks with ones
+        rng = np.random.default_rng(m)
+        data = Dataset(X=rng.standard_normal((5, 10)), y=rng.standard_normal(5))
+        if gram:
+            data = Dataset(X=rng.standard_normal((12, 10)), y=rng.standard_normal(12))
+            data.normal.G
+        S = np.sort(rng.choice(10, m, replace=False))
+        unit, ones = RidgeSystem(data, S, None, 0.7), RidgeSystem(data, S, np.ones(m), 0.7)
+        r = rng.standard_normal((m, 2))
+        for got, want in [(unit.fit(data.y), ones.fit(data.y)),
+                          ((unit.solve(r), unit.hat_diagonal(), unit.matvec(r[:, 0])),
+                           (ones.solve(r), ones.hat_diagonal(), ones.matvec(r[:, 0])))]:
+            for g, v in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(v).tobytes()
+
     def test_indefinite_system_raises_linalg_error(self):
         with pytest.raises(NumericalError):
             self.system(np.eye(3)[:, :2], np.array([1.0, -1.0]), 2.0)

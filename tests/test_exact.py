@@ -159,6 +159,35 @@ class TestBruteForce:
         assert est.support == (0, 2)
         assert est.objective == restricted_estimator(spec, (0, 2)).objective
 
+    @pytest.mark.parametrize("budget", [1, 64, 128, core._BLOCK_ELEMENTS])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_deep_tie_between_prefixes_goes_to_first_support(self, monkeypatch, k, budget):
+        # Columns 0, 2, ..., k are orthogonal unit columns with x^T y = 2, column 1
+        # a weaker one (x^T y = 1), and column k + 1 duplicates column 0.  So
+        # {0, 2, ..., k} ties {2, ..., k + 1}: they extend different (k-1)-prefixes,
+        # (0, 2, ..., k-1) and (2, ..., k), and the tie is reached after k - 1
+        # elimination steps.  With n*lam = 3 every pivot is 4, every root 2 and
+        # every entry dyadic, so both values are exact.  Budgets 1 and 64 put each
+        # prefix in its own block, 128 two or three prefixes in a block (the two
+        # tied ones in different blocks), and the default scores all at once.
+        p = k + 2
+        X = np.zeros((12, p))
+        X[np.arange(k + 1), np.arange(k + 1)] = 1.0
+        X[0, k + 1] = 1.0
+        y = np.zeros(12)
+        y[:k + 1] = 2.0
+        y[1] = 1.0
+        spec = ProblemSpec(data=Dataset(X=X, y=y), lam=0.25, k=k)
+        first, second = (0, *range(2, k + 1)), (*range(2, k + 1), k + 1)
+        values = {S: subset_value_oracle(X, y, 0.25, S)
+                  for S in itertools.combinations(range(p), k)}
+        assert values[first] == values[second] < min(
+            v for S, v in values.items() if S not in {first, second})
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", budget)
+        est = brute_force(spec)
+        assert est.support == first
+        assert est.objective == restricted_estimator(spec, first).objective
+
     @pytest.mark.parametrize("shape", ["k1", "kp", "wide", "tall"])
     @PROPERTY
     @given(data=st.data())

@@ -158,6 +158,27 @@ class TestIncrementalState:
                 )
                 assert state.inv_y == pytest.approx(Ainv @ spec.y, abs=1e-8)
 
+    @pytest.mark.parametrize("built", ["initial", "by hand"])
+    def test_selecting_past_the_budget_grows_the_factor(self, rng, built):
+        # initial() makes room for k factor columns; a caller may select all p, and a
+        # state built field by field starts with no room at all
+        n, p = 12, 7
+        spec = random_spec(rng, n, p, 2, 0.2)
+        state = GreedyState.initial(spec)
+        if built == "by hand":
+            state = GreedyState(spec, np.empty((n, 0)), state.quad_terms, state.cross_terms,
+                                state.inv_y, [], state.current_value)
+        A = spec.n * spec.lam * np.eye(n)
+        for m, j in enumerate(rng.permutation(p), start=1):
+            before = state.factor.copy()
+            state.select(int(j))
+            assert state.factor.shape == (n, m)
+            assert np.array_equal(state.factor[:, :m - 1], before)
+            A += np.outer(spec.X[:, j], spec.X[:, j])
+            Ainv = np.linalg.inv(A)
+            assert np.max(np.abs(state.inv_products - Ainv @ spec.X)) < 1e-8
+            assert state.inv_y == pytest.approx(Ainv @ spec.y, abs=1e-8)
+
     def test_select_rejects_repeated_and_out_of_range_index(self, rng):
         spec = random_spec(rng, 8, 4, 2, 0.1)
         state = GreedyState.initial(spec)

@@ -131,6 +131,12 @@ CASES = {
         lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], ["greedy"], seed=v), count(-1)),
     "run_benchmark reps": (
         lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], ["greedy"], reps=v), count(-1)),
+    # the cell list and the method list, and the names in it
+    "run_benchmark cells": (
+        lambda s, v: run_benchmark(v, ["greedy"], reps=1), (5, None, {"n": N, "p": P, "k": K})),
+    "run_benchmark methods": (
+        lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], v, reps=1),
+        (7, None, "greedy", {"greedy": {}}, [["greedy"]], [{"a": 1}], [5, "greedy"])),
     "precision_to_regression k": (lambda s, v: precision_to_regression(np.eye(2), 0.1, v),
                                   count(0, 5)),
     # feature indices, alone and as members of index sets
