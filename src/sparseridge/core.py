@@ -33,9 +33,12 @@ is not finite or not positive definite.
 
 Caller input is checked by one helper per kind, used by every module:
 ``_check_integer`` for a count or a single feature index (type and range in
-one call), ``_check_real`` and ``_check_positive`` for real scalars (True and
-text fail), ``_check_flag`` for a boolean option (only bool and np.bool_ pass),
-and ``_clean_support`` for a set of feature indices.  Input is
+one call), ``_check_real`` for a real scalar in a closed range (True, text and
+NaN fail) and ``_check_positive`` for a positive one, ``_check_flag`` for a
+boolean option (only bool and np.bool_ pass), ``_check_vector`` for an array
+(a finite 1-D vector of its length with entries in its range, clipped onto the
+range when a slack lets rounding stray outside it), and ``_clean_support`` for
+a set of feature indices.  Input is
 checked once, at the public entry point: index arrays the library builds
 itself pass ``_clean_support`` by their dtype, with no scan of their items
 (and, sorted and distinct already, with no sort).  Frozen records copy and
@@ -64,6 +67,8 @@ _BLOCK_ELEMENTS = 2**16
 # starves the matrix product (one v4 start at (1000, 2000) took 2.3x the unblocked
 # time in blocks of 32 columns, 1.1x in blocks of 256).
 _MIN_BLOCK_COLUMNS = 256
+# The largest float; as a bound of _check_real's range it refuses infinities.
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -279,19 +284,25 @@ class SpectralStats:
     mode: str = "exact"
 
 
-def _check_real(name: str, value) -> float:
-    """``value`` as a float; raises unless it is a real number (True and "0.5" fail)."""
+def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a float in the closed range [low, high]; raises unless it is a
+    real number there (True, "0.5" and NaN fail).  The default range takes +-inf;
+    a bound of +-_FLOAT_MAX refuses them."""
     # an exact int or float skips the abstract-class test, slow enough to show in loops
     if type(value) not in (int, float) and (
             isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise InvalidArgumentError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not low <= value <= high:  # NaN fails too
+        kind = "a finite number" if math.isfinite(low) and math.isfinite(high) else "a number"
+        raise InvalidArgumentError(f"{name} must be {kind} in [{low:g}, {high:g}], got "
+                                   f"{'NaN' if math.isnan(value) else value}")
+    return value
 
 
 def _check_positive(name: str, value) -> float:
     """``value`` as a float; raises unless it is a positive, finite real (NaN fails)."""
-    value = _check_real(name, value)
-    if not (math.isfinite(value) and value > 0.0):
+    if not 0.0 < (value := _check_real(name, value)) < math.inf:
         raise InvalidArgumentError(f"{name} must be positive and finite, got {value}")
     return value
 
@@ -319,15 +330,36 @@ def _check_flag(name: str, value) -> bool:
     return bool(value)
 
 
+def _check_vector(name: str, v, size: int | None = None, low: float = -math.inf,
+                  high: float = math.inf, slack: float = 0.0) -> np.ndarray:
+    """``v`` as a 1-D float array, of length ``size`` when given, whose entries are
+    finite and lie in [low - slack, high + slack]; a 2-D array, a 0-d scalar, NaN and
+    inf fail.  With a slack the array is clipped onto [low, high], so rounding just
+    outside the range reads as its bound; without one a float array is returned as
+    it is, with no copy."""
+
+    def refuse(got):
+        entries = ("" if low == -math.inf and high == math.inf
+                   else f" whose entries are finite and lie in [{low:g}, {high:g}]")
+        length = "" if size is None else f" of length {size}"
+        return InvalidArgumentError(f"{name} must be a finite 1-D vector{length}{entries}, "
+                                    f"got {got}")
+
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 1 or size is not None and v.size != size:
+        raise refuse(f"shape {v.shape}")
+    if v.size:
+        lo, hi = v.min(), v.max()  # either carries a NaN
+        if not (math.isfinite(lo) and low - slack <= lo):
+            raise refuse(lo)
+        if not (math.isfinite(hi) and hi <= high + slack):
+            raise refuse(hi)
+    return v.clip(low, high) if slack else v
+
+
 def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
     """Evaluate (1/n)*||y - X beta||^2 + lam*||beta||^2."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (spec.p,):
-        raise InvalidArgumentError(
-            f"beta has shape {beta.shape}, expected ({spec.p},)"
-        )
-    if not np.isfinite(beta).all():
-        raise InvalidArgumentError("beta must be finite")
+    beta = _check_vector("beta", beta, spec.p)
     r = spec.y - spec.X @ beta
     return float(r @ r / spec.n + spec.lam * (beta @ beta))
 
@@ -360,19 +392,6 @@ def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
             f"feature indices must lie in [0, {spec.p - 1}], got {idx.tolist()}"
         )
     return idx
-
-
-def _check_zhat(zhat, p: int | None = None) -> np.ndarray:
-    """A fractional selection vector (length p when given), finite and in
-    [0, 1] up to 1e-9, clipped onto [0, 1]."""
-    zhat = np.asarray(zhat, dtype=float)
-    if zhat.ndim != 1 or (p is not None and zhat.shape != (p,)):
-        raise InvalidArgumentError(
-            f"zhat has shape {zhat.shape}, expected a 1-D vector of length p"
-        )
-    if not np.isfinite(zhat).all() or np.any(zhat < -1e-9) or np.any(zhat > 1 + 1e-9):
-        raise InvalidArgumentError("zhat entries must be finite and lie in [0, 1]")
-    return np.clip(zhat, 0.0, 1.0)
 
 
 def cholesky(K: np.ndarray) -> np.ndarray:

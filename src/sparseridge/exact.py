@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _FLOAT_MAX,
     ProblemSpec,
     SparseEstimator,
     _best_support,
@@ -37,7 +38,6 @@ from .core import (
     mic_value,
     restricted_estimator,
 )
-from .errors import InvalidArgumentError
 from .greedy import greedy_select
 from .relaxation import solve_v4
 
@@ -66,12 +66,15 @@ class BnBResult:
     optimal: bool
 
     def to_json_dict(self) -> dict:
+        # strict JSON: a search stopped before its root (node_cap=0) has gap inf
+        # and no root bound (NaN), both written as null
+        gap, root = self.final_gap, self.root_bound
         return {
             "value": self.estimator.objective,
             "support": list(self.estimator.support),
-            "gap": self.final_gap,
+            "gap": gap if math.isfinite(gap) else None,
             "nodes": self.nodes_explored,
-            "root_bound": self.root_bound,
+            "root_bound": root if math.isfinite(root) else None,
         }
 
 
@@ -88,9 +91,7 @@ def branch_and_bound(
     index).  Hitting ``node_cap`` returns the incumbent with the remaining
     gap flagged (``optimal=False``).
     """
-    gap_tol = _check_real("gap_tol", gap_tol)
-    if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
-        raise InvalidArgumentError(f"gap_tol must be finite and >= 0, got {gap_tol}")
+    gap_tol = _check_real("gap_tol", gap_tol, 0.0, _FLOAT_MAX)
     node_cap = _check_integer("node_cap", node_cap, 0)
     incumbent, _ = greedy_select(spec)
     inc_val, inc_support = incumbent.objective, incumbent.support

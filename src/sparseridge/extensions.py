@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (
     Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _check_integer, _check_positive,
-    _clean_support, _freeze,
+    _check_vector, _clean_support, _freeze,
 )
 from .errors import DegenerateHatError, InvalidArgumentError, NumericalError, SparseRidgeError
 from .methods import check_options, fit
@@ -178,10 +178,5 @@ def encode_omega(omega: np.ndarray) -> np.ndarray:
 
 def decode_omega(beta: np.ndarray, mapping: PrecisionMapping) -> np.ndarray:
     """Invert the column stacking; exact round trip with :func:`encode_omega`."""
-    beta = np.asarray(beta, dtype=float)
     t = mapping.t
-    if beta.shape != (t * t,):
-        raise InvalidArgumentError(
-            f"beta has shape {beta.shape}, expected ({t * t},)"
-        )
-    return beta.reshape((t, t), order="F")
+    return _check_vector("beta", beta, t * t).reshape((t, t), order="F")

@@ -32,7 +32,7 @@ from .core import (
     SpectralStats,
     _check_integer,
     _check_positive,
-    _check_zhat,
+    _check_vector,
     _clean_support,
     restricted_estimator,
 )
@@ -207,7 +207,7 @@ def restricted_greedy(
     is emitted; an empty candidate set returns the zero estimator.
     """
     _check_positive("delta", delta)
-    zhat = _check_zhat(zhat, spec.p)
+    zhat = _check_vector("zhat", zhat, spec.p, 0.0, 1.0, 1e-9)
     candidates = np.flatnonzero(zhat >= delta)
     if candidates.size == 0:
         warnings.warn(

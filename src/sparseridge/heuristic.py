@@ -35,6 +35,7 @@ from .core import (
     _check_integer,
     _check_positive,
     _check_real,
+    _check_vector,
     mic_value,
     restricted_estimator,
 )
@@ -81,11 +82,10 @@ def elastic_net_cd(
     the largest coordinate change in a sweep is at most ``tol``, an absolute
     width the caller sets.
     """
-    if not _check_real("gamma", gamma) >= 0:
-        raise InvalidArgumentError(f"gamma must be nonnegative, got {gamma}")
+    gamma = _check_real("gamma", gamma, 0.0)
     tol, max_sweeps = _check_positive("tol", tol), _check_integer("max_sweeps", max_sweeps, 1)
     X, y, n, lam, p = spec.X, spec.y, spec.n, spec.lam, spec.p
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
+    beta = np.zeros(p) if beta0 is None else _check_vector("beta0", beta0, p).copy()
     r = y - X @ beta
     a = np.sum(X**2, axis=0) / n + lam
     half_gamma = gamma / 2.0
@@ -216,8 +216,7 @@ def min_l1_given_level(spec: ProblemSpec, v_upper: float) -> np.ndarray:
     unconstrained ridge minimum, and :class:`InvalidArgumentError` when it
     is NaN.
     """
-    if math.isnan(v_upper := _check_real("v_upper", v_upper)):
-        raise InvalidArgumentError("level v_upper must not be NaN")
+    v_upper = _check_real("v_upper", v_upper)
     ridge_min = mic_value(spec, np.ones(spec.p))
     if v_upper < ridge_min * (1.0 - 1e-10):
         raise InfeasibleLevelError(

@@ -41,7 +41,7 @@ from .core import (
     _check_flag,
     _check_integer,
     _check_real,
-    _check_zhat,
+    _check_vector,
     _freeze,
     _ridge_scores,
     _support_fit,
@@ -126,7 +126,7 @@ def randomized_round(zhat: np.ndarray, seed: int, counter: int = 0
     ``Generator(Philox(key=seed, counter=counter))``.  Deterministic given
     the seed and counter.
     """
-    zhat = _check_zhat(zhat)
+    zhat = _check_vector("zhat", zhat, None, 0.0, 1.0, 1e-9)
     key = _check_integer("seed", seed, 0, 2**128 - 1)
     counter = _check_integer("counter", counter, 0, 2**256 - 1)
     support = _draw(np.random.Philox(key=key, counter=counter), zhat, 1)
@@ -167,7 +167,7 @@ def randomized_solve(
     choice rests on stacked values, equal to rounding only.
     """
     trials = _check_integer("trials", trials, 1)
-    zhat = _check_zhat(zhat, spec.p)
+    zhat = _check_vector("zhat", zhat, spec.p, 0.0, 1.0, 1e-9)
     seed = _check_integer("seed", seed, 0)
     repair = _check_flag("repair", repair)
     bound = cardinality_bound(spec.k, alpha)

@@ -117,8 +117,9 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import (
-    ProblemSpec, RidgeSystem, _check_integer, _check_positive, _check_real, _clean_support,
-    _columns_matvec, _freeze, _support_fit, cholesky, cholesky_solve,
+    _FLOAT_MAX, ProblemSpec, RidgeSystem, _check_integer, _check_positive, _check_real,
+    _check_vector, _clean_support, _columns_matvec, _freeze, _support_fit, cholesky,
+    cholesky_solve,
 )
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
 
@@ -136,7 +137,6 @@ _RELEASE_TOL = 1e-12
 # 2e-18 at y*1e-8, below its rounding, and a first move of one width kept z
 # dense for four iterations at (1000, 2000, 20), where 2 had moved 158 widths.
 _MAX_MOVE = 1e6
-_FLOAT_MAX = np.finfo(float).max
 # v4's Gram route serves only values f >= this share of y^T y/n, where its
 # cancelling y^T y - c . b stays within about eps/_GRAM_FLOOR of f (module docstring).
 # The floor must keep a noise-free fit at lam = 1e-5 on the X route: 1e-6 did not.
@@ -222,10 +222,7 @@ def project_capped_simplex(v: np.ndarray, k: float) -> np.ndarray:
     makes sum(z) == k, found exactly on the sorted breakpoints v_i, v_i - 1.
     """
     _check_positive("budget k", k)
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1 or not np.isfinite(v).all():
-        raise InvalidArgumentError("v must be a finite 1-D vector")
-    return _project(v, k)
+    return _project(_check_vector("v", v), k)
 
 
 def _project(v: np.ndarray, k: float) -> np.ndarray:
@@ -248,16 +245,9 @@ def waterfill_z(
     the sorted breakpoints lower_i/|beta_i| and 1/|beta_i| of 1/nu.
     """
     _check_real("budget k", k)
-    beta = np.asarray(beta, dtype=float)
-    p = beta.shape[0]
-    if lower is None:
-        lower = np.zeros(p)
-    else:
-        lower = np.asarray(lower, dtype=float)
-        if (lower.shape != (p,) or not np.isfinite(lower).all()
-                or np.any(lower < -1e-15) or np.any(lower > 1 + 1e-12)):
-            raise InvalidArgumentError("lower bounds must be finite and lie in [0, 1]")
-        lower = np.clip(lower, 0.0, 1.0)
+    beta = _check_vector("beta", beta)
+    p = beta.size
+    lower = np.zeros(p) if lower is None else _check_vector("lower", lower, p, 0.0, 1.0, 1e-12)
     if not lower.sum() <= k + 1e-9:
         raise InvalidArgumentError(
             f"budget k must be at least the lower bounds' sum {lower.sum():.6g}, got {k}"
@@ -285,8 +275,8 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
     X^T X, y^T y and X^T y are read from the dataset's normal equations; when
     p > n, X^T X is singular and sigma_min = 0 without forming it.
     """
-    if v_upper is not None and not math.isfinite(v_upper := _check_real("v_upper", v_upper)):
-        raise InvalidArgumentError(f"v_upper must be finite, got {v_upper}")
+    if v_upper is not None:
+        v_upper = _check_real("v_upper", v_upper, -_FLOAT_MAX, _FLOAT_MAX)
     eq, n = spec.data.normal, spec.n
     if not (math.isfinite(eq.yy) and np.isfinite(eq.c).all()
             and (eq.G is None or np.isfinite(eq.G).all())):
@@ -425,25 +415,15 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
     return evaluate
 
 
-def _value_grad(spec: ProblemSpec, z: np.ndarray, G: np.ndarray | None = None):
-    """One evaluation by :func:`_evaluator`: (f(z), gradient, b, Hessian on a face)."""
-    return _evaluator(spec, G)(z)
-
-
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
     """f(z) = lam*y^T A(z)^{-1} y and its gradient -lam*(x_i^T A(z)^{-1} y)^2, on
     the Gram route if X^T X is formed and f(z) passes the floor, else on X."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (spec.p,):
-        raise InvalidArgumentError(f"z has shape {z.shape}, expected ({spec.p},)")
-    if np.any(z < -1e-12) or not np.isfinite(z).all():
-        raise InvalidArgumentError("z must be finite and nonnegative")
-    z = np.maximum(z, 0.0)
+    z = _check_vector("z", z, spec.p, 0.0, math.inf, 1e-12)
     if (G := spec.data.normal.formed_gram()) is not None:
-        val, grad = _value_grad(spec, z, G)[:2]
+        val, grad = _evaluator(spec, G)(z)[:2]
         if _above_floor(spec, val):
             return val, grad
-    return _value_grad(spec, z)[:2]
+    return _evaluator(spec)(z)[:2]
 
 
 def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
@@ -585,9 +565,7 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
     _check_positive("tol", tol)
     max_iter = _check_integer("max_iter", max_iter, 1)
     if z0 is not None:
-        z0 = np.asarray(z0, dtype=float)
-        if z0.shape != (spec.p,) or not np.isfinite(z0).all():
-            raise InvalidArgumentError(f"z0 must be a finite vector of shape ({spec.p},)")
+        z0 = _check_vector("z0", z0, spec.p)
     one, free = _masked_sets(spec, fixed_one, fixed_zero)
     budget = spec.k - one.size
     z = np.zeros(spec.p)
@@ -718,12 +696,9 @@ def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
 
 
 def _positive_bounds(spec: ProblemSpec, M: BigMVector) -> np.ndarray:
-    if M.M.shape != (spec.p,):  # numpy would broadcast a length-1 M silently
-        raise InvalidArgumentError(f"big-M bounds must have shape ({spec.p},), got {M.M.shape}")
-    # v1 searches with slopes 1/M_i**2, which must stay positive and finite
-    if not np.all((M.M >= 1e-150) & (M.M <= 1e150)):
-        raise InvalidArgumentError("all big-M entries must lie in [1e-150, 1e150]")
-    return M.M
+    # one per feature (numpy would broadcast a length-1 M silently); v1 searches
+    # with slopes 1/M_i**2, which must stay positive and finite
+    return _check_vector("big-M bounds", M.M, spec.p, 1e-150, 1e150)
 
 
 def _project_weighted_l1_box(v: np.ndarray, M: np.ndarray, k: float) -> np.ndarray:

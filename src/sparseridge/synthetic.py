@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, _check_flag, _check_integer, _check_positive, _check_real
+from .core import _FLOAT_MAX, Dataset, _check_flag, _check_integer, _check_positive, _check_real
 from .errors import InvalidArgumentError
 
 
@@ -52,17 +52,14 @@ class SyntheticConfig:
         object.__setattr__(self, "k_true", _check_integer("k_true", self.k_true, 1, self.p))
         object.__setattr__(self, "resample_small",
                            _check_flag("resample_small", self.resample_small))
-        for name in ("rho", "coef_low", "coef_high", "min_signal"):
-            _check_real(name, getattr(self, name))
-        if not -1.0 < self.rho < 1.0:
+        if not -1.0 < _check_real("rho", self.rho) < 1.0:
             raise InvalidArgumentError(f"rho must lie in (-1, 1), got {self.rho}")
+        lo, hi, floor = (_check_real(name, getattr(self, name), -_FLOAT_MAX, _FLOAT_MAX)
+                         for name in ("coef_low", "coef_high", "min_signal"))
         _check_positive("snr", self.snr)
-        lo, hi, floor = self.coef_low, self.coef_high, self.min_signal
-        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(floor)):
-            raise InvalidArgumentError("coef_low, coef_high and min_signal must be finite")
         if lo >= hi:
             raise InvalidArgumentError("coef_low must be < coef_high")
-        if not math.isfinite(float(hi) - float(lo)):  # Python floats: no overflow warning
+        if not math.isfinite(hi - lo):  # Python floats: no overflow warning
             raise InvalidArgumentError(
                 f"coef_high - coef_low must be finite, got [{lo}, {hi}]"
             )

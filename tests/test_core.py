@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import sys
@@ -25,9 +26,12 @@ from sparseridge import (
     InvalidArgumentError,
     NumericalError,
     ProblemSpec,
+    SparseRidgeError,
     SyntheticConfig,
+    branch_and_bound,
     brute_force,
     gcv_score,
+    gcv_select,
     greedy_select,
     mic_value,
     normalize_columns,
@@ -40,7 +44,7 @@ from sparseridge import (
     theta,
     underline_theta,
 )
-from sparseridge import core
+from sparseridge import core, extensions
 from sparseridge.core import RidgeSystem, _subset_blocks
 
 # Examples per property test; tests/conftest.py makes every run reproducible.
@@ -755,3 +759,40 @@ def test_normalize_columns(rng):
     with_zero = Dataset(X=np.column_stack([np.ones(4), np.zeros(4)]), y=np.ones(4))
     scaled = normalize_columns(with_zero)
     assert np.all(scaled.X[:, 1] == 0.0)
+
+
+def _gcv_with_a_failed_point(spec, monkeypatch):
+    real_fit = extensions.fit
+
+    def flaky_fit(s, method, **kw):
+        if s.lam < 0.05:
+            raise SparseRidgeError("synthetic failure")
+        return real_fit(s, method, **kw)
+
+    monkeypatch.setattr(extensions, "fit", flaky_fit)
+    with pytest.warns(UserWarning, match="excluded"):
+        return gcv_select(spec.data, k=2, grid=[0.01, 0.2], method="greedy")
+
+
+# every public record with to_json_dict, each at the edge where a field is
+# least likely to be an ordinary number
+RECORDS = {
+    # stopped before the root: gap inf, no root bound
+    "branch_and_bound node_cap=0": lambda spec, mp: branch_and_bound(spec, node_cap=0),
+    # the failed point scores NaN
+    "gcv_select failed point": _gcv_with_a_failed_point,
+    # k = p: the capped box is one point, solved in closed form with no loop
+    "solve_v4 closed form": lambda spec, mp: solve_v4(ProblemSpec(spec.data, spec.lam, spec.p)),
+    # every draw empty, and no repaired fields
+    "randomized_solve empty draws": lambda spec, mp: randomized_solve(
+        spec, np.zeros(spec.p), trials=3, repair=False),
+    "restricted_estimator empty support": lambda spec, mp: restricted_estimator(spec, []),
+    "SyntheticConfig": lambda spec, mp: SyntheticConfig(n=10, p=6, k_true=2),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS)
+def test_every_record_writes_strict_json(record, monkeypatch):
+    spec = random_spec(np.random.default_rng(0), 10, 6, 2, 0.1)
+    payload = RECORDS[record](spec, monkeypatch).to_json_dict()
+    assert json.loads(json.dumps(payload, allow_nan=False)) == payload

@@ -1,11 +1,14 @@
 """Caller input is refused by one core helper per kind, before any work starts.
 
 Each row names a public argument and the values it must refuse.  Real-valued
-arguments get True and a numeric string; counts and feature indices also get
-2.5 and values outside their range; boolean options get text, an int, None
-and a float, since only bool and np.bool_ are flags.  Every refusal is an InvalidArgumentError
-raised before a factorization, an eigenvalue call, a rounding draw, a greedy
-run or a dataset draw.
+arguments get True and a numeric string, and those with a range NaN too;
+counts and feature indices also get 2.5 and values outside their range;
+boolean options get text, an int, None and a float, since only bool and
+np.bool_ are flags.  Array arguments (fractional selections, warm starts,
+coefficient vectors, big-M bounds) get a NaN and an inf entry, a wrong length
+where the length is fixed, a 2-D array and a 0-d scalar.  Every refusal is an
+InvalidArgumentError raised before a factorization, an eigenvalue call, a
+projection or budget search, a rounding draw, a greedy run or a dataset draw.
 """
 
 import math
@@ -26,6 +29,7 @@ from sparseridge import (
     branch_and_bound,
     brute_force,
     cardinality_bound,
+    decode_omega,
     elastic_net_cd,
     false_alarm_rate,
     greedy_distance_bound,
@@ -35,6 +39,8 @@ from sparseridge import (
     randomized_round,
     randomized_solve,
     restricted_estimator,
+    restricted_greedy,
+    ridge_objective,
     run_benchmark,
     solve_v1,
     solve_v3,
@@ -42,6 +48,7 @@ from sparseridge import (
     spectral_stats,
     theta,
     underline_theta,
+    value_and_gradient,
     waterfill_z,
 )
 from sparseridge.data_io import _resolve_response, load_dataset_csv, save_dataset_csv
@@ -74,19 +81,20 @@ def estimator(*support):
 
 CASES = {
     # real-valued arguments
-    "branch_and_bound gap_tol": (lambda s, v: branch_and_bound(s, gap_tol=v), REAL),
-    "big_m v_upper": (lambda s, v: big_m(s, v_upper=v), REAL),
+    "branch_and_bound gap_tol": (lambda s, v: branch_and_bound(s, gap_tol=v), (*REAL, math.nan)),
+    "big_m v_upper": (lambda s, v: big_m(s, v_upper=v), (*REAL, math.nan)),
     "precision_to_regression lam": (lambda s, v: precision_to_regression(np.eye(2), v, 2), REAL),
-    "cardinality_bound alpha": (lambda s, v: cardinality_bound(3, v), REAL),
-    "randomized_solve alpha": (lambda s, v: randomized_solve(s, zhat(), alpha=v), REAL),
-    "min_l1_given_level v_upper": (lambda s, v: min_l1_given_level(s, v), REAL),
-    "elastic_net_cd gamma": (lambda s, v: elastic_net_cd(s, v), REAL),
+    "cardinality_bound alpha": (lambda s, v: cardinality_bound(3, v), (*REAL, math.nan)),
+    "randomized_solve alpha": (lambda s, v: randomized_solve(s, zhat(), alpha=v),
+                               (*REAL, math.nan)),
+    "min_l1_given_level v_upper": (lambda s, v: min_l1_given_level(s, v), (*REAL, math.nan)),
+    "elastic_net_cd gamma": (lambda s, v: elastic_net_cd(s, v), (*REAL, math.nan)),
     "elastic_net_cd tol": (lambda s, v: elastic_net_cd(s, 0.1, tol=v), (*REAL, -1.0, math.nan)),
     "project_capped_simplex k": (lambda s, v: project_capped_simplex(zhat(), v), REAL),
     "waterfill_z k": (lambda s, v: waterfill_z(np.ones(P), v), REAL),
     "run_benchmark time_budget": (
         lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], ["greedy"], reps=1,
-                                   time_budget=v), REAL),
+                                   time_budget=v), (*REAL, math.nan)),
     "run_benchmark lam": (
         lambda s, v: run_benchmark([{"n": N, "p": P, "k": K}], ["greedy"], reps=1, lam=v),
         (*REAL, -1.0, 0.0, math.nan, math.inf)),
@@ -95,7 +103,12 @@ CASES = {
     # a coefficient range wider than float range, which the draw cannot take
     "SyntheticConfig coef_high": (
         lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, coef_low=-1e308, coef_high=v),
-        (*REAL, 1e308, np.finfo(float).max)),
+        (*REAL, 1e308, np.finfo(float).max, math.nan)),
+    "SyntheticConfig coef_low": (
+        lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, coef_low=v), (math.nan, -math.inf)),
+    "SyntheticConfig min_signal": (
+        lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, min_signal=v), (math.nan, math.inf)),
+    "SyntheticConfig rho": (lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, rho=v), (math.nan,)),
     # counts
     "ProblemSpec k": (lambda s, v: ProblemSpec(data=s.data, lam=0.1, k=v), count(0, N + 1)),
     "theta s": (lambda s, v: theta(s, v), count(0, P + 1)),
@@ -163,12 +176,13 @@ CASES = {
 
 @pytest.fixture
 def no_work(monkeypatch):
-    """Every factorization, big-M eigenvalue call, rounding draw, greedy run and
-    benchmark dataset draw fails the test."""
+    """Every factorization, big-M eigenvalue call, projection or budget search,
+    rounding draw, greedy run and benchmark dataset draw fails the test."""
     def work(*args, **kwargs):
         raise AssertionError("work began before the input was checked")
 
     for target in ("sparseridge.core.cholesky", "sparseridge.relaxation.eigvalsh",
+                   "sparseridge.relaxation._project", "sparseridge.relaxation._fill_budget",
                    "sparseridge.randomized._draw", "sparseridge.exact.greedy_select",
                    "sparseridge.bench.generate_synthetic"):
         monkeypatch.setattr(target, work)
@@ -181,6 +195,47 @@ def test_refused_before_any_work(case, value, no_work):
     spec = random_spec(np.random.default_rng(0), N, P, K, 0.1)
     with pytest.raises(InvalidArgumentError):
         CASES[case][0](spec, value)
+
+
+# array arguments: (call, a valid value, whether its length is fixed)
+VECTORS = {
+    "ridge_objective beta": (lambda s, v: ridge_objective(s, v), np.zeros(P), True),
+    "restricted_greedy zhat": (lambda s, v: restricted_greedy(s, v), zhat(), True),
+    "randomized_solve zhat": (lambda s, v: randomized_solve(s, v), zhat(), True),
+    "randomized_round zhat": (lambda s, v: randomized_round(v, 0), zhat(), False),
+    "project_capped_simplex v": (lambda s, v: project_capped_simplex(v, 1.0), zhat(), False),
+    "waterfill_z beta": (lambda s, v: waterfill_z(v, 1.0), np.ones(P), False),
+    "waterfill_z lower": (lambda s, v: waterfill_z(np.ones(P), 1.0, lower=v), np.zeros(P), True),
+    "value_and_gradient z": (lambda s, v: value_and_gradient(s, v), zhat(), True),
+    "solve_v4 z0": (lambda s, v: solve_v4(s, z0=v), zhat(), True),
+    "solve_v1 M": (lambda s, v: solve_v1(s, BigMVector(M=v, v_upper=10.0, rho=1.0)),
+                   np.full(P, 10.0), True),
+    "solve_v3 M": (lambda s, v: solve_v3(s, BigMVector(M=v, v_upper=10.0, rho=1.0)),
+                   np.full(P, 10.0), True),
+    "decode_omega beta": (
+        lambda s, v: decode_omega(v, precision_to_regression(np.eye(2), 0.1, 2)), np.zeros(4),
+        True),
+    "elastic_net_cd beta0": (lambda s, v: elastic_net_cd(s, 0.1, beta0=v), np.zeros(P), True),
+}
+
+
+def refused(good, fixed):
+    """(kind, value) for each value an array argument whose valid value is
+    ``good`` must refuse."""
+    nan, inf = good.copy(), good.copy()
+    nan[0], inf[-1] = math.nan, math.inf
+    wrong_length = [("wrong length", good[:-1])] if fixed else []
+    return [("nan", nan), ("inf", inf), *wrong_length, ("2-D", good[None, :]),
+            ("0-d", good[0])]
+
+
+@pytest.mark.parametrize("case, kind", [(case, kind) for case, (_, good, fixed) in VECTORS.items()
+                                        for kind, _ in refused(good, fixed)])
+def test_vector_refused_before_any_work(case, kind, no_work):
+    spec = random_spec(np.random.default_rng(0), N, P, K, 0.1)
+    call, good, fixed = VECTORS[case]
+    with pytest.raises(InvalidArgumentError):
+        call(spec, dict(refused(good, fixed))[kind])
 
 
 def test_refused_candidate_leaves_greedy_state_unchanged():

@@ -512,14 +512,14 @@ class TestFaceNewton:
         G = spec.data.normal.G if gram else None
         # |supp z| = 7 <= n: the X route's |S| <= n side on the wide design too
         z, F = _face_point(rng, p, 5, 2)
-        hessian = relaxation._value_grad(spec, z, G)[3]
+        hessian = relaxation._evaluator(spec, G)(z)[3]
         h = 1e-5
         fd = np.empty((F.size, F.size))
         for col, j in enumerate(F):
             zp, zm = z.copy(), z.copy()
             zp[j] += h
             zm[j] -= h
-            diff = relaxation._value_grad(spec, zp, G)[1] - relaxation._value_grad(spec, zm, G)[1]
+            diff = relaxation._evaluator(spec, G)(zp)[1] - relaxation._evaluator(spec, G)(zm)[1]
             fd[:, col] = diff[F] / (2.0 * h)
         assert np.abs(hessian(F) - fd).max() <= 1e-6 * np.abs(fd).max()
 
@@ -527,7 +527,7 @@ class TestFaceNewton:
         rng = np.random.default_rng(7)
         spec = random_spec(rng, 12, 40, 3, 0.1)
         z, _ = _face_point(rng, 40, 10, 5)
-        assert relaxation._value_grad(spec, z)[3] is None
+        assert relaxation._evaluator(spec)(z)[3] is None
 
     @pytest.mark.parametrize("stub", ["itself", "ascent"])
     def test_rejected_proposals_leave_the_loop_where_it_ends(self, stub):
@@ -537,7 +537,7 @@ class TestFaceNewton:
         spec = ProblemSpec(data=data, lam=0.08, k=6)
 
         def fval_grad(z):
-            return relaxation._value_grad(spec, z)[:3]
+            return relaxation._evaluator(spec)(z)[:3]
 
         def project(v):
             return project_capped_simplex(v, 6)
@@ -842,7 +842,7 @@ class TestPerspectiveFit:
     @given(case=perspective_cases())
     def test_matches_explicit_formulas(self, case):
         spec, z = case
-        value, grad, b = relaxation._value_grad(spec, z)[:3]
+        value, grad, b = relaxation._evaluator(spec)(z)[:3]
         # A = n*lam*I + X_S diag(z_S) X_S^T, u = A^-1 y: f = lam*y^T u, its
         # gradient -lam*(X^T u)^2 and b = diag(z) X^T u (0 off the support)
         S = z > 0.0
@@ -866,7 +866,7 @@ class TestPerspectiveFit:
         X = rng.standard_normal((40, 10))
         spec = ProblemSpec(data=Dataset(X=X, y=X @ rng.uniform(-2.0, 2.0, 10)), lam=lam, k=3)
         z = np.full(10, 0.5)
-        value, _, b = relaxation._value_grad(spec, z)[:3]
+        value, _, b = relaxation._evaluator(spec)(z)[:3]
         assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
 
 
@@ -897,7 +897,7 @@ class TestGramRoute:
     def test_route_taken_matches_the_x_route(self, case):
         spec, z = case
         value, grad = value_and_gradient(spec, z)
-        want_value, want_grad, want_b = relaxation._value_grad(spec, z)[:3]
+        want_value, want_grad, want_b = relaxation._evaluator(spec)(z)[:3]
         assert abs(value - want_value) <= 1e-12 * want_value
         # The gradient's a_i = x_i^T u cancels in either route when u is nearly
         # orthogonal to x_i (every column in S at a tiny lam), so it is held to
@@ -907,8 +907,8 @@ class TestGramRoute:
         assert np.abs(grad - want_grad).max() <= 1e-12 * scale
         # On the fractional set both routes give no H_FF (a zero b_i) or the same one.
         F = np.flatnonzero((z > 0.0) & (z < 1.0))
-        gram = relaxation._value_grad(spec, z, spec.data.normal.G)[3](F)
-        want = relaxation._value_grad(spec, z)[3](F)
+        gram = relaxation._evaluator(spec, spec.data.normal.G)(z)[3](F)
+        want = relaxation._evaluator(spec)(z)[3](F)
         assert (gram is None) == (want is None)
         if want is not None:
             assert np.abs(gram - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
@@ -916,7 +916,7 @@ class TestGramRoute:
     def test_one_off_evaluation_forms_no_gram(self):
         data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]
         spec = ProblemSpec(data=data, lam=0.08, k=6)
-        want = relaxation._value_grad(spec, np.full(60, 0.1))
+        want = relaxation._evaluator(spec)(np.full(60, 0.1))
         got = value_and_gradient(spec, np.full(60, 0.1))
         assert spec.data.normal.formed_gram() is None
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
@@ -929,7 +929,7 @@ class TestGramRoute:
         # n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2) certifies f(1) unevaluated, and
         # every evaluation of the loop takes the Gram route
         assert routes and all(gram and not at_one for gram, at_one in routes)
-        gram = relaxation._value_grad(spec, sol.z, spec.data.normal.G)
+        gram = relaxation._evaluator(spec, spec.data.normal.G)(sol.z)
         assert abs(gram[0] - sol.value) <= 1e-12 * sol.value
         # a noise-free fit at a small lam: the bound fails, so f(1) is evaluated
         # first, on the Gram route; it is below the floor, and every evaluation
@@ -964,7 +964,7 @@ class TestGramRoute:
         spec = case[0]
         nlam, eq = spec.n * spec.lam, spec.data.normal
         if nlam >= relaxation._GRAM_FLOOR * (nlam + eq.sq.sum()):
-            f1 = relaxation._value_grad(spec, np.ones(spec.p))[0]
+            f1 = relaxation._evaluator(spec)(np.ones(spec.p))[0]
             assert f1 >= relaxation._GRAM_FLOOR * eq.yy / spec.n * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("lam", [1e-5, 1e-8])
@@ -976,7 +976,7 @@ class TestGramRoute:
         spec.data.normal.G
         z = np.full(10, 0.5)
         value = value_and_gradient(spec, z)[0]
-        b = relaxation._value_grad(spec, z)[2]  # the X route's
+        b = relaxation._evaluator(spec)(z)[2]  # the X route's
         assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
 
 
@@ -1002,8 +1002,8 @@ class TestRecordedMinimizer:
         sol = solve_v4(spec)
         G = spec.data.normal.formed_gram()
         assert G is not None  # formed by the loop, which took the Gram route
-        assert relaxation._above_floor(spec, relaxation._value_grad(spec, np.ones(60), G)[0])
-        assert _relative_gap(sol.beta, relaxation._value_grad(spec, sol.z)[2]) <= 1e-12
+        assert relaxation._above_floor(spec, relaxation._evaluator(spec, G)(np.ones(60))[0])
+        assert _relative_gap(sol.beta, relaxation._evaluator(spec)(sol.z)[2]) <= 1e-12
 
     @pytest.mark.parametrize("n, k, fixed_one, fixed_zero", [
         (20, 6, (), ()),  # k = p <= n
@@ -1061,7 +1061,7 @@ class TestBoxConstrainedStep:
         # are v4's f, its gradient and v2's b at the same z.
         spec, z, _, beta0 = case
         M = big_m(spec).M * 1e6
-        free = relaxation._value_grad(spec, z)[:3]
+        free = relaxation._evaluator(spec)(z)[:3]
         boxed = relaxation._perspective_fit(spec, z, M, beta0)
         assert np.all(np.abs(free[2]) <= M * z)
         assert abs(boxed[0] - free[0]) <= 1e-12 * abs(free[0])
