@@ -38,7 +38,9 @@ NaN fail) and ``_check_positive`` for a positive one, ``_check_flag`` for a
 boolean option (only bool and np.bool_ pass), ``_check_vector`` for an array
 (a finite 1-D vector of its length with entries in its range, clipped onto the
 range when a slack lets rounding stray outside it), and ``_clean_support`` for
-a set of feature indices.  Input is
+a set of feature indices.  Every caller array, ``Dataset``'s X and y included,
+first passes ``_check_real_array``, which refuses complex, text and object
+arrays by their dtype before any conversion (bool arrays pass).  Input is
 checked once, at the public entry point: index arrays the library builds
 itself pass ``_clean_support`` by their dtype, with no scan of their items
 (and, sorted and distinct already, with no sort).  Frozen records copy and
@@ -88,7 +90,7 @@ class Dataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        self._settle(np.array(self.X, dtype=float))
+        self._settle(np.array(_check_real_array("X", self.X), dtype=float))
 
     @classmethod
     def _adopt(cls, X: np.ndarray, y, feature_names=None) -> Dataset:
@@ -103,7 +105,7 @@ class Dataset:
 
     def _settle(self, X: np.ndarray) -> None:
         """Check X (owned by this dataset), a copy of y and the names, and freeze them."""
-        y = np.array(self.y, dtype=float).ravel()
+        y = np.array(_check_real_array("y", self.y), dtype=float).ravel()
         if X.ndim != 2:
             raise InvalidArgumentError(f"X must be 2-D, got ndim={X.ndim}")
         n, p = X.shape
@@ -148,10 +150,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _freeze(record, *names: str) -> None:
     """Set each named field of a frozen dataclass to a read-only float copy of
-    its value; a field holding None stays None."""
+    its value, which must hold real numbers; a field holding None stays None."""
     for name in names:
         if (a := getattr(record, name)) is not None:
-            object.__setattr__(record, name, _frozen(np.array(a, dtype=float)))
+            object.__setattr__(record, name,
+                               _frozen(np.array(_check_real_array(name, a), dtype=float)))
 
 
 class NormalEquations:
@@ -330,6 +333,16 @@ def _check_flag(name: str, value) -> bool:
     return bool(value)
 
 
+def _check_real_array(name: str, a) -> np.ndarray:
+    """``a`` as an array, not yet converted; raises unless its dtype is bool, integer
+    or real floating, so complex, text and object entries fail before numpy would
+    drop an imaginary part or parse a string."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "biuf":
+        raise InvalidArgumentError(f"{name} must hold real numbers, got dtype {a.dtype}")
+    return a
+
+
 def _check_vector(name: str, v, size: int | None = None, low: float = -math.inf,
                   high: float = math.inf, slack: float = 0.0) -> np.ndarray:
     """``v`` as a 1-D float array, of length ``size`` when given, whose entries are
@@ -345,7 +358,7 @@ def _check_vector(name: str, v, size: int | None = None, low: float = -math.inf,
         return InvalidArgumentError(f"{name} must be a finite 1-D vector{length}{entries}, "
                                     f"got {got}")
 
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(_check_real_array(name, v), dtype=float)
     if v.ndim != 1 or size is not None and v.size != size:
         raise refuse(f"shape {v.shape}")
     if v.size:

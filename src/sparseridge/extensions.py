@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import (
     Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _check_integer, _check_positive,
-    _check_vector, _clean_support, _freeze,
+    _check_real_array, _check_vector, _clean_support, _freeze,
 )
 from .errors import DegenerateHatError, InvalidArgumentError, NumericalError, SparseRidgeError
 from .methods import check_options, fit
@@ -152,7 +152,7 @@ def precision_to_regression(
     ||I - Sigma_hat @ Omega||_F^2 == ||y - X beta||^2 and
     ||Omega||_F^2 == ||beta||^2 hold exactly.
     """
-    sigma = np.asarray(sigma_hat, dtype=float)
+    sigma = np.asarray(_check_real_array("sigma_hat", sigma_hat), dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise InvalidArgumentError(f"sigma_hat must be square, got {sigma.shape}")
     if not np.isfinite(sigma).all():
@@ -170,7 +170,7 @@ def precision_to_regression(
 
 def encode_omega(omega: np.ndarray) -> np.ndarray:
     """Column-stack a t x t matrix into the induced problem's beta."""
-    omega = np.asarray(omega, dtype=float)
+    omega = np.asarray(_check_real_array("omega", omega), dtype=float)
     if omega.ndim != 2 or omega.shape[0] != omega.shape[1]:
         raise InvalidArgumentError(f"omega must be square, got {omega.shape}")
     return omega.flatten(order="F")

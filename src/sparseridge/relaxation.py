@@ -24,27 +24,21 @@ perspective constraint set is the convex hull of its mixed-binary counterpart, s
 improved by adding valid inequalities in the same variables; tightening
 requires outside information such as the big-M bounds (v3).
 
-That evaluation takes one of two routes on the system on S = supp z.  The X
+Each evaluation takes one of two routes on the system on S = supp z.  The X
 route fits y: it gathers X_S and forms X^T u.  The Gram route reads no row of
 X, only the normal equations G = X^T X, c = X^T y and y^T y: the system's
 K = G_SS + n*lam*diag(1/z_S) is a block of G, b_S = K^-1 c_S,
 f = (y^T y - c . b)/n and the gradient is -lam*((c - G b)/(n*lam))^2, and
 the system gathers no X_S.  That value cancels as f falls below y^T y/n:
 its rounding is of order eps*y^T y/n, where the X route's value, stationary
-in b, rounds at eps*f.  So the Gram route is taken only where
-f >= _GRAM_FLOOR*y^T y/n (1e-3), which bounds its relative error by about
-eps/_GRAM_FLOOR, 2e-13, times the growth of the dot products behind G and c.
-A solve forms G (p <= n) and decides once, from f(1), the full-support
-ridge minimum, which bounds every f(z) in the box below; so the route never
-changes within a solve, closed-form cases included.  It does not evaluate
-f(1) where a bound certifies it: f(1) >= lam*y^T y/(n*lam + ||X||_F^2), and
-||X||_F^2 is the sum of the squared column norms the normal equations hold,
-so n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2) puts f(1) above the floor
-(``solve_v4`` states the rounding argument); only where that test fails is
-f(1) evaluated, on the Gram route, and its value decides.  A one-off evaluation
-(``value_and_gradient``) uses G only if it is already formed, and tests its
-own f(z).  The X route stays for p > n, for values below the floor and for
-v3's bounded passes.
+in b, rounds at eps*f.  So an evaluator given G keeps the Gram formulas only
+for a value that passes the floor, f >= _GRAM_FLOOR*y^T y/n (1e-3), which
+bounds its relative error by about eps/_GRAM_FLOOR, 2e-13, times the growth
+of the dot products behind G and c; below the floor the same system fits y
+on X.  Each evaluation tests the value it computed, so no route is decided
+ahead of it.  A v4 solve forms G (p <= n) and a one-off evaluation
+(``value_and_gradient``) uses G only if it is already formed.  The X route
+alone serves p > n and v3's bounded passes.
 
 All solvers run one loop: nonmonotone spectral projected gradient, which
 projects once per iteration at the Barzilai-Borwein step of the last move (at
@@ -354,47 +348,49 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.
     raise NumericalError("box-constrained beta-step reached its pass cap")
 
 
-def _above_floor(spec: ProblemSpec, value: float) -> bool:
-    """Whether the Gram route may serve a value: value >= _GRAM_FLOOR * y^T y/n."""
-    return value >= _GRAM_FLOOR * spec.data.normal.yy / spec.n
-
-
 def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
     """v4's evaluation z -> (f(z), its gradient -lam*(x_i^T A(z)^-1 y)^2, the
     minimizer b, the Hessian on a face), from one RidgeSystem on S = supp z
     (z_i with n*lam/z_i finite; b is 0 elsewhere).  What every evaluation
-    reads of the spec (n, p, lam, n*lam, the support threshold, c, y^T y, G
-    and X) is bound once, so a solve makes one evaluator and calls it.
+    reads of the spec (n, p, lam, n*lam, the support threshold, c, y^T y, the
+    floor, G and X) is bound once, so a solve makes one evaluator and calls it.
 
-    On the Gram route, when G = X^T X is given, b_S solves K b_S = c_S with
-    K = G_SS + n*lam*diag(1/z_S), f = (y^T y - c . b)/n and the gradient is
-    -lam*a^2 with a = (c - G b)/(n*lam): no row of X is read.  On the X route
-    the system fits y, and its u gives f and a = X^T u.
+    When G = X^T X is given, b_S solves K b_S = c_S with
+    K = G_SS + n*lam*diag(1/z_S) and f = (y^T y - c . b)/n.  If that value
+    passes the floor, f >= _GRAM_FLOOR*y^T y/n, the evaluation stays on the
+    Gram route: the gradient is -lam*a^2 with a = (c - G b)/(n*lam), and no
+    row of X is read.  Otherwise, and always without G, it takes the X route:
+    the same system fits y, and its u gives f, b and a = X^T u.
 
     The Hessian maps sorted indices F to H_FF = 2*lam*(q_F q_F^T) o
     X_F^T A(z)^-1 X_F, with q_F = b_F/z_F (a_F in exact arithmetic) read from
     b, where x_i^T u would cancel, and X_F^T A(z)^-1 X_F = diag(1/z_F) (K^-1 G_SF)_F
     from K's own factor: that form (G - G K^-1 G = D K^-1 G with D = K - G_SS)
     has no cancelling difference and holds one |S| x |F| block at a time.
-    G_SF is a block of the normal equations on the Gram route and
-    X_S^T X_F on X.  The Hessian gives None where some q_i is 0, and is None
+    G_SF is a block of the normal equations on the Gram route and X_S^T X_F
+    on the X route.  The Hessian gives None where some q_i is 0, and is None
     itself when |S| > n, where the system holds no factor of K.
     """
     data, X, y = spec.data, spec.X, spec.y
     eq, n, p, lam = data.normal, spec.n, spec.p, spec.lam
     c, yy, nlam = eq.c, eq.yy, n * lam
     floor = nlam / _FLOAT_MAX  # z_i above it counts: n*lam/z_i is finite
+    least = _GRAM_FLOOR * yy / n  # the least value the Gram route serves
 
     def evaluate(z):
         S, b = (z > floor).nonzero()[0], np.zeros(p)
         zS = z[S]
         system = RidgeSystem(data, S, zS, nlam)
-        if G is None:
+        gram = G is not None
+        if gram:
+            b[S] = system.solve(c[S])
+            val = (yy - float(c @ b)) / n
+            gram = val >= least  # below the floor (or NaN) it may have cancelled
+        if gram:
+            a = (c - G @ b) / nlam
+        else:
             b[S], u, val = system.fit(y)
             a = X.T @ u
-        else:
-            b[S] = system.solve(c[S])
-            val, a = (yy - float(c @ b)) / n, (c - G @ b) / nlam
         grad = -lam * a**2  # a**2 overflows on both routes alike, as at a tiny lam
         if system.wide:
             return val, grad, b, None
@@ -404,7 +400,7 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
                 return None  # a zero row: H_FF is singular (and F may leave S)
             pos = np.searchsorted(S, F)  # b_i != 0 only on S
             qF = b[F] / zS[pos]
-            H = system.solve(eq.block(S, F) if G is not None else system.rmatvec(X[:, F]))[pos]
+            H = system.solve(eq.block(S, F) if gram else system.rmatvec(X[:, F]))[pos]
             H /= zS[pos, None]
             H *= qF[:, None]
             H *= (2.0 * lam) * qF
@@ -416,21 +412,17 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
 
 
 def value_and_gradient(spec: ProblemSpec, z: np.ndarray) -> tuple[float, np.ndarray]:
-    """f(z) = lam*y^T A(z)^{-1} y and its gradient -lam*(x_i^T A(z)^{-1} y)^2, on
-    the Gram route if X^T X is formed and f(z) passes the floor, else on X."""
+    """f(z) = lam*y^T A(z)^{-1} y and its gradient -lam*(x_i^T A(z)^{-1} y)^2 from
+    one :func:`_evaluator` call: on the Gram route if X^T X is already formed
+    and f(z) passes the floor, else on X."""
     z = _check_vector("z", z, spec.p, 0.0, math.inf, 1e-12)
-    if (G := spec.data.normal.formed_gram()) is not None:
-        val, grad = _evaluator(spec, G)(z)[:2]
-        if _above_floor(spec, val):
-            return val, grad
-    return _evaluator(spec)(z)[:2]
+    return _evaluator(spec, spec.data.normal.formed_gram())(z)[:2]
 
 
 def _capped_box_gap(z: np.ndarray, g: np.ndarray, budget: int) -> float:
     """g^T z - min of g^T w over {w in [0,1]^m : sum(w) <= budget}, for g <= 0
-    (a gradient of f or of v3's g): weight 1 on the ``budget`` smallest entries."""
-    if budget >= g.size:
-        return float(g @ z) - float(g.sum())
+    (a gradient of f or of v3's g) and budget < m: weight 1 on the ``budget``
+    smallest entries."""
     return float(g @ z) - float(np.partition(g, budget - 1)[:budget].sum())
 
 
@@ -660,29 +652,12 @@ def solve_v4(
     since grad f(0) = -c^2/(n^2*lam), so it costs no evaluation, and its first
     evaluation is on the |S| <= k side.
 
-    The loop takes the Gram route for the whole solve, forming X^T X, when
-    p <= n and f(1), the full-support ridge minimum, passes the floor: f is
-    nonincreasing in z, so every f(z) in the box does too.  f(1) is certified
-    without evaluating it when n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2):
-    f(1) = lam*y^T (n*lam*I + X X^T)^-1 y >= lam*y^T y/(n*lam + ||X X^T||_2) and
-    ||X X^T||_2 <= trace(X X^T) = ||X||_F^2 = sum(sq), so the test gives
-    f(1) >= _GRAM_FLOOR*y^T y/n.
-    Both sides are sums of nonnegative terms (sum(sq) of n*p squares), each
-    within (n + p)*eps of its exact value relative, so a test that passes in
-    floating point certifies the floor to a factor 1 - O((n + p)*eps), which
-    moves the Gram route's error bound eps/_GRAM_FLOOR by as little.  Where the
-    test fails f(1) is evaluated on the Gram route and its value decides.
+    The solve forms X^T X when p <= n and hands it to its one evaluator, so
+    each evaluation whose value passes the floor takes the Gram route and
+    every other one the X route (:func:`_evaluator`).
     """
-
-    def evaluator():
-        eq, nlam = spec.data.normal, spec.n * spec.lam
-        if (G := eq.G) is None or nlam >= _GRAM_FLOOR * (nlam + float(eq.sq.sum())):
-            return _evaluator(spec, G)
-        gram = _evaluator(spec, G)
-        return gram if _above_floor(spec, gram(np.ones(spec.p))[0]) else _evaluator(spec)
-
-    return _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one, fixed_zero, z0,
-                               spec.data.normal.c)
+    return _capped_box_minimum(spec, lambda: _evaluator(spec, spec.data.normal.G), tol,
+                               max_iter, fixed_one, fixed_zero, z0, spec.data.normal.c)
 
 
 def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:

@@ -6,7 +6,9 @@ counts and feature indices also get 2.5 and values outside their range;
 boolean options get text, an int, None and a float, since only bool and
 np.bool_ are flags.  Array arguments (fractional selections, warm starts,
 coefficient vectors, big-M bounds) get a NaN and an inf entry, a wrong length
-where the length is fixed, a 2-D array and a 0-d scalar.  Every refusal is an
+where the length is fixed, a 2-D array and a 0-d scalar; they and the
+matrices (a dataset's X and y, a covariance or precision matrix) also get
+complex, text and object arrays, while bool arrays pass.  Every refusal is an
 InvalidArgumentError raised before a factorization, an eigenvalue call, a
 projection or budget search, a rounding draw, a greedy run or a dataset draw.
 """
@@ -20,6 +22,7 @@ import pytest
 from helpers import random_spec
 from sparseridge import (
     BigMVector,
+    Dataset,
     InvalidArgumentError,
     ProblemSpec,
     SparseEstimator,
@@ -31,6 +34,7 @@ from sparseridge import (
     cardinality_bound,
     decode_omega,
     elastic_net_cd,
+    encode_omega,
     false_alarm_rate,
     greedy_distance_bound,
     min_l1_given_level,
@@ -236,6 +240,45 @@ def test_vector_refused_before_any_work(case, kind, no_work):
     call, good, fixed = VECTORS[case]
     with pytest.raises(InvalidArgumentError):
         call(spec, dict(refused(good, fixed))[kind])
+
+
+# every array argument, with a valid value of its shape: the vectors above and the matrices
+REAL_ARRAYS = {
+    **{case: (call, good) for case, (call, good, _) in VECTORS.items()},
+    "Dataset X": (lambda s, v: Dataset(X=v, y=np.zeros(N)), np.ones((N, P))),
+    "Dataset y": (lambda s, v: Dataset(X=s.X, y=v), np.zeros(N)),
+    "precision_to_regression sigma_hat": (lambda s, v: precision_to_regression(v, 0.1, 2),
+                                          np.eye(2)),
+    "encode_omega omega": (lambda s, v: encode_omega(v), np.eye(2)),
+}
+
+
+def non_real(good):
+    """(kind, value) for each array an argument whose valid value is ``good`` must
+    refuse by its dtype: complex, text and object entries, and one dict entry."""
+    entry = good.astype(object)
+    entry.flat[0] = {}
+    return [("complex", good + 1j), ("text", good.astype(str)),
+            ("object", good.astype(object)), ("dict entry", entry)]
+
+
+@pytest.mark.parametrize("case, kind", [(case, kind) for case, (_, good) in REAL_ARRAYS.items()
+                                        for kind, _ in non_real(good)])
+def test_non_real_array_refused_before_any_work(case, kind, no_work):
+    # numpy would keep the real part of a complex array and parse the text
+    spec = random_spec(np.random.default_rng(0), N, P, K, 0.1)
+    call, good = REAL_ARRAYS[case]
+    with pytest.raises(InvalidArgumentError, match="must hold real numbers"):
+        call(spec, dict(non_real(good))[kind])
+
+
+def test_bool_arrays_pass_as_zeros_and_ones():
+    spec = random_spec(np.random.default_rng(0), N, P, K, 0.1)
+    mask = np.arange(P) % 2 == 0
+    assert ridge_objective(spec, mask) == ridge_objective(spec, mask.astype(float))
+    data = Dataset(X=spec.X > 0.0, y=spec.y > 0.0)
+    assert np.array_equal(data.X, (spec.X > 0.0).astype(float))
+    assert np.array_equal(data.y, (spec.y > 0.0).astype(float))
 
 
 def test_refused_candidate_leaves_greedy_state_unchanged():

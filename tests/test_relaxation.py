@@ -45,6 +45,7 @@ from sparseridge import (
     waterfill_z,
 )
 from sparseridge import relaxation
+from sparseridge.core import RidgeSystem
 
 # Examples per property test; tests/conftest.py makes every run reproducible.
 PROPERTY = settings(max_examples=50)
@@ -73,7 +74,7 @@ EDGE_VECTORS = st.one_of(
 
 def _recorded_evaluations(monkeypatch):
     """Patch relaxation._evaluator so that every v4 evaluation made through it
-    is recorded as (on the Gram route, at z = 1); returns the record."""
+    is recorded as whether it is at z = 1; returns the record."""
     made = []
     evaluator = relaxation._evaluator
 
@@ -81,7 +82,7 @@ def _recorded_evaluations(monkeypatch):
         evaluate = evaluator(spec, G)
 
         def recorded(z):
-            made.append((G is not None, bool((z == 1.0).all())))
+            made.append(bool((z == 1.0).all()))
             return evaluate(z)
 
         return recorded
@@ -921,51 +922,40 @@ class TestGramRoute:
         assert spec.data.normal.formed_gram() is None
         assert got[0] == want[0] and np.array_equal(got[1], want[1])
 
-    def test_loop_decides_its_route_once_from_the_ridge_minimum(self, monkeypatch):
-        data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]
-        spec = ProblemSpec(data=data, lam=0.08, k=6)
-        routes = _recorded_evaluations(monkeypatch)
-        sol = solve_v4(spec)
-        # n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2) certifies f(1) unevaluated, and
-        # every evaluation of the loop takes the Gram route
-        assert routes and all(gram and not at_one for gram, at_one in routes)
-        gram = relaxation._evaluator(spec, spec.data.normal.G)(sol.z)
-        assert abs(gram[0] - sol.value) <= 1e-12 * sol.value
-        # a noise-free fit at a small lam: the bound fails, so f(1) is evaluated
-        # first, on the Gram route; it is below the floor, and every evaluation
-        # of the loop stays on X
-        X = np.random.default_rng(0).standard_normal((40, 10))
-        spec = ProblemSpec(data=Dataset(X=X, y=X @ np.arange(1.0, 11.0)), lam=1e-5, k=3)
-        routes.clear()
-        sol = solve_v4(spec)
-        assert sol.converged and routes[0] == (True, True)
-        assert not any(gram or at_one for gram, at_one in routes[1:])
-
-    def test_failed_bound_leaves_the_route_to_f1(self, monkeypatch):
-        # lam = 1e-5 on noisy y: n*lam = 4e-4 is below _GRAM_FLOOR*||X||_F^2, so the
-        # bound cannot certify the floor; f(1), well above it, is evaluated and
-        # sends the loop to the Gram route
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((40, 10))
-        spec = ProblemSpec(data=Dataset(X=X, y=X @ np.arange(1.0, 11.0)
-                                        + rng.standard_normal(40)), lam=1e-5, k=3)
-        nlam = spec.n * spec.lam
-        assert nlam < relaxation._GRAM_FLOOR * (nlam + spec.data.normal.sq.sum())
-        routes = _recorded_evaluations(monkeypatch)
-        sol = solve_v4(spec)
-        assert sol.converged and routes[0] == (True, True)
-        assert len(routes) > 1 and all(gram and not at_one for gram, at_one in routes[1:])
-
     @PROPERTY
     @given(case=tall_cases())
-    def test_bound_certifies_the_floor(self, case):
-        # where n*lam >= _GRAM_FLOOR*(n*lam + ||X||_F^2), f(1) on the X route
-        # passes the floor (to rounding), so skipping its evaluation is safe
-        spec = case[0]
-        nlam, eq = spec.n * spec.lam, spec.data.normal
-        if nlam >= relaxation._GRAM_FLOOR * (nlam + eq.sq.sum()):
-            f1 = relaxation._evaluator(spec)(np.ones(spec.p))[0]
-            assert f1 >= relaxation._GRAM_FLOOR * eq.yy / spec.n * (1.0 - 1e-12)
+    def test_each_evaluation_picks_its_route_from_its_value(self, case):
+        # The Gram formulas at z, from the one support solve; an evaluation keeps
+        # them bit for bit where that value passes the floor, and is the X route's
+        # bit for bit where it does not.
+        spec, z = case
+        eq, n, lam = spec.data.normal, spec.n, spec.lam
+        S = np.flatnonzero(z > 0.0)
+        b = np.zeros(spec.p)
+        b[S] = RidgeSystem(spec.data, S, z[S], n * lam).solve(eq.c[S])
+        value = (eq.yy - float(eq.c @ b)) / n
+        if value >= relaxation._GRAM_FLOOR * eq.yy / n:
+            want = value, -lam * ((eq.c - eq.G @ b) / (n * lam)) ** 2, b
+        else:
+            want = relaxation._evaluator(spec)(z)[:3]
+        got = relaxation._evaluator(spec, eq.G)(z)[:3]
+        assert got[0] == want[0]
+        assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("noise", [0.0, 1.0], ids=["noise_free", "noisy"])
+    def test_solve_makes_no_evaluation_at_one(self, monkeypatch, noise):
+        # lam = 1e-5: n*lam is far below _GRAM_FLOOR*||X||_F^2, and the noise-free
+        # fit's values all lie below the floor, so its evaluations fit on X
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 10))
+        y = X @ np.arange(1.0, 11.0) + noise * rng.standard_normal(40)
+        spec = ProblemSpec(data=Dataset(X=X, y=y), lam=1e-5, k=3)
+        at_one = _recorded_evaluations(monkeypatch)
+        sol = solve_v4(spec)
+        assert sol.converged and at_one and not any(at_one)
+        if not noise:
+            want = relaxation._evaluator(spec)(sol.z)[0]
+            assert abs(sol.value - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("lam", [1e-5, 1e-8])
     def test_one_off_keeps_its_digits_on_a_noise_free_fit(self, lam):
@@ -1002,7 +992,6 @@ class TestRecordedMinimizer:
         sol = solve_v4(spec)
         G = spec.data.normal.formed_gram()
         assert G is not None  # formed by the loop, which took the Gram route
-        assert relaxation._above_floor(spec, relaxation._evaluator(spec, G)(np.ones(60))[0])
         assert _relative_gap(sol.beta, relaxation._evaluator(spec)(sol.z)[2]) <= 1e-12
 
     @pytest.mark.parametrize("n, k, fixed_one, fixed_zero", [
