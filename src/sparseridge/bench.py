@@ -26,12 +26,6 @@ from .errors import InvalidArgumentError, SparseRidgeError
 from .methods import check_options, fit
 from .synthetic import SyntheticConfig, false_alarm_rate, generate_synthetic
 
-_CSV_FIELDS = [
-    "method", "n", "p", "k", "rep", "seed",
-    "objective", "seconds", "false_alarm", "timed_out", "error",
-]
-
-
 @dataclass(frozen=True)
 class BenchRecord:
     method: str
@@ -70,10 +64,10 @@ class BenchReport:
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS)
+            names = [f.name for f in dataclasses.fields(BenchRecord)]
+            writer = csv.DictWriter(fh, fieldnames=names)
             writer.writeheader()
-            for r in self.records:
-                writer.writerow({f: getattr(r, f) for f in _CSV_FIELDS})
+            writer.writerows(map(dataclasses.asdict, self.records))
 
 
 def dataset_seed(base_seed: int, cell_index: int, rep: int) -> int:

@@ -387,7 +387,10 @@ def _clean_support(spec: ProblemSpec, S) -> np.ndarray:
         arr = S  # its items share its dtype, and a bool array fails the dtype test
         flagged = False
     else:
-        items = list(S)
+        try:
+            items = list(S)
+        except TypeError:  # a lone index is not a collection of them
+            raise InvalidArgumentError(f"feature indices must be a collection, got {S!r}") from None
         arr = np.asarray(items)
         # each item's type is looked at, since numpy reads a flag among numbers as 0 or 1
         flagged = not {bool, np.bool_}.isdisjoint(map(type, items))
@@ -596,23 +599,21 @@ def restricted_estimator(spec: ProblemSpec, S) -> SparseEstimator:
 def _support_from_z(spec: ProblemSpec, z) -> np.ndarray:
     """Interpret ``z`` as a binary indicator vector or an index set.
 
-    A length-p array whose entries are all 0/1 is read as an indicator;
-    anything else must be a collection of distinct feature indices.
+    A length-p array (or list) is an indicator when its dtype is bool, integer
+    or real floating and its entries are all 0/1; complex, text and object
+    arrays of length p are refused, even when their items would be indices.
+    A length-p integer array that is not 0/1 and anything else goes to
+    ``_clean_support`` as it was given, a collection of distinct feature indices.
     """
-    if isinstance(z, (set, frozenset)):
-        return _clean_support(spec, z)
     arr = np.asarray(z)
     if arr.ndim == 1 and arr.shape[0] == spec.p:
-        as_float = arr.astype(float)
-        on = np.abs(as_float - 1.0) <= 1e-12
-        off = np.abs(as_float) <= 1e-12
-        if np.all(on | off):
+        arr = _check_real_array("z", arr)
+        on = np.abs(arr - 1.0) <= 1e-12
+        if np.all(on | (np.abs(arr) <= 1e-12)):
             return np.flatnonzero(on)
-        if not np.issubdtype(arr.dtype, np.integer):
-            raise InvalidArgumentError(
-                "z of length p must be binary (entries 0 or 1)"
-            )
-    return _clean_support(spec, np.atleast_1d(arr).tolist())
+        if arr.dtype.kind not in "iu":
+            raise InvalidArgumentError("z of length p must be binary (entries 0 or 1)")
+    return _clean_support(spec, z)
 
 
 def mic_value(spec: ProblemSpec, z) -> float:
@@ -677,7 +678,7 @@ def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
         yield S, K
 
 
-def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
+def _ridge_scores(spec: ProblemSpec, rows: np.ndarray):
     """(b, values) for the supports ``rows`` (m, s), each a row of feature
     indices padded at its end with -1: b[i] (m, s) is the ridge fit on the
     features of rows[i], exactly 0 at its padding, and values[i] its objective
@@ -692,7 +693,7 @@ def _ridge_scores(spec: ProblemSpec, s: int, rows: np.ndarray):
         beta, values[i] = _support_fit(spec, S)
         b[i, :S.size] = beta[S]
     narrow = np.flatnonzero(sizes <= spec.n)
-    w, lo = min(s, spec.n), 0  # a narrow row's features are its first min(s, n) entries
+    w, lo = min(rows.shape[1], spec.n), 0  # a narrow row's features are its first w entries
     for S, K in _gram_stacks(spec, w, rows[narrow, :w], spec.n * spec.lam):
         cS = np.where(S < 0, 0.0, eq.c[S])
         at, lo = narrow[lo:lo + len(S)], lo + len(S)

@@ -35,7 +35,7 @@ from .core import (
     _check_enumeration,
     _check_integer,
     _check_real,
-    mic_value,
+    _support_fit,
     restricted_estimator,
 )
 from .greedy import greedy_select
@@ -96,11 +96,11 @@ def branch_and_bound(
     incumbent, _ = greedy_select(spec)
     inc_val, inc_support = incumbent.objective, incumbent.support
 
-    def offer(support) -> None:
+    def offer(support: np.ndarray) -> None:
         nonlocal inc_val, inc_support
-        val = mic_value(spec, set(support))
+        val = _support_fit(spec, support)[1]
         if val < inc_val:
-            inc_val, inc_support = val, tuple(support)
+            inc_val, inc_support = val, support
 
     def rel_gap(lb: float) -> float:
         if not math.isfinite(lb):
@@ -138,7 +138,7 @@ def branch_and_bound(
                               tuple(sorted(zeros + (j,))), sol.z))
         ones_j = tuple(sorted(ones + (j,)))
         if len(ones_j) == spec.k:
-            offer(ones_j)
+            offer(np.array(ones_j, np.intp))
         else:
             heapq.heappush(heap, (key, depth + 1, next(counter), ones_j, zeros, sol.z))
 

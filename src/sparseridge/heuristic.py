@@ -36,7 +36,7 @@ from .core import (
     _check_positive,
     _check_real,
     _check_vector,
-    mic_value,
+    _support_fit,
     restricted_estimator,
 )
 from .errors import InfeasibleLevelError, InvalidArgumentError, NumericalError
@@ -217,7 +217,7 @@ def min_l1_given_level(spec: ProblemSpec, v_upper: float) -> np.ndarray:
     is NaN.
     """
     v_upper = _check_real("v_upper", v_upper)
-    ridge_min = mic_value(spec, np.ones(spec.p))
+    ridge_min = _support_fit(spec, np.arange(spec.p))[1]
     if v_upper < ridge_min * (1.0 - 1e-10):
         raise InfeasibleLevelError(
             f"level {v_upper:.6g} is below the ridge minimum {ridge_min:.6g}"
@@ -241,7 +241,7 @@ def heuristic_bisection(
     _check_positive("delta_hat", delta_hat)
     p, k = spec.p, spec.k
     # Unconstrained ridge minimum: levels below it are unattainable outright.
-    ridge_min = mic_value(spec, np.ones(p))
+    ridge_min = _support_fit(spec, np.arange(p))[1]
     path = _ElasticNetPath(spec)
     lower, upper = 0.0, path.levels[0]
     incumbent_support = np.empty(0, dtype=int)

@@ -17,14 +17,14 @@ within ``core._BLOCK_ELEMENTS`` floats, and any single trial replays in
 isolation, on any platform, through :func:`randomized_round` from the key and
 counter stored on its outcome; distinct seeds draw distinct streams.
 
-Draws are scored together, not fit one by one: every distinct draw once,
-padded with decoupled entries, in two stacked passes of
+Draws are scored together, not fit one by one: every trial's draw as it was
+drawn, padded with decoupled entries, in two stacked passes of
 ``core._ridge_scores``.  The over-budget draws go first, at the widest draw's
-width; the in-budget draws and the distinct trimmed supports of over-budget
-draws that no trial drew go second, at width k, so the draws at or under the
-budget (most of them) carry no padding for the widest.  Only the winners
-are refit exactly, so reported values are exact fits; the stacked values
-that pick them agree to rounding only.
+width; the in-budget draws and the trimmed over-budget ones go second, at
+width k, so the draws at or under the budget (most of them) carry no padding
+for the widest.  Equal draws score equally, so ties go to the lowest trial.
+Only the winners are refit exactly, so reported values are exact fits; the
+stacked values that pick them agree to rounding only.
 """
 
 from __future__ import annotations
@@ -158,13 +158,13 @@ def randomized_solve(
     statistics; ``p_exceed_bound`` is the fraction of draws whose
     cardinality exceeds ``cardinality_bound(k, alpha)``.
 
-    Draws are rows of feature indices, padded with -1 to the widest draw;
-    each distinct row is scored once by ``core._ridge_scores``: over-budget
+    Row t of a matrix padded with -1 to the widest draw holds trial t's
+    features, and every row is scored by ``core._ridge_scores``: over-budget
     rows at that width, then in-budget rows together with the trimmed rows
-    that no trial drew at width min(k, widest).  Only the
-    winners are refit exactly (``restricted_estimator`` for the repaired
-    one), and no support twice: reported values are exact fits, but the
-    choice rests on stacked values, equal to rounding only.
+    at width min(k, widest).  Only the winners are refit exactly
+    (``restricted_estimator`` for the repaired one): reported values are
+    exact fits, but the choice rests on stacked values, equal to rounding
+    only.
     """
     trials = _check_integer("trials", trials, 1)
     zhat = _check_vector("zhat", zhat, spec.p, 0.0, 1.0, 1e-9)
@@ -177,44 +177,32 @@ def randomized_solve(
     trial, feature = np.divmod(_draw(np.random.Philox(key=key), zhat, trials), spec.p)
     cards = np.bincount(trial, minlength=trials)
     width = int(cards.max())
-    rows = np.full((trials, width), -1, np.intp)
+    rows = np.full((trials, width), -1, np.intp)  # row t: trial t's support, padded
     rows[trial, np.arange(trial.size) - (np.cumsum(cards) - cards)[trial]] = feature
 
-    # table holds each distinct support once, in the order trials first drew them
-    index: dict[bytes, int] = {}
-    at = np.array([index.setdefault(row.tobytes(), len(index)) for row in rows])
-    first = np.unique(at, return_index=True)[1]
-    table, sizes = rows[first], cards[first]
-    kept = np.arange(len(table))  # each support's repaired support, a row of table
-    over = np.flatnonzero(sizes > k)
-    values = np.empty(len(table))
+    over, under = np.flatnonzero(cards > k), np.flatnonzero(cards <= k)
+    values = np.empty(trials)
+    short = rows[under, :min(k, width)]
     if over.size:  # over-budget draws, at the widest draw's width
-        long_rows = table[over]
-        b, values[over] = _ridge_scores(spec, width, long_rows)
+        long_rows = rows[over]
+        b, values[over] = _ridge_scores(spec, long_rows)
         if repair:
             # the k largest |b_i| survive, as a stable sort of |b| ranks them;
             # padding ranks below every |b_i|
             top = np.argsort(np.where(long_rows < 0, -1.0, np.abs(b)), axis=1,
                              kind="stable")[:, width - k:]
-            trimmed = np.full((over.size, width), -1, np.intp)
-            trimmed[:, :k] = np.sort(np.take_along_axis(long_rows, top, 1), axis=1)
-            kept[over] = [index.setdefault(row.tobytes(), len(index)) for row in trimmed]
-            ids, pos = np.unique(kept[over], return_index=True)
-            fresh = trimmed[pos[ids >= len(table)]]
-            table = np.concatenate([table, fresh])
-            values = np.concatenate([values, np.empty(len(fresh))])
-    # in-budget draws and the fresh trimmed supports, at width min(k, widest draw)
-    short = np.concatenate([np.flatnonzero(sizes <= k), np.arange(len(sizes), len(table))])
-    if short.size:
-        w = min(k, width)
-        values[short] = _ridge_scores(spec, w, table[short, :w])[1]
+            trimmed = np.sort(np.take_along_axis(long_rows, top, 1), axis=1)
+            short = np.concatenate([short, trimmed])
+    # in-budget draws and the trimmed ones, at width min(k, widest draw)
+    scores = _ridge_scores(spec, short)[1]
+    values[under] = scores[:under.size]
 
-    def support(row: int) -> np.ndarray:
-        return table[row, :np.count_nonzero(table[row] >= 0)]
+    def support(row: np.ndarray) -> np.ndarray:
+        return row[:np.count_nonzero(row >= 0)]
 
     # argmin keeps the first: the lowest trial index
-    t_best = int(np.argmin(values[at]))
-    drawn = support(at[t_best])
+    t_best = int(np.argmin(values))
+    drawn = support(rows[t_best])
     best_value = _support_fit(spec, drawn)[1]
     best = RoundingOutcome(support=tuple(drawn.tolist()),
                            z_tilde=_indicator(spec.p, drawn),
@@ -223,14 +211,17 @@ def randomized_solve(
                            counter=t_best * -(-spec.p // 4))
     best_rep = best_rep_raw = None
     if repair:
-        t_rep = int(np.argmin(values[kept[at]]))
-        best_rep = restricted_estimator(spec, support(kept[at[t_rep]]))
-        if at[t_rep] == at[t_best]:
-            best_rep_raw = best_value
-        elif kept[at[t_rep]] == at[t_rep]:
+        repaired = values.copy()
+        repaired[over] = scores[under.size:]
+        t_rep = int(np.argmin(repaired))
+        if cards[t_rep] <= k:
+            best_rep = restricted_estimator(spec, support(rows[t_rep]))
             best_rep_raw = best_rep.objective
         else:
-            best_rep_raw = _support_fit(spec, support(at[t_rep]))[1]
+            best_rep = restricted_estimator(spec, trimmed[np.searchsorted(over, t_rep)])
+            # equal draws score equally, so t_rep drew t_best's support only as t_best
+            best_rep_raw = (best_value if t_rep == t_best
+                            else _support_fit(spec, support(rows[t_rep]))[1])
     return RandomizedResult(
         best=best,
         best_repaired=best_rep,

@@ -25,7 +25,7 @@ multiply-add in OpenBLAS, so its last bits would change with the CPU.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,12 +72,7 @@ class SyntheticConfig:
             )
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n, "p": self.p, "k_true": self.k_true, "rho": self.rho,
-            "snr": self.snr, "coef_low": self.coef_low,
-            "coef_high": self.coef_high, "seed": self.seed,
-            "min_signal": self.min_signal, "resample_small": self.resample_small,
-        }
+        return asdict(self)
 
 
 def generate_synthetic(

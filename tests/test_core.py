@@ -250,6 +250,13 @@ class TestMicValue:
         with pytest.raises(InvalidArgumentError):
             mic_value(spec, np.array([0.5, 0, 0, 0, 0]))
 
+    def test_lone_index_refused(self, rng):
+        # z is a collection of indices or an indicator; a lone index is neither
+        spec = random_spec(rng, 8, 5, 2, 0.1)
+        for call in (mic_value, restricted_estimator):
+            with pytest.raises(InvalidArgumentError, match="must be a collection, got 3"):
+                call(spec, 3)
+
     def test_wide_support_uses_consistent_value(self, rng):
         # support larger than n exercises the n x n route
         spec = random_spec(rng, 3, 10, 3, 0.5, signal=False)
@@ -523,7 +530,7 @@ class TestNormalEquations:
         spec = random_spec(rng, n, p, min(n, p), 0.1)
         rows = np.array([np.sort(rng.choice(p, s, replace=False)) for _ in range(7)])
         monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 50)
-        b, values = core._ridge_scores(spec, s, rows)
+        b, values = core._ridge_scores(spec, rows)
         assert b.shape == rows.shape and values.shape == (len(rows),)
         for S, got_b, got_value in zip(rows, b, values):
             want_b, _, want_value = RidgeSystem(spec.data, S, np.ones(s), n * 0.1).fit(spec.y)
@@ -540,7 +547,7 @@ class TestNormalEquations:
         for row, size in zip(rows, sizes):
             row[:size] = np.sort(rng.choice(p, size, replace=False))
         monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 50)
-        b, values = core._ridge_scores(spec, 6, rows)
+        b, values = core._ridge_scores(spec, rows)
         for row, size, got_b, got_value in zip(rows, sizes, b, values):
             S = row[:size]
             want_b, _, want_value = RidgeSystem(spec.data, S, np.ones(size), n * 0.1).fit(spec.y)

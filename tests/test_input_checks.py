@@ -37,6 +37,7 @@ from sparseridge import (
     encode_omega,
     false_alarm_rate,
     greedy_distance_bound,
+    mic_value,
     min_l1_given_level,
     precision_to_regression,
     project_capped_simplex,
@@ -162,6 +163,7 @@ CASES = {
     "solve_v4 fixed_one": (lambda s, v: solve_v4(s, fixed_one=(v,)), count(-1, P)),
     "solve_v4 fixed_zero": (lambda s, v: solve_v4(s, fixed_zero=(0, v)), count(-1, P)),
     "restricted_estimator S": (lambda s, v: restricted_estimator(s, [v]), count(-1, P)),
+    "mic_value z": (lambda s, v: mic_value(s, [1, v]), count(-1, P)),
     # an estimator's support is ints already, so only the range is left to refuse
     "greedy_distance_bound greedy_est": (
         lambda s, v: greedy_distance_bound(s, STATS, estimator(0, v), estimator(0)), (-1, P)),
@@ -250,6 +252,7 @@ REAL_ARRAYS = {
     "precision_to_regression sigma_hat": (lambda s, v: precision_to_regression(v, 0.1, 2),
                                           np.eye(2)),
     "encode_omega omega": (lambda s, v: encode_omega(v), np.eye(2)),
+    "mic_value z": (lambda s, v: mic_value(s, v), (np.arange(P) < K).astype(float)),
 }
 
 

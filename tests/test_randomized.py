@@ -253,10 +253,31 @@ class TestBatchedScoring:
             assert res.best_repaired.support == ref["repaired"]["support"]
             assert res.best_repaired_raw_value == ref["repaired"]["raw_value"]
 
+    @pytest.mark.parametrize("ones", [3, 5], ids=["in-budget", "over-budget"])
+    @pytest.mark.parametrize("repair", [True, False])
+    def test_integral_zhat_draws_one_support_every_trial(self, rng, ones, repair):
+        # every trial draws the same support, so each scores the same and trial 0 wins
+        spec = random_spec(rng, 12, 8, 3, 0.1)
+        zhat = np.zeros(8)
+        zhat[rng.choice(8, ones, replace=False)] = 1.0
+        res = randomized_solve(spec, zhat, trials=30, seed=7, repair=repair)
+        ref = randomized_trials_oracle(spec.X, spec.y, 0.1, 3, zhat, 30, 7, repair)
+        assert res.best.counter == ref["best"]["counter"] == 0
+        assert res.best.support == ref["best"]["support"] == tuple(np.flatnonzero(zhat))
+        assert res.best.value == pytest.approx(ref["best"]["value"], rel=1e-12)
+        assert res.mean_cardinality == ones and res.p_exceed_bound == ref["p_exceed_bound"]
+        if not repair:
+            assert res.best_repaired is None and res.best_repaired_raw_value is None
+            return
+        assert res.best_repaired.support == ref["repaired"]["support"]
+        assert res.best_repaired.objective == pytest.approx(ref["repaired"]["value"], rel=1e-12)
+        assert res.best_repaired_raw_value == res.best.value
+
     def test_duplicate_draws_go_to_the_first_trial_that_drew_them(self, rng):
         # Two coordinates at zhat = 0.5 allow four supports, so 40 trials must
-        # repeat draws: each distinct support is scored once, and the best
-        # outcome carries the counter of the first trial that drew its support.
+        # repeat draws: every trial is scored as drawn, equal draws score
+        # equally, and the best outcome carries the counter of the first trial
+        # that drew its support.
         spec = random_spec(rng, 8, 5, 2, 0.1)
         zhat = np.array([0.5, 0.5, 0.0, 0.0, 0.0])
         blocks = 2  # counter blocks of four doubles per trial at p = 5
