@@ -183,15 +183,14 @@ class NormalEquations:
         """G if it is already formed, else None; never forms it."""
         return self.__dict__.get("G")
 
-    def block(self, rows: np.ndarray, cols, Xr: np.ndarray | None = None) -> np.ndarray:
+    def block(self, rows: np.ndarray, cols) -> np.ndarray:
         """x_i^T x_j for i in ``rows`` (..., a) and j in ``cols`` (a slice, or (..., b)
         broadcasting with ``rows``) as a fresh (..., a, b) array: entries of G once
         it is formed (for a slice, a view of the whole rows, gathered fresh),
-        otherwise products of the gathered columns.  ``Xr``, the columns X_rows
-        (n x a) when the caller holds them, spares gathering them again."""
+        otherwise products of the gathered columns."""
         G, Xt = self.formed_gram(), self.X.T
         if G is None:
-            A = Xt[rows] if Xr is None else Xr.T  # the rows of A are the columns of X_rows
+            A = Xt[rows]  # the rows of A are the columns of X_rows
             return A @ (A if cols is rows else Xt[cols]).swapaxes(-1, -2)
         if isinstance(cols, slice):
             return G.take(rows, 0)[..., cols]  # faster than one gather of the slice
@@ -472,10 +471,10 @@ class RidgeSystem:
     support S (m indices) of ``data``, with positive weights w (None for unit
     weights, which the m x m side never builds), factored once.
 
-    The m x m matrix, a block of the dataset's normal equations, is factored
-    when m <= n: entries of X^T X once it is formed, else products of the
-    gathered columns X_S (X itself when S is every column in order).  X_S is
-    gathered on first use and then held, so a system on a formed X^T X that
+    The m x m matrix is factored when m <= n: a block of the dataset's X^T X
+    once it is formed (:meth:`NormalEquations.block`), else X_S^T X_S from
+    the gathered columns X_S (X itself when S is every column in order).  X_S
+    is gathered on first use and then held, so a system on a formed X^T X that
     only solves reads no row of X.  Otherwise A = nlam*I + X_S diag(w) X_S^T
     (n x n) is, and solves go through it; that side holds no copy of X_S wider
     than one block: A and every product with X_S are summed over blocks of
@@ -503,8 +502,8 @@ class RidgeSystem:
             K = _sum_blocks((Xb * w[pos]) @ Xb.T for pos, Xb in self._blocks())
             K.ravel()[:: n + 1] += nlam
         else:
-            eq = data.normal
-            K = eq.block(S, S, self._columns() if eq.formed_gram() is None else None)
+            K = (data.normal.block(S, S) if data.normal.formed_gram() is not None
+                 else self._columns().T @ self._columns())
             K.ravel()[:: m + 1] += nlam if w is None else nlam * (1.0 / w)
         self._chol = cholesky(K)
 

@@ -107,10 +107,9 @@ class GreedyState:
         spec, m = self.spec, self.factor.shape[1]
         lam, X = spec.lam, spec.X
         cross = self.cross_terms[j]
-        w = X[:, j] / (spec.n * lam)  # A^{-1} x_j: I/(n*lam) until a feature is in
-        if m:
-            U = self.factor
-            w -= U @ (U.T @ X[:, j])
+        U = self.factor
+        w = X[:, j] / (spec.n * lam)  # A^{-1} x_j = (I/(n*lam) - U U^T) x_j
+        w -= U @ (U.T @ X[:, j])
         c = X.T @ w  # x_i^T A^{-1} x_j for all i
         self.inv_y = self.inv_y - w * (cross / denom)
         room = self._room
@@ -162,26 +161,28 @@ class GreedyTrace:
 def _run_greedy(
     spec: ProblemSpec, candidates: np.ndarray, steps: int
 ) -> tuple[SparseEstimator, GreedyTrace]:
-    state = GreedyState.initial(spec)
     trace = GreedyTrace()
     blocked = np.ones(spec.p, dtype=bool)
     blocked[candidates] = False
-    tie = TIE_TOL * state.current_value  # relative to f(0) = y^T y / n, which bounds |gain|
-    for it in range(1, steps + 1):
-        gains = state.gains()
-        gains[blocked] = np.inf
-        best = float(gains.min())
-        if not math.isfinite(best):  # an allowed feature is always left: only overflow gets here
-            raise NumericalError(f"greedy step {it} met a non-finite gain {best}")
-        j = int((gains <= best + tie).argmax())  # the first True: lowest index among ties
-        state._step(j)
-        blocked[j] = True
-        trace.steps.append(
-            GreedyStep(
-                iteration=it, chosen=j, gain=best,
-                value=state.current_value, zero_gain=abs(best) <= tie,
+    # overflow (as at a tiny lam) is reported by the non-finite gain it leads to
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = GreedyState.initial(spec)
+        tie = TIE_TOL * state.current_value  # relative to f(0) = y^T y / n, which bounds |gain|
+        for it in range(1, steps + 1):
+            gains = state.gains()
+            gains[blocked] = np.inf
+            best = float(gains.min())
+            if not math.isfinite(best):  # an allowed feature is always left: only overflow
+                raise NumericalError(f"greedy step {it} met a non-finite gain {best}")
+            j = int((gains <= best + tie).argmax())  # the first True: lowest index among ties
+            state._step(j)
+            blocked[j] = True
+            trace.steps.append(
+                GreedyStep(
+                    iteration=it, chosen=j, gain=best,
+                    value=state.current_value, zero_gain=abs(best) <= tie,
+                )
             )
-        )
     est = restricted_estimator(spec, np.array(sorted(state.selected), dtype=np.intp))
     return est, trace
 

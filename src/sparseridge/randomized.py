@@ -203,10 +203,9 @@ def randomized_solve(
     # argmin keeps the first: the lowest trial index
     t_best = int(np.argmin(values))
     drawn = support(rows[t_best])
-    best_value = _support_fit(spec, drawn)[1]
     best = RoundingOutcome(support=tuple(drawn.tolist()),
                            z_tilde=_indicator(spec.p, drawn),
-                           cardinality=int(drawn.size), value=best_value,
+                           cardinality=int(drawn.size), value=_support_fit(spec, drawn)[1],
                            seed=int(key[0]) | int(key[1]) << 64,
                            counter=t_best * -(-spec.p // 4))
     best_rep = best_rep_raw = None
@@ -219,9 +218,7 @@ def randomized_solve(
             best_rep_raw = best_rep.objective
         else:
             best_rep = restricted_estimator(spec, trimmed[np.searchsorted(over, t_rep)])
-            # equal draws score equally, so t_rep drew t_best's support only as t_best
-            best_rep_raw = (best_value if t_rep == t_best
-                            else _support_fit(spec, support(rows[t_rep]))[1])
+            best_rep_raw = _support_fit(spec, support(rows[t_rep]))[1]
     return RandomizedResult(
         best=best,
         best_repaired=best_rep,

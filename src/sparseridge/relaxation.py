@@ -49,16 +49,17 @@ Martinez & Raydan, SIAM J. Optim. 2000; Grippo, Lampariello & Lucidi, SIAM
 J. Numer. Anal. 1986).  v1 runs it on beta; v2/v4 on f(z) and v3 on g(z),
 the box-constrained perspective minimum over beta, through one driver, which
 projects through the budget search itself (``_project``: no checks of the
-vectors it built) and, with no coordinate fixed, evaluates its iterate as z
-with no scatter or gather.  A v4 solve without a warm start starts at the
-vertex with weight 1 on the budget largest |c_i|, c = X^T y, among the free
-coordinates (ties to the lowest index): the point where the move-capped
-first step from z = 0 lands, since grad f(0) = -c^2/(n^2*lam), found with no
-evaluation.  So the first evaluation is on |S| = budget columns, where the
-uniform start k/p made it dense (every column in S, the n x n side when
-p > n).  Ranking by |x_i^T y| follows the correlation screening of L0BnB's
-active sets (Hazimeh, Mazumder & Saab, Math. Program. 2022).  v3 keeps the
-uniform start.
+vectors it built) and runs one path whether or not a coordinate is fixed: it
+scatters the free coordinates into z and gathers their gradient, so a
+top-level v4 solve is branch and bound's root node.  A v4 solve without a
+warm start starts at the vertex with weight 1 on the budget largest |c_i|,
+c = X^T y, among the free coordinates (ties to the lowest index): the point
+where the move-capped first step from z = 0 lands, since
+grad f(0) = -c^2/(n^2*lam), found with no evaluation.  So the first
+evaluation is on |S| = budget columns, where the uniform start k/p made it
+dense (every column in S, the n x n side when p > n).  Ranking by |x_i^T y|
+follows the correlation screening of L0BnB's active sets (Hazimeh, Mazumder &
+Saab, Math. Program. 2022).  v3 keeps the uniform start.
 
 v4 adds second-order steps once the support settles.  Once the support of
 the iterate (which z_i are above 0) equals the previous iterate's, the loop is
@@ -433,13 +434,14 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
     Barzilai-Borwein step s^T s / s^T y of the last move (s and y the changes
     in x and in the gradient; the last step doubled when s^T y <= 0), cut
     where its move step*||grad|| would pass _MAX_MOVE times ``width``, the
-    largest extent of a coordinate of the feasible set.  The first step is
-    that cut itself, a move of _MAX_MOVE widths whatever the units of the
-    gradient.  It halves t along x + t*d, with no further projection, until
-    an Armijo test against the largest of the last NONMONOTONE_MEMORY values
-    passes (Birgin, Martinez & Raydan, SIAM J. Optim. 2000, Alg. 2.2; Grippo,
-    Lampariello & Lucidi, SIAM J. Numer. Anal. 1986); t = 1 takes the
-    projected point itself, so exact 0s and 1s stay.
+    largest extent of a coordinate of the feasible set.  The step starts
+    infinite, so the first move is that cut itself, _MAX_MOVE widths whatever
+    the units of the gradient (one width where every grad_i^2 underflows, so
+    that ||grad|| reads 0).  It halves t along x + t*d, with no further
+    projection, until an Armijo test against the largest of the last
+    NONMONOTONE_MEMORY values passes (Birgin, Martinez & Raydan, SIAM J.
+    Optim. 2000, Alg. 2.2; Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal.
+    1986); t = 1 takes the projected point itself, so exact 0s and 1s stay.
 
     ``propose(x, grad)``, when given, is asked first on every iteration and
     may offer a feasible point x_N: v4's capped-box driver offers the Newton
@@ -466,8 +468,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
     val, grad, mini = fval_grad(x)
     recent = deque([val], maxlen=NONMONOTONE_MEMORY)
     seen = set()  # hashed (x, step) states after each move
-    gg = float(grad @ grad)
-    step = _MAX_MOVE * width / math.sqrt(gg) if gg > 0.0 else width
+    step = math.inf  # so the first move is the longest the cut allows
     for iters in range(1, max_iter + 1):
         g = gap(x, grad)
         if not (math.isfinite(val) and math.isfinite(g)):
@@ -484,9 +485,10 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
             if not (descent < 0.0 and val_new < val + ARMIJO_C * descent):
                 x_new = s = grad_new = mini_new = None  # rejected: none of it is held
         if x_new is None:
-            gg, reach = float(grad @ grad), _MAX_MOVE * width  # gg > 0, as g > 0
-            if step * step * gg > reach * reach:
-                step = reach / math.sqrt(gg)
+            gg, reach = float(grad @ grad), _MAX_MOVE * width
+            if step == math.inf or step * step * gg > reach * reach:
+                # gg is 0, with g > 0, only where every grad_i^2 underflows
+                step = reach / math.sqrt(gg) if gg > 0.0 else width
             x_new = project(x - step * grad)
             d, t, ref = x_new - x, 1.0, max(recent)
             slope = ARMIJO_C * float(grad @ d)
@@ -499,7 +501,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
                     x_new = x
                     break
                 x_new = x + t * d
-            s = d if t == 1.0 else x_new - x
+            s = x_new - x
         state = (hash(x_new.tobytes()), step)
         if not s.any() or state in seen:
             return x, val, mini, iters, g, False  # stationary to rounding, gap > tol
@@ -511,7 +513,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
     return x, val, mini, max_iter, gap(x, grad), False
 
 
-def _masked_sets(spec, fixed_one, fixed_zero):
+def _fixed_sets(spec, fixed_one, fixed_zero):
     """Sorted fixed-one indices and the free ones; the sets must be disjoint,
     in range and hold at most k ones."""
     one, zero = _clean_support(spec, fixed_one), _clean_support(spec, fixed_zero)
@@ -558,7 +560,7 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
     max_iter = _check_integer("max_iter", max_iter, 1)
     if z0 is not None:
         z0 = _check_vector("z0", z0, spec.p)
-    one, free = _masked_sets(spec, fixed_one, fixed_zero)
+    one, free = _fixed_sets(spec, fixed_one, fixed_zero)
     budget = spec.k - one.size
     z = np.zeros(spec.p)
     z[one] = 1.0
@@ -569,18 +571,13 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
         val, _, b, _ = evaluate(z)
         return _certified(z, val, 0, 0.0, True, b)
 
-    # with nothing fixed the loop's x is z itself: no scatter into z, no gather of grad
-    masked = free.size < spec.p
     # g's Hessian at the loop's last evaluation, which is always at the iterate
     # that the next proposal starts from
     hessian = None
 
-    def fval_grad(zf):
+    def fval_grad(zf):  # the loop's x is z on the free coordinates
         nonlocal hessian
         hessian = None  # the last fit's factor goes before the next one is built
-        if not masked:
-            val, grad, b, hessian = evaluate(zf)
-            return val, grad, b
         z[free] = zf
         val, grad, b, hessian = evaluate(z)
         return val, grad[free], b
@@ -603,7 +600,7 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
         bordered = x.sum() >= budget * (1.0 - 1e-9)  # sum(z) at the budget, to rounding
         if F.size <= bordered:
             return None  # nothing to move
-        H = face_hessian(free[F] if masked else F)
+        H = face_hessian(free[F])
         del face_hessian
         if H is None:
             return None
@@ -627,10 +624,12 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
         zf[np.argsort(-np.abs(scores[free]), kind="stable")[:budget]] = 1.0
     else:
         zf = np.full(free.size, budget / free.size)
-    zf, val, b, iters, gap, converged = _projected_gradient(
-        fval_grad, project, lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
-        propose=propose,
-    )
+    # overflow (as at a tiny lam) is reported by the loop's non-finite value or gap
+    with np.errstate(over="ignore", invalid="ignore"):
+        zf, val, b, iters, gap, converged = _projected_gradient(
+            fval_grad, project, lambda x, g: _capped_box_gap(x, g, budget), zf, tol, max_iter,
+            propose=propose,
+        )
     z[free] = zf
     return _certified(z, val, iters, gap, converged, b)
 

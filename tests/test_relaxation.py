@@ -470,7 +470,7 @@ class TestProjectedValueSolver:
         n_one = data.draw(st.integers(0, min(p, 3)))
         n_zero = data.draw(st.integers(0, p - n_one))
         ones, zeros = order[:n_one] * 2, order[n_one:n_one + n_zero]  # repeats collapse
-        one, free = relaxation._masked_sets(SimpleNamespace(p=p, k=3), ones, zeros)
+        one, free = relaxation._fixed_sets(SimpleNamespace(p=p, k=3), ones, zeros)
         assert one.tolist() == sorted(set(ones))
         assert free.tolist() == [i for i in range(p) if i not in set(ones) | set(zeros)]
 
@@ -913,6 +913,26 @@ class TestGramRoute:
         assert (gram is None) == (want is None)
         if want is not None:
             assert np.abs(gram - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+    @PROPERTY
+    @given(case=tall_cases())
+    def test_route_taken_matches_the_exact_reference(self, case):
+        # Against 60-digit arithmetic: the value to 1e-11 on either route, and on the
+        # Gram route the gradient to 1e-12 of its Cauchy-Schwarz bound.  The X route's
+        # gradient is not held to it: its a = X^T u cancels, by up to 1.6e-4 of that
+        # bound over 2000 random draws of these cases (ROADMAP item 1(b)).
+        spec, z = case
+        eq, n, lam = spec.data.normal, spec.n, spec.lam
+        value, grad = value_and_gradient(spec, z)
+        want_value, want_grad = projected_objective_exact(spec.X, spec.y, lam, z)
+        assert abs(value - want_value) <= 1e-11 * want_value
+        S = np.flatnonzero(z > 0.0)
+        b = np.zeros(spec.p)
+        b[S] = RidgeSystem(spec.data, S, z[S], n * lam).solve(eq.c[S])
+        if (eq.yy - float(eq.c @ b)) / n >= relaxation._GRAM_FLOOR * eq.yy / n:
+            u = (spec.y - spec.X @ relaxation._evaluator(spec)(z)[2]) / (n * lam)
+            scale = lam * float(eq.sq.max() * (u @ u))
+            assert np.abs(grad - want_grad).max() <= 1e-12 * scale
 
     def test_one_off_evaluation_forms_no_gram(self):
         data = generate_synthetic(SyntheticConfig(n=120, p=60, k_true=6, seed=1))[0]

@@ -139,3 +139,14 @@ def test_first_step_has_no_units():
         est, got = fit(spec, m), fit(scaled, m)
         assert got.support == est.support, m
         assert got.objective / factor == pytest.approx(est.objective, rel=1e-9), m
+
+
+def test_first_step_when_the_gradient_norm_underflows():
+    # At y*1e-150 every grad_i^2 underflows, so grad^T grad is 0 while the gap
+    # is not.  The loop's step starts infinite; left so, it ended the loop
+    # unconverged after one iteration, where one width converges (443 iterations).
+    spec = random_spec(np.random.default_rng(0), 30, 8, 3, 0.1)
+    scaled, factor = rescaled(spec, 1e-150, "y")
+    sol, ref = solve_v4(scaled), solve_v4(spec)
+    assert sol.converged
+    assert sol.value / factor == pytest.approx(ref.value, rel=1e-12)
