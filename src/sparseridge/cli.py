@@ -78,13 +78,13 @@ def cmd_fit(args) -> int:
 
 def cmd_relax(args) -> int:
     spec = _load(args)
-    if args.which == "v2":
-        sol = solve_v2_perspective(spec)
-    elif args.which == "v4":
-        sol = solve_v4(spec)
-    else:
+    if args.which in ("v1", "v3"):
         M = big_m(spec, v_upper=args.vupper)
         sol = solve_v1(spec, M) if args.which == "v1" else solve_v3(spec, M)
+    elif args.vupper is not None:  # only the big-M bounds read a level
+        raise InvalidArgumentError(f"relax --which {args.which} takes no --vupper (v1, v3 do)")
+    else:
+        sol = solve_v2_perspective(spec) if args.which == "v2" else solve_v4(spec)
     payload = {"config": _config_dict(args)}
     payload.update(sol.to_json_dict())
     _write_json(args.out, payload)

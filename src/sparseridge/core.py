@@ -526,8 +526,7 @@ class RidgeSystem:
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """X_S^T @ v for v of length n (or n x c)."""
-        parts = [Xb.T @ v for _, Xb in self._blocks()]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return np.concatenate([Xb.T @ v for _, Xb in self._blocks()])
 
     def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """b for the right side X_S^T y, u = A^-1 y and the value of the fit.

@@ -29,7 +29,9 @@ from .core import (
     Dataset, ProblemSpec, RidgeSystem, SparseEstimator, _check_integer, _check_positive,
     _check_real_array, _check_vector, _clean_support, _freeze,
 )
-from .errors import DegenerateHatError, InvalidArgumentError, NumericalError, SparseRidgeError
+from .errors import (
+    DegenerateHatError, EnumerationCapError, InvalidArgumentError, NumericalError, SparseRidgeError,
+)
 from .methods import check_options, fit
 
 
@@ -103,7 +105,8 @@ def gcv_select(
     not positive and finite, a budget k outside [1, min(n, p)], or an unknown
     method or option raises InvalidArgumentError before any fit, and an
     InvalidArgumentError from a fit is raised, not excluded.  When no point
-    is left, the error is a NumericalError if every fit failed with one.
+    is left, the error is a NumericalError or an EnumerationCapError if every
+    fit failed with one, else a SparseRidgeError, naming the first failure.
     """
     grid = tuple(_check_positive("grid weight", g) for g in grid)
     if not grid:
@@ -131,9 +134,11 @@ def gcv_select(
                 valid.append((score, lam, est))
         scores.append(score)
     if not valid:
-        numerical = len(failures) == len(grid) and all(
-            isinstance(exc, NumericalError) for exc in failures)
-        raise (NumericalError if numerical else SparseRidgeError)("every grid point failed")
+        kind = SparseRidgeError
+        for error in (NumericalError, EnumerationCapError):
+            if len(failures) == len(grid) and all(isinstance(exc, error) for exc in failures):
+                kind = error
+        raise kind("every grid point failed" + (f"; the first: {failures[0]}" if failures else ""))
     _, best_lam, best = min(valid, key=lambda v: (v[0], v[1]))
     return GcvReport(
         grid=grid,

@@ -51,15 +51,14 @@ the box-constrained perspective minimum over beta, through one driver, which
 projects through the budget search itself (``_project``: no checks of the
 vectors it built) and runs one path whether or not a coordinate is fixed: it
 scatters the free coordinates into z and gathers their gradient, so a
-top-level v4 solve is branch and bound's root node.  A v4 solve without a
-warm start starts at the vertex with weight 1 on the budget largest |c_i|,
-c = X^T y, among the free coordinates (ties to the lowest index): the point
-where the move-capped first step from z = 0 lands, since
-grad f(0) = -c^2/(n^2*lam), found with no evaluation.  So the first
-evaluation is on |S| = budget columns, where the uniform start k/p made it
-dense (every column in S, the n x n side when p > n).  Ranking by |x_i^T y|
-follows the correlation screening of L0BnB's active sets (Hazimeh, Mazumder &
-Saab, Math. Program. 2022).  v3 keeps the uniform start.
+top-level v4 solve is branch and bound's root node.  Without a warm start
+every solve, v3's too, starts at the vertex with weight 1 on the budget
+largest |c_i|, c = X^T y, among the free coordinates (ties to the lowest
+index), found with no evaluation: for v4 the point where the move-capped first
+step from z = 0 lands, since grad f(0) = -c^2/(n^2*lam).  So the first
+evaluation is on |S| = budget columns, where an interior start such as k/p
+is dense (the n x n side when p > n).  Ranking by |x_i^T y| follows the
+correlation screening of L0BnB (Hazimeh, Mazumder & Saab, Math. Program. 2022).
 
 v4 adds second-order steps once the support settles.  Once the support of
 the iterate (which z_i are above 0) equals the previous iterate's, the loop is
@@ -94,7 +93,7 @@ sum(clip(a + s*t, lo, 1)) reaches k.  That sum is piecewise linear and
 nondecreasing in t, so one exact search, ``_fill_budget``, serves all three:
 sort the 2p breakpoints, accumulate the budget across them and interpolate
 the crossing on its linear piece (O(p log p)).  Its slopes are positive
-(water-filling keeps beta_i = 0 out) and a scalar slope or bound broadcasts.
+(water-filling keeps beta_i = 0 out); a scalar slope or bound fills an array.
 
 A conditional-value-at-risk style convex surrogate of the cardinality
 constraint is deliberately not offered: for this constraint it admits only
@@ -188,18 +187,19 @@ class BigMVector:
 def _fill_budget(a: np.ndarray, s, lo, k: float) -> np.ndarray:
     """z = clip(a + s*t, lo, 1) at the threshold t where sum(z) == k; slopes s > 0.
 
-    Coordinate i moves between (lo_i - a_i)/s_i and (1 - a_i)/s_i; s and lo are
-    scalars or arrays like ``a``, and the caller guarantees sum(lo) < k < a.size.
+    Coordinate i moves between (lo_i - a_i)/s_i and (1 - a_i)/s_i; s and lo, scalars
+    or arrays like ``a``, are filled out to its shape; callers keep sum(lo) < k < a.size.
     """
-    bps = np.concatenate([(lo - a) / s, (1.0 - a) / s])
+    slopes, lows = np.full(a.shape, s), np.full(a.shape, lo)
+    bps = np.concatenate([(lows - a) / slopes, (1.0 - a) / slopes])
+    start = lows.sum()  # the budget at bps[0]
+    steps = np.concatenate([slopes, -slopes])  # s_i at i's first breakpoint, -s_i at its second
+    del slopes, lows  # the last line reads s and lo: at most four arrays of 2p floats live
     order = bps.argsort(kind="stable")
     bps = bps[order]
-    # a scalar slope: s from each first breakpoint, -s from each second; 2s - s is s exactly
-    steps = (order < a.size) * (2.0 * s) - s if np.isscalar(s) else np.concatenate([s, -s])[order]
-    del order  # freed before the budget's temporaries, so at most four arrays of 2p floats live
+    steps = steps[order]
     slope = steps.cumsum()  # on [bps[j], bps[j+1]]: s_i from i's first breakpoint to its second
-    del steps
-    start = lo * a.size if np.isscalar(lo) else lo.sum()  # the budget at bps[0]
+    del order, steps
     budget = (slope[:-1] * (bps[1:] - bps[:-1])).cumsum() + start  # at bps[1:]
     # the budget is below k at bps[j] and reaches it by bps[j+1]; the clamps
     # keep rounding in the sums from leaving the crossing piece.
@@ -526,8 +526,7 @@ def _fixed_sets(spec, fixed_one, fixed_zero):
     return one, np.flatnonzero(free)
 
 
-def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None,
-                        scores=None):
+def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero=(), z0=None):
     """Minimize a convex g(z), nonincreasing in z, over the capped box by
     nonmonotone spectral projected gradient.  ``evaluator()`` is called once
     the arguments pass their checks and returns the solve's one evaluator,
@@ -543,10 +542,9 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
     grad g(z)^T (w - z) (weight 1 on the ``budget`` most negative gradient
     entries); it is the value itself in the closed-form cases.  A warm start
     ``z0`` must be a finite length-p vector; its free entries are projected
-    onto the box.  Without one the loop starts, when length-p ``scores`` are
-    given, at the vertex with weight 1 on the ``budget`` free coordinates of
-    largest |score| (a stable sort: ties to the lowest index), else at the
-    uniform point budget/|free|.
+    onto the box.  Without one the loop starts at the vertex with weight 1 on
+    the ``budget`` free coordinates of largest |c_i|, c = X^T y read from the
+    dataset's normal equations (a stable sort: ties to the lowest index).
 
     Where the evaluator gives a Hessian, the loop is offered a face-Newton
     point once the support has settled: when the iterate's support (which
@@ -619,11 +617,9 @@ def _capped_box_minimum(spec, evaluator, tol, max_iter, fixed_one=(), fixed_zero
 
     if z0 is not None:
         zf = project(z0[free])
-    elif scores is not None:
-        zf = np.zeros(free.size)
-        zf[np.argsort(-np.abs(scores[free]), kind="stable")[:budget]] = 1.0
     else:
-        zf = np.full(free.size, budget / free.size)
+        zf = np.zeros(free.size)
+        zf[np.argsort(-np.abs(spec.data.normal.c[free]), kind="stable")[:budget]] = 1.0
     # overflow (as at a tiny lam) is reported by the loop's non-finite value or gap
     with np.errstate(over="ignore", invalid="ignore"):
         zf, val, b, iters, gap, converged = _projected_gradient(
@@ -645,18 +641,16 @@ def solve_v4(
     """f(z) minimized over the capped box by :func:`_capped_box_minimum`, with
     face-Newton proposals once the support settles.
 
-    Without a warm start ``z0`` the loop starts at the vertex with weight 1 on
-    the ``budget`` free coordinates of largest |c_i|, c = X^T y (ties to the
-    lowest index): the point the first, move-capped step from z = 0 reaches,
-    since grad f(0) = -c^2/(n^2*lam), so it costs no evaluation, and its first
-    evaluation is on the |S| <= k side.
+    Without a warm start ``z0`` it starts at the capped-box vertex, where the
+    move-capped first step from z = 0 lands, so its first evaluation is on
+    the |S| <= k side.
 
     The solve forms X^T X when p <= n and hands it to its one evaluator, so
     each evaluation whose value passes the floor takes the Gram route and
     every other one the X route (:func:`_evaluator`).
     """
     return _capped_box_minimum(spec, lambda: _evaluator(spec, spec.data.normal.G), tol,
-                               max_iter, fixed_one, fixed_zero, z0, spec.data.normal.c)
+                               max_iter, fixed_one, fixed_zero, z0)
 
 
 def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
@@ -730,8 +724,9 @@ def solve_v3(
 ) -> RelaxationSolution:
     """Perspective-plus-big-M relaxation value: :func:`_perspective_fit`'s g(z),
     convex and nonincreasing in z, minimized by :func:`_capped_box_minimum`
-    with its certificate.  Each beta-step is warm-started from the last one;
-    ``beta`` is the minimizer at the returned z.
+    with its certificate from the capped-box vertex, so the first beta-step fits k
+    columns; each is warm-started from the last, and ``beta`` is the minimizer
+    at the returned z.
     """
     Mv, beta = _positive_bounds(spec, M), np.zeros(spec.p)
 

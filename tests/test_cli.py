@@ -278,6 +278,20 @@ def test_tune_numerical_failure_exits_3(tmp_path):
     assert not (tmp_path / "gcv.json").exists()
 
 
+def test_tune_enumeration_cap_at_every_point_exits_3(tmp_path, capsys):
+    # brute force refuses C(30, 15) supports at every grid point: the enumeration
+    # cap (exit 3, as `fit --method brute` gives), named in the message
+    path = tmp_path / "wide.csv"
+    assert main(["gen", "--n", "40", "--p", "30", "--ktrue", "5", "--seed", "1",
+                 "--out", str(path)]) == 0
+    with pytest.warns(UserWarning, match="excluded"):
+        code = main(["tune", "--input", str(path), "--k", "15", "--grid", "0.04,0.08",
+                     "--method", "brute", "--out", str(tmp_path / "gcv.json")])
+    assert code == 3
+    assert "C(30, 15) = 155117520 exceeds the enumeration cap" in capsys.readouterr().err
+    assert not (tmp_path / "gcv.json").exists()
+
+
 def test_tune_bad_grid_value_exits_2(tmp_path, capsys, data_csv):
     assert main([
         "tune", "--input", str(data_csv), "--k", "3",
@@ -419,6 +433,17 @@ class TestExitCodes:
             "fit", "--input", str(data_csv), "--lambda", "0.1", "--k", "2",
             "--method", method, "--delta", "nan", "--out", str(out),
         ]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["v2", "v4"])
+    def test_big_m_level_for_a_relaxation_without_one(self, tmp_path, data_csv, capsys, which):
+        # only v1 and v3 read --vupper; v2 and v4 refuse it rather than ignore it
+        out = tmp_path / "x.json"
+        assert main([
+            "relax", "--input", str(data_csv), "--lambda", "0.1", "--k", "2",
+            "--which", which, "--vupper", "1.0", "--out", str(out),
+        ]) == 2
+        assert "--vupper" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("level", ["nan", "inf"])

@@ -9,6 +9,7 @@ from oracles import hat_diagonal_oracle
 from sparseridge import (
     Dataset,
     DegenerateHatError,
+    EnumerationCapError,
     InvalidArgumentError,
     NumericalError,
     ProblemSpec,
@@ -154,7 +155,8 @@ class TestGcvSelect:
     @pytest.mark.parametrize("errors, raised", [
         ((NumericalError, NumericalError), NumericalError),
         ((NumericalError, SparseRidgeError), SparseRidgeError),
-    ], ids=["all_numerical", "mixed"])
+        ((EnumerationCapError, EnumerationCapError), EnumerationCapError),
+    ], ids=["all_numerical", "mixed", "all_enumeration_cap"])
     def test_all_points_failing_error_kind(self, rng, monkeypatch, errors, raised):
         spec = random_spec(rng, 10, 4, 2, 0.1)
         queue = list(errors)

@@ -12,7 +12,9 @@ On a tall cell, (4000, 300), the relaxation-backed entry points run v4's loop
 on X^T X (formed first, as the dataset keeps it), and must stay within the
 same bound: gathering X_S on each evaluation took them to 0.27 x X (branch
 and bound 0.31), where K and its factor, two |S| x |S| arrays, take 0.15.
-``solve_v3`` still gathers X_S on such a cell and is not held to it.
+``solve_v1`` and ``solve_v3`` are held to it with their big-M bounds formed
+inside the call: v3 gathers X_S on each pass of its beta-step, from k columns
+at its start vertex.
 ``gcv_score`` needs X_S and its hat matrix's K^-1 X_S^T, two arrays the size
 of X when S holds nearly every column; on 299 of the 300 it is held to
 2.25 x X, which a third product of that size (3.08 x X) would break.
@@ -70,7 +72,7 @@ ENTRY_POINTS = {
     # C(p, 1) supports: the only budget brute force can enumerate at this p
     "fit brute": lambda s, tmp: fit(ProblemSpec(data=s.data, lam=s.lam, k=1), "brute"),
     "branch_and_bound": lambda s, tmp: branch_and_bound(s, node_cap=2),
-    # v1 starts from the ridge fit on every column; v3's passes fit nearly all of them
+    # v1 starts from the ridge fit on every column; v3's first pass fits the k at its start
     "solve_v1": lambda s, tmp: solve_v1(s, big_m(s), max_iter=20),
     "solve_v2_perspective": lambda s, tmp: solve_v2_perspective(s),
     "solve_v3": lambda s, tmp: solve_v3(s, big_m(s), max_iter=5),
@@ -92,6 +94,8 @@ TALL_ENTRY_POINTS = {
     "fit restricted": lambda s: fit(s, "restricted"),
     "fit randomized": lambda s: fit(s, "randomized"),
     "branch_and_bound": lambda s: branch_and_bound(s, node_cap=3),
+    "solve_v1": lambda s: solve_v1(s, big_m(s)),
+    "solve_v3": lambda s: solve_v3(s, big_m(s)),
 }
 
 

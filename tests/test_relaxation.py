@@ -574,12 +574,16 @@ def _tied_spec(n):
     return ProblemSpec(data=Dataset(X=X, y=np.eye(n)[0]), lam=0.1, k=3)
 
 
+# the solvers that minimize over the capped box, each called without a warm start
+_BOX_SOLVERS = {"v4": solve_v4, "v3": lambda spec: solve_v3(spec, big_m(spec))}
+
+
 class TestStartVertex:
-    """Without z0, v4's loop starts at the vertex on the budget largest |c_i| = |x_i^T y|
-    among the free coordinates, ties to the lowest index."""
+    """Without z0, every capped-box solve starts at the vertex on the budget largest
+    |c_i| = |x_i^T y| among the free coordinates, ties to the lowest index."""
 
     @staticmethod
-    def _start(monkeypatch, spec, **masks):
+    def _start(monkeypatch, spec, solver="v4", **masks):
         starts, loop = [], relaxation._projected_gradient
 
         def traced(fval_grad, project, gap, x, *args, **kwargs):
@@ -587,7 +591,7 @@ class TestStartVertex:
             return loop(fval_grad, project, gap, x, *args, **kwargs)
 
         monkeypatch.setattr(relaxation, "_projected_gradient", traced)
-        sol = solve_v4(spec, **masks)
+        sol = _BOX_SOLVERS[solver](spec, **masks)
         assert sol.converged and len(starts) == 1
         return starts[0]
 
@@ -600,11 +604,13 @@ class TestStartVertex:
         return np.array([1.0 if i in top else 0.0 for i in free])
 
     @pytest.mark.parametrize("n", [12, 5], ids=["tall", "wide"])
-    @pytest.mark.parametrize("ones, zeros", [((), ()), ((1,), (2,)), ((), (1, 6))],
-                             ids=["root", "one_and_zero_fixed", "zeros_fixed"])
-    def test_start_is_the_top_budget_correlations(self, monkeypatch, n, ones, zeros):
+    @pytest.mark.parametrize("solver, ones, zeros", [
+        ("v4", (), ()), ("v4", (1,), (2,)), ("v4", (), (1, 6)), ("v3", (), ()),
+    ], ids=["root", "one_and_zero_fixed", "zeros_fixed", "v3"])  # v3 fixes no coordinate
+    def test_start_is_the_top_budget_correlations(self, monkeypatch, n, solver, ones, zeros):
         spec = _tied_spec(n)
-        start = self._start(monkeypatch, spec, fixed_one=ones, fixed_zero=zeros)
+        masks = {"fixed_one": ones, "fixed_zero": zeros} if ones or zeros else {}
+        start = self._start(monkeypatch, spec, solver, **masks)
         want = self._vertex(spec, ones, zeros)
         assert np.array_equal(start, want)
         # the ties resolve to the lowest index: {1, 6, 2} at the root
@@ -614,7 +620,8 @@ class TestStartVertex:
     def test_start_on_random_specs(self, monkeypatch, rng):
         for n, p in [(30, 12), (12, 30)]:
             spec = random_spec(rng, n, p, 4, 0.1, signal=False)
-            assert np.array_equal(self._start(monkeypatch, spec), self._vertex(spec))
+            for solver in _BOX_SOLVERS:
+                assert np.array_equal(self._start(monkeypatch, spec, solver), self._vertex(spec))
 
     def test_start_is_where_the_first_step_from_zero_lands(self):
         # grad f(0) = -c^2/(n^2 lam): the move-capped step of _MAX_MOVE widths from
