@@ -14,14 +14,14 @@ support-restricted ridge solve (:class:`RidgeSystem`), the exact estimator
 on a support set, the projected objective over binary selections, and the
 extremal subset singular values used by the a-priori quality bounds.
 
-Solvers see X through the normal equations.  Each dataset forms them once,
-in :class:`NormalEquations` (``Dataset.normal``): X^T y, y^T y and the
-squared column norms on first use, X^T X only when p <= n and a consumer
-that reads it many times asks for it (the stacked scorers, ``big_m`` and
-v4's projected-gradient loop).
-Gram entries come from its one block accessor: slices of X^T X once it is
-formed, products of the gathered columns otherwise, so a one-off support
-fit costs what its own columns do.
+Solvers read the design through one view per dataset, :class:`NormalEquations`
+(``Dataset.normal``): X^T y, y^T y and the squared column norms formed on first
+use, X^T X only when p <= n and a consumer that reads it many times asks for it
+(the stacked scorers, ``big_m``, v4's loop), Gram entries from one block
+accessor, and, in the view's own row space (every 1/n and n*lam reads the
+problem's n), y, X^T u, X_S b and the gathered columns.  Only what is defined on
+the original rows reads X or y itself: GCV, underline_theta, greedy's
+``inv_products``, ``elastic_net_cd``, ``data_io`` and the design builders.
 
 Every walk over subsets (theta, underline_theta, brute force) passes one cap
 check, ``_check_enumeration``, and takes its subsets from ``_subset_blocks``
@@ -158,17 +158,20 @@ def _freeze(record, *names: str) -> None:
 
 
 class NormalEquations:
-    """What solvers read of a dataset: ``c`` = X^T y, ``yy`` = y^T y, ``sq`` the
-    squared column norms and ``G`` = X^T X, formed on first read of ``G`` and
-    only when p <= n (no p x p object on a wide design).  Only consumers that
-    use G many times read it: the stacked scorers, ``big_m`` and v4's
-    projected-gradient loop, which evaluates f and its gradient on G dozens of
-    times per solve.  A one-off fit or evaluation uses G only if it is already
-    formed (:meth:`formed_gram`, and :meth:`block` for Gram entries), since
-    forming it costs n*p^2 against the fit's n*|S|^2.  Arrays are read-only."""
+    """The one view of a dataset's design that solvers read.  ``c`` = X^T y, ``yy``
+    = y^T y and ``sq``, the squared column norms, are formed once; ``G`` = X^T X on
+    first read, only when p <= n (no p x p object on a wide design), for consumers
+    that read it many times (the stacked scorers, ``big_m``, v4's loop): a one-off
+    fit uses G only if it is formed (:meth:`formed_gram`, :meth:`block`), since
+    forming it costs n*p^2 against the fit's n*|S|^2.  In the view's row space,
+    whose count ``rows`` is kept apart from the problem's n (every 1/n and n*lam
+    reads n), it hands out y (``response``), X^T u (:meth:`rmatvec`), X_S b
+    (:meth:`matvec`) and gathered columns (:meth:`columns`, :meth:`column_blocks`).
+    Its rows are X's own: what is defined on them (GCV, underline_theta, greedy's
+    ``inv_products``, the design builders) reads the dataset.  Arrays are read-only."""
 
     def __init__(self, X: np.ndarray, y: np.ndarray):
-        self.X = X
+        self._X, self.response, self.rows = X, y, X.shape[0]
         self.c = _frozen(X.T @ y)
         self.yy = float(y @ y)
         self.sq = _frozen(np.einsum("ij,ij->j", X, X))
@@ -176,8 +179,7 @@ class NormalEquations:
     @cached_property
     def G(self) -> np.ndarray | None:
         """X^T X when p <= n, else None."""
-        n, p = self.X.shape
-        return _frozen(self.X.T @ self.X) if p <= n else None
+        return _frozen(self._X.T @ self._X) if self._X.shape[1] <= self.rows else None
 
     def formed_gram(self) -> np.ndarray | None:
         """G if it is already formed, else None; never forms it."""
@@ -188,13 +190,49 @@ class NormalEquations:
         broadcasting with ``rows``) as a fresh (..., a, b) array: entries of G once
         it is formed (for a slice, a view of the whole rows, gathered fresh),
         otherwise products of the gathered columns."""
-        G, Xt = self.formed_gram(), self.X.T
+        G, Xt = self.formed_gram(), self._X.T
         if G is None:
             A = Xt[rows]  # the rows of A are the columns of X_rows
             return A @ (A if cols is rows else Xt[cols]).swapaxes(-1, -2)
         if isinstance(cols, slice):
             return G.take(rows, 0)[..., cols]  # faster than one gather of the slice
         return G[rows[..., :, None], cols[..., None, :]]
+
+    def rmatvec(self, u: np.ndarray) -> np.ndarray:
+        """X^T u for u of length ``rows``."""
+        return self._X.T @ u
+
+    def _every(self, S) -> bool:  # whether the index array S is every column in order
+        return S.size == self._X.shape[1] and bool((S == np.arange(S.size)).all())
+
+    def columns(self, S) -> np.ndarray:
+        """X[:, S] for an index array, slice or index S (X itself for all columns in order)."""
+        return self._X if isinstance(S, np.ndarray) and self._every(S) else self._X[:, S]
+
+    def column_blocks(self, S: np.ndarray, width: int):
+        """(pos, X_b) over X[:, S]: slices ``pos`` of ``width`` positions in S, each
+        gathered on use (a slice of X, no copy, when S is every column in order)."""
+        X, every = self._X, self._every(S)
+        for lo in range(0, S.size, width):
+            pos = slice(lo, lo + width)
+            yield pos, X[:, pos] if every else X[:, S[pos]]
+
+    @staticmethod
+    def sum_blocks(parts):
+        """The sum of the fresh arrays the iterator ``parts`` yields (at least one), in
+        place in the first, so one part alone is returned as it is."""
+        total = next(parts)
+        for part in parts:
+            total += part
+            del part  # not held while the next one forms
+        return total
+
+    def matvec(self, S: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """X[:, S] @ b for b of length |S|, with no gathered block of X wider than
+        max(_block_rows(rows), _MIN_BLOCK_COLUMNS) columns; within one block it is
+        the plain product."""
+        width = max(_block_rows(self.rows), _MIN_BLOCK_COLUMNS)
+        return self.sum_blocks(Xb @ b[pos] for pos, Xb in self.column_blocks(S, width))
 
 
 @dataclass(frozen=True)
@@ -371,8 +409,8 @@ def _check_vector(name: str, v, size: int | None = None, low: float = -math.inf,
 
 def ridge_objective(spec: ProblemSpec, beta: np.ndarray) -> float:
     """Evaluate (1/n)*||y - X beta||^2 + lam*||beta||^2."""
-    beta = _check_vector("beta", beta, spec.p)
-    r = spec.y - spec.X @ beta
+    beta, eq = _check_vector("beta", beta, spec.p), spec.data.normal
+    r = eq.response - eq.columns(slice(None)) @ beta
     return float(r @ r / spec.n + spec.lam * (beta @ beta))
 
 
@@ -438,95 +476,58 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(c, b, lower=0)[0]
 
 
-def _sum_blocks(parts):
-    """The sum of the fresh arrays ``parts`` yields (at least one), in place in the
-    first, so one part alone is returned as it is."""
-    parts = iter(parts)
-    total = next(parts)
-    for part in parts:
-        total += part
-        del part  # not held while the next one forms
-    return total
-
-
-def _column_blocks(X: np.ndarray, S, width: int):
-    """(pos, X_b) over the columns X[:, S] (every column when S is None):
-    consecutive slices ``pos`` of ``width`` positions in S, each gathered when it
-    is used (a slice of X, with no copy, when S is None)."""
-    for lo in range(0, X.shape[1] if S is None else S.size, width):
-        pos = slice(lo, lo + width)
-        yield pos, X[:, pos] if S is None else X[:, S[pos]]
-
-
-def _columns_matvec(X: np.ndarray, S: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X[:, S] @ b for b of length |S|, with no gathered block of X wider than
-    max(_block_rows(n), _MIN_BLOCK_COLUMNS) columns; within one block it is the
-    plain product."""
-    width = max(_block_rows(X.shape[0]), _MIN_BLOCK_COLUMNS)
-    return _sum_blocks(Xb @ b[pos] for pos, Xb in _column_blocks(X, S, width))
-
-
 class RidgeSystem:
     """The weighted ridge system (X_S^T X_S + nlam*diag(1/w)) b = r on the
     support S (m indices) of ``data``, with positive weights w (None for unit
-    weights, which the m x m side never builds), factored once.
+    weights, which the m x m side never builds), factored once, on the columns,
+    column blocks and row count n of the dataset's view (``Dataset.normal``).
 
-    The m x m matrix is factored when m <= n: a block of the dataset's X^T X
-    once it is formed (:meth:`NormalEquations.block`), else X_S^T X_S from
-    the gathered columns X_S (X itself when S is every column in order).  X_S
-    is gathered on first use and then held, so a system on a formed X^T X that
-    only solves reads no row of X.  Otherwise A = nlam*I + X_S diag(w) X_S^T
-    (n x n) is, and solves go through it; that side holds no copy of X_S wider
-    than one block: A and every product with X_S are summed over blocks of
-    columns, each gathered (a slice of X when S is every column) with its
-    weighted copy within _BLOCK_ELEMENTS floats, or _MIN_BLOCK_COLUMNS columns
-    when n is large.  When one block covers X_S it is kept, so the products are
-    the unblocked ones.  m = 0 is allowed (the 0 x 0 side).
+    The m x m matrix is factored when m <= n: a block of X^T X once it is formed
+    (:meth:`NormalEquations.block`), else X_S^T X_S from X_S, gathered on first
+    use and then held, so a system on a formed X^T X that only solves reads no
+    row of X.  Otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is, and solves go
+    through it; A and every product with X_S are summed over the view's column
+    blocks, each gathered on use with its weighted copy within _BLOCK_ELEMENTS
+    floats (_MIN_BLOCK_COLUMNS columns when n is large), so that side holds no
+    wider copy of X_S.  m = 0 is allowed (the 0 x 0 side).
     """
 
     def __init__(self, data: Dataset, S: np.ndarray, w: np.ndarray | None, nlam: float):
-        X = data.X
-        n, m = X.shape[0], S.size
-        self.wide = m > n
+        eq, m = data.normal, S.size
+        self.wide = m > eq.rows
         if self.wide and w is None:
             w = np.ones(m)  # the n x n side sums weighted blocks
-        self.w, self.nlam = w, nlam
-        every = m == X.shape[1] and bool((S == np.arange(m)).all())
-        self._X, self._S = X, None if every else S
-        self._Xs = X if every else None  # X_S once gathered (_columns)
-        # blocks of a gathered block and its weighted copy per column; the m x m
-        # side holds X_S as its one block
-        self._width = max(_block_rows(2 * n), _MIN_BLOCK_COLUMNS) if self.wide else m
+        self.w, self.nlam, self._n, self._eq, self._S, self._Xs = w, nlam, data.n, eq, S, None
         # K is a fresh contiguous array: ravel() is a view, [::size + 1] its diagonal.
         if self.wide:
-            K = _sum_blocks((Xb * w[pos]) @ Xb.T for pos, Xb in self._blocks())
-            K.ravel()[:: n + 1] += nlam
+            # blocks of a gathered block and its weighted copy per column
+            self._width = max(_block_rows(2 * eq.rows), _MIN_BLOCK_COLUMNS)
+            K = eq.sum_blocks((Xb * w[pos]) @ Xb.T for pos, Xb in eq.column_blocks(S, self._width))
+            K.ravel()[:: eq.rows + 1] += nlam
         else:
-            K = (data.normal.block(S, S) if data.normal.formed_gram() is not None
+            K = (eq.block(S, S) if eq.formed_gram() is not None
                  else self._columns().T @ self._columns())
             K.ravel()[:: m + 1] += nlam if w is None else nlam * (1.0 / w)
         self._chol = cholesky(K)
 
     def _columns(self) -> np.ndarray:
-        """X_S, gathered on first use (X itself when S is every column in order)."""
+        """X_S on the m x m side, gathered from the view on first use and then held."""
         if self._Xs is None:
-            self._Xs = self._X[:, self._S]
+            self._Xs = self._eq.columns(self._S)
         return self._Xs
-
-    def _blocks(self):
-        """(pos, X_b) over the columns of X_S: X_S as one block when one covers
-        it, else _column_blocks of _width columns, each gathered again on use."""
-        if not self.wide or self.w.size <= self._width:
-            return iter([(slice(None), self._columns())])
-        return _column_blocks(self._X, self._S, self._width)
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """X_S @ b for b of length m (or m x c)."""
-        return _sum_blocks(Xb @ b[pos] for pos, Xb in self._blocks())
+        if not self.wide:
+            return self._columns() @ b
+        blocks = self._eq.column_blocks(self._S, self._width)
+        return self._eq.sum_blocks(Xb @ b[pos] for pos, Xb in blocks)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """X_S^T @ v for v of length n (or n x c)."""
-        return np.concatenate([Xb.T @ v for _, Xb in self._blocks()])
+        if not self.wide:
+            return self._columns().T @ v
+        return np.concatenate([Xb.T @ v for _, Xb in self._eq.column_blocks(self._S, self._width)])
 
     def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """b for the right side X_S^T y, u = A^-1 y and the value of the fit.
@@ -547,7 +548,7 @@ class RidgeSystem:
             r = y - Xs @ b
             u = r / self.nlam
             penalty = b @ b if self.w is None else b @ (b / self.w)
-        return b, u, float(r @ r + self.nlam * penalty) / y.size
+        return b, u, float(r @ r + self.nlam * penalty) / self._n
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         """b for any right side r (m or m x c); Woodbury on the n x n side."""
@@ -561,9 +562,8 @@ class RidgeSystem:
     def hat_diagonal(self) -> np.ndarray:
         """diag(H), H = X_S (X_S^T X_S + nlam*diag(1/w))^-1 X_S^T: row by row on the
         m x m side, and as I - nlam*A^-1, which H equals, on the n x n side."""
-        if self.wide:
-            n = self._X.shape[0]
-            return 1.0 - self.nlam * np.diag(cholesky_solve(self._chol, np.eye(n)))
+        if self.wide:  # one entry per original row (GCV's), as the view holds X itself
+            return 1.0 - self.nlam * np.diag(cholesky_solve(self._chol, np.eye(self._eq.rows)))
         Xs = self._columns()
         return np.einsum("ij,ji->i", Xs, cholesky_solve(self._chol, Xs.T))
 
@@ -572,7 +572,7 @@ def _support_fit(spec: ProblemSpec, idx: np.ndarray) -> tuple[np.ndarray, float]
     """Length-p ridge solution restricted to ``idx`` (no budget check) and its
     ridge objective."""
     system = RidgeSystem(spec.data, idx, None, spec.n * spec.lam)
-    b, _, value = system.fit(spec.y)
+    b, _, value = system.fit(spec.data.normal.response)
     beta = np.zeros(spec.p)
     beta[idx] = b
     return beta, value
@@ -660,7 +660,7 @@ def _gram_stacks(spec: ProblemSpec, s: int, rows: np.ndarray | None = None,
     Gathered columns (s x n per support when p > n) count in the element
     budget."""
     eq = spec.data.normal
-    width = s if eq.G is not None else max(s, spec.n)
+    width = s if eq.G is not None else max(s, eq.rows)
     if rows is None:
         blocks = _subset_blocks(spec.p, s, s * width)
     else:
@@ -686,12 +686,12 @@ def _ridge_scores(spec: ProblemSpec, rows: np.ndarray):
     the n x n side of ``RidgeSystem``."""
     eq, sizes = spec.data.normal, (rows >= 0).sum(axis=1)
     b, values = np.zeros(rows.shape), np.empty(len(rows))
-    for i in np.flatnonzero(sizes > spec.n):
+    for i in np.flatnonzero(sizes > eq.rows):
         S = rows[i, :sizes[i]]
         beta, values[i] = _support_fit(spec, S)
         b[i, :S.size] = beta[S]
-    narrow = np.flatnonzero(sizes <= spec.n)
-    w, lo = min(rows.shape[1], spec.n), 0  # a narrow row's features are its first w entries
+    narrow = np.flatnonzero(sizes <= eq.rows)
+    w, lo = min(rows.shape[1], eq.rows), 0  # a narrow row's features are its first w entries
     for S, K in _gram_stacks(spec, w, rows[narrow, :w], spec.n * spec.lam):
         cS = np.where(S < 0, 0.0, eq.c[S])
         at, lo = narrow[lo:lo + len(S)], lo + len(S)
@@ -723,7 +723,7 @@ def _best_support(spec: ProblemSpec) -> np.ndarray:
     nlam = n * spec.lam
     g = eq.sq + nlam
     # per prefix: s Gram rows (s columns of X too when p > n) and six score rows
-    elements = (s + 6) * p + (s * n if eq.G is None else 0)
+    elements = (s + 6) * p + (s * eq.rows if eq.G is None else 0)
     best_val, best, after = math.inf, None, np.arange(p)
     for P in _subset_blocks(p - 1, s, elements):
         lo = int(P[0, 0]) if s else 0  # the block's smallest feature
@@ -810,7 +810,7 @@ def underline_theta(spec: ProblemSpec, cap: int = DEFAULT_ENUMERATION_CAP) -> fl
         return 0.0
     _check_enumeration(p, t, cap)
     best = math.inf
-    Xt = spec.X.T
+    Xt = spec.X.T  # X_T X_T^T is n x n: it is defined on the original rows
     for T in _subset_blocks(p, t, t * n + n * n):  # X_T and X_T X_T^T per subset
         XT = Xt[T]  # (m, t, n): rows are the columns of X_T
         low = float(np.linalg.eigvalsh(XT.transpose(0, 2, 1) @ XT)[:, 0].min())
@@ -837,7 +837,7 @@ def spectral_stats(
 
 def normalize_columns(data: Dataset) -> Dataset:
     """Rescale every column of X to squared norm n (zero columns untouched)."""
-    X = data.X.copy()
+    X = data.X.copy()  # builds a design: it rescales the original rows
     norms = np.sqrt(np.einsum("ij,ij->j", X, X))
     nz = norms > 0
     # one factor per column, 1 on zero columns, so the scaling gathers no columns

@@ -93,7 +93,7 @@ def save_dataset_csv(data: Dataset, path: str, header: bool = False) -> None:
             )
             csv.writer(fh).writerow(list(names) + ["y"])
         # row by row, the response after the features, with no stacked copy of X
-        for row, response in zip(data.X, data.y.tolist()):
+        for row, response in zip(data.X, data.y.tolist()):  # a file holds the original rows
             fh.write(",".join(map(repr, row.tolist())) + f",{response!r}\r\n")
 
 

@@ -82,7 +82,7 @@ def gcv_score(spec: ProblemSpec, S, lam: float) -> float:
     _check_positive("lam", lam)
     idx = _clean_support(spec, S)
     system = RidgeSystem(spec.data, idx, None, spec.n * lam)
-    yhat = system.matvec(system.fit(spec.y)[0])
+    yhat = system.matvec(system.fit(spec.y)[0])  # GCV is per original row: y itself
     denom = 1.0 - system.hat_diagonal()
     if np.any(denom <= 1e-12):
         raise DegenerateHatError(
@@ -105,8 +105,9 @@ def gcv_select(
     not positive and finite, a budget k outside [1, min(n, p)], or an unknown
     method or option raises InvalidArgumentError before any fit, and an
     InvalidArgumentError from a fit is raised, not excluded.  When no point
-    is left, the error is a NumericalError or an EnumerationCapError if every
-    fit failed with one, else a SparseRidgeError, naming the first failure.
+    is left, the error names the first failure; if every fit failed with a
+    NumericalError or an EnumerationCapError, it is the first failure's kind of
+    the two, else a SparseRidgeError.
     """
     grid = tuple(_check_positive("grid weight", g) for g in grid)
     if not grid:
@@ -134,10 +135,9 @@ def gcv_select(
                 valid.append((score, lam, est))
         scores.append(score)
     if not valid:
-        kind = SparseRidgeError
-        for error in (NumericalError, EnumerationCapError):
-            if len(failures) == len(grid) and all(isinstance(exc, error) for exc in failures):
-                kind = error
+        kind, solver = SparseRidgeError, (NumericalError, EnumerationCapError)
+        if len(failures) == len(grid) and all(isinstance(exc, solver) for exc in failures):
+            kind = next(error for error in solver if isinstance(failures[0], error))
         raise kind("every grid point failed" + (f"; the first: {failures[0]}" if failures else ""))
     _, best_lam, best = min(valid, key=lambda v: (v[0], v[1]))
     return GcvReport(
@@ -167,7 +167,7 @@ def precision_to_regression(
     lam = _check_positive("lam", lam)
     t = sigma.shape[0]
     k = _check_integer("k", k, 1, t * t)
-    X = np.kron(np.eye(t), sigma)
+    X = np.kron(np.eye(t), sigma)  # builds a design: these are its original rows
     y = np.eye(t).flatten(order="F")
     spec = ProblemSpec(data=Dataset._adopt(X, y), lam=lam / (t * t), k=k)
     return PrecisionMapping(t=t, sigma_hat=sigma, spec=spec, lam=lam, scale=t * t)

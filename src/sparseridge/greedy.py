@@ -68,13 +68,13 @@ class GreedyState:
     @classmethod
     def initial(cls, spec: ProblemSpec) -> "GreedyState":
         nl, eq = spec.n * spec.lam, spec.data.normal
-        room = np.zeros((spec.n, spec.k))
+        room = np.zeros((eq.rows, spec.k))
         state = cls(
             spec=spec,
             factor=room[:, :0],
             quad_terms=eq.sq / nl,
             cross_terms=eq.c / nl,
-            inv_y=spec.y / nl,
+            inv_y=eq.response / nl,
             selected=[],
             current_value=eq.yy / spec.n,
         )
@@ -84,7 +84,7 @@ class GreedyState:
     @property
     def inv_products(self) -> np.ndarray:
         """A_S^{-1} X (n x p), formed from the factor on each access."""
-        X, U = self.spec.X, self.factor
+        X, U = self.spec.X, self.factor  # a public n x p product, on the original rows
         return X / (self.spec.n * self.spec.lam) - U @ (U.T @ X)
 
     def gains(self) -> np.ndarray:
@@ -105,17 +105,16 @@ class GreedyState:
                 "the tracked inverse has lost positive definiteness"
             )
         spec, m = self.spec, self.factor.shape[1]
-        lam, X = spec.lam, spec.X
-        cross = self.cross_terms[j]
-        U = self.factor
-        w = X[:, j] / (spec.n * lam)  # A^{-1} x_j = (I/(n*lam) - U U^T) x_j
-        w -= U @ (U.T @ X[:, j])
-        c = X.T @ w  # x_i^T A^{-1} x_j for all i
+        lam, eq, cross = spec.lam, spec.data.normal, self.cross_terms[j]
+        U, x = self.factor, eq.columns(j)
+        w = x / (spec.n * lam)  # A^{-1} x_j = (I/(n*lam) - U U^T) x_j
+        w -= U @ (U.T @ x)
+        c = eq.rmatvec(w)  # x_i^T A^{-1} x_j for all i
         self.inv_y = self.inv_y - w * (cross / denom)
         room = self._room
         if room is None or self.factor.base is not room or room.shape[1] == m:
             # full, or a factor not held in it (a state built or set by hand)
-            room = np.zeros((X.shape[0], 2 * m + 1))
+            room = np.zeros((eq.rows, 2 * m + 1))
             room[:, :m] = self.factor
             self._room = room
         room[:, m] = w / math.sqrt(denom)

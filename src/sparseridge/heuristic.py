@@ -84,7 +84,7 @@ def elastic_net_cd(
     """
     gamma = _check_real("gamma", gamma, 0.0)
     tol, max_sweeps = _check_positive("tol", tol), _check_integer("max_sweeps", max_sweeps, 1)
-    X, y, n, lam, p = spec.X, spec.y, spec.n, spec.lam, spec.p
+    X, y, n, lam, p = spec.X, spec.y, spec.n, spec.lam, spec.p  # no library caller: reads X, y
     beta = np.zeros(p) if beta0 is None else _check_vector("beta0", beta0, p).copy()
     r = y - X @ beta
     a = np.sum(X**2, axis=0) / n + lam
@@ -140,7 +140,7 @@ class _ElasticNetPath:
             raise NumericalError(
                 f"elastic-net path did not reach gamma = 0 in {self._max_segments} segments"
             )
-        X, y, n, lam = self.spec.X, self.spec.y, self.spec.n, self.spec.lam
+        eq, n, lam = self.spec.data.normal, self.spec.n, self.spec.lam
         gamma, active, c = self.gammas[-1], self.supports[-1], self._rho
         # Features on the boundary join with the sign of their correlation,
         # all at once; one whose coefficient would move against that sign
@@ -153,7 +153,7 @@ class _ElasticNetPath:
             signs = np.concatenate([self._signs, np.sign(c[new])])
             # (X_A^T X_A + n*lam*I) [u, w] = [X_A^T y, n*s/2]
             system = RidgeSystem(self.spec.data, cand, None, n * lam)
-            rhs = np.column_stack([self.spec.data.normal.c[cand], 0.5 * n * signs])
+            rhs = np.column_stack([eq.c[cand], 0.5 * n * signs])
             u, w = system.solve(rhs).T
             grow = (signs * w)[active.size:]
             if new.size == 0 or grow.min() > 0.0:
@@ -161,7 +161,7 @@ class _ElasticNetPath:
             new = np.delete(new, int(np.argmin(grow)))
         # On the segment b_A(g) = u - g*w and, off A, c(g) = e + g*f; c(gamma) = rho.
         Xw = system.matvec(w)
-        f = (2.0 / n) * (X.T @ Xw)
+        f = (2.0 / n) * eq.rmatvec(Xw)
         e = c - gamma * f
         with np.errstate(divide="ignore", invalid="ignore"):
             exits = np.where(signs * w < 0.0, np.minimum(u / w, gamma), -np.inf)
@@ -174,7 +174,7 @@ class _ElasticNetPath:
         b1 = u - g1 * w
         keep = exits < g1 - self._tie
         cand, signs, b1 = cand[keep], signs[keep], b1[keep]
-        r = y - system.matvec(u) + g1 * Xw
+        r = eq.response - system.matvec(u) + g1 * Xw
         self.gammas.append(g1)
         self.supports.append(cand)
         self.values.append(b1)

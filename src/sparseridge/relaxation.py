@@ -112,7 +112,7 @@ from scipy.linalg import cho_factor, cho_solve, eigvalsh  # noqa: F401
 
 from .core import (
     _FLOAT_MAX, ProblemSpec, RidgeSystem, _check_integer, _check_positive, _check_real,
-    _check_vector, _clean_support, _columns_matvec, _freeze, _support_fit, cholesky,
+    _check_vector, _clean_support, _freeze, _support_fit, cholesky,
     cholesky_solve,
 )
 from .errors import InvalidArgumentError, NumericalDomainError, NumericalError
@@ -311,7 +311,7 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.
     coordinate whose gradient points most strongly inward is released, until
     none does.  Raises NumericalError when the pass cap is reached.
     """
-    X, y, nlam = spec.X, spec.y, spec.n * spec.lam
+    eq, nlam = spec.data.normal, spec.n * spec.lam
     active = z > nlam / _FLOAT_MAX
     bound = np.where(active, M * z, 0.0)
     b = np.clip(beta0, -bound, bound)
@@ -320,7 +320,7 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.
     for _ in range(4 * spec.p + 4):
         free, held = np.flatnonzero(active & ~clamped), np.flatnonzero(clamped)
         # the held coordinates' share of X b, gathered a block of columns at a time
-        rhs = y - _columns_matvec(X, held, b[held]) if held.size else y
+        rhs = eq.response - eq.matvec(held, b[held]) if held.size else eq.response
         fit, u, val = RidgeSystem(spec.data, free, z[free], nlam).fit(rhs)
         out = np.abs(fit) > bound[free]
         if out.any():
@@ -334,7 +334,7 @@ def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.
             clamped |= active & (np.abs(b) >= bound)
             continue
         b[free] = fit
-        a = X.T @ u
+        a = eq.rmatvec(u)
         if held.size:
             # sign(b_i) times the gradient of 1/(2 lam) times the objective at
             # b_i = +-M_i z_i: positive where moving b_i inward descends.
@@ -353,8 +353,8 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
     """v4's evaluation z -> (f(z), its gradient -lam*(x_i^T A(z)^-1 y)^2, the
     minimizer b, the Hessian on a face), from one RidgeSystem on S = supp z
     (z_i with n*lam/z_i finite; b is 0 elsewhere).  What every evaluation
-    reads of the spec (n, p, lam, n*lam, the support threshold, c, y^T y, the
-    floor, G and X) is bound once, so a solve makes one evaluator and calls it.
+    reads of the spec (n, p, lam, n*lam, the support threshold, the view, c,
+    y^T y, the floor and G) is bound once, so a solve makes one evaluator and calls it.
 
     When G = X^T X is given, b_S solves K b_S = c_S with
     K = G_SS + n*lam*diag(1/z_S) and f = (y^T y - c . b)/n.  If that value
@@ -372,9 +372,8 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
     on the X route.  The Hessian gives None where some q_i is 0, and is None
     itself when |S| > n, where the system holds no factor of K.
     """
-    data, X, y = spec.data, spec.X, spec.y
-    eq, n, p, lam = data.normal, spec.n, spec.p, spec.lam
-    c, yy, nlam = eq.c, eq.yy, n * lam
+    data, eq, n, p, lam = spec.data, spec.data.normal, spec.n, spec.p, spec.lam
+    y, c, yy, nlam = eq.response, eq.c, eq.yy, n * lam
     floor = nlam / _FLOAT_MAX  # z_i above it counts: n*lam/z_i is finite
     least = _GRAM_FLOOR * yy / n  # the least value the Gram route serves
 
@@ -391,7 +390,7 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
             a = (c - G @ b) / nlam
         else:
             b[S], u, val = system.fit(y)
-            a = X.T @ u
+            a = eq.rmatvec(u)
         grad = -lam * a**2  # a**2 overflows on both routes alike, as at a tiny lam
         if system.wide:
             return val, grad, b, None
@@ -401,7 +400,7 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
                 return None  # a zero row: H_FF is singular (and F may leave S)
             pos = np.searchsorted(S, F)  # b_i != 0 only on S
             qF = b[F] / zS[pos]
-            H = system.solve(eq.block(S, F) if gram else system.rmatvec(X[:, F]))[pos]
+            H = system.solve(eq.block(S, F) if gram else system.rmatvec(eq.columns(F)))[pos]
             H /= zS[pos, None]
             H *= qF[:, None]
             H *= (2.0 * lam) * qF
@@ -665,8 +664,12 @@ def solve_v2_perspective(spec: ProblemSpec) -> RelaxationSolution:
 
 def _positive_bounds(spec: ProblemSpec, M: BigMVector) -> np.ndarray:
     # one per feature (numpy would broadcast a length-1 M silently); v1 searches
-    # with slopes 1/M_i**2, which must stay positive and finite
-    return _check_vector("big-M bounds", M.M, spec.p, 1e-150, 1e150)
+    # with slopes 1/M_i**2, which must stay positive and finite, and M_i = 0 (as
+    # big_m gives where X^T y = 0 at the level y^T y/n) holds beta_i = z_i = 0
+    Mv = _check_vector("big-M bounds", M.M, spec.p, 0.0, 1e150)
+    if (tiny := Mv[(0.0 < Mv) & (Mv < 1e-150)]).size:
+        raise InvalidArgumentError(f"big-M bounds must be 0 or at least 1e-150, got {tiny[0]}")
+    return Mv
 
 
 def _project_weighted_l1_box(v: np.ndarray, M: np.ndarray, k: float) -> np.ndarray:
@@ -693,27 +696,33 @@ def solve_v1(
     |beta_i| <= M_i, so the ridge objective is minimized over a weighted-L1
     ball intersected with a box, starting from the projected ridge fit.  The
     gap's minimum of grad^T w over that set puts |w_i| = M_i against the sign
-    of grad_i on the k largest |grad_i|*M_i.
+    of grad_i on the k largest |grad_i|*M_i.  A bound M_i = 0 holds
+    beta_i = z_i = 0: the search runs on the other coordinates.
     """
     Mv = _positive_bounds(spec, M)
     _check_positive("tol", tol)
     max_iter = _check_integer("max_iter", max_iter, 1)
-    X, y, n, lam, k = spec.X, spec.y, spec.n, spec.lam, spec.k
+    n, lam, k, eq, F = spec.n, spec.lam, spec.k, spec.data.normal, np.flatnonzero(Mv)
+    MF, X, y = Mv[F], eq.columns(F), eq.response  # X itself when no M_i is 0
 
     def fval_grad(b):
         r = y - X @ b
         return float(r @ r / n + lam * (b @ b)), 2.0 * (lam * b - X.T @ r / n), b
 
     def gap(b, g):
-        top = np.partition(np.abs(g) * Mv, spec.p - k)[spec.p - k:]
+        top = np.abs(g) * MF  # all of it when at most k coordinates are searched
+        if top.size > k:
+            top = np.partition(top, top.size - k)[top.size - k:]
         return float(g @ b) + float(top.sum())
 
-    beta0 = _project_weighted_l1_box(_support_fit(spec, np.arange(spec.p))[0], Mv, k)
-    beta, val, _, iters, gap_val, converged = _projected_gradient(
-        fval_grad, lambda b: _project_weighted_l1_box(b, Mv, k), gap, beta0, tol, max_iter,
+    beta0 = _project_weighted_l1_box(_support_fit(spec, F)[0][F], MF, k)
+    b, val, _, iters, gap_val, converged = _projected_gradient(
+        fval_grad, lambda b: _project_weighted_l1_box(b, MF, k), gap, beta0, tol, max_iter,
         float(Mv.max()),
     )
-    return _certified(np.abs(beta) / Mv, val, iters, gap_val, converged, beta)
+    beta, z = np.zeros(spec.p), np.zeros(spec.p)
+    beta[F], z[F] = b, np.abs(b) / MF
+    return _certified(z, val, iters, gap_val, converged, beta)
 
 
 def solve_v3(
@@ -726,7 +735,7 @@ def solve_v3(
     convex and nonincreasing in z, minimized by :func:`_capped_box_minimum`
     with its certificate from the capped-box vertex, so the first beta-step fits k
     columns; each is warm-started from the last, and ``beta`` is the minimizer
-    at the returned z.
+    at the returned z.  A bound M_i = 0 fixes z_i = 0, so beta_i = 0.
     """
     Mv, beta = _positive_bounds(spec, M), np.zeros(spec.p)
 
@@ -736,4 +745,5 @@ def solve_v3(
         val, grad, beta = _perspective_fit(spec, z, Mv, beta)
         return val, grad, beta, None  # no face-Newton proposal
 
-    return _capped_box_minimum(spec, lambda: value_grad, tol, max_iter)
+    return _capped_box_minimum(spec, lambda: value_grad, tol, max_iter,
+                               fixed_zero=np.flatnonzero(Mv == 0.0))

@@ -83,7 +83,7 @@ def generate_synthetic(
     rho = config.rho
     rng = np.random.default_rng(config.seed)
 
-    # the AR(1) recursion, in place on the draw (see the module docstring)
+    # a design builder, on its own rows; AR(1) in place on the draw (module docstring)
     X = rng.standard_normal((n, p))
     cols = X.T
     cols[1:] *= math.sqrt(1.0 - rho * rho)

@@ -117,6 +117,18 @@ def test_relax_outputs(tmp_path, data_csv, which):
     assert sum(payload["z"]) <= 3 + 1e-6
 
 
+@pytest.mark.parametrize("which", ["v1", "v3"])
+def test_relax_on_a_zero_response(tmp_path, which):
+    # big_m's default bounds are all 0 here, which hold beta = z = 0
+    path, out = tmp_path / "zero.csv", tmp_path / "x.json"
+    save_dataset_csv(Dataset(X=np.random.default_rng(0).standard_normal((30, 8)),
+                             y=np.zeros(30)), str(path))
+    assert main(["relax", "--input", str(path), "--lambda", "0.1", "--k", "3",
+                 "--which", which, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["value"] == 0.0 and not any(payload["z"])
+
+
 def test_relaxation_values_ordered(tmp_path, data_csv):
     values = {}
     for which in ("v1", "v2", "v3", "v4"):

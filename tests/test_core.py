@@ -1,6 +1,8 @@
+import ast
 import itertools
 import json
 import math
+import pathlib
 import re
 import sys
 import threading
@@ -411,7 +413,8 @@ class TestRidgeSystem:
         rng = np.random.default_rng(9)
         X = rng.standard_normal((130, 700))
         S, b = np.sort(rng.choice(700, m, replace=False)), rng.standard_normal(m)
-        got, want = core._columns_matvec(X, S, b), X[:, S] @ b
+        eq = Dataset(X=X, y=np.zeros(130)).normal
+        got, want = eq.matvec(S, b), X[:, S] @ b
         if m == 40:
             assert np.array_equal(got, want)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -803,3 +806,53 @@ def test_every_record_writes_strict_json(record, monkeypatch):
     spec = random_spec(np.random.default_rng(0), 10, 6, 2, 0.1)
     payload = RECORDS[record](spec, monkeypatch).to_json_dict()
     assert json.loads(json.dumps(payload, allow_nan=False)) == payload
+
+
+# Reads of the original rows (``.X``, ``.y``, or the view's private ``._X``) outside
+# the view, by (module, enclosing class or function; None for the whole module),
+# each with its reason.  Every other solver reads the design through Dataset.normal.
+ORIGINAL_ROW_READERS = {
+    ("core", "Dataset"): "the dataset holds X and y and builds the view from them",
+    ("core", "NormalEquations"): "the view itself",
+    ("core", "ProblemSpec.X"): "the public accessor",
+    ("core", "ProblemSpec.y"): "the public accessor",
+    ("core", "normalize_columns"): "a design builder: it rescales the original rows",
+    ("core", "underline_theta"): "X_T X_T^T is n x n, defined on the original rows",
+    ("data_io", None): "a CSV file holds the original rows",
+    ("extensions", "gcv_score"): "GCV's fitted values and hat diagonal are per original row",
+    ("greedy", "GreedyState.inv_products"): "a public n x p product on the original rows",
+    ("heuristic", "elastic_net_cd"): "no library code calls it",
+}
+
+
+def _design_reads(source: str):
+    """(enclosing qualified name, attribute, line) of every load of .X, .y or ._X."""
+    reads = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = scope + (child.name,)
+            elif (isinstance(child, ast.Attribute) and child.attr in ("X", "y", "_X")
+                  and isinstance(child.ctx, ast.Load)):
+                reads.append((".".join(scope), child.attr, child.lineno))
+            visit(child, inner)
+
+    visit(ast.parse(source), ())
+    return reads
+
+
+def test_solvers_read_the_design_through_the_view():
+    used, stray = set(), []
+    for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+        module = path.stem
+        for name, attr, line in _design_reads(path.read_text()):
+            parts = name.split(".") if name else []
+            scopes = [(module, ".".join(parts[:i])) for i in range(len(parts), 0, -1)]
+            key = next((k for k in [*scopes, (module, None)] if k in ORIGINAL_ROW_READERS), None)
+            if key is None:
+                stray.append(f"{path.name}:{line} {name or '<module>'} reads .{attr}")
+            used.add(key)
+    assert not stray, "read X or y through Dataset.normal:\n" + "\n".join(stray)
+    assert set(ORIGINAL_ROW_READERS) <= used, "an exception that no longer reads the rows"

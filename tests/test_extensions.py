@@ -156,7 +156,10 @@ class TestGcvSelect:
         ((NumericalError, NumericalError), NumericalError),
         ((NumericalError, SparseRidgeError), SparseRidgeError),
         ((EnumerationCapError, EnumerationCapError), EnumerationCapError),
-    ], ids=["all_numerical", "mixed", "all_enumeration_cap"])
+        ((NumericalError, EnumerationCapError), NumericalError),
+        ((EnumerationCapError, NumericalError), EnumerationCapError),
+    ], ids=["all_numerical", "mixed", "all_enumeration_cap", "numerical_first",
+            "enumeration_cap_first"])
     def test_all_points_failing_error_kind(self, rng, monkeypatch, errors, raised):
         spec = random_spec(rng, 10, 4, 2, 0.1)
         queue = list(errors)

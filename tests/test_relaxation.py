@@ -701,10 +701,12 @@ class TestBigMSolver:
         sol = solve_v1(spec, big_m(spec))
         assert sol.value <= brute_force(spec).objective + 1e-6
 
-    def test_rejects_nonpositive_bounds(self, rng):
+    def test_rejects_negative_bounds(self, rng):
+        # a bound of 0 holds its coefficient at 0 (TestZeroBounds); one below 0 is refused
         spec = random_spec(rng, 8, 3, 1, 0.1)
-        with pytest.raises(InvalidArgumentError):
-            solve_v1(spec, BigMVector(M=np.array([1.0, 0.0, 1.0]), v_upper=1.0, rho=1.0))
+        for solve in (solve_v1, solve_v3):
+            with pytest.raises(InvalidArgumentError, match="big-M"):
+                solve(spec, BigMVector(M=np.array([1.0, -1.0, 1.0]), v_upper=1.0, rho=1.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200, 1e-200])
     @pytest.mark.parametrize("solve", [solve_v1, solve_v3], ids=["v1", "v3"])
@@ -713,6 +715,35 @@ class TestBigMSolver:
         spec = random_spec(rng, 8, 3, 1, 0.1)
         with pytest.raises(InvalidArgumentError, match="big-M"):
             solve(spec, BigMVector(M=np.array([1.0, bad, 1.0]), v_upper=1.0, rho=1.0))
+
+
+class TestZeroBounds:
+    """A big-M bound M_i = 0 holds beta_i = z_i = 0 in v1 and v3, as big_m gives
+    at its default level wherever x_i^T y = 0 and y^T y = 0."""
+
+    def test_zero_response_relaxes_to_zero(self):
+        X = np.random.default_rng(0).standard_normal((30, 8))
+        spec = ProblemSpec(data=Dataset(X=X, y=np.zeros(30)), lam=0.1, k=3)
+        M = big_m(spec)
+        assert not M.M.any()
+        v1, v3, v4 = solve_v1(spec, M), solve_v3(spec, M), solve_v4(spec)
+        for sol in (v1, v3, v4):
+            assert sol.converged and sol.value == 0.0 and sol.lower_bound == 0.0
+            assert not sol.beta.any()
+        assert not v1.z.any() and not v3.z.any()
+
+    @pytest.mark.parametrize("solve", [solve_v1, solve_v3], ids=["v1", "v3"])
+    def test_zero_bound_drops_its_feature(self, rng, solve):
+        spec = random_spec(rng, 20, 6, 2, 0.1)
+        M = big_m(spec).M.copy()
+        M[2] = 0.0
+        sol = solve(spec, BigMVector(M=M, v_upper=1.0, rho=1.0))
+        assert sol.beta[2] == 0.0 and sol.z[2] == 0.0
+        keep = [0, 1, 3, 4, 5]
+        sub = ProblemSpec(data=Dataset(X=spec.X[:, keep], y=spec.y), lam=0.1, k=2)
+        want = solve(sub, BigMVector(M=M[keep], v_upper=1.0, rho=1.0))
+        assert sol.value == pytest.approx(want.value, rel=1e-6)
+        assert np.allclose(np.delete(sol.beta, 2), want.beta, rtol=1e-4, atol=1e-6)
 
 
 @pytest.mark.parametrize("tol", [0.0, np.nan, np.inf], ids=["zero", "nan", "inf"])
