@@ -452,12 +452,13 @@ def cholesky(K: np.ndarray) -> np.ndarray:
 
     LAPACK ``potrf`` called directly, with the checks of scipy's
     ``cho_factor``: a K that is not finite or not positive definite raises
-    NumericalError.  The strict lower triangle of the result is left as
-    scratch (0 x 0 is allowed).
+    NumericalError.  An F-contiguous K is factored in place and is the result;
+    any other K is copied first.  The strict lower triangle of the result is
+    left as scratch (0 x 0 is allowed).
     """
     if not np.isfinite(K).all():
         raise NumericalError("matrix to factor must be finite")
-    c, info = dpotrf(K, lower=0, clean=0)
+    c, info = dpotrf(K, 0, 0, 1)  # lower=0, clean=0, overwrite_a=1: f2py parses keywords slowly
     if info > 0:
         raise NumericalError(f"{info}-th leading minor of the matrix is not positive definite")
     return c
@@ -482,10 +483,12 @@ class RidgeSystem:
     weights, which the m x m side never builds), factored once, on the columns,
     column blocks and row count n of the dataset's view (``Dataset.normal``).
 
-    The m x m matrix is factored when m <= n: a block of X^T X once it is formed
-    (:meth:`NormalEquations.block`), else X_S^T X_S from X_S, gathered on first
-    use and then held, so a system on a formed X^T X that only solves reads no
-    row of X.  Otherwise A = nlam*I + X_S diag(w) X_S^T (n x n) is, and solves go
+    The m x m matrix is factored when m <= n, and its Gram block G_SS is held as
+    ``gram``: a block of X^T X once it is formed (:meth:`NormalEquations.block`),
+    else X_S^T X_S from X_S, gathered on first use and then held, so a system on
+    a formed X^T X that only solves reads no row of X.  K is an F-ordered copy of
+    G_SS, factored in place, so a build holds two m x m arrays.  Otherwise
+    A = nlam*I + X_S diag(w) X_S^T (n x n) is factored, and solves go
     through it; A and every product with X_S are summed over the view's column
     blocks, each gathered on use with its weighted copy within _BLOCK_ELEMENTS
     floats (_MIN_BLOCK_COLUMNS columns when n is large), so that side holds no
@@ -498,16 +501,17 @@ class RidgeSystem:
         if self.wide and w is None:
             w = np.ones(m)  # the n x n side sums weighted blocks
         self.w, self.nlam, self._n, self._eq, self._S, self._Xs = w, nlam, data.n, eq, S, None
-        # K is a fresh contiguous array: ravel() is a view, [::size + 1] its diagonal.
+        # K is a fresh contiguous array: ravel("K") is a view, [::size + 1] its diagonal.
         if self.wide:
             # blocks of a gathered block and its weighted copy per column
             self._width = max(_block_rows(2 * eq.rows), _MIN_BLOCK_COLUMNS)
             K = eq.sum_blocks((Xb * w[pos]) @ Xb.T for pos, Xb in eq.column_blocks(S, self._width))
-            K.ravel()[:: eq.rows + 1] += nlam
+            K.ravel("K")[:: eq.rows + 1] += nlam
         else:
-            K = (eq.block(S, S) if eq.formed_gram() is not None
-                 else self._columns().T @ self._columns())
-            K.ravel()[:: m + 1] += nlam if w is None else nlam * (1.0 / w)
+            self.gram = (eq.block(S, S) if eq.formed_gram() is not None
+                         else self._columns().T @ self._columns())
+            K = self.gram.copy(order="F")  # cholesky factors an F-ordered K in place
+            K.ravel("K")[:: m + 1] += nlam if w is None else nlam * (1.0 / w)
         self._chol = cholesky(K)
 
     def _columns(self) -> np.ndarray:
@@ -524,9 +528,7 @@ class RidgeSystem:
         return self._eq.sum_blocks(Xb @ b[pos] for pos, Xb in blocks)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """X_S^T @ v for v of length n (or n x c)."""
-        if not self.wide:
-            return self._columns().T @ v
+        """X_S^T @ v for v of length n (or n x c), on the n x n side."""
         return np.concatenate([Xb.T @ v for _, Xb in self._eq.column_blocks(self._S, self._width)])
 
     def fit(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:

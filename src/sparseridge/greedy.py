@@ -241,8 +241,6 @@ def greedy_ratio_bound(spec: ProblemSpec, stats: SpectralStats) -> float:
     still yields a valid, weaker bound).
     """
     k, p = spec.k, spec.p
-    if p < k:
-        raise InvalidArgumentError(f"requires p >= k, got p={p}, k={k}")
     if k not in stats.theta or 1 not in stats.theta:
         raise InvalidArgumentError("stats must contain theta_1 and theta_k")
     nl = spec.n * spec.lam

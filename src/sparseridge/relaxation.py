@@ -66,16 +66,16 @@ offered the Newton point of f over the fractional set F, the other
 coordinates held and the move bordered to sum 0 when sum(z) is at the budget,
 projected onto the box.  The Hessian block is
 H_FF = 2*lam*(a_F a_F^T) o X_F^T A(z)^-1 X_F with a_F = b_F/z_F, read from the
-factor of K the evaluation's system already holds (on either route when
-|S| <= n; no proposal when |S| > n).  The point is taken only if
-it moves, descends (grad^T (x_N - x) < 0) and passes the Armijo test against
-f(x) itself, strictly, not the nonmonotone reference; otherwise the
-iteration takes its spectral step.  On a fixed face projected-Newton steps
-converge quadratically where the spectral steps refine z at a linear rate
-(Bertsekas, SIAM J. Control Optim. 1982); switching only once the active set
-stops moving follows Hager & Zhang (SIAM J. Optim. 2006).  Which fractional
-coordinates reach 1 is not part of the test: the Newton point is projected
-onto the box, and the strict Armijo test decides.
+factor of K and the Gram block G_SS the evaluation's system already holds
+(on either route when |S| <= n; no proposal when |S| > n).  The point is
+taken only if it moves, descends (grad^T (x_N - x) < 0) and passes the
+Armijo test against f(x) itself, strictly, not the nonmonotone reference;
+otherwise the iteration takes its spectral step.  On a fixed face
+projected-Newton steps converge quadratically where the spectral steps refine
+z at a linear rate (Bertsekas, SIAM J. Control Optim. 1982); switching only
+once the active set stops moving follows Hager & Zhang (SIAM J. Optim. 2006).
+Which fractional coordinates reach 1 is not part of the test: the Newton point
+is projected onto the box, and the strict Armijo test decides.
 
 All four carry one certificate.  Their objectives are convex (f(z) since
 v2 == v4, g(z) as a partial minimum of a jointly convex function), so at any
@@ -368,9 +368,9 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
     b, where x_i^T u would cancel, and X_F^T A(z)^-1 X_F = diag(1/z_F) (K^-1 G_SF)_F
     from K's own factor: that form (G - G K^-1 G = D K^-1 G with D = K - G_SS)
     has no cancelling difference and holds one |S| x |F| block at a time.
-    G_SF is a block of the normal equations on the Gram route and X_S^T X_F
-    on the X route.  The Hessian gives None where some q_i is 0, and is None
-    itself when |S| > n, where the system holds no factor of K.
+    G_SF is read from G_SS, the Gram block the system holds, on both routes.
+    The Hessian gives None where some q_i is 0, and is None itself when
+    |S| > n, where the system holds no factor of K.
     """
     data, eq, n, p, lam = spec.data, spec.data.normal, spec.n, spec.p, spec.lam
     y, c, yy, nlam = eq.response, eq.c, eq.yy, n * lam
@@ -400,7 +400,7 @@ def _evaluator(spec: ProblemSpec, G: np.ndarray | None = None):
                 return None  # a zero row: H_FF is singular (and F may leave S)
             pos = np.searchsorted(S, F)  # b_i != 0 only on S
             qF = b[F] / zS[pos]
-            H = system.solve(eq.block(S, F) if gram else system.rmatvec(eq.columns(F)))[pos]
+            H = system.solve(system.gram[:, pos])[pos]
             H /= zS[pos, None]
             H *= qF[:, None]
             H *= (2.0 * lam) * qF

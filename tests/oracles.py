@@ -206,6 +206,36 @@ def projected_objective_exact(X, y, lam, z):
         return float(value), np.array([float(g) for g in grad])
 
 
+def face_gram_exact(X, lam, z, F):
+    """X_F^T A(z)^-1 X_F, A(z) = n*lam*I + X diag(z) X^T, from a dense solve of
+    A W = X_F on the n x n side by Gaussian elimination (no pivoting: A is
+    positive definite) in 60-digit decimal arithmetic, rounded once to floats."""
+    n, p = X.shape
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        D = decimal.Decimal
+        Xd = [[D(v) for v in row] for row in np.asarray(X).tolist()]
+        zd = [D(v) for v in np.asarray(z).tolist()]
+        cols = [i for i in range(p) if zd[i]]
+        A = [[sum((zd[i] * Xd[r][i] * Xd[c][i] for i in cols), D(0))
+              for c in range(n)] for r in range(n)]
+        for r in range(n):
+            A[r][r] += n * D(lam)
+        W = [[Xd[r][j] for j in F] for r in range(n)]
+        for col in range(n):
+            for row in range(col + 1, n):
+                f = A[row][col] / A[col][col]
+                for c in range(col, n):
+                    A[row][c] -= f * A[col][c]
+                W[row] = [w - f * v for w, v in zip(W[row], W[col])]
+        for row in range(n - 1, -1, -1):
+            for c in range(row + 1, n):
+                W[row] = [w - A[row][c] * v for w, v in zip(W[row], W[c])]
+            W[row] = [w / A[row][row] for w in W[row]]
+        return np.array([[float(sum((Xd[r][i] * W[r][a] for r in range(n)), D(0)))
+                          for a in range(len(F))] for i in F])
+
+
 def monotone_projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0,
                                 propose=None, armijo_c=1e-4):
     """The package's former projected-gradient loop, kept as a reference.

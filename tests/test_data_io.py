@@ -130,3 +130,28 @@ def test_rejected_input_names_the_file(tmp_path, capsys, case):
 def test_empty_input_messages(tmp_path, text, message):
     with pytest.raises(InvalidArgumentError, match=message):
         load_dataset_csv(_write(tmp_path, text), header=True)
+
+
+def test_one_column_file_has_no_feature_column(tmp_path):
+    # "0" is text, as the command line gives it: column 0, which leaves no feature
+    path = _write(tmp_path, "1\n2\n")
+    with pytest.raises(InvalidArgumentError,
+                       match="^" + re.escape(path) + ": need at least one feature column"):
+        load_dataset_csv(path, response="0")
+
+
+def test_matrix_file_must_be_square(tmp_path):
+    path = _write(tmp_path, "1,2,3\n4,5,6\n")
+    with pytest.raises(InvalidArgumentError,
+                       match="^" + re.escape(path) + r": expected a square matrix, got \(2, 3\)"):
+        load_matrix_csv(path)
+
+
+def test_header_without_feature_names(tmp_path):
+    data = Dataset(X=[[1.0, 2.0], [3.0, 4.0]], y=[5.0, 6.0])
+    path = tmp_path / "named.csv"
+    save_dataset_csv(data, str(path), header=True)
+    assert path.read_bytes().startswith(b"x0,x1,y\r\n")
+    back = load_dataset_csv(str(path), header=True)
+    assert back.feature_names == ("x0", "x1")
+    assert np.array_equal(back.X, data.X) and np.array_equal(back.y, data.y)

@@ -270,6 +270,16 @@ class TestBranchAndBound:
         res = branch_and_bound(spec, node_cap=0)
         assert res.nodes_explored == 0 and not res.optimal
 
+    def test_zero_response_is_proved_at_the_root(self, rng):
+        # y = 0: the incumbent's value is 0, which no relative gap can divide by;
+        # the root's bound is 0 too, so the root is pruned and the heap empties
+        X = rng.standard_normal((10, 6))
+        spec = ProblemSpec(data=Dataset(X=X, y=np.zeros(10)), lam=0.1, k=2)
+        res = branch_and_bound(spec)
+        assert res.optimal and res.final_gap == 0.0 and res.nodes_explored == 1
+        assert res.root_bound == 0.0
+        assert res.estimator.objective == 0.0 and not res.estimator.beta.any()
+
     def test_report_json(self, rng):
         spec = random_spec(rng, 10, 6, 2, 0.2)
         res = branch_and_bound(spec)

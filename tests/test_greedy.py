@@ -15,6 +15,7 @@ from sparseridge import (
     InvalidArgumentError,
     NumericalError,
     ProblemSpec,
+    SparseEstimator,
     SpectralStats,
     SyntheticConfig,
     brute_force,
@@ -407,6 +408,12 @@ class TestRatioBound:
         assert bound >= 1.0
         assert est.objective <= bound * star.objective + 1e-10
 
+    @pytest.mark.parametrize("theta", [{0: 0.0, 1: 1.0}, {0: 0.0, 2: 2.0}])
+    def test_refuses_stats_without_theta_1_and_theta_k(self, theta):
+        spec = identity_pair_spec(lam=0.1, k=2)
+        with pytest.raises(InvalidArgumentError, match="theta_1 and theta_k"):
+            greedy_ratio_bound(spec, SpectralStats(theta=theta))
+
 
 class TestDistanceBound:
     def test_holds_on_solvable_instances(self, rng):
@@ -433,6 +440,18 @@ class TestDistanceBound:
         nu = greedy_ratio_bound(spec, stats) - 1.0
         expected = math.sqrt(spec.n * nu * star.objective / (nl + sig))
         assert bound_same == pytest.approx(expected, rel=1e-9)
+
+    def test_two_empty_supports_are_at_distance_0(self):
+        spec = identity_pair_spec(lam=0.1, k=1)
+        empty = SparseEstimator((), np.zeros(spec.p), 1.0)
+        # no theta is read: the bound is 0 before the stats are looked at
+        assert greedy_distance_bound(spec, SpectralStats(), empty, empty) == 0.0
+
+    def test_refuses_stats_without_theta_of_the_difference(self):
+        spec = identity_pair_spec(lam=0.1, k=1)
+        one, other = (SparseEstimator((j,), np.zeros(spec.p), 1.0) for j in (0, 1))
+        with pytest.raises(InvalidArgumentError, match="theta_1"):
+            greedy_distance_bound(spec, SpectralStats(theta={0: 0.0}), one, other)
 
 
 def test_per_iteration_cost_scales_linearly_in_p():

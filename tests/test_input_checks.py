@@ -36,6 +36,8 @@ from sparseridge import (
     elastic_net_cd,
     encode_omega,
     false_alarm_rate,
+    fit,
+    gcv_select,
     greedy_distance_bound,
     mic_value,
     min_l1_given_level,
@@ -114,6 +116,9 @@ CASES = {
     "SyntheticConfig min_signal": (
         lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, min_signal=v), (math.nan, math.inf)),
     "SyntheticConfig rho": (lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, rho=v), (math.nan,)),
+    # an empty coefficient range
+    "SyntheticConfig coef_low = coef_high": (
+        lambda s, v: SyntheticConfig(n=N, p=P, k_true=K, coef_low=v, coef_high=v), (1.0,)),
     # counts
     "ProblemSpec k": (lambda s, v: ProblemSpec(data=s.data, lam=0.1, k=v), count(0, N + 1)),
     "theta s": (lambda s, v: theta(s, v), count(0, P + 1)),
@@ -169,6 +174,17 @@ CASES = {
         lambda s, v: greedy_distance_bound(s, STATS, estimator(0, v), estimator(0)), (-1, P)),
     "greedy_distance_bound optimal_est": (
         lambda s, v: greedy_distance_bound(s, STATS, estimator(0), estimator(0, v)), (-1, P)),
+    # names and shapes: a mode, a method, a grid, and matrices that are not 2-D,
+    # have no column, are not square or are not finite
+    "theta mode": (lambda s, v: theta(s, 1, mode=v), ("bogus",)),
+    "fit method": (lambda s, v: fit(s, v), ("nope",)),
+    "gcv_select grid": (lambda s, v: gcv_select(s.data, K, v), ([], ())),
+    "Dataset X shape": (lambda s, v: Dataset(X=v, y=np.zeros(N)), (np.ones(N), np.ones((N, 0)))),
+    "precision_to_regression sigma_hat shape": (
+        lambda s, v: precision_to_regression(v, 0.1, 2),
+        (np.ones((2, 3)), np.ones(4), np.array([[1.0, math.nan], [math.nan, 1.0]]),
+         np.diag([1.0, math.inf]))),
+    "encode_omega omega shape": (lambda s, v: encode_omega(v), (np.ones((2, 3)), np.ones(4))),
     # boolean options
     "randomized_solve repair": (lambda s, v: randomized_solve(s, zhat(), repair=v), FLAG),
     "save_dataset_csv header": (lambda s, v: save_dataset_csv(s.data, MISSING, header=v), FLAG),

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import identity_pair_spec, masked_nodes, overflow_data, random_spec
 from oracles import (
     box_weighted_ridge_cd,
+    face_gram_exact,
     finite_difference_gradient,
     gauss_solve,
     monotone_projected_gradient,
@@ -45,7 +46,7 @@ from sparseridge import (
     waterfill_z,
 )
 from sparseridge import relaxation
-from sparseridge.core import RidgeSystem
+from sparseridge.core import NormalEquations, RidgeSystem
 
 # Examples per property test; tests/conftest.py makes every run reproducible.
 PROPERTY = settings(max_examples=50)
@@ -158,6 +159,11 @@ class TestWaterfill:
         assert z[1] == pytest.approx(0.1)
         assert z[3] == pytest.approx(0.2)
         assert z.sum() <= 1.5 + 1e-9
+
+    def test_lower_bounds_that_spend_the_budget(self):
+        lower = np.array([0.5, 0.25, 0.25])
+        z = waterfill_z(np.array([3.0, 1.0, 0.0]), 1.0, lower=lower)
+        assert np.array_equal(z, lower)
 
     def test_budget_slack_saturates(self):
         z = waterfill_z(np.array([1.0, 2.0]), 5.0)
@@ -1026,6 +1032,69 @@ class TestGramRoute:
         value = value_and_gradient(spec, z)[0]
         b = relaxation._evaluator(spec)(z)[2]  # the X route's
         assert value == pytest.approx(perspective_value(spec, b, z), rel=1e-12, abs=0.0)
+
+
+@st.composite
+def wide_face_cases(draw):
+    """(spec, z) on a wide design (p > n) with |supp z| <= n, so the evaluation's
+    system factors K on its |S| side: columns scaled by 1e-3..1e3, lam from 1e-9
+    to 10, and some z_i exactly 0."""
+    n = draw(st.integers(2, 12))
+    p = draw(st.integers(n + 1, 3 * n))
+    lam = 10.0 ** draw(st.floats(-9.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((n, p)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    spec = ProblemSpec(data=Dataset(X=X, y=rng.standard_normal(n)), lam=lam, k=1)
+    z = np.zeros(p)
+    S = rng.permutation(p)[:draw(st.integers(1, n))]
+    z[S] = rng.uniform(0.05, 1.0, S.size)
+    return spec, z
+
+
+class TestFaceHessian:
+    """v4's H_FF on both routes, from the Gram block the evaluation's system holds."""
+
+    @staticmethod
+    def _check(evaluate, spec, z):
+        F = np.flatnonzero((z > 0.0) & (z < 1.0))
+        _, _, b, hessian = evaluate(z)
+        H = hessian(F)
+        if H is None:  # a zero b_i on F
+            assert not b[F].all()
+            return
+        q = b[F] / z[F]
+        want = 2.0 * spec.lam * np.outer(q, q) * face_gram_exact(spec.X, spec.lam, z, F)
+        assert np.abs(H - want).max(initial=0.0) <= 1e-10 * np.abs(want).max(initial=0.0)
+
+    @PROPERTY
+    @given(case=tall_cases())
+    def test_tall_matches_the_exact_dense_solve(self, case):
+        # The Gram route and the X route read the view's formed X^T X; a fresh
+        # dataset, with none formed, holds X_S^T X_S from its gathered X_S.
+        spec, z = case
+        fresh = ProblemSpec(data=Dataset(X=spec.X, y=spec.y), lam=spec.lam, k=1)
+        for evaluate in (relaxation._evaluator(spec, spec.data.normal.G),
+                         relaxation._evaluator(spec), relaxation._evaluator(fresh)):
+            self._check(evaluate, spec, z)
+
+    @PROPERTY
+    @given(case=wide_face_cases())
+    def test_wide_small_support_matches_the_exact_dense_solve(self, case):
+        spec, z = case
+        self._check(relaxation._evaluator(spec), spec, z)
+
+    @pytest.mark.parametrize("n, p, gram", [(40, 12, True), (40, 12, False), (12, 40, False)],
+                             ids=["gram", "x_tall", "x_wide_small_support"])
+    def test_reads_nothing_through_the_view(self, n, p, gram):
+        rng = np.random.default_rng(7)
+        spec = random_spec(rng, n, p, 3, 0.1)
+        z, F = _face_point(rng, p, 5, 2)
+        hessian = relaxation._evaluator(spec, spec.data.normal.G if gram else None)(z)[3]
+        refuse = mock.Mock(side_effect=AssertionError("the Hessian read the view"))
+        with mock.patch.object(NormalEquations, "block", refuse), \
+                mock.patch.object(NormalEquations, "columns", refuse):
+            H = hessian(F)
+        assert H.shape == (F.size, F.size) and not refuse.called
 
 
 def _relative_gap(got, want):

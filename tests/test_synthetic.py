@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,16 @@ class TestBenchmark:
         objs = [r.objective for r in report.records]
         assert agg[0]["mean_objective"] == pytest.approx(float(np.mean(objs)))
         assert agg[0]["reps"] == 3
+
+    def test_method_error_is_a_record_that_aggregates_skip(self):
+        # C(40, 8) = 76904685 subsets is over brute force's enumeration cap
+        report = run_benchmark([{"n": 40, "p": 40, "k": 8}], ["brute", "greedy"], reps=1)
+        brute, greedy = report.records
+        assert brute.method == "brute" and "exceeds the enumeration cap" in brute.error
+        assert math.isnan(brute.objective) and math.isnan(brute.false_alarm)
+        assert not brute.timed_out
+        assert greedy.error is None and math.isfinite(greedy.objective)
+        assert [a["method"] for a in report.aggregates()] == ["greedy"]
 
     def test_csv_output(self, tmp_path):
         cells = [{"n": 15, "p": 5, "k": 2}]
