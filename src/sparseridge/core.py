@@ -228,9 +228,9 @@ class NormalEquations:
         return total
 
     def matvec(self, S: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """X[:, S] @ b for b of length |S|, with no gathered block of X wider than
-        max(_block_rows(rows), _MIN_BLOCK_COLUMNS) columns; within one block it is
-        the plain product."""
+        """X[:, S] @ b for b of length |S| (or |S| x c), with no gathered block of X
+        wider than max(_block_rows(rows), _MIN_BLOCK_COLUMNS) columns; within one
+        block it is the plain product."""
         width = max(_block_rows(self.rows), _MIN_BLOCK_COLUMNS)
         return self.sum_blocks(Xb @ b[pos] for pos, Xb in self.column_blocks(S, width))
 
@@ -474,7 +474,7 @@ def cholesky_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise NumericalError("right side must be finite")
     if b.size == 0:
         return np.empty(b.shape)  # potrs rejects an empty right side
-    return dpotrs(c, b, lower=0)[0]
+    return dpotrs(c, b, 0)[0]  # lower=0, positional: f2py parses keywords slowly
 
 
 class RidgeSystem:
@@ -521,11 +521,8 @@ class RidgeSystem:
         return self._Xs
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
-        """X_S @ b for b of length m (or m x c)."""
-        if not self.wide:
-            return self._columns() @ b
-        blocks = self._eq.column_blocks(self._S, self._width)
-        return self._eq.sum_blocks(Xb @ b[pos] for pos, Xb in blocks)
+        """X_S @ b for b of length m (or m x c): the view's blocked product on the n x n side."""
+        return self._eq.matvec(self._S, b) if self.wide else self._columns() @ b
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """X_S^T @ v for v of length n (or n x c), on the n x n side."""

@@ -14,15 +14,16 @@ formulation they relax:
 
 ``v2`` and ``v4`` coincide (one is an exact reformulation of the other),
 so v2 is v4's record, beta included; the test suite checks the two against
-an independent alternating-minimization reference.  One kernel evaluates
-v3's g(z), the perspective minimum over beta with |beta_i| <= M_i z_i, with
-its gradient and minimizer; without the bound g is f, and one evaluator,
+an independent alternating-minimization reference.  One evaluator,
 ``_evaluator``, made once per solve with what it reads of the spec bound,
 gives f(z), its gradient, its minimizer (v2's and v4's beta) and f's Hessian
-on a face from one RidgeSystem on supp z.  The
-perspective constraint set is the convex hull of its mixed-binary counterpart, so v2 cannot be
-improved by adding valid inequalities in the same variables; tightening
-requires outside information such as the big-M bounds (v3).
+on a face from one RidgeSystem on supp z.  v3 evaluates through it too: its
+g(z), the perspective minimum over beta with |beta_i| <= M_i z_i, is f(z)
+where v4's b keeps every bound, and ``_perspective_fit`` runs its bounded
+passes where one binds.  The perspective constraint set is the convex hull
+of its mixed-binary counterpart, so v2 cannot be improved by valid
+inequalities in the same variables; tightening requires outside information
+such as the big-M bounds (v3).
 
 Each evaluation takes one of two routes on the system on S = supp z.  The X
 route fits y: it gathers X_S and forms X^T u.  The Gram route reads no row of
@@ -36,9 +37,9 @@ for a value that passes the floor, f >= _GRAM_FLOOR*y^T y/n (1e-3), which
 bounds its relative error by about eps/_GRAM_FLOOR, 2e-13, times the growth
 of the dot products behind G and c; below the floor the same system fits y
 on X.  Each evaluation tests the value it computed, so no route is decided
-ahead of it.  A v4 solve forms G (p <= n) and a one-off evaluation
+ahead of it.  A v4 or v3 solve forms G (p <= n) and a one-off evaluation
 (``value_and_gradient``) uses G only if it is already formed.  The X route
-alone serves p > n and v3's bounded passes.
+serves p > n, values below the floor and v3's passes where a bound binds.
 
 All solvers run one loop: nonmonotone spectral projected gradient, which
 projects once per iteration at the Barzilai-Borwein step of the last move (at
@@ -46,25 +47,25 @@ first the longest move it allows, _MAX_MOVE widths of the feasible set, in
 any units of y) and halves along that direction until an Armijo test
 (constant 1e-4) against the largest of the last 10 values passes (Birgin,
 Martinez & Raydan, SIAM J. Optim. 2000; Grippo, Lampariello & Lucidi, SIAM
-J. Numer. Anal. 1986).  v1 runs it on beta; v2/v4 on f(z) and v3 on g(z),
-the box-constrained perspective minimum over beta, through one driver, which
-projects through the budget search itself (``_project``: no checks of the
-vectors it built) and runs one path whether or not a coordinate is fixed: it
-scatters the free coordinates into z and gathers their gradient, so a
-top-level v4 solve is branch and bound's root node.  Without a warm start
-every solve, v3's too, starts at the vertex with weight 1 on the budget
-largest |c_i|, c = X^T y, among the free coordinates (ties to the lowest
-index), found with no evaluation: for v4 the point where the move-capped first
-step from z = 0 lands, since grad f(0) = -c^2/(n^2*lam).  So the first
-evaluation is on |S| = budget columns, where an interior start such as k/p
-is dense (the n x n side when p > n).  Ranking by |x_i^T y| follows the
-correlation screening of L0BnB (Hazimeh, Mazumder & Saab, Math. Program. 2022).
+J. Numer. Anal. 1986).  v1 runs it on beta; v2/v4 on f(z) and v3 on g(z)
+through one driver, which projects through the budget search itself
+(``_project``: no checks of the vectors it built) and runs one path whether
+or not a coordinate is fixed: it scatters the free coordinates into z and
+gathers their gradient, so a top-level v4 solve is branch and bound's root
+node.  Without a warm start every solve, v3's too, starts at the vertex with
+weight 1 on the budget largest |c_i|, c = X^T y, among the free coordinates
+(ties to the lowest index), found with no evaluation: for v4 the point where
+the move-capped first step from z = 0 lands, since grad f(0) =
+-c^2/(n^2*lam).  So the first evaluation is on |S| = budget columns, where an
+interior start such as k/p is dense (the n x n side when p > n).  Ranking by
+|x_i^T y| follows the correlation screening of L0BnB (Hazimeh, Mazumder &
+Saab, Math. Program. 2022).
 
-v4 adds second-order steps once the support settles.  Once the support of
-the iterate (which z_i are above 0) equals the previous iterate's, the loop is
-offered the Newton point of f over the fractional set F, the other
-coordinates held and the move bordered to sum 0 when sum(z) is at the budget,
-projected onto the box.  The Hessian block is
+v4, and v3 where no bound binds, add second-order steps once the support
+settles: once the support of the iterate (which z_i are above 0) equals the
+previous iterate's, the loop is offered the Newton point of f over the
+fractional set F, the other coordinates held and the move bordered to sum 0
+when sum(z) is at the budget, projected onto the box.  The Hessian block is
 H_FF = 2*lam*(a_F a_F^T) o X_F^T A(z)^-1 X_F with a_F = b_F/z_F, read from the
 factor of K and the Gram block G_SS the evaluation's system already holds
 (on either route when |S| <= n; no proposal when |S| > n).  The point is
@@ -296,8 +297,7 @@ def big_m(spec: ProblemSpec, v_upper: float | None = None) -> BigMVector:
 
 def _perspective_fit(spec: ProblemSpec, z: np.ndarray, M: np.ndarray, beta0: np.ndarray):
     """v3's g(z) = min (1/n)||y - X b||^2 + lam*sum(b_i^2/z_i) over |b_i| <= M_i z_i,
-    its gradient in z and the minimizer b; without the bound g is v4's f
-    (:func:`_evaluator`).
+    its gradient in z and the minimizer b; without the bound g is f (:func:`_evaluator`).
 
     z_i counts when n*lam/z_i is finite; b_i = 0 elsewhere.  Every fit is a
     RidgeSystem on the free support whose u gives the residual y - X b =
@@ -443,7 +443,7 @@ def _projected_gradient(fval_grad, project, gap, x, tol, max_iter, width=1.0, pr
     1986); t = 1 takes the projected point itself, so exact 0s and 1s stay.
 
     ``propose(x, grad)``, when given, is asked first on every iteration and
-    may offer a feasible point x_N: v4's capped-box driver offers the Newton
+    may offer a feasible point x_N: the capped-box driver offers the Newton
     point of f on x's face once x's support equals the previous iterate's (see
     :func:`_capped_box_minimum`), and None otherwise.  The iteration moves to
     x_N instead of taking its spectral step only if x_N descends,
@@ -731,19 +731,27 @@ def solve_v3(
     tol: float = 1e-9,
     max_iter: int = 20000,
 ) -> RelaxationSolution:
-    """Perspective-plus-big-M relaxation value: :func:`_perspective_fit`'s g(z),
-    convex and nonincreasing in z, minimized by :func:`_capped_box_minimum`
-    with its certificate from the capped-box vertex, so the first beta-step fits k
-    columns; each is warm-started from the last, and ``beta`` is the minimizer
-    at the returned z.  A bound M_i = 0 fixes z_i = 0, so beta_i = 0.
+    """Perspective-plus-big-M relaxation value: g(z), convex and nonincreasing in z,
+    minimized by :func:`_capped_box_minimum` from the capped-box vertex with v4's
+    :func:`_evaluator`.  Where its b keeps |b_i| <= M_i z_i, g is f: v4's value, b and
+    face Hessian stand, and grad g_i is v4's -lam*a_i^2 where |a_i| = sqrt(grad_i/-lam)
+    <= M_i, else lam*M_i*(M_i - 2|a_i|).  Where a bound binds, or grad g is not finite
+    (as at a tiny lam), :func:`_perspective_fit` runs from v4's b.  M_i = 0 fixes z_i = 0.
     """
-    Mv, beta = _positive_bounds(spec, M), np.zeros(spec.p)
+    Mv, lam = _positive_bounds(spec, M), spec.lam
 
-    def value_grad(z):
-        nonlocal beta
-        # a new array per fit, warm-started from the last: the loop keeps the accepted one
-        val, grad, beta = _perspective_fit(spec, z, Mv, beta)
-        return val, grad, beta, None  # no face-Newton proposal
+    def evaluator():
+        evaluate = _evaluator(spec, spec.data.normal.G)
 
-    return _capped_box_minimum(spec, lambda: value_grad, tol, max_iter,
+        def bounded(z):
+            val, grad, b, hessian = evaluate(z)
+            absa = np.sqrt(grad / -lam)
+            grad = np.where(absa <= Mv, grad, lam * Mv * (Mv - 2.0 * absa))
+            if np.isfinite(grad).all() and (np.abs(b) <= Mv * z).all():
+                return val, grad, b, hessian
+            return *_perspective_fit(spec, z, Mv, b), None
+
+        return bounded
+
+    return _capped_box_minimum(spec, evaluator, tol, max_iter,
                                fixed_zero=np.flatnonzero(Mv == 0.0))

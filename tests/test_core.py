@@ -382,6 +382,31 @@ class TestRidgeSystem:
         for got, want in [(system.matvec(R), Xs @ R), (system.rmatvec(data.y), Xs.T @ data.y)]:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    def test_wide_matvec_sums_the_view_blocks(self, monkeypatch):
+        # n < 128 and blocks cut small: the n x n side's X_S b sums the view's
+        # blocks of 256 columns, three of them over 600 columns
+        monkeypatch.setattr(core, "_BLOCK_ELEMENTS", 64)
+        n, m = 40, 600
+        rng = np.random.default_rng(9)
+        data = Dataset(X=rng.standard_normal((n, m + 1)), y=rng.standard_normal(n))
+        S = np.sort(rng.choice(m + 1, m, replace=False))
+        system = RidgeSystem(data, S, rng.uniform(0.01, 1.0, m), 4.0)
+        assert system.wide
+        widths, blocks = [], core.NormalEquations.column_blocks
+
+        def counted(self, S, width):
+            for pos, Xb in blocks(self, S, width):
+                widths.append(Xb.shape[1])
+                yield pos, Xb
+
+        monkeypatch.setattr(core.NormalEquations, "column_blocks", counted)
+        for b in (rng.standard_normal(m), rng.standard_normal((m, 3))):
+            widths.clear()
+            got, want = system.matvec(b), data.X[:, S] @ b
+            assert widths == [256, 256, 88]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_solve_on_a_formed_gram_gathers_no_columns(self):
         # With X^T X formed, K is a block of it and X_S is gathered on first use:
         # a system that only solves holds K and its factor (0.03 x X here), where

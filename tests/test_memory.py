@@ -13,8 +13,9 @@ on X^T X (formed first, as the dataset keeps it), and must stay within the
 same bound: gathering X_S on each evaluation took them to 0.27 x X (branch
 and bound 0.31), where K and its factor, two |S| x |S| arrays, take 0.15.
 ``solve_v1`` and ``solve_v3`` are held to it with their big-M bounds formed
-inside the call: v3 gathers X_S on each pass of its beta-step, from k columns
-at its start vertex.
+inside the call.  v3 evaluates through v4's evaluator, on X^T X wherever no
+bound binds, and peaks at 0.085 x X, mostly big_m's eigenvalue copy of X^T X
+(0.19 when it gathered X_S on each pass of its own beta-step).
 ``gcv_score`` needs X_S and its hat matrix's K^-1 X_S^T, two arrays the size
 of X when S holds nearly every column; on 299 of the 300 it is held to
 2.25 x X, which a third product of that size (3.08 x X) would break.
@@ -72,7 +73,7 @@ ENTRY_POINTS = {
     # C(p, 1) supports: the only budget brute force can enumerate at this p
     "fit brute": lambda s, tmp: fit(ProblemSpec(data=s.data, lam=s.lam, k=1), "brute"),
     "branch_and_bound": lambda s, tmp: branch_and_bound(s, node_cap=2),
-    # v1 starts from the ridge fit on every column; v3's first pass fits the k at its start
+    # v1 starts from the ridge fit on every column; v3's first evaluation fits the k at its start
     "solve_v1": lambda s, tmp: solve_v1(s, big_m(s), max_iter=20),
     "solve_v2_perspective": lambda s, tmp: solve_v2_perspective(s),
     "solve_v3": lambda s, tmp: solve_v3(s, big_m(s), max_iter=5),

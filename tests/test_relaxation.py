@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -1198,6 +1198,86 @@ class TestBoxConstrainedStep:
         spec = identity_pair_spec(lam=0.1, k=1)
         with pytest.raises(NumericalError):
             relaxation._perspective_fit(spec, np.ones(2), np.full(2, 10.0), np.zeros(2))
+
+
+def _v3_evaluation(spec, M):
+    """The evaluation z -> (g(z), its gradient, b, Hessian) that solve_v3 hands its driver."""
+    made = []
+    with mock.patch.object(relaxation, "_capped_box_minimum",
+                           lambda spec, evaluator, *args, **kwargs: made.append(evaluator())):
+        solve_v3(spec, BigMVector(M=M, v_upper=1.0, rho=1.0))
+    return made[0]
+
+
+class TestV3ThroughV4Evaluation:
+    """v3 evaluates each z with v4's evaluator: where no bound binds, g is f and v4's
+    value, b and face Hessian stand; elsewhere the bounded passes give g."""
+
+    @PROPERTY
+    @given(case=perspective_cases())
+    def test_v4_evaluation_stands_where_no_bound_binds(self, case):
+        spec, z = case
+        M = big_m(spec).M
+        want = relaxation._evaluator(spec, spec.data.normal.G)(z)
+        assume(np.all(np.abs(want[2]) <= M * z))  # big_m's bounds bind on few draws
+        value, grad, b, hessian = _v3_evaluation(spec, M)(z)
+        assert value == want[0] and np.array_equal(b, want[2])
+        if want[3] is None:
+            assert hessian is None
+        else:
+            F = np.flatnonzero(b)
+            assert np.array_equal(hessian(F), want[3](F))
+        # v3's gradient on v4's a: v4's own -lam*a_i^2 where |a_i| <= M_i, and
+        # lam*M_i*(M_i - 2|a_i|) elsewhere (a = X^T A(z)^-1 y, formed densely)
+        S = z > 0.0
+        A = spec.n * spec.lam * np.eye(spec.n) + (spec.X[:, S] * z[S]) @ spec.X[:, S].T
+        absa = np.abs(spec.X.T @ gauss_solve(A, spec.y))
+        inside = absa <= M * (1.0 - 1e-9)
+        assert np.array_equal(grad[inside], want[1][inside])
+        out = absa > M * (1.0 + 1e-9)
+        bounded = spec.lam * M * (M - 2.0 * absa)
+        scale = spec.lam * M * (M + 2.0 * absa)
+        assert np.all(np.abs(grad[out] - bounded[out]) <= 1e-9 * scale[out])
+
+    @PROPERTY
+    @given(case=perspective_cases())
+    def test_bounded_passes_run_where_a_bound_binds(self, case):
+        # big_m's bounds halved until one binds on v4's b: the evaluation is the
+        # box-constrained fit at z, to the tolerances of TestBoxConstrainedStep
+        spec, z = case
+        b4 = relaxation._evaluator(spec, spec.data.normal.G)(z)[2]
+        assume(b4.any())
+        M = big_m(spec).M
+        while np.all(np.abs(b4) <= M * z):
+            M = M / 2.0
+        value, _, b, hessian = _v3_evaluation(spec, M)(z)
+        ref_value, _, ref = relaxation._perspective_fit(spec, z, M, np.zeros(spec.p))
+        assert abs(value - ref_value) <= 1e-12 * ref_value
+        assert np.abs(b - ref).max() <= 1e-9 * max(1.0, np.abs(ref).max())
+        assert hessian is None
+
+    def test_solve_takes_face_newton_steps(self, monkeypatch):
+        # v3 with big_m's bounds is v4's evaluation on this cell, so once its
+        # support settles the loop is offered face-Newton points and takes some.
+        data = generate_synthetic(SyntheticConfig(n=60, p=120, k_true=6, seed=1))[0]
+        spec = ProblemSpec(data=data, lam=0.08, k=6)
+        made, loop = [], relaxation._projected_gradient
+
+        def traced(*args, propose, **kwargs):
+            def recorded(x, grad):
+                point = propose(x, grad)
+                made.append((x, point))
+                return point
+
+            return loop(*args, propose=recorded, **kwargs)
+
+        monkeypatch.setattr(relaxation, "_projected_gradient", traced)
+        sol = solve_v3(spec, big_m(spec))
+        assert sol.converged
+        # a proposal was taken when the next offer is at the proposed point itself
+        taken = sum(point is not None and after is point
+                    for (_, point), (after, _) in zip(made, made[1:]))
+        assert taken > 0
 
 
 def _node_optimum(spec, ones, free):
